@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 from .classify import Decision, _opposite_strict, _side_for_c1_endpoint, classify
 from .derived import derive
 from .params import Params, validate_full_space
-from .rational import ext_le, ext_max, ext_min, format_rational
+from .rational import ext_le, ext_max, format_rational
 
 
 @dataclass(frozen=True)
@@ -279,9 +279,3 @@ def theta_set(params: Params) -> ThetaSet:
         return ThetaSet(ThetaSetKind.SINGLE, theta=Fraction(1))
     # r > p*: the embedding forces r <= q, so interpolation applies.
     return ThetaSet(ThetaSetKind.SINGLE, theta=theta_low)
-
-
-def auto_theta_window_is_full(params: Params) -> bool:
-    """r <= min{p*, q} makes the theta-condition window all of [0, 1]."""
-    d = derive(params)
-    return ext_le(params.r, ext_min(d.p_star, params.q))

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .admissible import admissible_set, theta_set
 from .classify import Decision, classify, classify_radial, classify_w0
@@ -38,6 +38,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_PROBE_MISMATCH = 3
 
 GRID_CAP_DEFAULT = 10**6
+PARAM_NAMES = ("p", "q", "r", "a", "b", "c")
 
 
 def _emit(obj) -> None:
@@ -166,15 +167,20 @@ def cmd_falsify(args) -> int:
     return EXIT_EMBEDS if report.ok else EXIT_PROBE_MISMATCH
 
 
-def _axis_values(axis: dict) -> List[Fraction]:
+def _axis_range(axis: dict) -> Tuple[Fraction, Fraction, int]:
+    """(start, step, number of points) of a sweep axis, without building it."""
     start = parse_rational(str(axis["start"]), "axis.start")
     stop = parse_rational(str(axis["stop"]), "axis.stop")
     step = parse_rational(str(axis["step"]), "axis.step")
     if step <= 0:
         raise ValueError("axis.step must be positive")
+    return start, step, max(0, (stop - start) // step + 1)
+
+
+def _axis_values(start: Fraction, step: Fraction, count: int) -> List[Fraction]:
     values = []
     current = start
-    while current <= stop:
+    for _ in range(count):
         values.append(current)
         current += step
     return values
@@ -198,35 +204,44 @@ def _sweep_row(params: Params) -> List[str]:
 def cmd_sweep(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError("sweep spec must be a JSON object")
     fixed = spec.get("fixed", {})
     axes = spec.get("axes", [])
+    if not isinstance(fixed, dict) or not isinstance(axes, list) or not all(
+        isinstance(axis, dict) for axis in axes
+    ):
+        raise ValueError("sweep spec needs a 'fixed' object and a list of 'axes' objects")
     out_format = spec.get("format", "csv")
     cap = int(spec.get("cap", GRID_CAP_DEFAULT))
 
     n = int(fixed["n"])
     base = {
         key: parse_rational(str(fixed[key]), key)
-        for key in ("p", "q", "r", "a", "b", "c")
+        for key in PARAM_NAMES
         if key in fixed
     }
     axis_names = [axis["param"] for axis in axes]
     for name in axis_names:
         if name == "n":
             raise ValueError("sweeping the dimension is not supported")
-    axis_values = [_axis_values(axis) for axis in axes]
+        if name not in PARAM_NAMES:
+            raise ValueError(f"unknown sweep parameter {name!r}")
+    ranges = [_axis_range(axis) for axis in axes]
 
     total = 1
-    for values in axis_values:
-        total *= len(values)
+    for _, _, count in ranges:
+        total *= count
     if total > cap:
         raise ValueError(f"sweep grid of {total} points exceeds the cap {cap}")
+    axis_values = [_axis_values(*axis_range) for axis_range in ranges]
 
     points: List[Params] = []
     for combo in itertools.product(*axis_values) if axes else [()]:
         entries = dict(base)
         for name, value in zip(axis_names, combo):
             entries[name] = value
-        missing = [k for k in ("p", "q", "r", "a", "b", "c") if k not in entries]
+        missing = [k for k in PARAM_NAMES if k not in entries]
         if missing:
             raise ValueError(f"sweep leaves parameters unset: {missing}")
         points.append(Params(n=n, **entries))

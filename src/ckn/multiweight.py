@@ -127,6 +127,14 @@ def multiweight_classify(spec: MultiWeightSpec) -> Verdict:
 def multiweight_from_dict(data: dict) -> MultiWeightSpec:
     from .rational import parse_rational
 
+    sites = data.get("singularities") if isinstance(data, dict) else None
+    if not isinstance(sites, list) or not all(isinstance(s, dict) for s in sites):
+        raise ValueError(
+            "multiweight spec must be an object whose 'singularities' is a list of objects"
+        )
+    if not isinstance(data.get("infinity"), dict):
+        raise ValueError("multiweight spec needs an 'infinity' object")
+
     def site(d: dict, label: str) -> SiteWeights:
         return SiteWeights(
             a=parse_rational(str(d["a"]), f"{label}.a"),
@@ -140,7 +148,7 @@ def multiweight_from_dict(data: dict) -> MultiWeightSpec:
         q=parse_rational(str(data["q"]), "q"),
         r=parse_rational(str(data["r"]), "r"),
         singularities=tuple(
-            site(s, f"singularities[{i}]") for i, s in enumerate(data["singularities"])
+            site(s, f"singularities[{i}]") for i, s in enumerate(sites)
         ),
         infinity=site(data["infinity"], "infinity"),
     )

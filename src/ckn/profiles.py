@@ -1,16 +1,31 @@
 """Radial profile catalog: evaluable f(t), analytic f'(t), and exact
 asymptotic metadata.
 
-Every profile knows, besides pointwise values:
+Every profile knows, besides pointwise values, its support and seam
+points (quadrature panels are split there), and states its behaviour at
+each end, 0 and infinity, once, as an edge record (`Edge`), or None when
+f vanishes identically near that end.  A record holds:
 
-  * its support and seam points (quadrature panels are split there);
-  * exact local powers at 0 and infinity (f(t) ~ C t^power with C != 0),
-    or None when the profile vanishes identically near that end.  The
-    powers drive the exact divergence test of the weighted norms;
-  * optional exact head/tail certificates: regions where f is exactly a
-    single power C t^m, so the norm contribution there is a closed-form
-    integral rather than a panel sum (essential for near-critical tails
-    whose panel sums converge geometrically slowly).
+  * the leading term f(t) ~ coef t^power, coef != 0.  The exact power
+    drives the exact divergence test of the weighted norms;
+  * optionally, the region where f is exactly coef t^power (t < exact at
+    0, t > exact at infinity), so the norm contribution there is a
+    closed-form integral rather than a panel sum (essential for
+    near-critical tails whose panel sums converge geometrically slowly);
+  * when the leading power is 0 and f is not exactly constant there, the
+    next-order term (coef, power): f' follows that term, not the constant.
+
+Catalog classes declare only `edges()`.  Four generic rules derive every
+other record:
+
+  * derivative: C t^k gives k C t^(k-1) on the same exact region; a
+    leading power 0 moves to the next-order term; an exact constant gives
+    None;
+  * dilation t -> f(lam t): powers stay, coefficients scale by lam^k and
+    regions by 1/lam;
+  * inversion t -> f(1/t): the ends swap, powers change sign and regions
+    invert;
+  * modulation t^-eps f(t): powers shift by -eps.
 
 The smooth cutoff is fixed once and for all: zeta(t) = 1 for t <= 1/2,
 0 for t >= 1, bridged by the standard exp-based mollifier step
@@ -21,13 +36,11 @@ Fixing both makes quadrature outputs reproducible across runs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-
-Power = Union[Fraction, float, None]
-HeadTail = Optional[Tuple[float, Union[Fraction, float], float]]  # (coef, power, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +122,55 @@ def _fpow(t: np.ndarray, e) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# edge records
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Edge:
+    """f(t) ~ coef t^power at one end; see the module docstring."""
+
+    coef: float
+    power: Fraction
+    exact: Optional[float] = None  # f == coef t^power from here to the end
+    next: Optional[Tuple[float, Fraction]] = None  # only when power == 0
+
+    def _map(self, term: Callable, region: Callable) -> "Edge":
+        coef, power = term(self.coef, self.power)
+        nxt = term(*self.next) if self.next is not None and power == 0 else None
+        return Edge(coef, power, None if self.exact is None else region(self.exact), nxt)
+
+    def derivative(self) -> Optional["Edge"]:
+        if self.power != 0:
+            return Edge(self.coef * float(self.power), self.power - 1, self.exact)
+        if self.exact is not None:
+            return None
+        if self.next is None:
+            raise ValueError("a non-constant edge of power 0 needs its next-order term")
+        coef, power = self.next
+        return Edge(coef * float(power), power - 1)
+
+    def dilated(self, lam: float) -> "Edge":
+        return self._map(lambda c, k: (c * lam ** float(k), k), lambda x: x / lam)
+
+    def inverted(self) -> "Edge":
+        return self._map(lambda c, k: (c, -k), _reciprocal)
+
+    def modulated(self, eps: Fraction) -> "Edge":
+        return self._map(lambda c, k: (c, k - eps), lambda x: x)
+
+
+Edges = Tuple[Optional[Edge], Optional[Edge]]  # (at 0, at infinity)
+
+
+def _each(edges: Edges, rule: Callable) -> Edges:
+    return tuple(None if e is None else rule(e) for e in edges)
+
+
+def _reciprocal(x: float) -> float:
+    return math.inf if x == 0.0 else 1.0 / x
+
+
+# ---------------------------------------------------------------------------
 # profile protocol
 # ---------------------------------------------------------------------------
 
@@ -133,33 +195,16 @@ class RadialProfile:
         return ()
 
     # exact asymptotics -----------------------------------------------------
-    def power_at_zero(self) -> Power:
-        return None
+    def edges(self) -> Edges:
+        """Edge records of f at 0 and infinity; the default declares none."""
+        return (None, None)
 
-    def power_at_inf(self) -> Power:
-        return None
+    def deriv_edges(self) -> Edges:
+        return _each(self.edges(), Edge.derivative)
 
-    def deriv_power_at_zero(self) -> Power:
-        return None
-
-    def deriv_power_at_inf(self) -> Power:
-        return None
-
-    def exact_head(self) -> HeadTail:
-        return None
-
-    def exact_tail(self) -> HeadTail:
-        return None
-
-    def deriv_exact_head(self) -> HeadTail:
-        return None
-
-    def deriv_exact_tail(self) -> HeadTail:
-        return None
-
-    def deriv_piecewise(self) -> Optional["PiecewisePower"]:
-        """Exact piecewise-power representation of f', when available."""
-        return None
+    def derivative_profile(self) -> "RadialProfile":
+        """f' as a profile (for gradient norms)."""
+        return DerivView(self)
 
     # transforms ------------------------------------------------------------
     def scaled(self, lam: float) -> "RadialProfile":
@@ -218,19 +263,8 @@ class PowerCutoffInner(RadialProfile):
     def breakpoints(self):
         return (0.5, 1.0)
 
-    def power_at_zero(self):
-        return -self.alpha
-
-    def deriv_power_at_zero(self):
-        return -self.alpha - 1 if self.alpha != 0 else None
-
-    def exact_head(self):
-        return (1.0, -self.alpha, 0.5)
-
-    def deriv_exact_head(self):
-        if self.alpha == 0:
-            return None
-        return (-float(self.alpha), -self.alpha - 1, 0.5)
+    def edges(self):
+        return (Edge(1.0, -self.alpha, exact=0.5), None)
 
     def descriptor(self):
         return {"kind": self.kind, "alpha": str(self.alpha)}
@@ -263,19 +297,8 @@ class PowerCutoffOuter(RadialProfile):
     def breakpoints(self):
         return (0.5, 1.0)
 
-    def power_at_inf(self):
-        return -self.alpha
-
-    def deriv_power_at_inf(self):
-        return -self.alpha - 1 if self.alpha != 0 else None
-
-    def exact_tail(self):
-        return (1.0, -self.alpha, 1.0)
-
-    def deriv_exact_tail(self):
-        if self.alpha == 0:
-            return None
-        return (-float(self.alpha), -self.alpha - 1, 1.0)
+    def edges(self):
+        return (None, Edge(1.0, -self.alpha, exact=1.0))
 
     def descriptor(self):
         return {"kind": self.kind, "alpha": str(self.alpha)}
@@ -304,9 +327,15 @@ class SmoothBump(RadialProfile):
     def support(self):
         return (max(0.0, self.center - self.width), self.center + self.width)
 
-    def power_at_zero(self):
-        # nonzero limit at 0 only when the bump straddles the origin
-        return Fraction(0) if self.center - self.width < 0 < self.center else None
+    def edges(self):
+        # f(0) != 0 only when the bump straddles the origin; f'(0) = 0 for
+        # a centred bump, whose next term is -f(0) (t/width)^2
+        if abs(self.center) >= self.width:
+            return (None, None)
+        v0 = np.array([-self.center / self.width])
+        f0, slope = float(bump(v0)[0]), float(bump_prime(v0)[0]) / self.width
+        nxt = (slope, Fraction(1)) if self.center != 0 else (-f0 / self.width**2, Fraction(2))
+        return (Edge(f0, Fraction(0), next=nxt), None)
 
     def descriptor(self):
         return {"kind": self.kind, "center": self.center, "width": self.width}
@@ -334,21 +363,17 @@ class PowerTail(RadialProfile):
             * (-a - b * t)
         )
 
-    def power_at_zero(self):
-        return -self.alpha
-
-    def power_at_inf(self):
-        return -self.beta
-
-    def deriv_power_at_zero(self):
-        if self.alpha != 0:
-            return -self.alpha - 1
-        return Fraction(0) if self.beta != 0 else None
-
-    def deriv_power_at_inf(self):
-        if self.beta != 0:
-            return -self.beta - 1
-        return -self.alpha - 2 if self.alpha != 0 else None
+    def edges(self):
+        # t^-alpha (1 + (alpha-beta) t + ...) at 0, t^-beta (1 + (alpha-beta)/t + ...)
+        # at infinity; a pure power t^-alpha when alpha == beta
+        a, b = self.alpha, self.beta
+        if a == b:
+            return (Edge(1.0, -a, exact=math.inf), Edge(1.0, -b, exact=0.0))
+        second = float(a - b)
+        return (
+            Edge(1.0, -a, next=(second, Fraction(1)) if a == 0 else None),
+            Edge(1.0, -b, next=(second, Fraction(-1)) if b == 0 else None),
+        )
 
     def descriptor(self):
         return {"kind": self.kind, "alpha": str(self.alpha), "beta": str(self.beta)}
@@ -518,7 +543,7 @@ class PiecewisePower(RadialProfile):
                 out[mask] = coef * float(expo) * _fpow(t[mask], expo - 1)
         return out
 
-    def deriv_piecewise(self) -> "PiecewisePower":
+    def derivative_profile(self) -> "PiecewisePower":
         pieces = [
             (coef * float(expo), expo - 1, lo, hi)
             for coef, expo, lo, hi in self.pieces
@@ -539,21 +564,12 @@ class PiecewisePower(RadialProfile):
             points.extend((lo, hi))
         return tuple(sorted({x for x in points if 0.0 < x < math.inf}))
 
-    def power_at_zero(self):
-        coef, expo, lo, _ = self.pieces[0]
-        return expo if (lo == 0.0 and coef != 0.0) else None
-
-    def power_at_inf(self):
-        coef, expo, _, hi = self.pieces[-1]
-        return expo if (hi == math.inf and coef != 0.0) else None
-
-    def deriv_power_at_zero(self):
-        coef, expo, lo, _ = self.pieces[0]
-        return expo - 1 if (lo == 0.0 and coef != 0.0 and expo != 0) else None
-
-    def deriv_power_at_inf(self):
-        coef, expo, _, hi = self.pieces[-1]
-        return expo - 1 if (hi == math.inf and coef != 0.0 and expo != 0) else None
+    def edges(self):
+        coef, expo, lo, hi = self.pieces[0]
+        head = Edge(coef, expo, exact=hi) if lo == 0.0 and coef != 0.0 else None
+        coef, expo, lo, hi = self.pieces[-1]
+        tail = Edge(coef, expo, exact=lo) if hi == math.inf and coef != 0.0 else None
+        return (head, tail)
 
     def scaled(self, lam: float) -> "PiecewisePower":
         lam = float(lam)
@@ -605,24 +621,14 @@ class LogBandPower(RadialProfile):
         return out
 
     def derivative(self, t):
-        if self.expo == 0:
-            return np.zeros_like(np.asarray(t, dtype=float))
-        return LogBandPower(
-            self.coef * float(self.expo), self.expo - 1, self.log_lo, self.log_hi
-        ).value(t)
+        return self.derivative_profile().value(t)
 
-    def deriv_band(self) -> Optional["LogBandPower"]:
+    def derivative_profile(self) -> RadialProfile:
         if self.expo == 0 or self.coef == 0.0:
-            return None
+            return PiecewisePower.single(0.0, Fraction(0), 1.0, 2.0)
         return LogBandPower(
             self.coef * float(self.expo), self.expo - 1, self.log_lo, self.log_hi
         )
-
-    def deriv_piecewise(self):
-        band = self.deriv_band()
-        if band is None:
-            return PiecewisePower.single(0.0, Fraction(0), 1.0, 2.0)
-        return band
 
     @property
     def support(self):
@@ -640,19 +646,16 @@ class LogBandPower(RadialProfile):
                     points.append(value)
         return tuple(sorted(points))
 
-    def power_at_zero(self):
-        return self.expo if (self.log_lo == -math.inf and self.coef != 0) else None
-
-    def power_at_inf(self):
-        return self.expo if (self.log_hi == math.inf and self.coef != 0) else None
-
-    def deriv_power_at_zero(self):
-        band = self.deriv_band()
-        return band.power_at_zero() if band is not None else None
-
-    def deriv_power_at_inf(self):
-        band = self.deriv_band()
-        return band.power_at_inf() if band is not None else None
+    def edges(self):
+        # only infinite log bounds reach the ends: a far finite band edge
+        # may round to 0 or inf in t while f still vanishes beyond it
+        if self.coef == 0.0:
+            return (None, None)
+        lo, hi = _safe_exp(self.log_lo), _safe_exp(self.log_hi)
+        return (
+            Edge(self.coef, self.expo, exact=hi) if self.log_lo == -math.inf else None,
+            Edge(self.coef, self.expo, exact=lo) if self.log_hi == math.inf else None,
+        )
 
     def scaled(self, lam: float) -> "LogBandPower":
         shift = math.log(lam)
@@ -734,17 +737,11 @@ class TruncatedPrimitive(RadialProfile):
     def breakpoints(self):
         return (1.0, self.n)
 
-    def power_at_inf(self):
-        return Fraction(0)
+    def edges(self):
+        return (None, Edge(self.plateau(), Fraction(0), exact=self.n))
 
-    def exact_tail(self):
-        return (self.plateau(), Fraction(0), self.n)
-
-    def deriv_piecewise(self) -> PiecewisePower:
+    def derivative_profile(self) -> PiecewisePower:
         return PiecewisePower.single(1.0, -self.beta, 1.0, self.n)
-
-    def deriv_power_at_inf(self):
-        return None
 
     def descriptor(self):
         return {"kind": self.kind, "beta": str(self.beta), "log_n": self.log_n}
@@ -778,39 +775,9 @@ class PowerModulated(RadialProfile):
     def breakpoints(self):
         return self.inner.breakpoints
 
-    def _shift(self, power: Power) -> Power:
-        return None if power is None else float(power) - self.eps
-
-    def power_at_zero(self):
-        return self._shift(self.inner.power_at_zero())
-
-    def power_at_inf(self):
-        return self._shift(self.inner.power_at_inf())
-
-    def deriv_power_at_zero(self):
-        base = self.inner.power_at_zero()
-        return None if base is None else float(base) - self.eps - 1.0
-
-    def deriv_power_at_inf(self):
-        base = self.inner.power_at_inf()
-        return None if base is None else float(base) - self.eps - 1.0
-
-    def exact_tail(self):
-        tail = self.inner.exact_tail()
-        if tail is None:
-            return None
-        coef, power, start = tail
-        return (coef, float(power) - self.eps, start)
-
-    def deriv_exact_tail(self):
-        # where the inner profile is exactly C t^m, the modulated derivative
-        # is exactly C (m - eps) t^{m - eps - 1}
-        tail = self.inner.exact_tail()
-        if tail is None:
-            return None
-        coef, power, start = tail
-        m = float(power)
-        return (coef * (m - self.eps), m - self.eps - 1.0, start)
+    def edges(self):
+        eps = Fraction(self.eps)  # the float's exact value
+        return _each(self.inner.edges(), lambda e: e.modulated(eps))
 
     def descriptor(self):
         return {"kind": self.kind, "eps": self.eps, "inner": self.inner.descriptor()}
@@ -844,36 +811,8 @@ class ScaledProfile(RadialProfile):
     def breakpoints(self):
         return tuple(x / self.lam for x in self.inner.breakpoints)
 
-    def power_at_zero(self):
-        return self.inner.power_at_zero()
-
-    def power_at_inf(self):
-        return self.inner.power_at_inf()
-
-    def deriv_power_at_zero(self):
-        return self.inner.deriv_power_at_zero()
-
-    def deriv_power_at_inf(self):
-        return self.inner.deriv_power_at_inf()
-
-    def _map_headtail(self, ht: HeadTail, extra_power: int = 0) -> HeadTail:
-        if ht is None:
-            return None
-        coef, power, limit = ht
-        scaled_coef = coef * self.lam ** (float(power) + extra_power)
-        return (scaled_coef, power, limit / self.lam)
-
-    def exact_head(self):
-        return self._map_headtail(self.inner.exact_head())
-
-    def exact_tail(self):
-        return self._map_headtail(self.inner.exact_tail())
-
-    def deriv_exact_head(self):
-        return self._map_headtail(self.inner.deriv_exact_head(), extra_power=1)
-
-    def deriv_exact_tail(self):
-        return self._map_headtail(self.inner.deriv_exact_tail(), extra_power=1)
+    def edges(self):
+        return _each(self.inner.edges(), lambda e: e.dilated(self.lam))
 
     def descriptor(self):
         return {"kind": self.kind, "lam": self.lam, "inner": self.inner.descriptor()}
@@ -911,59 +850,14 @@ class InvertedProfile(RadialProfile):
     def breakpoints(self):
         return tuple(sorted(1.0 / x for x in self.inner.breakpoints if x > 0))
 
-    def power_at_zero(self):
-        power = self.inner.power_at_inf()
-        return None if power is None else -_as_power(power)
-
-    def power_at_inf(self):
-        power = self.inner.power_at_zero()
-        return None if power is None else -_as_power(power)
-
-    def deriv_power_at_zero(self):
-        power = self.inner.deriv_power_at_inf()
-        return None if power is None else -_as_power(power) - 2
-
-    def deriv_power_at_inf(self):
-        power = self.inner.deriv_power_at_zero()
-        return None if power is None else -_as_power(power) - 2
-
-    def exact_head(self):
-        tail = self.inner.exact_tail()
-        if tail is None:
-            return None
-        coef, power, start = tail
-        return (coef, -_as_power(power), 1.0 / start)
-
-    def exact_tail(self):
-        head = self.inner.exact_head()
-        if head is None:
-            return None
-        coef, power, limit = head
-        return (coef, -_as_power(power), 1.0 / limit)
-
-    def deriv_exact_head(self):
-        tail = self.inner.deriv_exact_tail()
-        if tail is None:
-            return None
-        coef, power, start = tail
-        return (-coef, -_as_power(power) - 2, 1.0 / start)
-
-    def deriv_exact_tail(self):
-        head = self.inner.deriv_exact_head()
-        if head is None:
-            return None
-        coef, power, limit = head
-        return (-coef, -_as_power(power) - 2, 1.0 / limit)
+    def edges(self):
+        return _each(self.inner.edges()[::-1], Edge.inverted)
 
     def inverted(self):
         return self.inner
 
     def descriptor(self):
         return {"kind": self.kind, "inner": self.inner.descriptor()}
-
-
-def _as_power(power):
-    return power if isinstance(power, Fraction) else float(power)
 
 
 class DerivView(RadialProfile):
@@ -988,17 +882,8 @@ class DerivView(RadialProfile):
     def breakpoints(self):
         return self.base.breakpoints
 
-    def power_at_zero(self):
-        return self.base.deriv_power_at_zero()
-
-    def power_at_inf(self):
-        return self.base.deriv_power_at_inf()
-
-    def exact_head(self):
-        return self.base.deriv_exact_head()
-
-    def exact_tail(self):
-        return self.base.deriv_exact_tail()
+    def edges(self):
+        return self.base.deriv_edges()
 
     def descriptor(self):
         return {"kind": self.kind, "inner": self.base.descriptor()}

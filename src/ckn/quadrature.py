@@ -8,15 +8,15 @@ over (0, infinity) by geometric panels [2^k, 2^(k+1)] with adaptive
 Gauss-Legendre inside each panel; panels split at the profile's seam
 points.  Singular ends are handled in three tiers:
 
-  1. Divergence is certified, never guessed: the profile's exact local
-     power pi at the singular end decides d + N + s*pi <= 0 (at zero) or
-     >= 0 (at infinity) in rational arithmetic.  Quadrature growth is
-     only a cross-check.
-  2. Where the profile is exactly a power C t^m (cutoff plateaus,
-     indicator pieces, truncated-primitive tails), the contribution is a
-     closed-form integral evaluated in log space; this is what keeps
-     near-critical tails (exponent -1-epsilon) accurate without millions
-     of panels.
+  1. Divergence is certified, never guessed: the exact power pi of the
+     profile's edge record at the singular end decides d + N + s*pi <= 0
+     (at zero) or >= 0 (at infinity) in rational arithmetic.  Quadrature
+     growth is only a cross-check.
+  2. Where the edge record declares f exactly a power C t^m (cutoff
+     plateaus, indicator pieces, truncated-primitive tails), the
+     contribution is a closed-form integral evaluated in log space; this
+     is what keeps near-critical tails (exponent -1-epsilon) accurate
+     without millions of panels.
   3. Otherwise panels extend toward the singular end until their
      contribution falls below the relative tolerance; failure to converge
      within the panel budget is an explicit error, never a silent value.
@@ -46,13 +46,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .profiles import (
-    DerivView,
-    LogBandPower,
-    LogModulated,
-    PiecewisePower,
-    RadialProfile,
-)
+from .profiles import Edge, LogBandPower, LogModulated, PiecewisePower, RadialProfile
 from .testfunctions import Angular, TestFunction
 
 
@@ -196,23 +190,17 @@ def log_power_integral(exponent: float, log_lo: Optional[float], log_hi: Optiona
 # exact divergence tests
 # ---------------------------------------------------------------------------
 
-def _edge_exponent(d: Fraction, s: Fraction, n: int, power) -> Optional[object]:
-    """d + n + s * power, exact when the power is a Fraction."""
-    if power is None:
-        return None
-    if isinstance(power, Fraction):
-        return d + n + s * power
-    return float(d + n) + float(s) * float(power)
+def _powers(*shifted) -> list:
+    """Powers of the declared edges among (edge, shift) pairs, shifted."""
+    return [edge.power + shift for edge, shift in shifted if edge is not None]
 
 
-def _diverges_at_zero(d, s, n, power) -> bool:
-    k = _edge_exponent(d, s, n, power)
-    return k is not None and k <= 0
+def _diverges_at_zero(d, s, n, powers) -> bool:
+    return any(d + n + s * power <= 0 for power in powers)
 
 
-def _diverges_at_inf(d, s, n, power) -> bool:
-    k = _edge_exponent(d, s, n, power)
-    return k is not None and k >= 0
+def _diverges_at_inf(d, s, n, powers) -> bool:
+    return any(d + n + s * power >= 0 for power in powers)
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +309,20 @@ def _radial_log_integral(profile: RadialProfile, wexp: float, s: float, cfg: Qua
     log_parts = []
     lo_eff, hi_eff = lo, hi
 
-    head = profile.exact_head()
-    if head is not None and lo == 0.0:
-        coef, power, limit = head
-        if coef != 0.0:
+    def exact_part(edge: Edge, log_lo, log_hi) -> None:
+        if edge.coef != 0.0:
             log_parts.append(
-                s * math.log(abs(coef))
-                + log_power_integral(wexp + s * float(power), None, math.log(limit))
+                s * math.log(abs(edge.coef))
+                + log_power_integral(wexp + s * float(edge.power), log_lo, log_hi)
             )
-        lo_eff = limit
-    tail = profile.exact_tail()
-    if tail is not None and hi == math.inf:
-        coef, power, start = tail
-        if coef != 0.0:
-            log_parts.append(
-                s * math.log(abs(coef))
-                + log_power_integral(wexp + s * float(power), math.log(start), None)
-            )
-        hi_eff = start
+
+    head, tail = profile.edges()
+    if head is not None and head.exact is not None and lo == 0.0:
+        exact_part(head, None, math.log(head.exact))
+        lo_eff = head.exact
+    if tail is not None and tail.exact is not None and hi == math.inf:
+        exact_part(tail, math.log(tail.exact), None)
+        hi_eff = tail.exact
 
     if hi_eff < lo_eff:
         # exact regions overlap the whole support
@@ -463,9 +447,10 @@ def weighted_norm_radial(
     if s <= 0:
         raise ValueError("norm exponent must be positive")
     lo, hi = profile.support
-    if lo == 0.0 and _diverges_at_zero(d, s, n, profile.power_at_zero()):
+    at_zero, at_inf = profile.edges()
+    if lo == 0.0 and _diverges_at_zero(d, s, n, _powers((at_zero, 0))):
         return NormValue.divergent("non-integrable at zero")
-    if hi == math.inf and _diverges_at_inf(d, s, n, profile.power_at_inf()):
+    if hi == math.inf and _diverges_at_inf(d, s, n, _powers((at_inf, 0))):
         return NormValue.divergent("non-integrable at infinity")
 
     wexp = float(d + n - 1)
@@ -488,33 +473,6 @@ def weighted_norm_radial(
     return NormValue.from_log(log_norm, rel_err)
 
 
-def _gradient_profile(profile: RadialProfile) -> RadialProfile:
-    if isinstance(profile, LogModulated):
-        return profile.derivative_profile()
-    piecewise = profile.deriv_piecewise()
-    if piecewise is not None:
-        return piecewise
-    return DerivView(profile)
-
-
-def _min_power(powers):
-    known = [p for p in powers if p is not None]
-    if not known:
-        return None
-    if all(isinstance(p, Fraction) for p in known):
-        return min(known)
-    return min(float(p) for p in known)
-
-
-def _max_power(powers):
-    known = [p for p in powers if p is not None]
-    if not known:
-        return None
-    if all(isinstance(p, Fraction) for p in known):
-        return max(known)
-    return max(float(p) for p in known)
-
-
 def _first_harmonic_gradient_lognorm(
     profile: RadialProfile, b: Fraction, p: Fraction, n: int, cfg: QuadratureConfig
 ) -> NormValue:
@@ -523,15 +481,11 @@ def _first_harmonic_gradient_lognorm(
         raise ValueError("first harmonics need dimension >= 2")
 
     lo, hi = profile.support
-    dzero = _min_power(
-        [profile.deriv_power_at_zero(), _shift_power(profile.power_at_zero(), -1)]
-    )
-    dinf = _max_power(
-        [profile.deriv_power_at_inf(), _shift_power(profile.power_at_inf(), -1)]
-    )
-    if lo == 0.0 and _diverges_at_zero(b, p, n, dzero):
+    # |grad u| is as singular as the worse of f' and f/t at each end
+    (g_zero, g_inf), (f_zero, f_inf) = profile.deriv_edges(), profile.edges()
+    if lo == 0.0 and _diverges_at_zero(b, p, n, _powers((g_zero, 0), (f_zero, -1))):
         return NormValue.divergent("gradient non-integrable at zero")
-    if hi == math.inf and _diverges_at_inf(b, p, n, dinf):
+    if hi == math.inf and _diverges_at_inf(b, p, n, _powers((g_inf, 0), (f_inf, -1))):
         return NormValue.divergent("gradient non-integrable at infinity")
 
     pf = float(p)
@@ -578,14 +532,6 @@ def _first_harmonic_gradient_lognorm(
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
     log_norm = (math.log(sub_sphere_area(n)) + math.log(total)) / pf
     return NormValue.from_log(log_norm, err / max(total, cfg.abs_tol))
-
-
-def _shift_power(power, delta: int):
-    if power is None:
-        return None
-    if isinstance(power, Fraction):
-        return power + delta
-    return float(power) + delta
 
 
 def _translated_lognorm(
@@ -682,7 +628,7 @@ def weighted_norm_gradient(
 ) -> NormValue:
     """|| grad u ||_{b,p} (for radial u this is the radial-derivative norm)."""
     if u.angular is Angular.RADIAL:
-        return weighted_norm_radial(_gradient_profile(u.profile), b, p, n, cfg)
+        return weighted_norm_radial(u.profile.derivative_profile(), b, p, n, cfg)
     if u.angular is Angular.FIRST_HARMONIC:
         return _first_harmonic_gradient_lognorm(u.profile, b, p, n, cfg)
     return _translated_lognorm(u.profile, b, p, n, u.offset, cfg, use_derivative=True)

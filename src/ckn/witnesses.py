@@ -194,8 +194,11 @@ def _geometric_base(exponent: float, target_index: int = 20, cap: float = 1e4) -
     """Base B with B^(target_index * exponent) ~ 2e3; clamped to [2, cap]."""
     if exponent <= 0:
         return 2.0
-    base = 10.0 ** (3.4 / (target_index * exponent))
-    return min(max(base, 2.0), cap)
+    # clamp in log space: a tiny exponent would overflow the power
+    log10_base = 3.4 / (target_index * exponent)
+    if log10_base >= math.log10(cap):
+        return cap
+    return min(max(10.0 ** log10_base, 2.0), cap)
 
 
 # ---------------------------------------------------------------------------

@@ -176,3 +176,61 @@ def test_sweep_cap(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", str(path))
     assert code == 2
     assert "cap" in err
+
+
+def _sweep_error(tmp_path, capsys, spec):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "sweep", str(path))
+    return code, out, json.loads(err)
+
+
+def test_sweep_unknown_axis_parameter_is_input_error(tmp_path, capsys):
+    spec = {
+        "fixed": {"n": "3", "p": "2", "q": "2", "r": "2", "a": "0", "b": "0", "c": "0"},
+        "axes": [{"param": "z", "start": "0", "stop": "1", "step": "1"}],
+    }
+    code, out, err = _sweep_error(tmp_path, capsys, spec)
+    assert code == 2 and out == ""
+    assert "z" in err["error"]
+
+
+def test_sweep_spec_that_is_a_list_is_input_error(tmp_path, capsys):
+    code, out, err = _sweep_error(tmp_path, capsys, [{"param": "c"}])
+    assert code == 2 and out == ""
+    assert "error" in err
+
+
+def test_sweep_cap_is_checked_before_any_axis_is_built(tmp_path, capsys):
+    # 10^12 points: building this axis would exhaust memory
+    spec = {
+        "fixed": {"n": "3", "p": "2", "q": "2", "r": "2", "a": "0", "b": "0"},
+        "axes": [{"param": "c", "start": "0", "stop": "1", "step": "1/1000000000000"}],
+        "cap": 10,
+    }
+    code, _, err = _sweep_error(tmp_path, capsys, spec)
+    assert code == 2
+    assert "1000000000001 points" in err["error"] and "cap" in err["error"]
+
+
+def test_multiweight_singularities_not_a_list_is_input_error(tmp_path, capsys):
+    spec = {
+        "n": 3, "p": "2", "q": "2", "r": "2",
+        "singularities": "x",
+        "infinity": {"a": "0", "b": "0", "c": "-1"},
+    }
+    path = tmp_path / "mw.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "classify", *BASE, "--c", "-1", "--multiweight", str(path))
+    assert code == 2 and out == ""
+    assert "singularities" in json.loads(err)["error"]
+
+
+def test_falsify_tiny_theta_defect_reports_instead_of_overflowing(capsys):
+    # theta-condition defect 1e-4: the geometric base clamps to its cap
+    code, out, _ = run(
+        capsys, "falsify", "--n", "5", "--p", "7/2", "--q", "5/3", "--r", "14/5",
+        "--a=-34/5", "--b", "5/3", "--c=-27/5",
+    )
+    assert code in (0, 3)
+    assert json.loads(out)["reason"] == "ThetaConditionFails"

@@ -8,6 +8,7 @@ import pytest
 
 from ckn.params import Params, kelvin_params
 from ckn.profiles import (
+    Edge,
     InvertedProfile,
     LogModulated,
     PiecewisePower,
@@ -57,8 +58,9 @@ class ExpProfile(RadialProfile):
         t = np.asarray(t, dtype=float)
         return (self.k * t ** (self.k - 1) - t**self.k) * np.exp(-t)
 
-    def power_at_zero(self):
-        return F(self.k)
+    def edges(self):
+        # t^k (1 - t + ...) at 0; decays faster than any power at infinity
+        return (Edge(1.0, F(self.k), next=(-1.0, F(1)) if self.k == 0 else None), None)
 
 
 def close(a, b, rel=1e-8):
@@ -214,11 +216,10 @@ def test_kelvin_function_is_involution():
 
 def test_power_tail_roles_swap_under_inversion():
     u = PowerTail(F(1, 2), F(2))
-    inv = InvertedProfile(u)
-    assert inv.power_at_zero() == -F(2) * -1  # f(1/t) ~ t^{+2} at 0? see below
+    at_zero, at_inf = InvertedProfile(u).edges()
     # near zero, f(1/t) ~ (1/t)^{-beta} = t^{beta}
-    assert inv.power_at_zero() == F(2)
-    assert inv.power_at_inf() == F(1, 2)
+    assert at_zero.power == F(2)
+    assert at_inf.power == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
