@@ -1,12 +1,13 @@
 """Exact admissible intervals in c and sets of valid multiplicative exponents.
 
 `admissible_set` computes, for fixed (N, p, q, r, a, b), the exact set of
-weights c for which the embedding holds.  The set is an interval whose
-interior comes from the open-interval cases cut by the theta-condition
-half-space, with the endpoints c0 (admissible iff r = q) and c1
-(admissible iff p <= r <= p* with the case-IV side condition) attached
-when adjacent; when the interior is empty an admissible endpoint shows up
-as an isolated point.
+weights c for which the embedding holds.  It asks the classifier's c-line
+labeller (`classify.CLine`) only: the label changes only at the marks c0,
+c1, -N and c_bar, so the marks inside the hull, each with its exact theta,
+and one midpoint between neighbouring marks decide the whole set.  The
+embedding pieces form at most one interval (an open case-I or case-II
+piece cut by the theta half-line, with adjacent admissible marks
+attached); an admissible mark not on it is an isolated point.
 
 `theta_set` computes the set of exponents theta for which the
 multiplicative inequality
@@ -28,12 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Tuple
 
-from .classify import Decision, _opposite_strict, _side_for_c1_endpoint, classify
+from .classify import Case, CLine, Decision, classify
 from .derived import derive
 from .params import Params, validate_full_space
-from .rational import ext_le, ext_max, format_rational
+from .rational import ext_le, format_rational
 
 
 @dataclass(frozen=True)
@@ -104,26 +106,6 @@ class AdmissibleSet:
 _EMPTY = AdmissibleSet(None, ())
 
 
-def _theta_window(params: Params) -> Optional[Tuple[Fraction, Fraction]]:
-    """Closed subinterval of [0,1] where theta (1/p - 1/N - 1/q) <= 1/r - 1/q,
-    or None when no theta in [0,1] satisfies it."""
-    s_factor = 1 / params.p - Fraction(1, params.n) - 1 / params.q
-    v0 = 1 / params.r - 1 / params.q
-    zero, one = Fraction(0), Fraction(1)
-    if s_factor == 0:
-        return (zero, one) if v0 >= 0 else None
-    tau = v0 / s_factor
-    if s_factor > 0:
-        if tau < 0:
-            return None
-        return (zero, min(tau, one))
-    if tau <= 0:
-        return (zero, one)
-    if tau > 1:
-        return None
-    return (tau, one)
-
-
 def admissible_set(params_without_c: Params) -> AdmissibleSet:
     """Exact set {c : the embedding holds} at the tuple's (N, p, q, r, a, b).
 
@@ -132,76 +114,37 @@ def admissible_set(params_without_c: Params) -> AdmissibleSet:
     params = params_without_c.with_c(Fraction(0))
     validate_full_space(params)
     d = derive(params)
-    p, q, r = params.p, params.q, params.r
-
-    if not ext_le(r, ext_max(d.p_star, q)):
+    line = CLine(params, d)
+    if not line.r_ok:  # every c is labelled ROutOfRange
         return _EMPTY
-
-    if d.slopes_equal:
-        point_ok = (
-            r == q
-            or (d.eta != 0 and r >= min(p, q))
-            or (
-                d.eta == 0
-                and params.a == -params.n
-                and q < r
-                and ext_le(r, d.p_star)
-            )
-        )
-        return AdmissibleSet(None, (d.c0,)) if point_ok else _EMPTY
-
-    # Distinct slopes: interior window in theta coordinates.
-    window = _theta_window(params)
-    if _opposite_strict(params):
-        theta_top = d.theta_of(Fraction(-params.n))  # in (0, 1)
+    # the marks inside the hull, each with its exact theta
+    if d.slopes_equal:  # the hull is the single point c0 = c1
+        marks = [(d.c0, None)]
     else:
-        theta_top = Fraction(1)
+        marks = [(d.c0, Fraction(0)), (d.c1, Fraction(1))]
+        if line.lo < line.mn < line.hi:
+            marks.append((line.mn, d.theta_of(line.mn)))
+        if d.theta_bar is not None and 0 < d.theta_bar < 1 and d.c_bar != line.mn:
+            marks.append((d.c_bar, d.theta_bar))
+        marks.sort(key=itemgetter(0))
+    on_mark = [isinstance(line.label(c, theta), Case) for c, theta in marks]
+    # the label is constant between neighbouring marks: test a midpoint
+    inside = [
+        isinstance(line.label((c + c_next) / 2, (theta + theta_next) / 2), Case)
+        for (c, theta), (c_next, theta_next) in zip(marks, marks[1:])
+    ]
 
-    interior = None  # (lo_theta, lo_inc, hi_theta, hi_inc)
-    if window is not None:
-        wlo, whi = window
-        lo_t = max(Fraction(0), wlo)
-        hi_t = min(theta_top, whi)
-        lo_inc = wlo > 0
-        hi_inc = whi < theta_top
-        if lo_t < hi_t or (lo_t == hi_t and lo_inc and hi_inc):
-            interior = (lo_t, lo_inc, hi_t, hi_inc)
-
-    c0_admissible = r == q
-    c1_admissible = (
-        theta_top == 1
-        and p <= r
-        and ext_le(r, d.p_star)
-        and _side_for_c1_endpoint(params)
+    interval = None
+    if any(inside):  # the open pieces form one interval
+        first = inside.index(True)
+        last = len(inside) - inside[::-1].index(True)
+        interval = Interval(marks[first][0], on_mark[first], marks[last][0], on_mark[last])
+    isolated = tuple(
+        c
+        for (c, _), embeds in zip(marks, on_mark)
+        if embeds and (interval is None or not interval.lo <= c <= interval.hi)
     )
-
-    isolated = []
-    if interior is None:
-        if c0_admissible:
-            isolated.append(d.c0)
-        if c1_admissible:
-            isolated.append(d.c1)
-        return AdmissibleSet(None, tuple(sorted(isolated)))
-
-    lo_t, lo_inc, hi_t, hi_inc = interior
-    if c0_admissible:
-        if lo_t == 0:
-            lo_inc = True
-        else:
-            isolated.append(d.c0)
-    if c1_admissible:
-        if hi_t == 1:
-            hi_inc = True
-        else:
-            isolated.append(d.c1)
-
-    c_lo = d.c_of_theta(lo_t)
-    c_hi = d.c_of_theta(hi_t)
-    if c_lo <= c_hi:
-        interval = Interval(c_lo, lo_inc, c_hi, hi_inc)
-    else:
-        interval = Interval(c_hi, hi_inc, c_lo, lo_inc)
-    return AdmissibleSet(interval, tuple(sorted(isolated)))
+    return AdmissibleSet(interval, isolated)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,21 @@ mapping to one concrete counterexample family:
     EtaZeroSmallR                eta = 0, r < q           (log-window)
     ThetaConditionFails          theta-condition violated (translated bumps)
 
+For fixed (N, p, q, r, a, b) the verdict depends on c only through its
+place relative to c0, c1, -N and c_bar, where the theta-condition is an
+equality.  `CLine` holds every c-free fact of one such line: the r-range
+gate, the side conditions, the case at c = c1, the open piece of case I
+or II, the theta-condition as a half-line in theta, and the reasons at
+c0 and c1.  Its `label(c, theta)` writes the six cases and eight reasons
+above once, by comparisons only.  `classify` labels one c, `ckn sweep`
+labels every c of a grid line, and `admissible_set` labels the marks
+and the midpoints between them.
+
 `classify_radial` is the analogous characterization for the subspace of
-radially symmetric functions (valid for all q, r > 0), and `classify_w0`
-gives the sufficient conditions for the subspace with vanishing spherical
-mean.
+radially symmetric functions (valid for all q, r > 0), with its own case
+priority; its necessity reason is the label of the one-dimensional
+reduction.  `classify_w0` gives the sufficient conditions for the
+subspace with vanishing spherical mean.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .derived import DerivedQuantities, derive, theta_condition_holds
 from .params import Params, validate_full_space, validate_radial
@@ -101,124 +112,131 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# side predicates relative to -N
+# the c-line at one (N, p, q, r, a, b)
 # ---------------------------------------------------------------------------
 
-def _same_side(params: Params) -> bool:
-    """a and b-p weakly on the same side of -N (either may equal -N)."""
-    mn = -params.n
-    bp = params.b - params.p
-    return (params.a >= mn and bp >= mn) or (params.a <= mn and bp <= mn)
+def _sign(x: Fraction) -> int:
+    return (x.numerator > 0) - (x.numerator < 0)
 
 
-def _opposite_strict(params: Params) -> bool:
-    mn = -params.n
-    bp = params.b - params.p
-    return (params.a < mn < bp) or (bp < mn < params.a)
+class CLine:
+    """Every c-free fact of the full-space theorem at one (N, p, q, r, a, b).
 
+    Built from the tuple and its derived quantities (any c).  `label`
+    places a c, with its theta_c, against c0, c1, -N and the theta
+    half-line by comparisons only.  Shared by `classify`, `classify_radial`,
+    `admissible_set` and `ckn sweep`; not part of `ckn.__all__`.
+    """
 
-def _side_for_c1_endpoint(params: Params) -> bool:
-    """Side condition of case IV: b-p strictly off -N, a weakly on the
-    same side."""
-    mn = -params.n
-    bp = params.b - params.p
-    return (params.a <= mn and bp < mn) or (params.a >= mn and bp > mn)
+    __slots__ = (
+        "c0", "c1", "mn", "lo", "hi", "distinct", "r_ok", "r_is_q",
+        "gradient_side", "c1_case", "piece", "piece_lo", "piece_hi", "window",
+        "c0_reason", "c1_reason", "theta_bar", "theta_dir", "theta_all",
+    )
 
+    def __init__(self, params: Params, d: DerivedQuantities):
+        p, q, r = params.p, params.q, params.r
+        # a and b-p lie on the sides of -N given by the signs of the slopes
+        # (c0 + N = r slope_a, c1 + N = r slope_b)
+        sa = _sign(d.slope_a)
+        sb = _sign(d.slope_b)
+        self.c0, self.c1, self.mn = d.c0, d.c1, Fraction(-params.n)
+        self.lo, self.hi = (d.c0, d.c1) if d.c0 <= d.c1 else (d.c1, d.c0)
+        self.distinct = not d.slopes_equal
+        hardy = ext_le(r, d.p_star)  # r <= p*
+        self.r_ok = hardy or r <= q  # r <= max{p*, q}
+        # at c = c0 = a the identity embedding holds (case III)
+        self.r_is_q = r == q
 
-def _opposite_weak(params: Params) -> bool:
-    """Precondition of the opposite-side window reason: b-p may sit on -N."""
-    mn = -params.n
-    bp = params.b - params.p
-    return (bp <= mn < params.a) or (bp >= mn > params.a)
+        # b-p strictly off -N, a weakly on the same side
+        self.gradient_side = sb != 0 and sa * sb >= 0
+        if p <= r and hardy and self.gradient_side:
+            self.c1_case = Case.IV
+        elif d.slopes_equal and sa != 0 and r >= min(p, q):
+            self.c1_case = Case.V
+        elif d.slopes_equal and sa == 0 and q < r and hardy:  # a = -N, b = p - N
+            self.c1_case = Case.VI
+        else:
+            self.c1_case = None
 
+        # a strictly off -N and b-p weakly on the other side: c must lie
+        # in the window between c0 (included) and -N (excluded)
+        if sa != 0 and sa * sb <= 0:
+            self.window = (self.mn, d.c0) if sa > 0 else (d.c0, self.mn)
+        else:
+            self.window = None
+        # the open piece where the theta-condition decides
+        if sa * sb < 0:
+            self.piece = Case.II
+            self.piece_lo, self.piece_hi = self.window
+        elif self.distinct:
+            self.piece, self.piece_lo, self.piece_hi = Case.I, self.lo, self.hi
+        else:
+            self.piece = None
 
-def _strictly_between(c: Fraction, e1: Fraction, e2: Fraction) -> bool:
-    lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
-    return lo < c < hi
+        if self.distinct:
+            self.c0_reason = None if self.r_is_q else Reason.ENDPOINT_C0_WRONG_R
+            self.c1_reason = Reason.ENDPOINT_C1_SMALL_R if r < p else None
+        else:  # the hull is the point c0 = c1, which is -N when eta = 0
+            if r < min(p, q):
+                self.c0_reason = Reason.EQUAL_SLOPES_SMALL_R
+            elif sa == 0 and r < q:
+                self.c0_reason = Reason.ETA_ZERO_SMALL_R
+            else:
+                self.c0_reason = None
+            self.c1_reason = None
 
+        # theta (1/p - 1/N - 1/q) <= 1/r - 1/q as a half-line in theta.
+        # The factor has the sign of q - p* (negative when p* = inf), so
+        # theta <= theta_bar, theta >= theta_bar, or, when q = p*, all
+        # theta (r <= q) or none
+        self.theta_bar = d.theta_bar
+        self.theta_dir = (q > d.p_star) - (q < d.p_star)
+        self.theta_all = r <= q
 
-def _in_hull(c: Fraction, e1: Fraction, e2: Fraction) -> bool:
-    lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
-    return lo <= c <= hi
+    def theta_holds(self, theta: Fraction) -> bool:
+        if self.theta_dir > 0:
+            return theta <= self.theta_bar
+        if self.theta_dir < 0:
+            return theta >= self.theta_bar
+        return self.theta_all
 
-
-def _in_window(params: Params, d: DerivedQuantities) -> bool:
-    """c in the half-open interval with endpoints c0 (included) and -N
-    (excluded)."""
-    c, mn = params.c, Fraction(-params.n)
-    return c == d.c0 or _strictly_between(c, d.c0, mn)
+    def label(self, c: Fraction, theta: Optional[Fraction]) -> Union[Case, Reason]:
+        """The case tag of c (theta its theta_c), or its first necessity
+        reason; cases in the priority III < IV < V < VI < I < II."""
+        if not self.r_ok:
+            return Reason.R_OUT_OF_RANGE
+        if self.r_is_q and c == self.c0:
+            return Case.III
+        if self.c1_case is not None and c == self.c1:
+            return self.c1_case
+        if (
+            self.piece is not None
+            and self.piece_lo < c < self.piece_hi
+            and self.theta_holds(theta)
+        ):
+            return self.piece
+        if not self.lo <= c <= self.hi:
+            return Reason.C_OUTSIDE_HULL
+        if self.window is not None and c != self.c0 and not self.window[0] < c < self.window[1]:
+            return Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW
+        if self.c0_reason is not None and c == self.c0:
+            return self.c0_reason
+        if self.c1_reason is not None and c == self.c1:
+            return self.c1_reason
+        if self.distinct and not self.theta_holds(theta):
+            return Reason.THETA_CONDITION_FAILS
+        raise AssertionError(f"no necessity reason applies at c={c} on {self.c0}..{self.c1}")
 
 
 # ---------------------------------------------------------------------------
 # full-space characterization
 # ---------------------------------------------------------------------------
 
-def _r_in_range(params: Params, d: DerivedQuantities) -> bool:
-    return ext_le(params.r, ext_max(d.p_star, params.q))
-
-
-def _case_conditions(params: Params, d: DerivedQuantities) -> dict:
-    p, q, r = params.p, params.q, params.r
-    a, b, c = params.a, params.b, params.c
-    mn = Fraction(-params.n)
-    slopes_differ = not d.slopes_equal
-
-    cond = {}
-    cond[Case.III] = r == q and c == a
-    cond[Case.IV] = (
-        p <= r
-        and ext_le(r, d.p_star)
-        and _side_for_c1_endpoint(params)
-        and c == d.c1
-    )
-    cond[Case.V] = (
-        d.slopes_equal and d.eta != 0 and r >= min(p, q) and c == d.c1
-    )
-    cond[Case.VI] = (
-        a == mn and b == p + mn and q < r and ext_le(r, d.p_star) and c == d.c1
-    )
-    cond[Case.I] = (
-        _same_side(params)
-        and slopes_differ
-        and _strictly_between(c, d.c0, d.c1)
-        and theta_condition_holds(d.theta_c, params)
-    )
-    cond[Case.II] = (
-        _opposite_strict(params)
-        and _strictly_between(c, d.c0, mn)
-        and theta_condition_holds(d.theta_c, params)
-    )
-    return cond
-
-
-_CASE_PRIORITY = (Case.III, Case.IV, Case.V, Case.VI, Case.I, Case.II)
-
-
-def _failure_reason(params: Params, d: DerivedQuantities) -> Reason:
-    p, q, r = params.p, params.q, params.r
-    a, b, c = params.a, params.b, params.c
-    mn = Fraction(-params.n)
-    slopes_differ = not d.slopes_equal
-
-    if not _r_in_range(params, d):
-        return Reason.R_OUT_OF_RANGE
-    if not _in_hull(c, d.c0, d.c1):
-        return Reason.C_OUTSIDE_HULL
-    if _opposite_weak(params) and not _in_window(params, d):
-        return Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW
-    if slopes_differ and c == d.c0 and r != q:
-        return Reason.ENDPOINT_C0_WRONG_R
-    if slopes_differ and c == d.c1 and r < p:
-        return Reason.ENDPOINT_C1_SMALL_R
-    if d.slopes_equal and r < min(p, q) and c == d.c0:
-        return Reason.EQUAL_SLOPES_SMALL_R
-    if a == mn and b == p + mn and r < q and c == mn:
-        return Reason.ETA_ZERO_SMALL_R
-    if slopes_differ and not theta_condition_holds(d.theta_c, params):
-        return Reason.THETA_CONDITION_FAILS
-    raise AssertionError(
-        f"no necessity reason applies to a non-embedding instance: {params}"
-    )
+def _verdict(tag: Union[Case, Reason], d: DerivedQuantities) -> Verdict:
+    if isinstance(tag, Case):
+        return Verdict(Decision.EMBEDS, tag, None, d)
+    return Verdict(Decision.DOES_NOT_EMBED, None, tag, d)
 
 
 def classify(params: Params) -> Verdict:
@@ -226,14 +244,7 @@ def classify(params: Params) -> Verdict:
     the first applicable necessity reason."""
     validate_full_space(params)
     d = derive(params)
-
-    if _r_in_range(params, d):
-        cond = _case_conditions(params, d)
-        for case in _CASE_PRIORITY:
-            if cond[case]:
-                return Verdict(Decision.EMBEDS, case, None, d)
-
-    return Verdict(Decision.DOES_NOT_EMBED, None, _failure_reason(params, d), d)
+    return _verdict(CLine(params, d).label(params.c, d.theta_c), d)
 
 
 # ---------------------------------------------------------------------------
@@ -263,46 +274,36 @@ def classify_radial(params: Params) -> Verdict:
     """
     validate_radial(params)
     d = derive(params)
-    p, q, r = params.p, params.q, params.r
-    a, b, c = params.a, params.b, params.c
-    mn = Fraction(-params.n)
-    slopes_differ = not d.slopes_equal
+    line = CLine(params, d)
+    p, q, r, c = params.p, params.q, params.r, params.c
 
-    cond = {
-        Case.IV: (r == q and c == d.c0)
-        or (
-            p != q
-            and min(p, q) <= r <= max(p, q)
-            and d.slopes_equal
-            and d.eta != 0
-            and c == d.c0
-        ),
-        Case.III: r >= p and _side_for_c1_endpoint(params) and c == d.c1,
-        Case.V: a == mn and b == p + mn and r > q and c == mn,
-        Case.I: (
-            _same_side(params)
-            and slopes_differ
-            and _strictly_between(c, d.c0, d.c1)
-            and d.theta_c >= d.theta_breve
-        ),
-        Case.II: (
-            _opposite_strict(params)
-            and _strictly_between(c, d.c0, mn)
-            and d.theta_c >= d.theta_breve
-        ),
-    }
-    for case in (Case.IV, Case.III, Case.V, Case.I, Case.II):
-        if cond[case]:
-            return Verdict(Decision.EMBEDS, case, None, d)
+    if c == d.c0 and (
+        r == q
+        or (p != q and min(p, q) <= r <= max(p, q) and d.slopes_equal and d.eta != 0)
+    ):
+        return _verdict(Case.IV, d)
+    if r >= p and line.gradient_side and c == d.c1:
+        return _verdict(Case.III, d)
+    if d.eta == 0 and r > q and c == line.mn:  # a = -N, b = p - N
+        return _verdict(Case.V, d)
+    if (
+        line.piece is not None
+        and line.piece_lo < c < line.piece_hi
+        and d.theta_c >= d.theta_breve
+    ):
+        return _verdict(line.piece, d)
 
     # the radial problem is the one-dimensional full problem with shifted
-    # weights; the necessity reason is read off the reduction
-    reduced = _reduced_one_dim(params)
-    reason = _failure_reason(reduced, derive(reduced))
-    return Verdict(Decision.DOES_NOT_EMBED, None, reason, d)
+    # weights; the necessity reason is read off the reduced tuple's line
+    reduced = radial_reduction(params)
+    dr = derive(reduced)
+    reason = CLine(reduced, dr).label(reduced.c, dr.theta_c)
+    if not isinstance(reason, Reason):
+        raise AssertionError(f"the one-dimensional reduction of {params} embeds")
+    return _verdict(reason, d)
 
 
-def _reduced_one_dim(params: Params) -> Params:
+def radial_reduction(params: Params) -> Params:
     """The radial problem in dimension N is the full problem at N = 1 with
     weights shifted by N - 1."""
     shift = params.n - 1
@@ -315,12 +316,6 @@ def _reduced_one_dim(params: Params) -> Params:
         b=params.b + shift,
         c=params.c + shift,
     )
-
-
-def radial_reduction(params: Params) -> Params:
-    """Public alias used by tests: radial classification in dimension N
-    agrees with full-space classification of this reduced tuple."""
-    return _reduced_one_dim(params)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +343,9 @@ def classify_w0(params: Params) -> W0Result:
             return W0Result.EMBEDS
         return W0Result.UNKNOWN
 
-    if not _in_hull(params.c, d.c0, d.c1):
-        return W0Result.UNKNOWN
     theta = d.theta_c
+    if not 0 <= theta <= 1:  # c outside the hull of c0, c1
+        return W0Result.UNKNOWN
     first = (r == q and params.c == d.c0) or (
         params.c != d.c0 and theta_condition_holds(theta, params)
     )

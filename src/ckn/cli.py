@@ -6,7 +6,9 @@ stable key order and canonical rational strings, so identical inputs give
 byte-identical output.
 
 Exit codes: 0 embedding (or success), 1 no embedding (or precondition
-verdict mismatch), 2 input error, 3 classifier/probe mismatch.
+verdict mismatch), 2 input error, 3 classifier/probe mismatch, 4 internal
+error (a fault of the program, reported as {"error": "internal error: ..."}
+on stderr).
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .admissible import admissible_set, theta_set
-from .classify import Decision, classify, classify_radial, classify_w0
+from .admissible import ThetaSetKind, admissible_set, theta_set
+from .classify import Case, CLine, Decision, classify, classify_radial, classify_w0
+from .derived import derive
 from .multiweight import multiweight_classify, multiweight_from_dict
-from .params import Params
+from .params import Params, validate_full_space
 from .probes import (
     default_verification_family,
     default_w0_family,
@@ -36,6 +39,7 @@ EXIT_EMBEDS = 0
 EXIT_NO_EMBED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PROBE_MISMATCH = 3
+EXIT_INTERNAL_ERROR = 4
 
 GRID_CAP_DEFAULT = 10**6
 PARAM_NAMES = ("p", "q", "r", "a", "b", "c")
@@ -62,10 +66,6 @@ def _parse_params(args, need_c: bool = True) -> Params:
         values[name] = parse_rational(raw, f"--{name}")
     c = values.pop("c", Fraction(0))
     return Params(n=args.n, c=c, **values)
-
-
-def _theta_set_payload(params: Params) -> dict:
-    return theta_set(params).as_dict()
 
 
 def cmd_classify(args) -> int:
@@ -112,7 +112,7 @@ def cmd_theta(args) -> int:
     _emit(
         {
             "params": params.as_dict(),
-            "theta_set": _theta_set_payload(params),
+            "theta_set": theta_set(params).as_dict(),
             **verdict.as_dict(),
         }
     )
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
             theta = ts.theta
         elif ts.lo is not None:
             theta = ts.hi  # upper end of the proven range
-        elif ts.kind.value == "TrivialZero":
+        elif ts.kind is ThetaSetKind.TRIVIAL_ZERO:
             theta = Fraction(0)
         else:
             _emit(
@@ -186,19 +186,32 @@ def _axis_values(start: Fraction, step: Fraction, count: int) -> List[Fraction]:
     return values
 
 
-def _sweep_row(params: Params) -> List[str]:
-    verdict = classify(params)
-    d = verdict.derived
-    return [
-        str(params.n),
-        *(format_rational(getattr(params, k)) for k in ("p", "q", "r", "a", "b", "c")),
-        verdict.decision.value,
-        verdict.case.value if verdict.case else "",
-        verdict.reason.value if verdict.reason else "",
-        format_rational(d.c0),
-        format_rational(d.c1),
-        format_optional(d.theta_c) or "",
-    ]
+def _sweep_rows(points: List[Params]) -> List[List[str]]:
+    """Table rows of the points, labelled on one c-line per distinct
+    (p, q, r, a, b); the same rows `classify` gives point by point."""
+    lines = {}
+    rows = []
+    for params in points:
+        key = (params.p, params.q, params.r, params.a, params.b)
+        if key not in lines:
+            validate_full_space(params)
+            d = derive(params)
+            lines[key] = (CLine(params, d), d)
+        line, d = lines[key]
+        theta = None if d.slopes_equal else d.theta_of(params.c)
+        tag = line.label(params.c, theta)
+        embeds = isinstance(tag, Case)
+        rows.append([
+            str(params.n),
+            *(format_rational(getattr(params, k)) for k in PARAM_NAMES),
+            (Decision.EMBEDS if embeds else Decision.DOES_NOT_EMBED).value,
+            tag.value if embeds else "",
+            "" if embeds else tag.value,
+            format_rational(d.c0),
+            format_rational(d.c1),
+            format_optional(theta) or "",
+        ])
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -250,11 +263,12 @@ def cmd_sweep(args) -> int:
     if jobs > 1 and len(points) > 256:
         import multiprocessing
 
+        chunks = [points[k:k + 512] for k in range(0, len(points), 512)]
         with multiprocessing.Pool(jobs) as pool:
             # results buffered and emitted in input order
-            rows_out = pool.map(_sweep_row, points, chunksize=512)
+            rows_out = [row for rows in pool.map(_sweep_rows, chunks) for row in rows]
     else:
-        rows_out = [_sweep_row(params) for params in points]
+        rows_out = _sweep_rows(points)
 
     writer = sys.stdout
     header = ["n", "p", "q", "r", "a", "b", "c", "decision", "case", "reason", "c0", "c1", "theta_c"]
@@ -327,6 +341,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a fault of the program, not of its input
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        print(json.dumps({"error": message}), file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from ckn.derived import derive
 from ckn.params import Params
 
 from conftest import random_params
+from oracle_admissible import oracle_admissible_set
 
 F = Fraction
 
@@ -108,6 +109,32 @@ def test_random_consistency_with_classifier():
     for _ in range(60):
         params = random_params(rng)
         grid_probe(params, admissible_set(params), points=60)
+
+
+def _oracle_lines(rng):
+    """Random, equal-slope and eta = 0 (a = -N, b = p - N) lines."""
+    for _ in range(300):
+        yield random_params(rng)
+    for _ in range(100):
+        yield random_params(rng, require_equal_slopes=True)
+    for _ in range(100):
+        params = random_params(rng)
+        yield make(params.n, params.p, params.q, params.r, -params.n, params.p - params.n)
+
+
+def test_admissible_set_matches_theta_window_oracle():
+    rng = random.Random(41)
+    for params in _oracle_lines(rng):
+        oracle = oracle_admissible_set(params)
+        assert admissible_set(params).as_dict() == oracle.as_dict(), params
+        d = derive(params)
+        marks = {d.c0, d.c1, F(-params.n)}
+        if d.c_bar is not None:
+            marks.add(d.c_bar)
+        marks = sorted(marks)
+        midpoints = [(x + y) / 2 for x, y in zip(marks, marks[1:])]
+        for c in marks + midpoints + [marks[0] - 1, marks[-1] + 1]:
+            assert classify(params.with_c(c)).embeds == oracle.contains(c), (params, c)
 
 
 # ---------------------------------------------------------------------------

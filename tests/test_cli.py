@@ -234,3 +234,61 @@ def test_falsify_tiny_theta_defect_reports_instead_of_overflowing(capsys):
     )
     assert code in (0, 3)
     assert json.loads(out)["reason"] == "ThetaConditionFails"
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    import ckn.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ckn.cli, "cmd_classify", broken)
+    code, out, err = run(capsys, "classify", *BASE, "--c", "0")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "internal error: RuntimeError: boom"}
+
+
+def test_sweep_grid_rows_match_classify_with_either_job_count(tmp_path, capsys):
+    from fractions import Fraction
+
+    from ckn.classify import classify
+    from ckn.params import Params
+
+    # opposite sides (b - p < -N < a): every line has c1 = -9/2 < -N = -3 <
+    # c0 = 9/q - 3; c is the first axis, so the rows of one q are not
+    # contiguous
+    fixed = {"n": "3", "p": "2", "r": "3", "a": "0", "b": "-2"}
+    spec = {
+        "fixed": fixed,
+        "axes": [
+            {"param": "c", "start": "-6", "stop": "7", "step": "1/4"},
+            {"param": "q", "start": "1", "stop": "4", "step": "1/4"},
+        ],
+    }
+    outputs = {}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"grid_{fmt}.json"
+        path.write_text(json.dumps({**spec, "format": fmt}))
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "sweep", str(path), "--jobs", jobs)
+            assert code == 0
+            outputs[fmt, jobs] = out
+    assert outputs["csv", "1"] == outputs["csv", "2"]
+    assert outputs["json", "1"] == outputs["json", "2"]
+
+    rows = json.loads(outputs["json", "1"])
+    assert len(rows) == 53 * 13 > 256  # --jobs 2 takes the worker pool
+    labels = set()
+    for row in rows:
+        params = Params(n=3, **{k: Fraction(row[k]) for k in ("p", "q", "r", "a", "b", "c")})
+        verdict = classify(params)
+        d = verdict.derived
+        assert row["decision"] == verdict.decision.value, row
+        assert row["case"] == (verdict.case.value if verdict.case else ""), row
+        assert row["reason"] == (verdict.reason.value if verdict.reason else ""), row
+        assert (row["c0"], row["c1"]) == (str(d.c0), str(d.c1))
+        assert row["theta_c"] == (str(d.theta_c) if d.theta_c is not None else "")
+        # the c axis crosses every mark of the line
+        assert all(-6 < mark < 7 for mark in (d.c0, d.c1, -3, d.c_bar)), row
+        labels.add(row["case"] or row["reason"])
+    assert {"II", "COutsideHull", "COutsideOppositeSideWindow", "ThetaConditionFails"} <= labels
