@@ -349,18 +349,22 @@ class PowerTail(RadialProfile):
     def __init__(self, alpha, beta):
         self.alpha = Fraction(alpha)
         self.beta = Fraction(beta)
+        # floats for value() and derivative(), which are called once per
+        # integrand evaluation: Fraction arithmetic there is measurable
+        self._a, self._b = float(self.alpha), float(self.beta)
+        self._head, self._gap = float(-self.alpha), float(self.alpha - self.beta)
+        self._dhead = float(-self.alpha - 1)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        return _fpow(t, -self.alpha) * np.power(1.0 + t, float(self.alpha - self.beta))
+        return np.power(t, self._head) * np.power(1.0 + t, self._gap)
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
-        a, b = float(self.alpha), float(self.beta)
         return (
-            _fpow(t, -self.alpha - 1)
-            * np.power(1.0 + t, float(self.alpha - self.beta) - 1.0)
-            * (-a - b * t)
+            np.power(t, self._dhead)
+            * np.power(1.0 + t, self._gap - 1.0)
+            * (-self._a - self._b * t)
         )
 
     def edges(self):

@@ -21,6 +21,14 @@ points.  Singular ends are handled in three tiers:
      contribution falls below the relative tolerance; failure to converge
      within the panel budget is an explicit error, never a silent value.
 
+One integrator serves every panel path, and it is batched.  The adaptive
+bisection runs breadth first: all pending panels of one depth share one
+integrand call, and each half-panel sum, once computed, is its child's
+coarse estimate.  The walks toward 0 and infinity integrate blocks of 16
+panels per call, then apply their stopping rules panel by panel, so they
+sum the panels a one-at-a-time walk would.  The 2-D integrands below are
+evaluated in slices of 256 points, which bounds their matrices.
+
 First-harmonic functions u = f(t) x1/|x| reduce to one radial integral
 times a closed-form angular moment (for the function) and to a 2D
 (t, angle) integral for the gradient, using |grad u|^2 = f'(t)^2 cos^2 +
@@ -38,15 +46,16 @@ All decision logic stays upstream and exact; this module only corroborates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .profiles import Edge, LogBandPower, LogModulated, PiecewisePower, RadialProfile
+from .profiles import LogBandPower, LogModulated, PiecewisePower, RadialProfile
 from .testfunctions import Angular, TestFunction
 
 
@@ -130,8 +139,7 @@ def _logsumexp(terms) -> float:
 
 @lru_cache(maxsize=16)
 def _gl(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def surface_area(n: int) -> float:
@@ -182,8 +190,13 @@ def log_power_integral(exponent: float, log_lo: Optional[float], log_hi: Optiona
         return math.log(log_hi - log_lo)
     if e1 > 0:
         # hi^e1 (1 - (lo/hi)^e1) / e1
-        return e1 * log_hi + math.log1p(-math.exp(e1 * (log_lo - log_hi))) - math.log(e1)
-    return e1 * log_lo + math.log1p(-math.exp(e1 * (log_hi - log_lo))) - math.log(-e1)
+        return e1 * log_hi + _log1mexp(e1 * (log_lo - log_hi)) - math.log(e1)
+    return e1 * log_lo + _log1mexp(e1 * (log_hi - log_lo)) - math.log(-e1)
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - e^x) for x < 0, keeping its digits when x is near 0 (a narrow band)."""
+    return math.log(-math.expm1(x)) if x > -math.log(2.0) else math.log1p(-math.exp(x))
 
 
 # ---------------------------------------------------------------------------
@@ -204,39 +217,92 @@ def _diverges_at_inf(d, s, n, powers) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# adaptive panel integration of t^wexp |g(t)|^s
+# batched adaptive panel integration
 # ---------------------------------------------------------------------------
 
-def _make_integrand(profile: RadialProfile, wexp: float, s: float):
-    def integrand(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        fv = np.abs(profile.value(t))
-        out = np.zeros_like(fv)
-        mask = fv > 0
-        if np.any(mask):
-            with np.errstate(over="ignore"):
-                out[mask] = np.exp(wexp * np.log(t[mask]) + s * np.log(fv[mask]))
-        return out
-
-    return integrand
+# panels per integrand call on the walks toward 0 and infinity
+_BLOCK = 16
+# points per call of a 2-D integrand, whose points x angles matrices would
+# otherwise grow with the number of pending panels
+_SLICE = 256
 
 
-def _gl_quad(g, x0: float, x1: float, nodes: int) -> float:
+def _sliced(g):
+    """g evaluated at most _SLICE points at a time."""
+    return lambda t: np.concatenate([g(t[i:i + _SLICE]) for i in range(0, t.size, _SLICE)])
+
+
+def _gauss_sums(g, nodes: int, *panels) -> np.ndarray:
+    """Gauss-Legendre sums of g over each pair (x0, x1) of panel arrays, one
+    row per pair, from one call of g."""
     x, w = _gl(nodes)
+    x0, x1 = (np.concatenate(ends) for ends in zip(*panels))
     mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-    return half * float(np.dot(w, g(mid + half * x)))
+    sums = half * (g((mid[:, None] + half[:, None] * x).ravel()).reshape(-1, nodes) @ w)
+    return sums.reshape(len(panels), -1)
 
 
-def _adaptive_panel(g, x0: float, x1: float, cfg: QuadratureConfig, depth: int) -> Tuple[float, float]:
-    coarse = _gl_quad(g, x0, x1, cfg.gauss_nodes)
+def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, cfg: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Adaptive bisection of every panel [x0[i], x1[i]], breadth first.
+
+    A panel is accepted when the sum of its two halves (fine) agrees with
+    its own sum (coarse) to rel_tol, or at depth 0; otherwise its halves
+    become panels of the next depth, with their sums already in hand as
+    coarse estimates.  All pending panels of one depth share one call of
+    g.  Values and errors are then summed bottom-up, left + right.
+    """
+    if x0.size == 0:
+        return x0, x0
     xm = 0.5 * (x0 + x1)
-    fine = _gl_quad(g, x0, xm, cfg.gauss_nodes) + _gl_quad(g, xm, x1, cfg.gauss_nodes)
-    err = abs(fine - coarse)
-    if err <= cfg.rel_tol * max(abs(fine), cfg.abs_tol) or depth <= 0:
-        return fine, err
-    left = _adaptive_panel(g, x0, xm, cfg, depth - 1)
-    right = _adaptive_panel(g, xm, x1, cfg, depth - 1)
-    return left[0] + right[0], left[1] + right[1]
+    coarse, left, right = _gauss_sums(g, cfg.gauss_nodes, (x0, x1), (x0, xm), (xm, x1))
+    levels, depth = [], cfg.max_subdivisions
+    while True:
+        fine = left + right
+        err = np.abs(fine - coarse)
+        accept = (err <= cfg.rel_tol * np.maximum(np.abs(fine), cfg.abs_tol)) | (depth <= 0)
+        split = np.flatnonzero(~accept)
+        levels.append((fine, err, split))
+        if not split.size:
+            break
+        x0, x1 = np.concatenate([x0[split], xm[split]]), np.concatenate([xm[split], x1[split]])
+        coarse, xm = np.concatenate([left[split], right[split]]), 0.5 * (x0 + x1)
+        left, right = _gauss_sums(g, cfg.gauss_nodes, (x0, xm), (xm, x1))
+        depth -= 1
+    value, error, _ = levels.pop()
+    while levels:
+        fine, err, split = levels.pop()
+        fine[split] = value[:split.size] + value[split.size:]
+        err[split] = error[:split.size] + error[split.size:]
+        value, error = fine, err
+    return value, error
+
+
+def _in_order(values: np.ndarray) -> float:
+    """Sum left to right (not pairwise), as the panels are walked."""
+    return reduce(operator.add, values.tolist(), 0.0)
+
+
+def _extend(g, edge: float, factor: float, cfg: QuadratureConfig, hint: float) -> Tuple[float, float]:
+    """Panels from edge toward 0 (factor 1/2) or infinity (factor 2).
+
+    Blocks of _BLOCK panels are integrated at once; their results are then
+    taken one panel at a time until 8 quiet panels in a row (value below
+    rel_tol of the running total plus hint) or the 1e-280 / 1e280 edge.
+    """
+    down = factor < 1.0
+    total, err, quiet = 0.0, 0.0, 0
+    for done in range(0, cfg.max_panels, _BLOCK):
+        outer = edge * factor ** np.arange(min(_BLOCK, cfg.max_panels - done) + 1)
+        past = outer[1:] < 1e-280 if down else outer[1:] > 1e280
+        if past.any():
+            outer = outer[:np.argmax(past) + 2]
+        values, errors = _panel_sums(g, *((outer[1:], outer[:-1]) if down else (outer[:-1], outer[1:])), cfg)
+        for val, e, edge in zip(values.tolist(), errors.tolist(), outer[1:].tolist()):
+            total, err = total + val, err + e
+            quiet = quiet + 1 if val <= cfg.rel_tol * max(total + hint, cfg.abs_tol) else 0
+            if quiet >= 8 or (edge < 1e-280 if down else edge > 1e280):
+                return total, err
+    raise QuadratureError(f"panel budget exhausted extending toward {'zero' if down else 'infinity'}")
 
 
 def _panel_edges(lo: float, hi: float, breakpoints) -> list:
@@ -253,46 +319,20 @@ def _panel_edges(lo: float, hi: float, breakpoints) -> list:
     return sorted(edges)
 
 
-def _integrate_panels(g, edges, cfg) -> Tuple[float, float]:
-    total, err = 0.0, 0.0
-    for x0, x1 in zip(edges[:-1], edges[1:]):
-        val, e = _adaptive_panel(g, x0, x1, cfg, cfg.max_subdivisions)
-        total += val
-        err += e
+def _panel_integral(g, lo: float, hi: float, breakpoints, cfg: QuadratureConfig,
+                    down: bool = False, up: bool = False, hint: float = 0.0) -> Tuple[float, float]:
+    """(integral, summed error estimates) of g over [lo, hi], cut at the 2^k
+    grid and the seams, and if asked over (0, lo) and (hi, infinity) by the
+    walks of _extend.  hint is what the caller adds to the integral (closed
+    forms); the walks judge their panels quiet against it too.
+    """
+    edges = np.array(_panel_edges(lo, hi, breakpoints))
+    total, err = map(_in_order, _panel_sums(g, edges[:-1], edges[1:], cfg))
+    for wanted, edge, factor in ((down, lo, 0.5), (up, hi, 2.0)):
+        if wanted:
+            part, part_err = _extend(g, edge, factor, cfg, total + hint)
+            total, err = total + part, err + part_err
     return total, err
-
-
-def _extend_down(g, lo_edge: float, cfg, total_hint: float) -> Tuple[float, float]:
-    """Add panels [edge/2, edge] toward zero until they stop contributing."""
-    total, err = 0.0, 0.0
-    edge = lo_edge
-    quiet = 0
-    for _ in range(cfg.max_panels):
-        val, e = _adaptive_panel(g, edge / 2.0, edge, cfg, cfg.max_subdivisions)
-        total += val
-        err += e
-        edge /= 2.0
-        floor = cfg.rel_tol * max(total + total_hint, cfg.abs_tol)
-        quiet = quiet + 1 if val <= floor else 0
-        if quiet >= 8 or edge < 1e-280:
-            return total, err
-    raise QuadratureError("panel budget exhausted extending toward zero")
-
-
-def _extend_up(g, hi_edge: float, cfg, total_hint: float) -> Tuple[float, float]:
-    total, err = 0.0, 0.0
-    edge = hi_edge
-    quiet = 0
-    for _ in range(cfg.max_panels):
-        val, e = _adaptive_panel(g, edge, edge * 2.0, cfg, cfg.max_subdivisions)
-        total += val
-        err += e
-        edge *= 2.0
-        floor = cfg.rel_tol * max(total + total_hint, cfg.abs_tol)
-        quiet = quiet + 1 if val <= floor else 0
-        if quiet >= 8 or edge > 1e280:
-            return total, err
-    raise QuadratureError("panel budget exhausted extending toward infinity")
 
 
 def _radial_log_integral(profile: RadialProfile, wexp: float, s: float, cfg: QuadratureConfig) -> Tuple[float, float]:
@@ -304,34 +344,31 @@ def _radial_log_integral(profile: RadialProfile, wexp: float, s: float, cfg: Qua
     lo, hi = profile.support
     if hi <= lo:
         return -math.inf, 0.0
-    g = _make_integrand(profile, wexp, s)
+
+    def g(t: np.ndarray) -> np.ndarray:
+        fv = np.abs(profile.value(t))
+        out = np.zeros_like(fv)
+        mask = fv > 0
+        if np.any(mask):
+            with np.errstate(over="ignore"):
+                out[mask] = np.exp(wexp * np.log(t[mask]) + s * np.log(fv[mask]))
+        return out
 
     log_parts = []
     lo_eff, hi_eff = lo, hi
-
-    def exact_part(edge: Edge, log_lo, log_hi) -> None:
-        if edge.coef != 0.0:
-            log_parts.append(
-                s * math.log(abs(edge.coef))
-                + log_power_integral(wexp + s * float(edge.power), log_lo, log_hi)
-            )
-
     head, tail = profile.edges()
     if head is not None and head.exact is not None and lo == 0.0:
-        exact_part(head, None, math.log(head.exact))
+        log_parts.append(_log_power_piece(head.coef, head.power, None, math.log(head.exact), wexp, s))
         lo_eff = head.exact
     if tail is not None and tail.exact is not None and hi == math.inf:
-        exact_part(tail, math.log(tail.exact), None)
+        log_parts.append(_log_power_piece(tail.coef, tail.power, math.log(tail.exact), None, wexp, s))
         hi_eff = tail.exact
 
     if hi_eff < lo_eff:
         # exact regions overlap the whole support
         return _logsumexp(log_parts), 0.0
 
-    err = 0.0
     hint = sum(math.exp(x) for x in log_parts if x < 700)
-    middle = 0.0
-
     anchor_lo = lo_eff if lo_eff > 0 else None
     anchor_hi = hi_eff if hi_eff < math.inf else None
     if anchor_lo is None and anchor_hi is None:
@@ -345,19 +382,10 @@ def _radial_log_integral(profile: RadialProfile, wexp: float, s: float, cfg: Qua
     elif anchor_hi is None:
         anchor_hi = max(anchor_lo * 4.0, 1.0)
 
-    edges = _panel_edges(anchor_lo, anchor_hi, profile.breakpoints)
-    middle, err0 = _integrate_panels(g, edges, cfg)
-    err += err0
-
-    if lo_eff == 0.0:
-        down, err_d = _extend_down(g, anchor_lo, cfg, middle + hint)
-        middle += down
-        err += err_d
-    if hi_eff == math.inf:
-        up, err_u = _extend_up(g, anchor_hi, cfg, middle + hint)
-        middle += up
-        err += err_u
-
+    middle, err = _panel_integral(
+        g, anchor_lo, anchor_hi, profile.breakpoints, cfg,
+        down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint,
+    )
     if not math.isfinite(middle):
         raise QuadratureError("panel sum overflowed")
     if middle > 0:
@@ -371,28 +399,27 @@ def _radial_log_integral(profile: RadialProfile, wexp: float, s: float, cfg: Qua
 # special exact paths
 # ---------------------------------------------------------------------------
 
+def _log_power_piece(coef: float, expo: Fraction, log_lo, log_hi, wexp: float, s: float) -> float:
+    """log of the integral of t^wexp |coef t^expo|^s over (lo, hi), bounds
+    as in log_power_integral."""
+    if coef == 0.0:
+        return -math.inf
+    return s * math.log(abs(coef)) + log_power_integral(wexp + s * float(expo), log_lo, log_hi)
+
+
 def _piecewise_log_integral(profile: PiecewisePower, wexp: float, s: float) -> float:
     """Closed-form log integral for piecewise powers; exact in log space."""
-    parts = []
-    for coef, expo, lo, hi in profile.pieces:
-        if coef == 0.0:
-            continue
-        log_lo = None if lo == 0.0 else math.log(lo)
-        log_hi = None if hi == math.inf else math.log(hi)
-        parts.append(
-            s * math.log(abs(coef)) + log_power_integral(wexp + s * float(expo), log_lo, log_hi)
-        )
-    return _logsumexp(parts)
+    return _logsumexp(
+        _log_power_piece(coef, expo, None if lo == 0.0 else math.log(lo),
+                         None if hi == math.inf else math.log(hi), wexp, s)
+        for coef, expo, lo, hi in profile.pieces
+    )
 
 
 def _log_band_log_integral(profile: LogBandPower, wexp: float, s: float) -> float:
-    if profile.coef == 0.0:
-        return -math.inf
     log_lo = None if profile.log_lo == -math.inf else profile.log_lo
     log_hi = None if profile.log_hi == math.inf else profile.log_hi
-    return s * math.log(abs(profile.coef)) + log_power_integral(
-        wexp + s * float(profile.expo), log_lo, log_hi
-    )
+    return _log_power_piece(profile.coef, profile.expo, log_lo, log_hi, wexp, s)
 
 
 def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction, n: int, cfg) -> float:
@@ -401,35 +428,26 @@ def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction,
     With K = d + n - m s the integral equals
     P^s e^{-shift K} / loglam * integral over (-1,1) of e^{v K / loglam} |W(v)|^s dv.
     """
-    k_exact = d + n - profile.m * s
-    kf = float(k_exact)
+    kf = float(d + n - profile.m * s)
     sf = float(s)
     lam = profile.loglam
-    # composite GL in v with the exponential weight handled in log space
-    panels = 32
+    # 32-panel composite GL in v, all panels in one window call, with the
+    # exponential weight and each panel's sum handled in log space
     x, w = _gl(cfg.gauss_nodes)
-    logs = []
-    edges = np.linspace(-1.0, 1.0, panels + 1)
-    for v0, v1 in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (v0 + v1), 0.5 * (v1 - v0)
-        v = mid + half * x
-        wv = np.abs(profile.window_values(v))
-        mask = wv > 0
-        if not np.any(mask):
-            continue
-        g = kf * v[mask] / lam + sf * np.log(wv[mask])
-        weights = np.log(half * w[mask])
-        m = float(np.max(g + weights))
-        logs.append(m + math.log(float(np.sum(np.exp(g + weights - m)))))
-    if not logs:
+    edges = np.linspace(-1.0, 1.0, 33)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    v = mid[:, None] + half[:, None] * x
+    wv = np.abs(profile.window_values(v.ravel())).reshape(v.shape)
+    live = np.any(wv > 0, axis=1)
+    if not np.any(live):
         return -math.inf
-    log_v_integral = _logsumexp(logs)
-    return (
-        sf * math.log(abs(profile.prefactor))
-        - profile.shift * kf
-        - math.log(lam)
-        + log_v_integral
-    )
+    v, wv, half = v[live], wv[live], half[live]
+    with np.errstate(divide="ignore"):
+        terms = kf * v / lam + sf * np.log(wv) + np.log(half[:, None] * w)
+    m = np.max(terms, axis=1)
+    logs = m + np.log(np.sum(np.exp(terms - m[:, None]), axis=1))
+    log_v_integral = _logsumexp(logs.tolist())
+    return sf * math.log(abs(profile.prefactor)) - profile.shift * kf - math.log(lam) + log_v_integral
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +491,24 @@ def weighted_norm_radial(
     return NormValue.from_log(log_norm, rel_err)
 
 
+def _panel_lognorm(log_prefactor: float, s: float, cfg: QuadratureConfig, g, *panels, **ends) -> NormValue:
+    """(prefactor * integral of g)^(1/s), the integral by _panel_integral."""
+    try:
+        total, err = _panel_integral(g, *panels, cfg, **ends)
+    except QuadratureError as exc:
+        return NormValue.failed(str(exc))
+    if total <= 0:
+        return NormValue(0.0, -math.inf, NormStatus.FINITE)
+    return NormValue.from_log((log_prefactor + math.log(total)) / s, err / max(total, cfg.abs_tol))
+
+
+def _polar_nodes(n: int, cfg: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """GL nodes of the polar angle on (0, pi), with weights times sin^(n-2)."""
+    psi, wpsi = _gl(cfg.angular_nodes)
+    psi = 0.5 * math.pi * (psi + 1.0)
+    return psi, 0.5 * math.pi * wpsi * np.sin(psi) ** (n - 2)
+
+
 def _first_harmonic_gradient_lognorm(
     profile: RadialProfile, b: Fraction, p: Fraction, n: int, cfg: QuadratureConfig
 ) -> NormValue:
@@ -490,22 +526,17 @@ def _first_harmonic_gradient_lognorm(
 
     pf = float(p)
     wexp = float(b + n - 1)
-    psi, wpsi = _gl(cfg.angular_nodes)
-    psi = 0.5 * math.pi * (psi + 1.0)
-    wpsi = 0.5 * math.pi * wpsi
+    psi, angular_weight = _polar_nodes(n, cfg)
     cos2 = np.cos(psi) ** 2
     sin2 = np.sin(psi) ** 2
-    angular_weight = wpsi * np.sin(psi) ** (n - 2)
 
+    @_sliced
     def g(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
         fp = profile.derivative(t)
         fv = profile.value(t)
-        mag = (
-            fp[:, None] ** 2 * cos2[None, :]
-            + (fv[:, None] / t[:, None]) ** 2 * sin2[None, :]
-        ) ** (pf / 2.0)
-        ang = mag @ angular_weight
+        mag = fp[:, None] ** 2 * cos2
+        mag += (fv / t)[:, None] ** 2 * sin2
+        ang = np.power(mag, pf / 2.0, out=mag) @ angular_weight
         out = np.zeros_like(t)
         mask = ang > 0
         if np.any(mask):
@@ -515,23 +546,8 @@ def _first_harmonic_gradient_lognorm(
 
     anchor_lo = lo if lo > 0 else min(1.0, *(x for x in (*profile.breakpoints, hi, 1.0) if 0 < x < math.inf))
     anchor_hi = hi if hi < math.inf else max(1.0, anchor_lo * 4.0, *(x for x in profile.breakpoints if x < math.inf))
-    edges = _panel_edges(anchor_lo, anchor_hi, profile.breakpoints)
-    try:
-        total, err = _integrate_panels(g, edges, cfg)
-        if lo == 0.0:
-            down, e2 = _extend_down(g, anchor_lo, cfg, total)
-            total += down
-            err += e2
-        if hi == math.inf:
-            up, e3 = _extend_up(g, anchor_hi, cfg, total)
-            total += up
-            err += e3
-    except QuadratureError as exc:
-        return NormValue.failed(str(exc))
-    if total <= 0:
-        return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    log_norm = (math.log(sub_sphere_area(n)) + math.log(total)) / pf
-    return NormValue.from_log(log_norm, err / max(total, cfg.abs_tol))
+    return _panel_lognorm(math.log(sub_sphere_area(n)), pf, cfg, g, anchor_lo, anchor_hi,
+                          profile.breakpoints, down=lo == 0.0, up=hi == math.inf)
 
 
 def _translated_lognorm(
@@ -556,45 +572,29 @@ def _translated_lognorm(
     values = profile.derivative if use_derivative else profile.value
 
     if n >= 2:
-        psi, wpsi = _gl(cfg.angular_nodes)
-        psi = 0.5 * math.pi * (psi + 1.0)
-        wpsi = 0.5 * math.pi * wpsi
+        psi, angular_weight = _polar_nodes(n, cfg)
         cospsi = np.cos(psi)
-        angular_weight = wpsi * np.sin(psi) ** (n - 2)
         prefactor_log = math.log(sub_sphere_area(n))
     else:
         cospsi = np.array([1.0, -1.0])
         angular_weight = np.array([1.0, 1.0])
         prefactor_log = 0.0
 
+    @_sliced
     def g(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
         x = t / offset
         base = 1.0 + x[:, None] ** 2 + 2.0 * x[:, None] * cospsi[None, :]
-        ang = np.power(base, df / 2.0) @ angular_weight
+        ang = np.power(base, df / 2.0, out=base) @ angular_weight
         fv = np.abs(values(t))
         out = np.zeros_like(t)
         mask = fv > 0
         if np.any(mask):
-            out[mask] = np.exp(
-                (n - 1) * np.log(t[mask]) + sf * np.log(fv[mask]) + np.log(ang[mask])
-            )
+            out[mask] = np.exp((n - 1) * np.log(t[mask]) + sf * np.log(fv[mask]) + np.log(ang[mask]))
         return out
 
     anchor_lo = lo if lo > 0 else hi / 512.0
-    edges = _panel_edges(anchor_lo, hi, profile.breakpoints)
-    try:
-        total, err = _integrate_panels(g, edges, cfg)
-        if lo == 0.0:
-            down, e2 = _extend_down(g, anchor_lo, cfg, total)
-            total += down
-            err += e2
-    except QuadratureError as exc:
-        return NormValue.failed(str(exc))
-    if total <= 0:
-        return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    log_norm = (df * math.log(offset) + prefactor_log + math.log(total)) / sf
-    return NormValue.from_log(log_norm, err / max(total, cfg.abs_tol))
+    return _panel_lognorm(df * math.log(offset) + prefactor_log, sf, cfg, g, anchor_lo, hi,
+                          profile.breakpoints, down=lo == 0.0)
 
 
 def weighted_norm(

@@ -97,16 +97,19 @@ class _FixedFamily(WitnessFamily):
 
 @dataclass(frozen=True)
 class _IndicatorBandFamily(WitnessFamily):
-    """u = |x|^kappa g(|x|), g an indicator band (m_k, m_k + 1)."""
+    """u = |x|^kappa g(|x|), g an indicator band (m_k, m_k + 1).
+
+    Members are the bands dilated by 1/m_k, (1, 1 + 1/m_k): the family is
+    probed by its supremum over dilations, which is the same, and the log
+    width log(1 + 1/m_k) stays representable where log(m_k + 1) and
+    log(m_k) round to one float."""
 
     kappa: Fraction = Fraction(0)
     log_base: float = math.log(2.0)
 
     def member(self, index: int) -> TestFunction:
-        log_m = (index + 1) * self.log_base
-        log_m = min(log_m, 500.0)
-        log_hi = log_m + math.log1p(math.exp(-log_m))  # log(m + 1)
-        return radial(LogBandPower(1.0, self.kappa, log_m, log_hi))
+        log_m = min((index + 1) * self.log_base, 500.0)
+        return radial(LogBandPower(1.0, self.kappa, 0.0, math.log1p(math.exp(-log_m))))
 
 
 @dataclass(frozen=True)

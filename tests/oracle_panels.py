@@ -1,0 +1,93 @@
+"""Depth-first panel integrator: an oracle for the batched one in quadrature.
+
+This is the recursive adaptive Gauss-Legendre bisection the package used
+before its integrator was batched: one integrand call per 16-node panel
+sum, each half-panel sum computed twice (once as the parent's fine
+estimate, once as the child's coarse one), and the walks toward 0 and
+infinity one panel at a time.  `panel_integral` composes these pieces
+with the signature of `ckn.quadrature._panel_integral`, so a test can
+swap it in and compare the norms the two give.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+
+from ckn.quadrature import QuadratureConfig, QuadratureError, _gl, _panel_edges
+
+
+def _gl_quad(g, x0: float, x1: float, nodes: int) -> float:
+    x, w = _gl(nodes)
+    mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+    return half * float(np.dot(w, g(mid + half * x)))
+
+
+def _adaptive_panel(g, x0: float, x1: float, cfg: QuadratureConfig, depth: int) -> Tuple[float, float]:
+    coarse = _gl_quad(g, x0, x1, cfg.gauss_nodes)
+    xm = 0.5 * (x0 + x1)
+    fine = _gl_quad(g, x0, xm, cfg.gauss_nodes) + _gl_quad(g, xm, x1, cfg.gauss_nodes)
+    err = abs(fine - coarse)
+    if err <= cfg.rel_tol * max(abs(fine), cfg.abs_tol) or depth <= 0:
+        return fine, err
+    left = _adaptive_panel(g, x0, xm, cfg, depth - 1)
+    right = _adaptive_panel(g, xm, x1, cfg, depth - 1)
+    return left[0] + right[0], left[1] + right[1]
+
+
+def _integrate_panels(g, edges, cfg) -> Tuple[float, float]:
+    total, err = 0.0, 0.0
+    for x0, x1 in zip(edges[:-1], edges[1:]):
+        val, e = _adaptive_panel(g, x0, x1, cfg, cfg.max_subdivisions)
+        total += val
+        err += e
+    return total, err
+
+
+def _extend_down(g, lo_edge: float, cfg, total_hint: float) -> Tuple[float, float]:
+    """Add panels [edge/2, edge] toward zero until they stop contributing."""
+    total, err = 0.0, 0.0
+    edge = lo_edge
+    quiet = 0
+    for _ in range(cfg.max_panels):
+        val, e = _adaptive_panel(g, edge / 2.0, edge, cfg, cfg.max_subdivisions)
+        total += val
+        err += e
+        edge /= 2.0
+        floor = cfg.rel_tol * max(total + total_hint, cfg.abs_tol)
+        quiet = quiet + 1 if val <= floor else 0
+        if quiet >= 8 or edge < 1e-280:
+            return total, err
+    raise QuadratureError("panel budget exhausted extending toward zero")
+
+
+def _extend_up(g, hi_edge: float, cfg, total_hint: float) -> Tuple[float, float]:
+    total, err = 0.0, 0.0
+    edge = hi_edge
+    quiet = 0
+    for _ in range(cfg.max_panels):
+        val, e = _adaptive_panel(g, edge, edge * 2.0, cfg, cfg.max_subdivisions)
+        total += val
+        err += e
+        edge *= 2.0
+        floor = cfg.rel_tol * max(total + total_hint, cfg.abs_tol)
+        quiet = quiet + 1 if val <= floor else 0
+        if quiet >= 8 or edge > 1e280:
+            return total, err
+    raise QuadratureError("panel budget exhausted extending toward infinity")
+
+
+def panel_integral(g, lo, hi, breakpoints, cfg, down=False, up=False, hint=0.0) -> Tuple[float, float]:
+    """The panels of [lo, hi], then the walks from lo toward 0 and from hi
+    toward infinity, in the order and with the hints the norm paths used."""
+    total, err = _integrate_panels(g, _panel_edges(lo, hi, breakpoints), cfg)
+    if down:
+        part, part_err = _extend_down(g, lo, cfg, total + hint)
+        total += part
+        err += part_err
+    if up:
+        part, part_err = _extend_up(g, hi, cfg, total + hint)
+        total += part
+        err += part_err
+    return total, err

@@ -236,6 +236,18 @@ def test_falsify_tiny_theta_defect_reports_instead_of_overflowing(capsys):
     assert json.loads(out)["reason"] == "ThetaConditionFails"
 
 
+def test_falsify_far_indicator_band_is_not_an_empty_band(capsys):
+    # EndpointC0WrongR with r > q: the indicator-band members reach m ~ e^37,
+    # where the band (m, m + 1) has a log width below one ulp of log m
+    code, out, _ = run(
+        capsys, "falsify", "--n", "1", "--p", "13/5", "--q", "2", "--r", "8/3",
+        "--a=-1", "--b=-1/4", "--c=-1",
+    )
+    payload = json.loads(out)
+    assert payload["reason"] == "EndpointC0WrongR"
+    assert code == 0 and payload["ok"]
+
+
 def test_internal_error_exits_four(capsys, monkeypatch):
     import ckn.cli
 

@@ -24,6 +24,7 @@ from ckn.profiles import (
 from ckn.quadrature import (
     NormStatus,
     log_angular_moment,
+    log_power_integral,
     sub_sphere_area,
     surface_area,
     weighted_norm,
@@ -80,6 +81,14 @@ def test_exponential_l1_norm_dimension_one():
 def test_gamma_integral_dimension_three():
     nv = weighted_norm_radial(ExpProfile(1), F(-1), F(2), 3)
     assert close(nv.value, math.sqrt(1.5 * math.pi))
+
+
+def test_narrow_band_power_integral_keeps_its_digits():
+    # the integral of t^e over (1, 1 + w) is w (1 + O(w)), whatever the sign of e + 1
+    for exponent in (0.5, -3.0):
+        for width in (1e-6, 1e-12, 1e-30, 1e-200):
+            log_integral = log_power_integral(exponent, 0.0, math.log1p(width))
+            assert abs(log_integral - math.log(width)) <= 4.0 * width + 1e-12
 
 
 def test_divergent_target_certificate():
