@@ -136,7 +136,13 @@ def derive(params: Params) -> DerivedQuantities:
     )
 
 
+def theta_slack(theta: Fraction, params: Params) -> Fraction:
+    """(1/r - 1/q) - theta (1/p - 1/N - 1/q): non-negative exactly when the
+    theta-condition holds."""
+    s_factor = 1 / params.p - Fraction(1, params.n) - 1 / params.q
+    return (1 / params.r - 1 / params.q) - theta * s_factor
+
+
 def theta_condition_holds(theta: Fraction, params: Params) -> bool:
     """Exact test of  theta (1/p - 1/N - 1/q) <= 1/r - 1/q."""
-    s_factor = 1 / params.p - Fraction(1, params.n) - 1 / params.q
-    return theta * s_factor <= 1 / params.r - 1 / params.q
+    return theta_slack(theta, params) >= 0

@@ -323,30 +323,22 @@ def falsify_instance(
     threshold = cfg.divergence_threshold
 
     trace: List[TraceEntry] = []
+
+    def report(ok: bool, certificate: bool, crossed_at: Optional[int],
+               failure: Optional[str] = None) -> FalsifyReport:
+        return FalsifyReport(params, verdict.reason.value, witness.descriptor(), ok,
+                             certificate, crossed_at, trace, failure)
+
     for index in range(cap + 1):
         u = witness.member(index)
         triple = compute_norms(params, u, cfg)
-        if triple.target.status is NormStatus.FAILED or (
-            triple.source.status is NormStatus.FAILED
-            or triple.grad.status is NormStatus.FAILED
-        ):
-            return FalsifyReport(
-                params, verdict.reason.value, witness.descriptor(), False, False,
-                None, trace, f"member {index}: quadrature failure",
-            )
+        if NormStatus.FAILED in (triple.target.status, triple.source.status, triple.grad.status):
+            return report(False, False, None, f"member {index}: quadrature failure")
         if not triple.source.finite or not triple.grad.finite:
-            return FalsifyReport(
-                params, verdict.reason.value, witness.descriptor(), False, False,
-                None, trace, f"member {index}: witness left the source space",
-            )
+            return report(False, False, None, f"member {index}: witness left the source space")
         if triple.target.status is NormStatus.DIVERGENT:
-            trace.append(
-                TraceEntry(index, math.inf, math.inf, True, "divergent target norm")
-            )
-            return FalsifyReport(
-                params, verdict.reason.value, witness.descriptor(), True, True,
-                index, trace,
-            )
+            trace.append(TraceEntry(index, math.inf, math.inf, True, "divergent target norm"))
+            return report(True, True, index)
         if witness.mode == "sup_dilation":
             log_ratio = _sup_dilation_log_ratio(params, triple)
         else:
@@ -354,15 +346,9 @@ def falsify_instance(
         ratio = math.exp(log_ratio) if log_ratio < 700 else math.inf
         trace.append(TraceEntry(index, ratio, log_ratio))
         if ratio > threshold:
-            return FalsifyReport(
-                params, verdict.reason.value, witness.descriptor(), True, False,
-                index, trace,
-            )
+            return report(True, False, index)
 
-    return FalsifyReport(
-        params, verdict.reason.value, witness.descriptor(), False, False, None,
-        trace, f"threshold {threshold} not reached within index {cap}",
-    )
+    return report(False, False, None, f"threshold {threshold} not reached within index {cap}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,13 @@ other record:
     invert;
   * modulation t^-eps f(t): powers shift by -eps.
 
+Exact powers on bands (the indicator band and the vanishing-exponent
+power of the r-endpoint constructions, the derivative of a truncated
+primitive) are one class, `PiecewisePower`, whose bands are bounded in
+ln t.  A band far out keeps its width where its bounds in t would round
+to one float, or to 0 or infinity; only an infinite log bound reaches an
+end.
+
 The smooth cutoff is fixed once and for all: zeta(t) = 1 for t <= 1/2,
 0 for t >= 1, bridged by the standard exp-based mollifier step
 h(x) = exp(-1/x); the log-window bump is exp(-1/(1-v^2)) on (-1, 1).
@@ -121,6 +128,13 @@ def _fpow(t: np.ndarray, e) -> np.ndarray:
     return np.power(np.asarray(t, dtype=float), float(e))
 
 
+def _safe_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # edge records
 # ---------------------------------------------------------------------------
@@ -211,29 +225,11 @@ class RadialProfile:
         """Profile of t -> f(lam t)."""
         return ScaledProfile(self, lam)
 
-    def inverted(self) -> "RadialProfile":
-        """Profile of t -> f(1/t)."""
-        return InvertedProfile(self)
-
     def descriptor(self) -> dict:
         return {"kind": self.kind}
 
     def __repr__(self):
         return f"{type(self).__name__}({self.descriptor()})"
-
-
-class ZeroProfile(RadialProfile):
-    kind = "zero"
-
-    def value(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    @property
-    def support(self):
-        return (1.0, 1.0)
 
 
 class PowerCutoffInner(RadialProfile):
@@ -383,21 +379,8 @@ class PowerTail(RadialProfile):
         return {"kind": self.kind, "alpha": str(self.alpha), "beta": str(self.beta)}
 
 
-class LogWindow:
-    """Compactly supported window in the log variable with its derivative."""
-
-    def __init__(self, value, deriv, label="bump"):
-        self.value = value
-        self.deriv = deriv
-        self.label = label
-
-    @classmethod
-    def standard(cls) -> "LogWindow":
-        return cls(bump, bump_prime, "bump")
-
-
 class LogModulated(RadialProfile):
-    """prefactor * t^{-m} * W(loglam (ln t + shift)).
+    """prefactor * t^{-m} * W(loglam (ln t + shift)), W the standard bump.
 
     The window W lives on (-1, 1); the profile occupies an interval of the
     log axis of width 2/loglam.  Weighted norms of these profiles are
@@ -407,31 +390,26 @@ class LogModulated(RadialProfile):
 
     kind = "log_modulated"
 
-    def __init__(self, m, loglam: float, window: Optional[LogWindow] = None,
-                 shift: float = 0.0, prefactor: float = 1.0,
+    def __init__(self, m, loglam: float, shift: float = 0.0, prefactor: float = 1.0,
                  window_combo: Optional[Tuple[float, float]] = None):
         self.m = Fraction(m)
         self.loglam = float(loglam)
-        self.window = window or LogWindow.standard()
         self.shift = float(shift)
         self.prefactor = float(prefactor)
         # (c0, c1): effective window c0*W + c1*W'; None means plain W
         self.window_combo = window_combo
 
-    def _wvals(self, v: np.ndarray) -> np.ndarray:
-        if self.window_combo is None:
-            return self.window.value(v)
-        c0, c1 = self.window_combo
-        return c0 * self.window.value(v) + c1 * self.window.deriv(v)
-
     def window_values(self, v: np.ndarray) -> np.ndarray:
-        return self._wvals(v)
+        if self.window_combo is None:
+            return bump(v)
+        c0, c1 = self.window_combo
+        return c0 * bump(v) + c1 * bump_prime(v)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             w = np.log(t)
-        return self.prefactor * _fpow(t, -self.m) * self._wvals(self.loglam * (w + self.shift))
+        return self.prefactor * _fpow(t, -self.m) * self.window_values(self.loglam * (w + self.shift))
 
     def derivative(self, t):
         if self.window_combo is not None:
@@ -443,7 +421,7 @@ class LogModulated(RadialProfile):
         return (
             self.prefactor
             * _fpow(t, -self.m - 1)
-            * (-float(self.m) * self.window.value(v) + self.loglam * self.window.deriv(v))
+            * (-float(self.m) * bump(v) + self.loglam * bump_prime(v))
         )
 
     def derivative_profile(self) -> "LogModulated":
@@ -453,7 +431,6 @@ class LogModulated(RadialProfile):
         return LogModulated(
             self.m + 1,
             self.loglam,
-            self.window,
             shift=self.shift,
             prefactor=self.prefactor,
             window_combo=(-float(self.m), self.loglam),
@@ -468,21 +445,12 @@ class LogModulated(RadialProfile):
     @property
     def support(self):
         lo, hi = self.log_support
-        try:
-            slo = math.exp(lo)
-        except OverflowError:
-            slo = math.inf
-        try:
-            shi = math.exp(hi)
-        except OverflowError:
-            shi = math.inf
-        return (slo, shi)
+        return (_safe_exp(lo), _safe_exp(hi))
 
     def scaled(self, lam: float) -> "LogModulated":
         return LogModulated(
             self.m,
             self.loglam,
-            self.window,
             shift=self.shift + math.log(lam),
             prefactor=self.prefactor * lam ** (-float(self.m)),
             window_combo=self.window_combo,
@@ -495,91 +463,79 @@ class LogModulated(RadialProfile):
             "loglam": self.loglam,
             "shift": self.shift,
             "prefactor": self.prefactor,
-            "window": self.window.label,
+            "window": "bump",
             "combo": self.window_combo,
         }
 
 
 class PiecewisePower(RadialProfile):
-    """Finitely many disjoint pieces coef * t^expo on (lo, hi).
+    """Finitely many disjoint pieces coef * t^expo, each on a band of ln t.
 
-    Weighted norms of these profiles are evaluated by exact closed-form
-    piece integrals in log space, so pieces may sit at astronomically
-    large abscissae without loss of accuracy.
+    A piece is (coef, expo, log_lo, log_hi); log_lo = -inf means the band
+    starts at 0 and log_hi = inf that it runs to infinity.  Weighted norms
+    are exact closed-form piece integrals in log space, so a band may sit
+    so far out that its bounds round to one float, or to 0 or infinity, in
+    t, and keep its width.  No pieces is the zero profile.
     """
 
     kind = "piecewise_power"
 
     def __init__(self, pieces: Sequence[Tuple[float, Fraction, float, float]]):
         cleaned = []
-        for coef, expo, lo, hi in pieces:
-            if hi <= lo:
-                raise ValueError("piece with empty interior")
-            cleaned.append((float(coef), Fraction(expo), float(lo), float(hi)))
-        cleaned.sort(key=lambda piece: piece[2])
-        self.pieces = tuple(cleaned)
-
-    @classmethod
-    def single(cls, coef, expo, lo, hi) -> "PiecewisePower":
-        return cls([(coef, expo, lo, hi)])
-
-    @classmethod
-    def indicator(cls, lo, hi) -> "PiecewisePower":
-        return cls([(1.0, Fraction(0), lo, hi)])
+        for coef, expo, log_lo, log_hi in pieces:
+            if not log_lo < log_hi:
+                raise ValueError("empty band")
+            if coef != 0.0:
+                cleaned.append((float(coef), Fraction(expo), float(log_lo), float(log_hi)))
+        self.pieces = tuple(sorted(cleaned, key=lambda piece: piece[2]))
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for coef, expo, lo, hi in self.pieces:
-            mask = (t > lo) & (t < hi)
+        with np.errstate(divide="ignore"):
+            logs = np.log(t)
+        for coef, expo, log_lo, log_hi in self.pieces:
+            mask = (logs > log_lo) & (logs < log_hi)
             if np.any(mask):
                 out[mask] = coef * _fpow(t[mask], expo)
         return out
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for coef, expo, lo, hi in self.pieces:
-            if expo == 0:
-                continue
-            mask = (t > lo) & (t < hi)
-            if np.any(mask):
-                out[mask] = coef * float(expo) * _fpow(t[mask], expo - 1)
-        return out
+        return self.derivative_profile().value(t)
 
     def derivative_profile(self) -> "PiecewisePower":
-        pieces = [
-            (coef * float(expo), expo - 1, lo, hi)
-            for coef, expo, lo, hi in self.pieces
-            if expo != 0
-        ]
-        if not pieces:
-            return PiecewisePower.single(0.0, Fraction(0), 1.0, 2.0)
-        return PiecewisePower(pieces)
+        return PiecewisePower(
+            [(coef * float(expo), expo - 1, lo, hi) for coef, expo, lo, hi in self.pieces if expo != 0]
+        )
 
     @property
     def support(self):
-        return (self.pieces[0][2], self.pieces[-1][3])
+        if not self.pieces:
+            return (1.0, 1.0)
+        return (_safe_exp(self.pieces[0][2]), _safe_exp(self.pieces[-1][3]))
 
     @property
     def breakpoints(self):
-        points = []
-        for _, _, lo, hi in self.pieces:
-            points.extend((lo, hi))
-        return tuple(sorted({x for x in points if 0.0 < x < math.inf}))
+        points = {_safe_exp(bound) for piece in self.pieces for bound in piece[2:]}
+        return tuple(sorted(x for x in points if 0.0 < x < math.inf))
 
     def edges(self):
-        coef, expo, lo, hi = self.pieces[0]
-        head = Edge(coef, expo, exact=hi) if lo == 0.0 and coef != 0.0 else None
-        coef, expo, lo, hi = self.pieces[-1]
-        tail = Edge(coef, expo, exact=lo) if hi == math.inf and coef != 0.0 else None
+        # only infinite log bounds reach the ends: a far finite bound may
+        # round to 0 or inf in t while f still vanishes beyond it
+        head = tail = None
+        if self.pieces and self.pieces[0][2] == -math.inf:
+            coef, expo, _, log_hi = self.pieces[0]
+            head = Edge(coef, expo, exact=_safe_exp(log_hi))
+        if self.pieces and self.pieces[-1][3] == math.inf:
+            coef, expo, log_lo, _ = self.pieces[-1]
+            tail = Edge(coef, expo, exact=_safe_exp(log_lo))
         return (head, tail)
 
     def scaled(self, lam: float) -> "PiecewisePower":
-        lam = float(lam)
+        shift = math.log(lam)
         return PiecewisePower(
             [
-                (coef * lam ** float(expo), expo, lo / lam, hi / lam)
+                (coef * float(lam) ** float(expo), expo, lo - shift, hi - shift)
                 for coef, expo, lo, hi in self.pieces
             ]
         )
@@ -588,99 +544,10 @@ class PiecewisePower(RadialProfile):
         return {
             "kind": self.kind,
             "pieces": [
-                {"coef": coef, "expo": str(expo), "lo": lo, "hi": hi}
+                {"coef": coef, "expo": str(expo), "log_lo": lo, "log_hi": hi}
                 for coef, expo, lo, hi in self.pieces
             ],
         }
-
-
-class LogBandPower(RadialProfile):
-    """coef * t^expo on a single band whose bounds are stored as logs.
-
-    The band may sit so far out that lo and lo + width coincide as floats
-    (e.g. (m, m+1) with m ~ 1e60); carrying log bounds keeps the exact
-    closed-form norm integrals meaningful at any scale.  log_lo = -inf
-    encodes lo = 0 and log_hi = +inf encodes an unbounded band.
-    """
-
-    kind = "log_band_power"
-
-    def __init__(self, coef: float, expo, log_lo: float, log_hi: float):
-        if not log_lo < log_hi:
-            raise ValueError("empty band")
-        self.coef = float(coef)
-        self.expo = Fraction(expo)
-        self.log_lo = float(log_lo)
-        self.log_hi = float(log_hi)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.maximum(t, 1e-300))
-        mask = (logs > self.log_lo) & (logs < self.log_hi) & (t > 0)
-        if np.any(mask):
-            with np.errstate(over="ignore"):
-                out[mask] = self.coef * np.exp(float(self.expo) * logs[mask])
-        return out
-
-    def derivative(self, t):
-        return self.derivative_profile().value(t)
-
-    def derivative_profile(self) -> RadialProfile:
-        if self.expo == 0 or self.coef == 0.0:
-            return PiecewisePower.single(0.0, Fraction(0), 1.0, 2.0)
-        return LogBandPower(
-            self.coef * float(self.expo), self.expo - 1, self.log_lo, self.log_hi
-        )
-
-    @property
-    def support(self):
-        lo = 0.0 if self.log_lo == -math.inf else _safe_exp(self.log_lo)
-        hi = math.inf if self.log_hi == math.inf else _safe_exp(self.log_hi)
-        return (lo, hi)
-
-    @property
-    def breakpoints(self):
-        points = []
-        for lg in (self.log_lo, self.log_hi):
-            if math.isfinite(lg):
-                value = _safe_exp(lg)
-                if 0.0 < value < math.inf:
-                    points.append(value)
-        return tuple(sorted(points))
-
-    def edges(self):
-        # only infinite log bounds reach the ends: a far finite band edge
-        # may round to 0 or inf in t while f still vanishes beyond it
-        if self.coef == 0.0:
-            return (None, None)
-        lo, hi = _safe_exp(self.log_lo), _safe_exp(self.log_hi)
-        return (
-            Edge(self.coef, self.expo, exact=hi) if self.log_lo == -math.inf else None,
-            Edge(self.coef, self.expo, exact=lo) if self.log_hi == math.inf else None,
-        )
-
-    def scaled(self, lam: float) -> "LogBandPower":
-        shift = math.log(lam)
-        coef = self.coef * math.exp(float(self.expo) * shift)
-        return LogBandPower(coef, self.expo, self.log_lo - shift, self.log_hi - shift)
-
-    def descriptor(self):
-        return {
-            "kind": self.kind,
-            "coef": self.coef,
-            "expo": str(self.expo),
-            "log_lo": self.log_lo,
-            "log_hi": self.log_hi,
-        }
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 class TruncatedPrimitive(RadialProfile):
@@ -745,7 +612,7 @@ class TruncatedPrimitive(RadialProfile):
         return (None, Edge(self.plateau(), Fraction(0), exact=self.n))
 
     def derivative_profile(self) -> PiecewisePower:
-        return PiecewisePower.single(1.0, -self.beta, 1.0, self.n)
+        return PiecewisePower([(1.0, -self.beta, 0.0, self.log_n)])
 
     def descriptor(self):
         return {"kind": self.kind, "beta": str(self.beta), "log_n": self.log_n}
@@ -857,9 +724,6 @@ class InvertedProfile(RadialProfile):
     def edges(self):
         return _each(self.inner.edges()[::-1], Edge.inverted)
 
-    def inverted(self):
-        return self.inner
-
     def descriptor(self):
         return {"kind": self.kind, "inner": self.inner.descriptor()}
 
@@ -891,41 +755,3 @@ class DerivView(RadialProfile):
 
     def descriptor(self):
         return {"kind": self.kind, "inner": self.base.descriptor()}
-
-
-def profile_from_descriptor(data: dict) -> RadialProfile:
-    """Rebuild catalog profiles from their JSON descriptors."""
-    kind = data["kind"]
-    if kind == "zero":
-        return ZeroProfile()
-    if kind == "power_cutoff_inner":
-        return PowerCutoffInner(Fraction(data["alpha"]))
-    if kind == "power_cutoff_outer":
-        return PowerCutoffOuter(Fraction(data["alpha"]))
-    if kind == "smooth_bump":
-        return SmoothBump(data["center"], data["width"])
-    if kind == "power_tail":
-        return PowerTail(Fraction(data["alpha"]), Fraction(data["beta"]))
-    if kind == "log_modulated":
-        return LogModulated(
-            Fraction(data["m"]),
-            data["loglam"],
-            shift=data.get("shift", 0.0),
-            prefactor=data.get("prefactor", 1.0),
-            window_combo=tuple(data["combo"]) if data.get("combo") else None,
-        )
-    if kind == "piecewise_power":
-        return PiecewisePower(
-            [(p["coef"], Fraction(p["expo"]), p["lo"], p["hi"]) for p in data["pieces"]]
-        )
-    if kind == "log_band_power":
-        return LogBandPower(data["coef"], Fraction(data["expo"]), data["log_lo"], data["log_hi"])
-    if kind == "truncated_primitive":
-        return TruncatedPrimitive(Fraction(data["beta"]), data["log_n"])
-    if kind == "power_modulated":
-        return PowerModulated(profile_from_descriptor(data["inner"]), data["eps"])
-    if kind == "scaled":
-        return ScaledProfile(profile_from_descriptor(data["inner"]), data["lam"])
-    if kind == "inverted":
-        return InvertedProfile(profile_from_descriptor(data["inner"]))
-    raise ValueError(f"unknown profile kind {kind!r}")

@@ -55,7 +55,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .profiles import LogBandPower, LogModulated, PiecewisePower, RadialProfile
+from .profiles import LogModulated, PiecewisePower, RadialProfile
 from .testfunctions import Angular, TestFunction
 
 
@@ -410,16 +410,10 @@ def _log_power_piece(coef: float, expo: Fraction, log_lo, log_hi, wexp: float, s
 def _piecewise_log_integral(profile: PiecewisePower, wexp: float, s: float) -> float:
     """Closed-form log integral for piecewise powers; exact in log space."""
     return _logsumexp(
-        _log_power_piece(coef, expo, None if lo == 0.0 else math.log(lo),
-                         None if hi == math.inf else math.log(hi), wexp, s)
+        _log_power_piece(coef, expo, None if lo == -math.inf else lo,
+                         None if hi == math.inf else hi, wexp, s)
         for coef, expo, lo, hi in profile.pieces
     )
-
-
-def _log_band_log_integral(profile: LogBandPower, wexp: float, s: float) -> float:
-    log_lo = None if profile.log_lo == -math.inf else profile.log_lo
-    log_hi = None if profile.log_hi == math.inf else profile.log_hi
-    return _log_power_piece(profile.coef, profile.expo, log_lo, log_hi, wexp, s)
 
 
 def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction, n: int, cfg) -> float:
@@ -476,8 +470,6 @@ def weighted_norm_radial(
     try:
         if isinstance(profile, PiecewisePower):
             log_integral, rel_err = _piecewise_log_integral(profile, wexp, sf), 0.0
-        elif isinstance(profile, LogBandPower):
-            log_integral, rel_err = _log_band_log_integral(profile, wexp, sf), 0.0
         elif isinstance(profile, LogModulated):
             log_integral, rel_err = _log_modulated_log_integral(profile, d, s, n, cfg), 0.0
         else:
@@ -532,16 +524,20 @@ def _first_harmonic_gradient_lognorm(
 
     @_sliced
     def g(t: np.ndarray) -> np.ndarray:
-        fp = profile.derivative(t)
-        fv = profile.value(t)
-        mag = fp[:, None] ** 2 * cos2
-        mag += (fv / t)[:, None] ** 2 * sin2
-        ang = np.power(mag, pf / 2.0, out=mag) @ angular_weight
+        # f' and f/t are scaled by m = max(|f'|, |f/t|) before they are
+        # squared, so the squares neither overflow nor underflow; p log m
+        # is added back in log space
+        fp, ft = profile.derivative(t), profile.value(t) / t
+        m = np.maximum(np.abs(fp), np.abs(ft))
         out = np.zeros_like(t)
-        mask = ang > 0
-        if np.any(mask):
+        live = m > 0
+        if np.any(live):
+            m, t = m[live], t[live]
+            mag = (fp[live] / m)[:, None] ** 2 * cos2
+            mag += (ft[live] / m)[:, None] ** 2 * sin2
+            ang = np.power(mag, pf / 2.0, out=mag) @ angular_weight
             with np.errstate(over="ignore"):
-                out[mask] = np.exp(wexp * np.log(t[mask]) + np.log(ang[mask]))
+                out[live] = np.exp(wexp * np.log(t) + pf * np.log(m) + np.log(ang))
         return out
 
     anchor_lo = lo if lo > 0 else min(1.0, *(x for x in (*profile.breakpoints, hi, 1.0) if 0 < x < math.inf))

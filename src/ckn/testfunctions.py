@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .profiles import InvertedProfile, RadialProfile, ZeroProfile
+from .profiles import InvertedProfile, RadialProfile
 
 
 class Angular(str, Enum):
@@ -64,19 +64,6 @@ def first_harmonic(profile: RadialProfile) -> TestFunction:
 
 def translated(profile: RadialProfile, offset: float) -> TestFunction:
     return TestFunction(profile, Angular.TRANSLATED, offset)
-
-
-def spherical_mean(u: TestFunction) -> RadialProfile:
-    """Profile of the spherical average of u.
-
-    Radial functions are their own mean; first harmonics average to zero.
-    Translated profiles are not needed and are rejected explicitly.
-    """
-    if u.angular is Angular.RADIAL:
-        return u.profile
-    if u.angular is Angular.FIRST_HARMONIC:
-        return ZeroProfile()
-    raise ValueError("spherical mean of a translated profile is not supported")
 
 
 def dilate(u: TestFunction, lam: float) -> TestFunction:

@@ -49,12 +49,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import Reason, classify
-from .derived import DerivedQuantities, derive
+from .derived import DerivedQuantities, derive, theta_slack
 from .params import Params, kelvin_params
 from .profiles import (
     InvertedProfile,
-    LogBandPower,
     LogModulated,
+    PiecewisePower,
     PowerCutoffInner,
     PowerCutoffOuter,
     PowerModulated,
@@ -109,7 +109,7 @@ class _IndicatorBandFamily(WitnessFamily):
 
     def member(self, index: int) -> TestFunction:
         log_m = min((index + 1) * self.log_base, 500.0)
-        return radial(LogBandPower(1.0, self.kappa, 0.0, math.log1p(math.exp(-log_m))))
+        return radial(PiecewisePower([(1.0, self.kappa, 0.0, math.log1p(math.exp(-log_m)))]))
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ class _VanishingPowerFamily(WitnessFamily):
         m = max(2, int(round(self.base ** (index + 1))))
         expo = self.kappa + Fraction(1, m) - 1 / self.params.r
         log_delta = -5.0 * m / float(self.params.r)
-        return radial(LogBandPower(1.0, expo, log_delta, 0.0))
+        return radial(PiecewisePower([(1.0, expo, log_delta, 0.0)]))
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class _TruncatedPrimitiveFamily(WitnessFamily):
 
 
 @dataclass(frozen=True)
-class _LogWindowFamily(WitnessFamily):
+class _LogModulatedFamily(WitnessFamily):
     eta: Fraction = Fraction(0)
     base: float = 2.0
 
@@ -175,7 +175,7 @@ class _TranslatedBumpFamily(WitnessFamily):
 # growth-exponent helpers (exact rational arithmetic)
 # ---------------------------------------------------------------------------
 
-def _translation_exponent(params: Params, d: DerivedQuantities, nu: int) -> Fraction:
+def _translation_exponent(params: Params, nu: int) -> Fraction:
     """Exponent of the additive ratio along bumps of width R^-nu at
     distance R: num - min(source exponents), all per log R."""
     n = Fraction(params.n)
@@ -188,9 +188,7 @@ def _translation_exponent(params: Params, d: DerivedQuantities, nu: int) -> Frac
 def _theta_defect(params: Params, d: DerivedQuantities) -> Fraction:
     """-N ((1/r - 1/q) - theta_c (1/p - 1/N - 1/q)); positive exactly when
     the theta-condition fails."""
-    s_factor = 1 / params.p - Fraction(1, params.n) - 1 / params.q
-    v = (1 / params.r - 1 / params.q) - d.theta_c * s_factor
-    return -params.n * v
+    return -params.n * theta_slack(d.theta_c, params)
 
 
 def _geometric_base(exponent: float, target_index: int = 20, cap: float = 1e4) -> float:
@@ -323,7 +321,7 @@ def _log_window_family(params: Params, d: DerivedQuantities, reason: Reason) -> 
     growth = abs(float(1 / params.r - 1 / min(params.p, params.q)))
     if reason is Reason.ETA_ZERO_SMALL_R:
         growth = abs(float(1 / params.r - 1 / params.q))
-    return _LogWindowFamily(
+    return _LogModulatedFamily(
         reason,
         params,
         "log_window",
@@ -336,7 +334,7 @@ def _log_window_family(params: Params, d: DerivedQuantities, reason: Reason) -> 
 def _r_range_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
     best_nu, best_val = 1, None
     for nu in range(1, 13):
-        val = _translation_exponent(params, d, nu)
+        val = _translation_exponent(params, nu)
         if best_val is None or val > best_val:
             best_nu, best_val = nu, val
         if val >= Fraction(1, 4):

@@ -22,7 +22,6 @@ from ckn.probes import verify_instance
 from ckn.profiles import (
     DerivView,
     InvertedProfile,
-    LogBandPower,
     LogModulated,
     PiecewisePower,
     PowerCutoffInner,
@@ -64,15 +63,15 @@ def _catalog(rng: random.Random) -> list:
         SmoothBump(0.0, width),
         PiecewisePower(
             [
-                (float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), 0.0, x1),
-                (float(_nonzero(rng, -3, 3)), F(0), x1, x2),
-                (float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), x2, math.inf),
+                (float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), -math.inf, math.log(x1)),
+                (float(_nonzero(rng, -3, 3)), F(0), math.log(x1), math.log(x2)),
+                (float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), math.log(x2), math.inf),
             ]
         ),
-        PiecewisePower.single(float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), x1, math.inf),
-        LogBandPower(float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), -math.inf, x1),
-        LogBandPower(float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), -x1, math.inf),
-        LogBandPower(float(_nonzero(rng, -3, 3)), F(0), -math.inf, -x1),
+        PiecewisePower([(float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), math.log(x1), math.inf)]),
+        PiecewisePower([(float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), -math.inf, x1)]),
+        PiecewisePower([(float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), -x1, math.inf)]),
+        PiecewisePower([(float(_nonzero(rng, -3, 3)), F(0), -math.inf, -x1)]),
         TruncatedPrimitive(rational(rng, -2, 3), float(rational(rng, 1, 10))),
         LogModulated(rational(rng, -2, 2), 0.5),
     ]

@@ -16,10 +16,10 @@ from ckn.profiles import (
     PowerCutoffOuter,
     PowerTail,
     RadialProfile,
+    ScaledProfile,
     SmoothBump,
     TruncatedPrimitive,
     bump,
-    profile_from_descriptor,
 )
 from ckn.quadrature import (
     NormStatus,
@@ -36,7 +36,6 @@ from ckn.testfunctions import (
     first_harmonic,
     kelvin_function,
     radial,
-    spherical_mean,
     translated,
 )
 
@@ -100,7 +99,7 @@ def test_divergent_target_certificate():
 
 
 def test_piecewise_exact_matches_generic_quadrature():
-    piece = PiecewisePower.single(1.0, F(-1, 2), 2.0, 5.0)
+    piece = PiecewisePower([(1.0, F(-1, 2), math.log(2.0), math.log(5.0))])
     exact = weighted_norm_radial(piece, F(1), F(3), 3)
 
     class Generic(RadialProfile):
@@ -123,18 +122,39 @@ def test_piecewise_exact_matches_generic_quadrature():
 def test_piecewise_far_band_stays_accurate():
     # band at t ~ 1e60: closed form in log space
     m = 1e60
-    piece = PiecewisePower.single(1.0, F(0), m, 2 * m)
+    piece = PiecewisePower([(1.0, F(0), math.log(m), math.log(2 * m))])
     nv = weighted_norm_radial(piece, F(-6), F(2), 3)
     # integral of t^{-6+2} over (m, 2m) = (m^-3 - (2m)^-3)/3
     expected = math.sqrt(surface_area(3) * (m**-3) * (1 - 0.125) / 3)
     assert close(nv.value, expected, rel=1e-12)
 
 
+def test_far_bands_do_not_reach_the_ends():
+    """Finite log bounds far out round to 0 or inf in t but are not ends."""
+    n, d, s = 3, F(0), F(2)
+    # 2 t^-2 on (e^-800, e^-799) would diverge at 0 (d + n + s expo = -1),
+    # 2 t^-1 on (e^799, e^800) at infinity (+1); bounded, each integral of
+    # t^(d+n-1) |f|^s is 4 e^799 (e - 1)
+    near = PiecewisePower([(2.0, F(-2), -800.0, -799.0)])
+    far = PiecewisePower([(2.0, F(-1), 799.0, 800.0)])
+    want = (math.log(surface_area(n)) + math.log(4.0) + 799.0 + math.log(math.e - 1.0)) / 2
+    for profile in (near, far):
+        assert profile.edges() == (None, None)
+        nv = weighted_norm_radial(profile, d, s, n)
+        assert nv.status is NormStatus.FINITE
+        assert close(nv.log_value, want, rel=1e-14)
+    # f' = -4 t^-3 on the near band: t^2 16 t^-6 integrates to 16 (e^2400 - e^2397) / 3
+    grad = weighted_norm_gradient(radial(near), d, s, n)
+    want = (math.log(surface_area(n) * 16 / 3) + 2400.0 + math.log1p(-math.exp(-3.0))) / 2
+    assert grad.status is NormStatus.FINITE
+    assert close(grad.log_value, want, rel=1e-14)
+
+
 def test_indicator_first_harmonic_gradient_closed_form():
     """f = const on an annulus: |grad u|^p integrates in closed form."""
     n, p, b = 3, F(2), F(0)
     t1, t2 = 1.0, 2.0
-    u = first_harmonic(PiecewisePower.indicator(t1, t2))
+    u = first_harmonic(PiecewisePower([(1.0, F(0), math.log(t1), math.log(t2))]))
     got = weighted_norm_gradient(u, b, p, n)
     # |grad u|^2 = (f/t)^2 sin^2(psi); angular: |S^1| int sin^2 psi sin psi
     radial_part = (t2 ** (0 + 3 - 2 + 1) - t1**2) / 2  # int t^{b+n-1-2} dt wrong? see below
@@ -292,17 +312,8 @@ def test_translated_gradient_norm():
 
 
 # ---------------------------------------------------------------------------
-# structure: spherical mean, descriptors
+# first harmonics, truncated primitives
 # ---------------------------------------------------------------------------
-
-def test_spherical_mean_rules():
-    f = SmoothBump(2.0, 1.0)
-    assert spherical_mean(radial(f)) is f
-    zero = spherical_mean(first_harmonic(f))
-    assert float(np.max(np.abs(zero.value(np.linspace(0.1, 5, 50))))) == 0.0
-    with pytest.raises(ValueError):
-        spherical_mean(translated(f, 10.0))
-
 
 def test_first_harmonic_function_norm_uses_angular_moment():
     f = SmoothBump(2.0, 1.0)
@@ -313,19 +324,31 @@ def test_first_harmonic_function_norm_uses_angular_moment():
     assert close(fh, rad * factor, rel=1e-10)
 
 
-def test_descriptor_round_trip():
-    profiles = [
-        PowerCutoffInner(F(1, 3)),
-        PowerTail(F(-1), F(3)),
-        SmoothBump(1.5, 0.5),
-        PiecewisePower.single(2.0, F(-1, 2), 1.0, 4.0),
-        TruncatedPrimitive(F(1, 2), 20.0),
-        LogModulated(F(1, 2), 0.25),
-    ]
-    t = np.array([0.7, 1.3, 2.9])
-    for prof in profiles:
-        clone = profile_from_descriptor(prof.descriptor())
-        assert np.allclose(prof.value(t), clone.value(t)), prof.kind
+def test_first_harmonic_gradient_with_a_steep_head_stays_finite():
+    # f'^2 overflows on the walk toward 0 while the integrand, t^-0.86
+    # there, stays integrable; the value is an independent mpmath
+    # computation (Gauss-Legendre on the log axis, closed-form angular part)
+    u = first_harmonic(PowerTail(F(47, 14), F(367, 70)))
+    nv = weighted_norm_gradient(u, F(3, 2), F(1), 3)
+    assert nv.status is NormStatus.FINITE
+    assert math.isfinite(nv.log_value) and math.isfinite(nv.error)
+    assert abs(nv.log_value - 5.0797958781828469) <= 4e-9
+
+
+def test_first_harmonic_gradient_with_a_fast_tail_converges_quickly():
+    # f'^2 and (f/t)^2 turn denormal near t ~ 3e12, where panels of the
+    # unscaled squares never converge: they took 221,344 points of f'
+    class Counted(ScaledProfile):
+        points = 0
+
+        def derivative(self, t):
+            Counted.points += np.size(t)
+            return super().derivative(t)
+
+    u = first_harmonic(Counted(PowerTail(F(47, 85), F(38, 3)), 1 / 8))
+    nv = weighted_norm_gradient(u, F(23, 3), F(1), 5)
+    assert nv.status is NormStatus.FINITE
+    assert Counted.points < 22_134
 
 
 def test_truncated_primitive_shape():
