@@ -3,8 +3,9 @@
 `admissible_set` computes, for fixed (N, p, q, r, a, b), the exact set of
 weights c for which the embedding holds.  It asks the classifier's c-line
 labeller (`classify.CLine`) only: the label changes only at the marks c0,
-c1, -N and c_bar, so the marks inside the hull, each with its exact theta,
-and one midpoint between neighbouring marks decide the whole set.  The
+c1, -N and c_bar, so the marks inside the hull and one midpoint between
+neighbouring marks, all integer (num, den) pairs, decide the whole set;
+Fractions are built only for the returned endpoints and points.  The
 embedding pieces form at most one interval (an open case-I or case-II
 piece cut by the theta half-line, with adjacent admissible marks
 attached); an admissible mark not on it is an isolated point.
@@ -29,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
+from functools import cmp_to_key
 from typing import Optional, Tuple
 
 from .classify import Case, CLine, Decision, classify
-from .derived import derive
 from .params import Params, validate_full_space
-from .rational import ext_le, format_rational
+from .rational import compare, ext_le, format_rational
 
 
 @dataclass(frozen=True)
@@ -111,38 +111,41 @@ def admissible_set(params_without_c: Params) -> AdmissibleSet:
 
     The c field of the input is ignored.
     """
-    params = params_without_c.with_c(Fraction(0))
-    validate_full_space(params)
-    d = derive(params)
-    line = CLine(params, d)
+    validate_full_space(params_without_c)
+    line = CLine.of(params_without_c)
     if not line.r_ok:  # every c is labelled ROutOfRange
         return _EMPTY
-    # the marks inside the hull, each with its exact theta
-    if d.slopes_equal:  # the hull is the single point c0 = c1
-        marks = [(d.c0, None)]
-    else:
-        marks = [(d.c0, Fraction(0)), (d.c1, Fraction(1))]
-        if line.lo < line.mn < line.hi:
-            marks.append((line.mn, d.theta_of(line.mn)))
-        if d.theta_bar is not None and 0 < d.theta_bar < 1 and d.c_bar != line.mn:
-            marks.append((d.c_bar, d.theta_bar))
-        marks.sort(key=itemgetter(0))
-    on_mark = [isinstance(line.label(c, theta), Case) for c, theta in marks]
+    # the marks inside the hull, as (num, den) pairs
+    marks = [line.c0]
+    if line.distinct:  # else the hull is the single point c0 = c1
+        marks.append(line.c1)
+        s0, s1, _ = line.place(line.mn)
+        if s0 * s1 < 0:
+            marks.append(line.mn)
+        if line.c_bar is not None:
+            s0, s1, sm = line.place(line.c_bar)
+            if s0 * s1 < 0 and sm != 0:
+                marks.append(line.c_bar)
+        marks.sort(key=cmp_to_key(compare))
+    on_mark = [isinstance(line.label(c), Case) for c in marks]
     # the label is constant between neighbouring marks: test a midpoint
     inside = [
-        isinstance(line.label((c + c_next) / 2, (theta + theta_next) / 2), Case)
-        for (c, theta), (c_next, theta_next) in zip(marks, marks[1:])
+        isinstance(line.label((x0 * y1 + y0 * x1, 2 * x1 * y1)), Case)
+        for (x0, x1), (y0, y1) in zip(marks, marks[1:])
     ]
 
     interval = None
+    first = last = 0
     if any(inside):  # the open pieces form one interval
         first = inside.index(True)
         last = len(inside) - inside[::-1].index(True)
-        interval = Interval(marks[first][0], on_mark[first], marks[last][0], on_mark[last])
+        interval = Interval(
+            Fraction(*marks[first]), on_mark[first], Fraction(*marks[last]), on_mark[last]
+        )
     isolated = tuple(
-        c
-        for (c, _), embeds in zip(marks, on_mark)
-        if embeds and (interval is None or not interval.lo <= c <= interval.hi)
+        Fraction(*c)
+        for k, (c, embeds) in enumerate(zip(marks, on_mark))
+        if embeds and (interval is None or not first <= k <= last)
     )
     return AdmissibleSet(interval, isolated)
 

@@ -34,11 +34,14 @@ For fixed (N, p, q, r, a, b) the verdict depends on c only through its
 place relative to c0, c1, -N and c_bar, where the theta-condition is an
 equality.  `CLine` holds every c-free fact of one such line: the r-range
 gate, the side conditions, the case at c = c1, the open piece of case I
-or II, the theta-condition as a half-line in theta, and the reasons at
-c0 and c1.  Its `label(c, theta)` writes the six cases and eight reasons
-above once, by comparisons only.  `classify` labels one c, `ckn sweep`
-labels every c of a grid line, and `admissible_set` labels the marks
-and the midpoints between them.
+or II, the reasons at c0 and c1, and the theta-condition as a half-line
+in c (theta <= theta_bar is c <= c_bar when c1 > c0 and c >= c_bar when
+c1 < c0).  It is built in integers from `derived.line_core`, with each
+mark an integer (num, den) pair, den > 0.  Its `label(c)` writes the six
+cases and eight reasons above once, and decides every comparison by the
+sign of a cross product.  `classify` labels one c, `ckn sweep` labels
+every c of a grid line, and `admissible_set` labels the marks and the
+midpoints between them.
 
 `classify_radial` is the analogous characterization for the subspace of
 radially symmetric functions (valid for all q, r > 0), with its own case
@@ -52,11 +55,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
-from .derived import DerivedQuantities, derive, theta_condition_holds
+from .derived import DerivedQuantities, derive, line_core, theta_condition_holds
 from .params import Params, validate_full_space, validate_radial
-from .rational import ext_le, ext_max, ext_min
+from .rational import Pair, compare, ext_le, ext_max, ext_min, sign
 
 
 class Decision(str, Enum):
@@ -115,116 +118,125 @@ class Verdict:
 # the c-line at one (N, p, q, r, a, b)
 # ---------------------------------------------------------------------------
 
-def _sign(x: Fraction) -> int:
-    return (x.numerator > 0) - (x.numerator < 0)
-
-
 class CLine:
     """Every c-free fact of the full-space theorem at one (N, p, q, r, a, b).
 
-    Built from the tuple and its derived quantities (any c).  `label`
-    places a c, with its theta_c, against c0, c1, -N and the theta
-    half-line by comparisons only.  Shared by `classify`, `classify_radial`,
-    `admissible_set` and `ckn sweep`; not part of `ckn.__all__`.
+    Built from the six inputs in integers (`derived.line_core`).  The marks
+    c0, c1, -N and c_bar are (num, den) pairs with den > 0, and `label`
+    places a c = num/den against them by the signs of cross products.
+    Shared by `classify`, `classify_radial`, `admissible_set` and
+    `ckn sweep`; not part of `ckn.__all__`.
     """
 
     __slots__ = (
-        "c0", "c1", "mn", "lo", "hi", "distinct", "r_ok", "r_is_q",
-        "gradient_side", "c1_case", "piece", "piece_lo", "piece_hi", "window",
-        "c0_reason", "c1_reason", "theta_bar", "theta_dir", "theta_all",
+        "core", "c0", "c1", "mn", "c_bar", "distinct", "r_ok", "r_is_q",
+        "gradient_side", "c1_case", "piece", "window", "c0_reason", "c1_reason",
+        "theta_cut", "theta_all",
     )
 
-    def __init__(self, params: Params, d: DerivedQuantities):
-        p, q, r = params.p, params.q, params.r
-        # a and b-p lie on the sides of -N given by the signs of the slopes
-        # (c0 + N = r slope_a, c1 + N = r slope_b)
-        sa = _sign(d.slope_a)
-        sb = _sign(d.slope_b)
-        self.c0, self.c1, self.mn = d.c0, d.c1, Fraction(-params.n)
-        self.lo, self.hi = (d.c0, d.c1) if d.c0 <= d.c1 else (d.c1, d.c0)
-        self.distinct = not d.slopes_equal
-        hardy = ext_le(r, d.p_star)  # r <= p*
-        self.r_ok = hardy or r <= q  # r <= max{p*, q}
+    def __init__(self, n: int, p: Fraction, q: Fraction, r: Fraction, a: Fraction, b: Fraction):
+        core = self.core = line_core(n, p, q, r, a, b)
+        _, L, P, Q, R, sa, sb, x0, x1, gap, s = core
+        nL = n * L
+        # a and b-p lie on the sides of -N given by the signs of
+        # L (a + N) and L (b - p + N)
+        sa = sign(sa)
+        sb = sign(sb)
+        self.c0, self.c1, self.mn = (x0, L * Q), (x1, L * P), (-n, 1)
+        self.distinct = gap != 0
+        hardy = P >= nL or R * (nL - P) <= nL * P  # r <= p*
+        self.r_ok = hardy or R <= Q  # r <= max{p*, q}
         # at c = c0 = a the identity embedding holds (case III)
-        self.r_is_q = r == q
+        self.r_is_q = R == Q
 
         # b-p strictly off -N, a weakly on the same side
         self.gradient_side = sb != 0 and sa * sb >= 0
-        if p <= r and hardy and self.gradient_side:
+        if P <= R and hardy and self.gradient_side:
             self.c1_case = Case.IV
-        elif d.slopes_equal and sa != 0 and r >= min(p, q):
+        elif not self.distinct and sa != 0 and R >= min(P, Q):
             self.c1_case = Case.V
-        elif d.slopes_equal and sa == 0 and q < r and hardy:  # a = -N, b = p - N
+        elif not self.distinct and sa == 0 and Q < R and hardy:  # a = -N, b = p - N
             self.c1_case = Case.VI
         else:
             self.c1_case = None
 
         # a strictly off -N and b-p weakly on the other side: c must lie
-        # in the window between c0 (included) and -N (excluded)
-        if sa != 0 and sa * sb <= 0:
-            self.window = (self.mn, d.c0) if sa > 0 else (d.c0, self.mn)
-        else:
-            self.window = None
-        # the open piece where the theta-condition decides
+        # strictly between c0 and -N, or on c0
+        self.window = sa != 0 and sa * sb <= 0
+        # the open piece where the theta-condition decides: between c0 and
+        # -N (case II) or between c0 and c1 (case I)
         if sa * sb < 0:
             self.piece = Case.II
-            self.piece_lo, self.piece_hi = self.window
         elif self.distinct:
-            self.piece, self.piece_lo, self.piece_hi = Case.I, self.lo, self.hi
+            self.piece = Case.I
         else:
             self.piece = None
 
         if self.distinct:
             self.c0_reason = None if self.r_is_q else Reason.ENDPOINT_C0_WRONG_R
-            self.c1_reason = Reason.ENDPOINT_C1_SMALL_R if r < p else None
+            self.c1_reason = Reason.ENDPOINT_C1_SMALL_R if R < P else None
         else:  # the hull is the point c0 = c1, which is -N when eta = 0
-            if r < min(p, q):
+            if R < min(P, Q):
                 self.c0_reason = Reason.EQUAL_SLOPES_SMALL_R
-            elif sa == 0 and r < q:
+            elif sa == 0 and R < Q:
                 self.c0_reason = Reason.ETA_ZERO_SMALL_R
             else:
                 self.c0_reason = None
             self.c1_reason = None
 
-        # theta (1/p - 1/N - 1/q) <= 1/r - 1/q as a half-line in theta.
-        # The factor has the sign of q - p* (negative when p* = inf), so
-        # theta <= theta_bar, theta >= theta_bar, or, when q = p*, all
-        # theta (r <= q) or none
-        self.theta_bar = d.theta_bar
-        self.theta_dir = (q > d.p_star) - (q < d.p_star)
-        self.theta_all = r <= q
+        # theta (1/p - 1/N - 1/q) <= 1/r - 1/q is theta <= theta_bar when
+        # the factor s is positive and theta >= theta_bar when it is
+        # negative; theta grows with c when c1 > c0 (gap > 0).  So it holds
+        # on the half-line theta_cut * (c - c_bar) <= 0 of c, or, when
+        # s = 0, for all c (r <= q) or none
+        if s == 0:
+            self.c_bar, self.theta_cut = None, 0
+        else:
+            self.c_bar, self.theta_cut = core.c_bar(), sign(s) * sign(gap)
+        self.theta_all = R <= Q
 
-    def theta_holds(self, theta: Fraction) -> bool:
-        if self.theta_dir > 0:
-            return theta <= self.theta_bar
-        if self.theta_dir < 0:
-            return theta >= self.theta_bar
-        return self.theta_all
+    @classmethod
+    def of(cls, params: Params) -> "CLine":
+        """The line through a tuple; its c is ignored."""
+        return cls(params.n, params.p, params.q, params.r, params.a, params.b)
 
-    def label(self, c: Fraction, theta: Optional[Fraction]) -> Union[Case, Reason]:
-        """The case tag of c (theta its theta_c), or its first necessity
+    def place(self, c: Pair) -> Tuple[int, int, int]:
+        """Signs of c - c0, c - c1 and c + N."""
+        return compare(c, self.c0), compare(c, self.c1), sign(c[0] + self.core.n * c[1])
+
+    def in_piece(self, s0: int, s1: int, sm: int) -> bool:
+        """Whether the c with signs (s0, s1, sm) of `place` lies in the open
+        case-I or case-II piece."""
+        if self.piece is Case.I:
+            return s0 * s1 < 0
+        return self.piece is Case.II and s0 * sm < 0
+
+    def theta_holds(self, c: Pair) -> bool:
+        if self.c_bar is None:
+            return self.theta_all
+        return self.theta_cut * compare(c, self.c_bar) <= 0
+
+    def label(self, c: Pair) -> Union[Case, Reason]:
+        """The case tag of c = (num, den), den > 0, or its first necessity
         reason; cases in the priority III < IV < V < VI < I < II."""
         if not self.r_ok:
             return Reason.R_OUT_OF_RANGE
-        if self.r_is_q and c == self.c0:
+        s0, s1, sm = self.place(c)
+        if self.r_is_q and s0 == 0:
             return Case.III
-        if self.c1_case is not None and c == self.c1:
+        if self.c1_case is not None and s1 == 0:
             return self.c1_case
-        if (
-            self.piece is not None
-            and self.piece_lo < c < self.piece_hi
-            and self.theta_holds(theta)
-        ):
+        if self.in_piece(s0, s1, sm) and self.theta_holds(c):
             return self.piece
-        if not self.lo <= c <= self.hi:
+        if s0 * s1 > 0:
             return Reason.C_OUTSIDE_HULL
-        if self.window is not None and c != self.c0 and not self.window[0] < c < self.window[1]:
+        if self.window and s0 != 0 and s0 * sm >= 0:
             return Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW
-        if self.c0_reason is not None and c == self.c0:
+        if self.c0_reason is not None and s0 == 0:
             return self.c0_reason
-        if self.c1_reason is not None and c == self.c1:
+        if self.c1_reason is not None and s1 == 0:
             return self.c1_reason
-        if self.distinct and not self.theta_holds(theta):
+        if self.distinct and not self.theta_holds(c):
             return Reason.THETA_CONDITION_FAILS
         raise AssertionError(f"no necessity reason applies at c={c} on {self.c0}..{self.c1}")
 
@@ -244,7 +256,7 @@ def classify(params: Params) -> Verdict:
     the first applicable necessity reason."""
     validate_full_space(params)
     d = derive(params)
-    return _verdict(CLine(params, d).label(params.c, d.theta_c), d)
+    return _verdict(CLine.of(params).label(params.c.as_integer_ratio()), d)
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +286,28 @@ def classify_radial(params: Params) -> Verdict:
     """
     validate_radial(params)
     d = derive(params)
-    line = CLine(params, d)
+    line = CLine.of(params)
     p, q, r, c = params.p, params.q, params.r, params.c
+    s0, s1, sm = line.place(c.as_integer_ratio())
 
-    if c == d.c0 and (
+    if s0 == 0 and (
         r == q
         or (p != q and min(p, q) <= r <= max(p, q) and d.slopes_equal and d.eta != 0)
     ):
         return _verdict(Case.IV, d)
-    if r >= p and line.gradient_side and c == d.c1:
+    if r >= p and line.gradient_side and s1 == 0:
         return _verdict(Case.III, d)
-    if d.eta == 0 and r > q and c == line.mn:  # a = -N, b = p - N
+    if d.eta == 0 and r > q and sm == 0:  # a = -N, b = p - N
         return _verdict(Case.V, d)
-    if (
-        line.piece is not None
-        and line.piece_lo < c < line.piece_hi
-        and d.theta_c >= d.theta_breve
-    ):
+    if line.in_piece(s0, s1, sm) and d.theta_c >= d.theta_breve:
         return _verdict(line.piece, d)
 
     # the radial problem is the one-dimensional full problem with shifted
-    # weights; the necessity reason is read off the reduced tuple's line
-    reduced = radial_reduction(params)
-    dr = derive(reduced)
-    reason = CLine(reduced, dr).label(reduced.c, dr.theta_c)
+    # weights (`radial_reduction`); the necessity reason is read off the
+    # reduced tuple's line
+    shift = params.n - 1
+    reduced = CLine(1, p, q, r, params.a + shift, params.b + shift)
+    reason = reduced.label((c.numerator + shift * c.denominator, c.denominator))
     if not isinstance(reason, Reason):
         raise AssertionError(f"the one-dimensional reduction of {params} embeds")
     return _verdict(reason, d)

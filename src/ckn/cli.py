@@ -14,12 +14,14 @@ on stderr).
 from __future__ import annotations
 
 import argparse
+import collections
+import functools
 import itertools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .admissible import ThetaSetKind, admissible_set, theta_set
 from .classify import Case, CLine, Decision, classify, classify_radial, classify_w0
@@ -33,7 +35,7 @@ from .probes import (
     verify_instance,
 )
 from .quadrature import DEFAULT_CONFIG
-from .rational import format_optional, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 
 EXIT_EMBEDS = 0
 EXIT_NO_EMBED = 1
@@ -43,6 +45,7 @@ EXIT_INTERNAL_ERROR = 4
 
 GRID_CAP_DEFAULT = 10**6
 PARAM_NAMES = ("p", "q", "r", "a", "b", "c")
+SWEEP_HEADER = ["n", *PARAM_NAMES, "decision", "case", "reason", "c0", "c1", "theta_c"]
 
 
 def _emit(obj) -> None:
@@ -125,29 +128,28 @@ def cmd_verify(args) -> int:
     if verdict.decision is not Decision.EMBEDS:
         _emit({"error": "instance does not embed", **verdict.as_dict()})
         return EXIT_NO_EMBED
+    known = theta_set(params)
     if args.theta is not None:
         theta = parse_rational(args.theta, "--theta")
+    elif known.theta is not None:
+        theta = known.theta
+    elif known.lo is not None:
+        theta = known.hi  # upper end of the proven range
+    elif known.kind is ThetaSetKind.TRIVIAL_ZERO:
+        theta = Fraction(0)
     else:
-        ts = theta_set(params)
-        if ts.theta is not None:
-            theta = ts.theta
-        elif ts.lo is not None:
-            theta = ts.hi  # upper end of the proven range
-        elif ts.kind is ThetaSetKind.TRIVIAL_ZERO:
-            theta = Fraction(0)
-        else:
-            _emit(
-                {
-                    "error": "no multiplicative exponent exists for this instance",
-                    "theta_set": ts.as_dict(),
-                    **verdict.as_dict(),
-                }
-            )
-            return EXIT_PROBE_MISMATCH
+        _emit(
+            {
+                "error": "no multiplicative exponent exists for this instance",
+                "theta_set": known.as_dict(),
+                **verdict.as_dict(),
+            }
+        )
+        return EXIT_PROBE_MISMATCH
     family = default_w0_family(params) if args.w0_family else default_verification_family(params)
     report = verify_instance(params, theta, family=family, cfg=_config())
     payload = report.as_dict()
-    payload["theta_in_known_set"] = theta_set(params).contains(theta)
+    payload["theta_in_known_set"] = known.contains(theta)
     _emit(payload)
     # an out-of-set exponent shows up as scale variance, which is also
     # reported as a probe mismatch (exit 3)
@@ -177,39 +179,77 @@ def _axis_range(axis: dict) -> Tuple[Fraction, Fraction, int]:
     return start, step, max(0, (stop - start) // step + 1)
 
 
-def _axis_values(start: Fraction, step: Fraction, count: int) -> List[Fraction]:
-    values = []
+def _axis_values(start: Fraction, step: Fraction, count: int) -> Iterator[Fraction]:
     current = start
     for _ in range(count):
-        values.append(current)
+        yield current
         current += step
-    return values
 
 
-def _sweep_rows(points: List[Params]) -> List[List[str]]:
-    """Table rows of the points, labelled on one c-line per distinct
-    (p, q, r, a, b); the same rows `classify` gives point by point."""
+def _grid(ranges: List[Tuple[Fraction, Fraction, int]]) -> Iterator[tuple]:
+    """The axis values of every grid point, first axis slowest, made one
+    point at a time."""
+    if not ranges:
+        yield ()
+        return
+    *outer, last = ranges
+    for head in _grid(outer):
+        for value in _axis_values(*last):
+            yield (*head, value)
+
+
+def _chunks(items: Iterable, size: int) -> Iterator[list]:
+    items = iter(items)
+    while True:
+        chunk = list(itertools.islice(items, size))
+        if not chunk:
+            return
+        yield chunk
+
+
+def _in_order(pool, fn, chunks: Iterable[list], ahead: int) -> Iterator[list]:
+    """fn of each chunk, run in the pool and returned in input order, with
+    at most `ahead` chunks in flight.  (`Pool.imap` would keep every
+    finished chunk while stdout is slower than the workers.)"""
+    pending = collections.deque()
+    for chunk in chunks:
+        pending.append(pool.apply_async(fn, (chunk,)))
+        if len(pending) >= ahead:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
+
+
+def _sweep_rows(n: int, points: List[tuple]) -> List[List[str]]:
+    """Table rows of the points (p, q, r, a, b, c), labelled on one c-line
+    per distinct (p, q, r, a, b); the same rows `classify` gives point by
+    point."""
     lines = {}
     rows = []
-    for params in points:
-        key = (params.p, params.q, params.r, params.a, params.b)
-        if key not in lines:
-            validate_full_space(params)
-            d = derive(params)
-            lines[key] = (CLine(params, d), d)
-        line, d = lines[key]
-        theta = None if d.slopes_equal else d.theta_of(params.c)
-        tag = line.label(params.c, theta)
+    key = None
+    for point in points:
+        # neighbouring rows mostly share their (p, q, r, a, b) objects, and
+        # comparing those is cheaper than hashing five Fractions
+        if point[:5] != key:
+            key = point[:5]
+            if key not in lines:
+                params = Params(n, *point)
+                d = derive(params)
+                head = [str(n), *map(format_rational, key)]
+                lines[key] = (CLine.of(params), head, format_rational(d.c0), format_rational(d.c1))
+            line, head, c0, c1 = lines[key]
+        c = point[5].as_integer_ratio()
+        tag = line.label(c)
         embeds = isinstance(tag, Case)
         rows.append([
-            str(params.n),
-            *(format_rational(getattr(params, k)) for k in PARAM_NAMES),
+            *head,
+            format_rational(point[5]),
             (Decision.EMBEDS if embeds else Decision.DOES_NOT_EMBED).value,
             tag.value if embeds else "",
             "" if embeds else tag.value,
-            format_rational(d.c0),
-            format_rational(d.c1),
-            format_optional(theta) or "",
+            c0,
+            c1,
+            str(line.core.theta(*c)) if line.distinct else "",
         ])
     return rows
 
@@ -247,38 +287,51 @@ def cmd_sweep(args) -> int:
         total *= count
     if total > cap:
         raise ValueError(f"sweep grid of {total} points exceeds the cap {cap}")
-    axis_values = [_axis_values(*axis_range) for axis_range in ranges]
 
-    points: List[Params] = []
-    for combo in itertools.product(*axis_values) if axes else [()]:
-        entries = dict(base)
-        for name, value in zip(axis_names, combo):
-            entries[name] = value
-        missing = [k for k in PARAM_NAMES if k not in entries]
+    # each parameter comes from the last axis that sweeps it, else from fixed
+    source = {name: k for k, name in enumerate(axis_names)}
+
+    def point(values: tuple) -> tuple:
+        return tuple(values[source[k]] if k in source else base[k] for k in PARAM_NAMES)
+
+    if total:
+        missing = [k for k in PARAM_NAMES if k not in base and k not in source]
         if missing:
             raise ValueError(f"sweep leaves parameters unset: {missing}")
-        points.append(Params(n=n, **entries))
+        # every check bounds one coordinate and the axes increase, so the
+        # first and the last point hold each coordinate's extremes
+        firsts = tuple(start for start, _, _ in ranges)
+        lasts = tuple(start + (count - 1) * step for start, step, count in ranges)
+        for values in (firsts, lasts):
+            validate_full_space(Params(n, *point(values)))
 
-    jobs = max(1, args.jobs)
-    if jobs > 1 and len(points) > 256:
+    rows_of = functools.partial(_sweep_rows, n)
+    chunks = _chunks(map(point, _grid(ranges)), 512)
+    if args.jobs > 1 and total > 256:
         import multiprocessing
 
-        chunks = [points[k:k + 512] for k in range(0, len(points), 512)]
-        with multiprocessing.Pool(jobs) as pool:
-            # results buffered and emitted in input order
-            rows_out = [row for rows in pool.map(_sweep_rows, chunks) for row in rows]
+        with multiprocessing.Pool(args.jobs) as pool:
+            _write_rows(_in_order(pool, rows_of, chunks, 2 * args.jobs), out_format)
     else:
-        rows_out = _sweep_rows(points)
-
-    writer = sys.stdout
-    header = ["n", "p", "q", "r", "a", "b", "c", "decision", "case", "reason", "c0", "c1", "theta_c"]
-    if out_format == "csv":
-        writer.write(",".join(header) + "\n")
-        for row in rows_out:
-            writer.write(",".join(row) + "\n")
-    else:
-        _emit([dict(zip(header, row)) for row in rows_out])
+        _write_rows(map(rows_of, chunks), out_format)
     return EXIT_EMBEDS
+
+
+def _write_rows(row_chunks: Iterable[List[List[str]]], out_format: str) -> None:
+    """Write each chunk of rows as it comes; the JSON form is byte for byte
+    `json.dumps(all_rows, indent=2)`."""
+    write = sys.stdout.write
+    rows = itertools.chain.from_iterable(row_chunks)
+    if out_format == "csv":
+        write(",".join(SWEEP_HEADER) + "\n")
+        for row in rows:
+            write(",".join(row) + "\n")
+        return
+    opening = "[\n  "
+    for row in rows:
+        write(opening + json.dumps(dict(zip(SWEEP_HEADER, row)), indent=2).replace("\n", "\n  "))
+        opening = ",\n  "
+    write("[]\n" if opening == "[\n  " else "\n]\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,9 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="embedding verdict with derived quantities")
     add_params(sp)
-    sp.add_argument("--radial", action="store_true", help="radial-subspace verdict")
-    sp.add_argument("--w0", action="store_true", help="zero-spherical-mean sufficient test")
-    sp.add_argument("--multiweight", type=str, help="JSON file with a multi-singularity spec")
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--radial", action="store_true", help="radial-subspace verdict")
+    mode.add_argument("--w0", action="store_true", help="zero-spherical-mean sufficient test")
+    mode.add_argument("--multiweight", type=str, help="JSON file with a multi-singularity spec")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("interval", help="exact admissible set of c")

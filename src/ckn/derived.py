@@ -21,17 +21,23 @@ auxiliary exponents used by the radial and interior characterizations:
     c_star      = (1 - q/r) c1 + (q/r) c0
     c_bar       = theta_bar * c1 + (1 - theta_bar) * c0
 
-Everything here is exact rational arithmetic; no floats.
+Everything here is exact rational arithmetic; no floats.  The arithmetic
+runs on Python ints: `line_core` reads the numerators and denominators of
+p, q, r, a, b once and writes the line over their least common
+denominator L (p = P/L and so on), and `derive` writes each field as one
+integer numerator over one integer denominator, with a single
+`Fraction(num, den)` per field.  `classify.CLine` reads the same core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import NamedTuple, Optional
 
 from .params import Params
-from .rational import INF, ExtRational, format_optional, format_rational, holder_conjugate
+from .rational import INF, ExtRational, Pair, format_optional, format_rational, holder_conjugate
 
 
 @dataclass(frozen=True)
@@ -81,56 +87,99 @@ class DerivedQuantities:
         }
 
 
-def critical_exponent(n: int, p: Fraction) -> ExtRational:
-    """Sobolev critical exponent: N p/(N-p) below dimension, +inf at or above."""
-    if p >= n:
-        return INF
-    return Fraction(n, 1) * p / (n - p)
+class LineCore(NamedTuple):
+    """One line (N, p, q, r, a, b) in integers over a common denominator L
+    of p, q, r, a, b: p = P/L, q = Q/L, r = R/L, and
+
+        L (a + N) = sa          slope_a = sa / Q
+        L (b - p + N) = sb      slope_b = sb / P
+        c0 = x0 / (L Q)         c1 = x1 / (L P)
+        slope_b - slope_a = gap / (P Q),   so c1 - c0 = R gap / (L P Q)
+        1/p - 1/N - 1/q = s / (N P Q)
+
+    Every denominator written here except those of gap and s is positive.
+    """
+
+    n: int
+    L: int
+    P: int
+    Q: int
+    R: int
+    sa: int
+    sb: int
+    x0: int
+    x1: int
+    gap: int
+    s: int
+
+    def c_bar(self) -> Pair:
+        """c_bar = c0 + theta_bar (c1 - c0) as (num, den), den > 0; s != 0."""
+        n, L, P, Q, R, sa, sb, x0, x1, gap, s = self
+        num, den = s * x0 + n * L * (Q - R) * gap, L * Q * s
+        return (num, den) if s > 0 else (-num, -den)
+
+    def theta(self, num: int, den: int) -> Fraction:
+        """theta_c of c = num/den (den > 0); the slopes must differ."""
+        n, L, P, Q, R, sa, sb, x0, x1, gap, s = self
+        return Fraction(P * (Q * L * (num + n * den) - R * sa * den), den * R * gap)
+
+
+def line_core(n: int, p: Fraction, q: Fraction, r: Fraction, a: Fraction, b: Fraction) -> LineCore:
+    pn, pd = p.as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
+    rn, rd = r.as_integer_ratio()
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    L = lcm(pd, qd, rd, ad, bd)
+    P = pn * (L // pd)
+    Q = qn * (L // qd)
+    R = rn * (L // rd)
+    nL = n * L
+    sa = an * (L // ad) + nL
+    sb = bn * (L // bd) - P + nL
+    return LineCore._make((
+        n, L, P, Q, R, sa, sb,
+        R * sa - nL * Q,
+        R * sb - nL * P,
+        sb * Q - sa * P,
+        nL * Q - P * Q - nL * P,
+    ))
 
 
 def derive(params: Params) -> DerivedQuantities:
-    n, p, q, r = params.n, params.p, params.q, params.r
-    a, b, c = params.a, params.b, params.c
+    core = line_core(params.n, params.p, params.q, params.r, params.a, params.b)
+    n, L, P, Q, R, sa, sb, x0, x1, gap, s = core
+    nL = n * L
 
-    slope_a = (a + n) / q
-    slope_b = (b - p + n) / p
-    c0 = r * slope_a - n
-    c1 = r * slope_b - n
-
-    theta_c = None
-    eta = None
-    if slope_a == slope_b:
-        eta = slope_a
+    slope_a = Fraction(sa, Q)
+    if gap == 0:
+        theta_c, eta = None, slope_a
     else:
-        theta_c = (c - c0) / (c1 - c0)
+        theta_c, eta = core.theta(*params.c.as_integer_ratio()), None
 
-    p_conj = holder_conjugate(p)
-    # q/p' written without infinite arithmetic: q (p-1)/p, which is 0 at p=1.
-    q_over_pconj = q * (p - 1) / p
-    theta_breve = (1 - q / r) / (q_over_pconj + 1)
-
-    # 1/p - 1/N - 1/q, the slope of the interior theta-condition.
-    s_factor = 1 / p - Fraction(1, n) - 1 / q
-    if s_factor == 0:
-        theta_bar = None
-        c_bar = None
+    # p' = p/(p-1); holder_conjugate raises below 1 and gives inf at 1
+    p_conj = holder_conjugate(params.p) if P <= L else Fraction(P, P - L)
+    # (1 - q/r) / (q (p-1)/p + 1)
+    theta_breve = Fraction((R - Q) * L * P, R * (Q * (P - L) + L * P))
+    if s == 0:
+        theta_bar = c_bar = None
     else:
-        theta_bar = (1 / r - 1 / q) / s_factor
-        c_bar = theta_bar * c1 + (1 - theta_bar) * c0
-
-    c_star = (1 - q / r) * c1 + (q / r) * c0
+        # (1/r - 1/q) / (1/p - 1/N - 1/q)
+        theta_bar = Fraction(nL * P * (Q - R), R * s)
+        c_bar = Fraction(*core.c_bar())
 
     return DerivedQuantities(
-        c0=c0,
-        c1=c1,
-        p_star=critical_exponent(n, p),
+        c0=Fraction(x0, L * Q),
+        c1=Fraction(x1, L * P),
+        p_star=INF if P >= nL else Fraction(n * P, nL - P),
         slope_a=slope_a,
-        slope_b=slope_b,
+        slope_b=Fraction(sb, P),
         theta_c=theta_c,
         eta=eta,
         theta_breve=theta_breve,
         theta_bar=theta_bar,
-        c_star=c_star,
+        # c0 + (1 - q/r)(c1 - c0)
+        c_star=Fraction(P * x0 + (R - Q) * gap, L * P * Q),
         c_bar=c_bar,
         p_conj=p_conj,
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,19 +87,19 @@ def _log_additive_ratio(triple: NormTriple) -> float:
     return triple.target.log_value - float(denom)
 
 
-def _sup_dilation_log_ratio(params: Params, triple: NormTriple) -> float:
+def _sup_dilation_log_ratio(slopes: Tuple[float, float, float], triple: NormTriple) -> float:
     """Supremum over dilations u(lam x) of the additive ratio, computed
     analytically from the exact scaling laws (norms scale by lam^{-slope}).
 
-    With f(w) = logT - s_c w - LSE(logA - s_a w, logB - s_b w), w = ln lam,
+    `slopes` are the scaling slopes (s_c, s_a, s_b) = ((c+N)/r, slope_a,
+    slope_b) of the target, source and gradient norms.  With
+    f(w) = logT - s_c w - LSE(logA - s_a w, logB - s_b w), w = ln lam,
     the supremum sits at the balance point of the two denominator terms
     when s_c lies strictly between the slopes, and at the one-sided limit
     T/A or T/B when s_c equals a slope.  Members whose gradient (or
     source) norm vanishes identically fall back to the two-norm ratio.
     """
-    d = derive(params)
-    s_c = float((params.c + params.n) / params.r)
-    s_a, s_b = float(d.slope_a), float(d.slope_b)
+    s_c, s_a, s_b = slopes
     log_t = triple.target.log_value
     log_a = triple.source.log_value
     log_b = triple.grad.log_value
@@ -323,6 +323,8 @@ def falsify_instance(
     threshold = cfg.divergence_threshold
 
     trace: List[TraceEntry] = []
+    d = verdict.derived
+    slopes = (float((params.c + params.n) / params.r), float(d.slope_a), float(d.slope_b))
 
     def report(ok: bool, certificate: bool, crossed_at: Optional[int],
                failure: Optional[str] = None) -> FalsifyReport:
@@ -340,7 +342,7 @@ def falsify_instance(
             trace.append(TraceEntry(index, math.inf, math.inf, True, "divergent target norm"))
             return report(True, True, index)
         if witness.mode == "sup_dilation":
-            log_ratio = _sup_dilation_log_ratio(params, triple)
+            log_ratio = _sup_dilation_log_ratio(slopes, triple)
         else:
             log_ratio = _log_additive_ratio(triple)
         ratio = math.exp(log_ratio) if log_ratio < 700 else math.inf

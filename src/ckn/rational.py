@@ -1,8 +1,10 @@
 """Exact rational scalars and the extended line with +infinity.
 
-All decision logic in this package runs on `fractions.Fraction` (arbitrary
-precision, always in lowest terms with positive denominator).  Floating
-point never enters a classification: boundary cases such as c landing
+All decision logic in this package is exact: values enter and leave as
+`fractions.Fraction` (arbitrary precision, always in lowest terms with
+positive denominator), and the exact core computes on Python ints in
+between, comparing (num, den) pairs by cross products.  Floating point
+never enters a classification: boundary cases such as c landing
 exactly on an endpoint, or the two weight slopes coinciding, must be
 decidable.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -66,6 +68,9 @@ INF = _PositiveInfinity()
 
 ExtRational = Union[Fraction, _PositiveInfinity]
 
+# num/den with den > 0, not necessarily in lowest terms
+Pair = Tuple[int, int]
+
 
 def is_infinite(x: ExtRational) -> bool:
     return isinstance(x, _PositiveInfinity)
@@ -86,6 +91,15 @@ def ext_max(x: ExtRational, y: ExtRational) -> ExtRational:
 
 def ext_min(x: ExtRational, y: ExtRational) -> ExtRational:
     return x if ext_le(x, y) else y
+
+
+def sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def compare(x: Pair, y: Pair) -> int:
+    """Sign of x - y, by one cross product."""
+    return sign(x[0] * y[1] - y[0] * x[1])
 
 
 def parse_rational(text: str, name: str = "value") -> Fraction:

@@ -304,3 +304,63 @@ def test_sweep_grid_rows_match_classify_with_either_job_count(tmp_path, capsys):
         assert all(-6 < mark < 7 for mark in (d.c0, d.c1, -3, d.c_bar)), row
         labels.add(row["case"] or row["reason"])
     assert {"II", "COutsideHull", "COutsideOppositeSideWindow", "ThetaConditionFails"} <= labels
+
+
+def test_classify_modes_are_mutually_exclusive(tmp_path, capsys):
+    import pytest
+
+    spec = tmp_path / "mw.json"
+    spec.write_text(json.dumps({
+        "n": 3, "p": "2", "q": "2", "r": "2",
+        "singularities": [{"a": "0", "b": "0", "c": "0"}],
+        "infinity": {"a": "0", "b": "0", "c": "0"},
+    }))
+    modes = (["--radial"], ["--w0"], ["--multiweight", str(spec)])
+    for k, first in enumerate(modes):
+        for second in modes[k + 1:]:
+            with pytest.raises(SystemExit) as exc:
+                main(["classify", *first, *second, *BASE, "--c", "0"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "not allowed with argument" in captured.err
+
+
+def test_sweep_axis_crossing_below_one_exits_two_before_output(tmp_path, capsys):
+    # p = 1/2, 3/4 are invalid, every later point is valid
+    spec = {
+        "fixed": {"n": "3", "q": "2", "r": "2", "a": "0", "b": "0", "c": "0"},
+        "axes": [{"param": "p", "start": "1/2", "stop": "4", "step": "1/4"}],
+    }
+    for fmt in ("csv", "json"):
+        code, out, err = _sweep_error(tmp_path, capsys, {**spec, "format": fmt})
+        assert code == 2 and out == ""
+        assert err == {"error": "full-space classification requires p >= 1, got p=1/2"}
+
+
+def test_sweep_empty_grid_prints_header_or_empty_list(tmp_path, capsys):
+    spec = {
+        "fixed": {"n": "3", "p": "2", "q": "2", "r": "2", "a": "0", "b": "0"},
+        "axes": [{"param": "c", "start": "1", "stop": "0", "step": "1"}],
+    }
+    outputs = {}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"empty_{fmt}.json"
+        path.write_text(json.dumps({**spec, "format": fmt}))
+        code, outputs[fmt], _ = run(capsys, "sweep", str(path))
+        assert code == 0
+    assert outputs["csv"] == "n,p,q,r,a,b,c,decision,case,reason,c0,c1,theta_c\n"
+    assert outputs["json"] == "[]\n"
+
+
+def test_sweep_json_rows_are_written_as_one_indented_list(tmp_path, capsys):
+    spec = {
+        "fixed": {"n": "3", "p": "2", "q": "2", "r": "2", "a": "0", "b": "0"},
+        "axes": [{"param": "c", "start": "-3", "stop": "1", "step": "1/2"}],
+        "format": "json",
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "sweep", str(path))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)) == 9
