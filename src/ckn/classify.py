@@ -45,9 +45,9 @@ midpoints between them.
 
 `classify_radial` is the analogous characterization for the subspace of
 radially symmetric functions (valid for all q, r > 0), with its own case
-priority; its necessity reason is the label of the one-dimensional
-reduction.  `classify_w0` gives the sufficient conditions for the
-subspace with vanishing spherical mean.
+priority; it labels only the line of the one-dimensional reduction, and
+that label is its necessity reason.  `classify_w0` gives the sufficient
+conditions for the subspace with vanishing spherical mean.
 """
 
 from __future__ import annotations
@@ -255,8 +255,9 @@ def classify(params: Params) -> Verdict:
     """Full-space verdict: Embeds with a case tag, or DoesNotEmbed with
     the first applicable necessity reason."""
     validate_full_space(params)
-    d = derive(params)
-    return _verdict(CLine.of(params).label(params.c.as_integer_ratio()), d)
+    line = CLine.of(params)
+    d = line.core.quantities(params.c)
+    return _verdict(line.label(params.c.as_integer_ratio()), d)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +284,18 @@ def classify_radial(params: Params) -> Verdict:
 
     There is no r <= max{p*, q} gate: the radial problem behaves like
     dimension one, where the critical exponent is infinite.
+
+    Only the reduced line (`radial_reduction`) is labelled: the shift by
+    N - 1 moves c0, c1, -N and c together and keeps the sides of a and
+    b - p, so the cases read as on the full line, and its label is the reason.
     """
     validate_radial(params)
     d = derive(params)
-    line = CLine.of(params)
-    p, q, r, c = params.p, params.q, params.r, params.c
-    s0, s1, sm = line.place(c.as_integer_ratio())
+    p, q, r = params.p, params.q, params.r
+    shift = params.n - 1
+    line = CLine(1, p, q, r, params.a + shift, params.b + shift)
+    c = (params.c.numerator + shift * params.c.denominator, params.c.denominator)
+    s0, s1, sm = line.place(c)
 
     if s0 == 0 and (
         r == q
@@ -302,12 +309,7 @@ def classify_radial(params: Params) -> Verdict:
     if line.in_piece(s0, s1, sm) and d.theta_c >= d.theta_breve:
         return _verdict(line.piece, d)
 
-    # the radial problem is the one-dimensional full problem with shifted
-    # weights (`radial_reduction`); the necessity reason is read off the
-    # reduced tuple's line
-    shift = params.n - 1
-    reduced = CLine(1, p, q, r, params.a + shift, params.b + shift)
-    reason = reduced.label((c.numerator + shift * c.denominator, c.denominator))
+    reason = line.label(c)
     if not isinstance(reason, Reason):
         raise AssertionError(f"the one-dimensional reduction of {params} embeds")
     return _verdict(reason, d)

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .admissible import ThetaSetKind, admissible_set, theta_set
 from .classify import Case, CLine, Decision, classify, classify_radial, classify_w0
-from .derived import derive
 from .multiweight import multiweight_classify, multiweight_from_dict
 from .params import Params, validate_full_space
 from .probes import (
@@ -56,7 +55,15 @@ def _config():
     cfg = DEFAULT_CONFIG
     override = os.environ.get("CKN_QUAD_TOL")
     if override:
-        cfg = cfg.with_rel_tol(float(override))
+        try:
+            tol = float(override)
+        except ValueError:
+            tol = float("nan")
+        # inf, nan and tolerances outside (0, 1) make the quadrature wrong
+        # or keep it subdividing without end
+        if not 0 < tol < 1:
+            raise ValueError(f"CKN_QUAD_TOL must be a number in (0, 1), got {override!r}")
+        cfg = cfg.with_rel_tol(tol)
     return cfg
 
 
@@ -233,10 +240,11 @@ def _sweep_rows(n: int, points: List[tuple]) -> List[List[str]]:
         if point[:5] != key:
             key = point[:5]
             if key not in lines:
-                params = Params(n, *point)
-                d = derive(params)
+                # `cmd_sweep` has validated the extreme points, which bound
+                # every coordinate of every point
+                line = CLine(n, *key)
                 head = [str(n), *map(format_rational, key)]
-                lines[key] = (CLine.of(params), head, format_rational(d.c0), format_rational(d.c1))
+                lines[key] = (line, head, str(Fraction(*line.c0)), str(Fraction(*line.c1)))
             line, head, c0, c1 = lines[key]
         c = point[5].as_integer_ratio()
         tag = line.label(c)
@@ -266,6 +274,8 @@ def cmd_sweep(args) -> int:
     ):
         raise ValueError("sweep spec needs a 'fixed' object and a list of 'axes' objects")
     out_format = spec.get("format", "csv")
+    if out_format not in ("csv", "json"):
+        raise ValueError(f"sweep format must be 'csv' or 'json', got {out_format!r}")
     cap = int(spec.get("cap", GRID_CAP_DEFAULT))
 
     n = int(fixed["n"])

@@ -24,9 +24,9 @@ auxiliary exponents used by the radial and interior characterizations:
 Everything here is exact rational arithmetic; no floats.  The arithmetic
 runs on Python ints: `line_core` reads the numerators and denominators of
 p, q, r, a, b once and writes the line over their least common
-denominator L (p = P/L and so on), and `derive` writes each field as one
-integer numerator over one integer denominator, with a single
-`Fraction(num, den)` per field.  `classify.CLine` reads the same core.
+denominator L (p = P/L and so on).  `LineCore.quantities(c)` writes each
+field as one integer numerator over one integer denominator, one
+`Fraction(num, den)` per field; `derive` and `classify.CLine` share it.
 """
 
 from __future__ import annotations
@@ -123,6 +123,45 @@ class LineCore(NamedTuple):
         n, L, P, Q, R, sa, sb, x0, x1, gap, s = self
         return Fraction(P * (Q * L * (num + n * den) - R * sa * den), den * R * gap)
 
+    def quantities(self, c: Fraction) -> DerivedQuantities:
+        """The derived quantities at c; `classify` reads them off the core
+        of the `CLine` it labels, so one core serves both."""
+        n, L, P, Q, R, sa, sb, x0, x1, gap, s = self
+        nL = n * L
+
+        slope_a = Fraction(sa, Q)
+        if gap == 0:
+            theta_c, eta = None, slope_a
+        else:
+            theta_c, eta = self.theta(*c.as_integer_ratio()), None
+
+        # p' = p/(p-1); holder_conjugate raises below 1 and gives inf at 1
+        p_conj = holder_conjugate(Fraction(P, L)) if P <= L else Fraction(P, P - L)
+        # (1 - q/r) / (q (p-1)/p + 1)
+        theta_breve = Fraction((R - Q) * L * P, R * (Q * (P - L) + L * P))
+        if s == 0:
+            theta_bar = c_bar = None
+        else:
+            # (1/r - 1/q) / (1/p - 1/N - 1/q)
+            theta_bar = Fraction(nL * P * (Q - R), R * s)
+            c_bar = Fraction(*self.c_bar())
+
+        return DerivedQuantities(
+            c0=Fraction(x0, L * Q),
+            c1=Fraction(x1, L * P),
+            p_star=INF if P >= nL else Fraction(n * P, nL - P),
+            slope_a=slope_a,
+            slope_b=Fraction(sb, P),
+            theta_c=theta_c,
+            eta=eta,
+            theta_breve=theta_breve,
+            theta_bar=theta_bar,
+            # c0 + (1 - q/r)(c1 - c0)
+            c_star=Fraction(P * x0 + (R - Q) * gap, L * P * Q),
+            c_bar=c_bar,
+            p_conj=p_conj,
+        )
+
 
 def line_core(n: int, p: Fraction, q: Fraction, r: Fraction, a: Fraction, b: Fraction) -> LineCore:
     pn, pd = p.as_integer_ratio()
@@ -148,41 +187,7 @@ def line_core(n: int, p: Fraction, q: Fraction, r: Fraction, a: Fraction, b: Fra
 
 def derive(params: Params) -> DerivedQuantities:
     core = line_core(params.n, params.p, params.q, params.r, params.a, params.b)
-    n, L, P, Q, R, sa, sb, x0, x1, gap, s = core
-    nL = n * L
-
-    slope_a = Fraction(sa, Q)
-    if gap == 0:
-        theta_c, eta = None, slope_a
-    else:
-        theta_c, eta = core.theta(*params.c.as_integer_ratio()), None
-
-    # p' = p/(p-1); holder_conjugate raises below 1 and gives inf at 1
-    p_conj = holder_conjugate(params.p) if P <= L else Fraction(P, P - L)
-    # (1 - q/r) / (q (p-1)/p + 1)
-    theta_breve = Fraction((R - Q) * L * P, R * (Q * (P - L) + L * P))
-    if s == 0:
-        theta_bar = c_bar = None
-    else:
-        # (1/r - 1/q) / (1/p - 1/N - 1/q)
-        theta_bar = Fraction(nL * P * (Q - R), R * s)
-        c_bar = Fraction(*core.c_bar())
-
-    return DerivedQuantities(
-        c0=Fraction(x0, L * Q),
-        c1=Fraction(x1, L * P),
-        p_star=INF if P >= nL else Fraction(n * P, nL - P),
-        slope_a=slope_a,
-        slope_b=Fraction(sb, P),
-        theta_c=theta_c,
-        eta=eta,
-        theta_breve=theta_breve,
-        theta_bar=theta_bar,
-        # c0 + (1 - q/r)(c1 - c0)
-        c_star=Fraction(P * x0 + (R - Q) * gap, L * P * Q),
-        c_bar=c_bar,
-        p_conj=p_conj,
-    )
+    return core.quantities(params.c)
 
 
 def theta_slack(theta: Fraction, params: Params) -> Fraction:

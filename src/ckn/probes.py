@@ -42,6 +42,7 @@ from .quadrature import (
     weighted_norm_gradient,
 )
 from .testfunctions import TestFunction, dilate, first_harmonic, radial
+from .witnesses import witness_for_verdict
 
 DEFAULT_SCALES = (0.125, 0.5, 2.0, 8.0)
 
@@ -306,19 +307,15 @@ class FalsifyReport:
 
 def falsify_instance(
     params: Params,
-    witness=None,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     max_index: Optional[int] = None,
 ) -> FalsifyReport:
     """Walk the witness family until the additive ratio crosses the
     divergence threshold or a divergent-target certificate appears."""
-    from .witnesses import witness_for_verdict
-
     verdict = classify(params)
     if verdict.decision is not Decision.DOES_NOT_EMBED:
         raise ValueError("falsify_instance requires a non-embedding instance")
-    if witness is None:
-        witness = witness_for_verdict(params)
+    witness = witness_for_verdict(params, verdict)
     cap = max_index if max_index is not None else witness.max_index
     threshold = cfg.divergence_threshold
 

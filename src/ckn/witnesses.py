@@ -22,8 +22,9 @@ divergent while the source norms are finite:
                              power-weight Hardy inequality for r < p.
                              The a = -N variant multiplies the tail by
                              t^{-eps_n}, eps_n = 1/log(n+2), to stay in
-                             the source space.  Instances on the wrong
-                             side of -N are reflected by inversion first.
+                             the source space.  Mirrored instances
+                             (a > -N, or a = -N with slope_b > 0) take
+                             the inverted profile and the negated slope.
   EqualSlopesSmallR          log-window profiles t^{-eta} W(lam ln t)
                              with lam -> 0: every term scales by a
                              different power of lam and r < min{p,q}
@@ -48,9 +49,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import Reason, classify
-from .derived import DerivedQuantities, derive, theta_slack
-from .params import Params, kelvin_params
+from .classify import Reason, Verdict
+from .derived import DerivedQuantities, theta_slack
+from .params import Params
 from .profiles import (
     InvertedProfile,
     LogModulated,
@@ -62,7 +63,7 @@ from .profiles import (
     SmoothBump,
     TruncatedPrimitive,
 )
-from .testfunctions import TestFunction, kelvin_function, radial, translated
+from .testfunctions import TestFunction, radial, translated
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,9 @@ class WitnessFamily:
 @dataclass(frozen=True)
 class _FixedFamily(WitnessFamily):
     profile: RadialProfile = None
-    inverted: bool = False
 
     def member(self, index: int) -> TestFunction:
-        u = radial(self.profile)
-        return kelvin_function(u) if self.inverted else u
+        return radial(self.profile)
 
 
 @dataclass(frozen=True)
@@ -265,22 +264,12 @@ def _c0_endpoint_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
 
 
 def _c1_endpoint_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
-    inverted = False
-    work = params
-    if params.a > -params.n:
-        # reflect to the a < -N side (a = -N is preserved by reflection)
-        work = kelvin_params(params)
-        inverted = True
-    dw = derive(work)
-    gamma = dw.slope_b
-    beta = (work.b + work.n) / work.p  # = gamma + 1
-    eps_modulated = work.a == -work.n
-    if eps_modulated and gamma > 0:
-        work = kelvin_params(work)
-        dw = derive(work)
-        gamma = dw.slope_b
-        beta = (work.b + work.n) / work.p
-        inverted = not inverted
+    # mirrored instances take the inverted profile: the Kelvin reflection
+    # keeps a = -N and negates slope_b
+    eps_modulated = params.a == -params.n
+    inverted = params.a > -params.n or (eps_modulated and d.slope_b > 0)
+    gamma = -d.slope_b if inverted else d.slope_b
+    beta = gamma + 1  # (b + N) / p on the reflected side
 
     if gamma >= 0:
         # eventually-constant profiles have divergent target norm outright
@@ -377,26 +366,13 @@ _BUILDERS = {
 }
 
 
-def witness_for(reason: Reason, params: Params) -> WitnessFamily:
-    """The counterexample family matching a classifier reason.
-
-    The reason must be the one the classifier actually assigns to the
-    parameters; mismatches are rejected.
-    """
-    verdict = classify(params)
-    if verdict.embeds or verdict.reason is not reason:
-        raise ValueError(
-            f"reason {reason.value} does not match the verdict "
-            f"{verdict.reason.value if verdict.reason else verdict.decision.value}"
-        )
-    d = verdict.derived
+def witness_for_verdict(params: Params, verdict: Verdict) -> WitnessFamily:
+    """The counterexample family of the reason in `verdict`, which must be
+    `classify(params)`: the family reads the verdict's derived quantities
+    and does not classify again."""
+    if verdict.embeds:
+        raise ValueError("witness families exist only for non-embedding instances")
+    reason, d = verdict.reason, verdict.derived
     if reason in (Reason.EQUAL_SLOPES_SMALL_R, Reason.ETA_ZERO_SMALL_R):
         return _log_window_family(params, d, reason)
     return _BUILDERS[reason](params, d)
-
-
-def witness_for_verdict(verdict_params: Params) -> WitnessFamily:
-    verdict = classify(verdict_params)
-    if verdict.embeds:
-        raise ValueError("witness families exist only for non-embedding instances")
-    return witness_for(verdict.reason, verdict_params)

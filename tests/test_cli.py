@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+import ckn.cli
 from ckn.cli import main
 
 
@@ -364,3 +367,33 @@ def test_sweep_json_rows_are_written_as_one_indented_list(tmp_path, capsys):
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert len(json.loads(out)) == 9
+
+
+def _no_probe(*args, **kwargs):
+    raise AssertionError("a probe ran")
+
+
+@pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan", "abc"])
+@pytest.mark.parametrize("command,c", [("verify", "-1"), ("falsify", "-3")])
+def test_quad_tol_outside_unit_interval_exits_two_before_any_quadrature(
+    capsys, monkeypatch, tol, command, c
+):
+    # inf used to give a false probe mismatch (exit 3); 0, -1 and nan kept
+    # the panel walks subdividing without end
+    monkeypatch.setenv("CKN_QUAD_TOL", tol)
+    monkeypatch.setattr(ckn.cli, "verify_instance", _no_probe)
+    monkeypatch.setattr(ckn.cli, "falsify_instance", _no_probe)
+    code, out, err = run(capsys, command, *BASE, "--c", c)
+    assert code == 2 and out == ""
+    assert "CKN_QUAD_TOL" in json.loads(err)["error"]
+
+
+def test_sweep_unknown_format_is_input_error(tmp_path, capsys):
+    spec = {
+        "fixed": {"n": "3", "p": "2", "q": "2", "r": "2", "a": "0", "b": "0"},
+        "axes": [{"param": "c", "start": "-3", "stop": "1", "step": "1"}],
+        "format": "xml",
+    }
+    code, out, err = _sweep_error(tmp_path, capsys, spec)
+    assert code == 2 and out == ""
+    assert "xml" in err["error"]
