@@ -18,6 +18,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -130,6 +131,9 @@ def cmd_theta(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # a nan tolerance passes every defect, a negative one fails every report
+    if not 0 <= args.defect_tol < math.inf:
+        raise ValueError(f"--defect-tol must be a finite number >= 0, got {args.defect_tol!r}")
     params = _parse_params(args)
     verdict = classify(params)
     if verdict.decision is not Decision.EMBEDS:
@@ -166,6 +170,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_falsify(args) -> int:
+    # a negative index walks no member and reports a false probe mismatch
+    if args.max_index is not None and args.max_index < 0:
+        raise ValueError(f"--max-index must be an integer >= 0, got {args.max_index}")
     params = _parse_params(args)
     verdict = classify(params)
     if verdict.decision is not Decision.DOES_NOT_EMBED:

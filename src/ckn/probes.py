@@ -38,8 +38,7 @@ from .quadrature import (
     NormStatus,
     NormValue,
     QuadratureConfig,
-    weighted_norm,
-    weighted_norm_gradient,
+    weighted_norms,
 )
 from .testfunctions import TestFunction, dilate, first_harmonic, radial
 from .witnesses import witness_for_verdict
@@ -68,11 +67,17 @@ class NormTriple:
 def compute_norms(
     params: Params, u: TestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> NormTriple:
-    return NormTriple(
-        target=weighted_norm(u, params.c, params.r, params.n, cfg),
-        source=weighted_norm(u, params.a, params.q, params.n, cfg),
-        grad=weighted_norm_gradient(u, params.b, params.p, params.n, cfg),
-    )
+    return _norm_triples(params, [u], cfg)[0]
+
+
+def _norm_triples(
+    params: Params, functions: Sequence[TestFunction], cfg: QuadratureConfig
+) -> List[NormTriple]:
+    """The NormTriple of each function; all their radial panel integrals
+    share one integrator session."""
+    kinds = ((params.c, params.r, False), (params.a, params.q, False), (params.b, params.p, True))
+    norms = weighted_norms([(u, d, s, params.n, gradient) for u in functions for d, s, gradient in kinds], cfg)
+    return [NormTriple(*norms[i:i + 3]) for i in range(0, len(norms), 3)]
 
 
 def _log_mult_ratio(triple: NormTriple, theta: float) -> float:
@@ -229,8 +234,12 @@ def verify_instance(
     defect = 0.0
     failure = None
 
-    for idx, u in enumerate(family):
-        base = compute_norms(params, u, cfg)
+    # every norm of every member and scale in one session, read in order;
+    # the norms past a failure are dropped
+    triples = iter(_norm_triples(
+        params, [v for u in family for v in (u, *(dilate(u, lam) for lam in scales))], cfg))
+    for idx in range(len(family)):
+        base = next(triples)
         if not base.all_finite:
             failure = f"member {idx}: divergent norm inside a yes-instance"
             break
@@ -241,7 +250,7 @@ def verify_instance(
         members.append(VerifyMember(idx, 1.0, base, base_ratio))
         max_ratio = max(max_ratio, base_ratio)
         for lam in scales:
-            triple = compute_norms(params, dilate(u, lam), cfg)
+            triple = next(triples)
             if not triple.all_finite:
                 failure = f"member {idx}: divergent norm at scale {lam}"
                 break

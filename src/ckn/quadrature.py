@@ -21,13 +21,19 @@ points.  Singular ends are handled in three tiers:
      contribution falls below the relative tolerance; failure to converge
      within the panel budget is an explicit error, never a silent value.
 
-One integrator serves every panel path, and it is batched.  The adaptive
-bisection runs breadth first: all pending panels of one depth share one
-integrand call, and each half-panel sum, once computed, is its child's
-coarse estimate.  The walks toward 0 and infinity integrate blocks of 16
-panels per call, then apply their stopping rules panel by panel, so they
-sum the panels a one-at-a-time walk would.  The 2-D integrands below are
-evaluated in slices of 256 points, which bounds their matrices.
+One integrator serves every panel path: a session of `panels.integrate`,
+which bisects the pending panels of all its integrals breadth first, one
+integrand call per depth, and walks them toward 0 and infinity in
+lockstep blocks, each integral with its own tests, walks and budget.
+Every radial panel integral of a `weighted_norms` call shares one
+session, so the norms of a whole `verify` instance (8 members x 5 scales
+x 3 norms) take about 15 integrand calls instead of about 600.  Its
+integrand reads a dilated profile f(lam t) or its gradient view
+lam f'(lam t) as base.value(lam t) or lam base.derivative(lam t), one
+profile call per base and run of points.  Divergence certificates and
+closed forms settle their norms before the session, one norm at a time.
+The 2-D integrands below get a session each and are evaluated in slices
+of 256 points, which bounds their matrices.
 
 First-harmonic functions u = f(t) x1/|x| reduce to one radial integral
 times a closed-form angular moment (for the function) and to a 2D
@@ -46,34 +52,16 @@ All decision logic stays upstream and exact; this module only corroborates.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .profiles import LogModulated, PiecewisePower, RadialProfile
+from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, gauss_legendre, integrate
+from .profiles import DerivView, LogModulated, PiecewisePower, RadialProfile, ScaledProfile
 from .testfunctions import Angular, TestFunction
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-280
-    max_subdivisions: int = 12
-    max_panels: int = 6000
-    gauss_nodes: int = 16
-    angular_nodes: int = 48
-    divergence_threshold: float = 1e3
-
-    def with_rel_tol(self, rel_tol: float) -> "QuadratureConfig":
-        return replace(self, rel_tol=rel_tol)
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 class NormStatus(str, Enum):
@@ -119,10 +107,6 @@ class NormValue:
         }
 
 
-class QuadratureError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # small numerics helpers
 # ---------------------------------------------------------------------------
@@ -135,11 +119,6 @@ def _logsumexp(terms) -> float:
     if m == math.inf:
         return math.inf
     return m + math.log(sum(math.exp(t - m) for t in terms))
-
-
-@lru_cache(maxsize=16)
-def _gl(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
 
 
 def surface_area(n: int) -> float:
@@ -217,126 +196,102 @@ def _diverges_at_inf(d, s, n, powers) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# batched adaptive panel integration
+# integrands of the panel sessions
 # ---------------------------------------------------------------------------
 
-# panels per integrand call on the walks toward 0 and infinity
-_BLOCK = 16
-# points per call of a 2-D integrand, whose points x angles matrices would
-# otherwise grow with the number of pending panels
+# points per evaluation of a 2-D integrand, whose points x angles matrices
+# would otherwise grow with the chunks of the integrator
 _SLICE = 256
 
 
 def _sliced(g):
-    """g evaluated at most _SLICE points at a time."""
-    return lambda t: np.concatenate([g(t[i:i + _SLICE]) for i in range(0, t.size, _SLICE)])
+    """The integrand g(t) of a one-integral session, evaluated at most
+    _SLICE points at a time."""
+    return lambda t, _owner: np.concatenate([g(t[i:i + _SLICE]) for i in range(0, t.size, _SLICE)])
 
 
-def _gauss_sums(g, nodes: int, *panels) -> np.ndarray:
-    """Gauss-Legendre sums of g over each pair (x0, x1) of panel arrays, one
-    row per pair, from one call of g."""
-    x, w = _gl(nodes)
-    x0, x1 = (np.concatenate(ends) for ends in zip(*panels))
-    mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-    sums = half * (g((mid[:, None] + half[:, None] * x).ravel()).reshape(-1, nodes) @ w)
-    return sums.reshape(len(panels), -1)
+def _dilation(profile: RadialProfile) -> Tuple[RadialProfile, bool, float]:
+    """(base, derivative, lam): the values of profile are base.value(lam t),
+    or lam base.derivative(lam t) when derivative, as ScaledProfile and
+    DerivView compute them."""
+    derivative = isinstance(profile, DerivView)
+    if derivative:
+        profile = profile.base
+    if isinstance(profile, ScaledProfile):
+        return profile.inner, derivative, profile.lam
+    return profile, derivative, 1.0
 
 
-def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, cfg: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Adaptive bisection of every panel [x0[i], x1[i]], breadth first.
+def _radial_integrand(views, group, wexp, s):
+    """The integrand t^wexp[i] |f_i(t)|^s[i] of integral i, where
+    views[i] = _dilation(f_i) and group[i] numbers the (base profile, value
+    or derivative) that f_i reads.
 
-    A panel is accepted when the sum of its two halves (fine) agrees with
-    its own sum (coarse) to rel_tol, or at depth 0; otherwise its halves
-    become panels of the next depth, with their sums already in hand as
-    coarse estimates.  All pending panels of one depth share one call of
-    g.  Values and errors are then summed bottom-up, left + right.
+    Each call reads each group once per run of consecutive rows in it; the
+    per-row parameters are repeated per point, so that all arithmetic is on
+    flat arrays, and a call whose rows all belong to one integral uses its
+    parameters as scalars.
     """
-    if x0.size == 0:
-        return x0, x0
-    xm = 0.5 * (x0 + x1)
-    coarse, left, right = _gauss_sums(g, cfg.gauss_nodes, (x0, x1), (x0, xm), (xm, x1))
-    levels, depth = [], cfg.max_subdivisions
-    while True:
-        fine = left + right
-        err = np.abs(fine - coarse)
-        accept = (err <= cfg.rel_tol * np.maximum(np.abs(fine), cfg.abs_tol)) | (depth <= 0)
-        split = np.flatnonzero(~accept)
-        levels.append((fine, err, split))
-        if not split.size:
-            break
-        x0, x1 = np.concatenate([x0[split], xm[split]]), np.concatenate([xm[split], x1[split]])
-        coarse, xm = np.concatenate([left[split], right[split]]), 0.5 * (x0 + x1)
-        left, right = _gauss_sums(g, cfg.gauss_nodes, (x0, xm), (xm, x1))
-        depth -= 1
-    value, error, _ = levels.pop()
-    while levels:
-        fine, err, split = levels.pop()
-        fine[split] = value[:split.size] + value[split.size:]
-        err[split] = error[:split.size] + error[split.size:]
-        value, error = fine, err
-    return value, error
+    group, table = np.array(group), np.array([[view[2] for view in views], wexp, s])
+
+    def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        i = owner[0]
+        if i == owner[-1]:  # rows come in order of owner: all of integral i
+            base, derivative, scale = views[i]
+            wexp, s = table[1, i], table[2, i]
+            x = t * scale
+            fv = scale * base.derivative(x) if derivative else base.value(x)
+        else:
+            per_row = t.size // owner.size
+            runs, (scale, wexp, s) = group[owner], table[:, owner].repeat(per_row, axis=1)
+            x, fv = t * scale, np.empty_like(t)
+            cuts = [0, *((runs[1:] != runs[:-1]).nonzero()[0] + 1).tolist(), owner.size]
+            for a, b in zip(cuts, cuts[1:]):
+                base, derivative, _ = views[owner[a]]
+                points = slice(a * per_row, b * per_row)
+                fv[points] = scale[points] * base.derivative(x[points]) if derivative else base.value(x[points])
+        fv = np.abs(fv)
+        # 0 where f vanishes (or is nan)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(fv > 0, np.exp(wexp * np.log(t) + s * np.log(fv)), 0.0)
+
+    return g
 
 
-def _in_order(values: np.ndarray) -> float:
-    """Sum left to right (not pairwise), as the panels are walked."""
-    return reduce(operator.add, values.tolist(), 0.0)
+def _session(norms, cfg: QuadratureConfig) -> list:
+    """The values of the norm generators of _radial_norm and _norm.
 
-
-def _extend(g, edge: float, factor: float, cfg: QuadratureConfig, hint: float) -> Tuple[float, float]:
-    """Panels from edge toward 0 (factor 1/2) or infinity (factor 2).
-
-    Blocks of _BLOCK panels are integrated at once; their results are then
-    taken one panel at a time until 8 quiet panels in a row (value below
-    rel_tol of the running total plus hint) or the 1e-280 / 1e280 edge.
+    Every panel integral they ask for shares one session, ordered so that
+    the rows of each (base profile, value or derivative) are consecutive.
     """
-    down = factor < 1.0
-    total, err, quiet = 0.0, 0.0, 0
-    for done in range(0, cfg.max_panels, _BLOCK):
-        outer = edge * factor ** np.arange(min(_BLOCK, cfg.max_panels - done) + 1)
-        past = outer[1:] < 1e-280 if down else outer[1:] > 1e280
-        if past.any():
-            outer = outer[:np.argmax(past) + 2]
-        values, errors = _panel_sums(g, *((outer[1:], outer[:-1]) if down else (outer[:-1], outer[1:])), cfg)
-        for val, e, edge in zip(values.tolist(), errors.tolist(), outer[1:].tolist()):
-            total, err = total + val, err + e
-            quiet = quiet + 1 if val <= cfg.rel_tol * max(total + hint, cfg.abs_tol) else 0
-            if quiet >= 8 or (edge < 1e-280 if down else edge > 1e280):
-                return total, err
-    raise QuadratureError(f"panel budget exhausted extending toward {'zero' if down else 'infinity'}")
+    out, waiting = [], []
+    for norm in norms:
+        try:
+            waiting.append((len(out), norm, next(norm)))
+            out.append(None)
+        except StopIteration as done:
+            out.append(done.value)
+    if not waiting:
+        return out
+    views = [_dilation(ask[0]) for _, _, ask in waiting]
+    keys = {}
+    group = [keys.setdefault((id(base), derivative), len(keys)) for base, derivative, _ in views]
+    order = sorted(range(len(waiting)), key=group.__getitem__)
+    _, wexp, s, integrals = zip(*(waiting[k][2] for k in order))
+    g = _radial_integrand([views[k] for k in order], [group[k] for k in order], wexp, s)
+    for k, result in zip(order, integrate(g, integrals, cfg)):
+        i, norm, _ = waiting[k]
+        try:
+            (norm.throw if isinstance(result, QuadratureError) else norm.send)(result)
+        except StopIteration as done:
+            out[i] = done.value
+    return out
 
 
-def _panel_edges(lo: float, hi: float, breakpoints) -> list:
-    """Geometric 2^k grid intersected with [lo, hi], plus seam points."""
-    edges = {lo, hi}
-    if lo > 0 and hi > lo:
-        k0 = math.ceil(math.log2(lo) + 1e-12)
-        k1 = math.floor(math.log2(hi) - 1e-12)
-        for k in range(k0, k1 + 1):
-            edges.add(2.0**k)
-    for b in breakpoints:
-        if lo < b < hi:
-            edges.add(b)
-    return sorted(edges)
-
-
-def _panel_integral(g, lo: float, hi: float, breakpoints, cfg: QuadratureConfig,
-                    down: bool = False, up: bool = False, hint: float = 0.0) -> Tuple[float, float]:
-    """(integral, summed error estimates) of g over [lo, hi], cut at the 2^k
-    grid and the seams, and if asked over (0, lo) and (hi, infinity) by the
-    walks of _extend.  hint is what the caller adds to the integral (closed
-    forms); the walks judge their panels quiet against it too.
-    """
-    edges = np.array(_panel_edges(lo, hi, breakpoints))
-    total, err = map(_in_order, _panel_sums(g, edges[:-1], edges[1:], cfg))
-    for wanted, edge, factor in ((down, lo, 0.5), (up, hi, 2.0)):
-        if wanted:
-            part, part_err = _extend(g, edge, factor, cfg, total + hint)
-            total, err = total + part, err + part_err
-    return total, err
-
-
-def _radial_log_integral(profile: RadialProfile, wexp: float, s: float, cfg: QuadratureConfig) -> Tuple[float, float]:
-    """log of the integral of t^wexp |f(t)|^s over the profile support.
+def _radial_log_integral(profile: RadialProfile, head, tail, wexp: float, s: float, cfg: QuadratureConfig):
+    """log of the integral of t^wexp |f(t)|^s over the profile support, as
+    a generator: it yields (profile, wexp, s, Integral) for the panel
+    integral it needs and is sent that integral's (value, error).
 
     Divergence must have been excluded by the caller.  Returns
     (log_integral, relative error estimate).
@@ -345,18 +300,8 @@ def _radial_log_integral(profile: RadialProfile, wexp: float, s: float, cfg: Qua
     if hi <= lo:
         return -math.inf, 0.0
 
-    def g(t: np.ndarray) -> np.ndarray:
-        fv = np.abs(profile.value(t))
-        out = np.zeros_like(fv)
-        mask = fv > 0
-        if np.any(mask):
-            with np.errstate(over="ignore"):
-                out[mask] = np.exp(wexp * np.log(t[mask]) + s * np.log(fv[mask]))
-        return out
-
     log_parts = []
     lo_eff, hi_eff = lo, hi
-    head, tail = profile.edges()
     if head is not None and head.exact is not None and lo == 0.0:
         log_parts.append(_log_power_piece(head.coef, head.power, None, math.log(head.exact), wexp, s))
         lo_eff = head.exact
@@ -382,10 +327,8 @@ def _radial_log_integral(profile: RadialProfile, wexp: float, s: float, cfg: Qua
     elif anchor_hi is None:
         anchor_hi = max(anchor_lo * 4.0, 1.0)
 
-    middle, err = _panel_integral(
-        g, anchor_lo, anchor_hi, profile.breakpoints, cfg,
-        down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint,
-    )
+    middle, err = yield profile, wexp, s, Integral(
+        anchor_lo, anchor_hi, profile.breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint)
     if not math.isfinite(middle):
         raise QuadratureError("panel sum overflowed")
     if middle > 0:
@@ -427,7 +370,7 @@ def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction,
     lam = profile.loglam
     # 32-panel composite GL in v, all panels in one window call, with the
     # exponential weight and each panel's sum handled in log space
-    x, w = _gl(cfg.gauss_nodes)
+    x, w = gauss_legendre(cfg.gauss_nodes)
     edges = np.linspace(-1.0, 1.0, 33)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     v = mid[:, None] + half[:, None] * x
@@ -448,14 +391,9 @@ def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction,
 # public norms
 # ---------------------------------------------------------------------------
 
-def weighted_norm_radial(
-    profile: RadialProfile,
-    d: Fraction,
-    s: Fraction,
-    n: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> NormValue:
-    """(N omega_N integral t^{d+n-1} |f|^s dt)^{1/s} with divergence status."""
+def _radial_norm(profile: RadialProfile, d: Fraction, s: Fraction, n: int, cfg: QuadratureConfig):
+    """weighted_norm_radial as a generator for _session: it yields what
+    _radial_log_integral yields, if anything, and returns the norm."""
     if s <= 0:
         raise ValueError("norm exponent must be positive")
     lo, hi = profile.support
@@ -473,7 +411,7 @@ def weighted_norm_radial(
         elif isinstance(profile, LogModulated):
             log_integral, rel_err = _log_modulated_log_integral(profile, d, s, n, cfg), 0.0
         else:
-            log_integral, rel_err = _radial_log_integral(profile, wexp, sf, cfg)
+            log_integral, rel_err = yield from _radial_log_integral(profile, at_zero, at_inf, wexp, sf, cfg)
     except QuadratureError as exc:
         return NormValue.failed(str(exc))
 
@@ -483,12 +421,23 @@ def weighted_norm_radial(
     return NormValue.from_log(log_norm, rel_err)
 
 
-def _panel_lognorm(log_prefactor: float, s: float, cfg: QuadratureConfig, g, *panels, **ends) -> NormValue:
-    """(prefactor * integral of g)^(1/s), the integral by _panel_integral."""
-    try:
-        total, err = _panel_integral(g, *panels, cfg, **ends)
-    except QuadratureError as exc:
-        return NormValue.failed(str(exc))
+def weighted_norm_radial(
+    profile: RadialProfile,
+    d: Fraction,
+    s: Fraction,
+    n: int,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> NormValue:
+    """(N omega_N integral t^{d+n-1} |f|^s dt)^{1/s} with divergence status."""
+    return _session([_radial_norm(profile, d, s, n, cfg)], cfg)[0]
+
+
+def _panel_lognorm(log_prefactor: float, s: float, cfg: QuadratureConfig, g, integral: Integral) -> NormValue:
+    """(prefactor * integral of g)^(1/s), the integral by a session of its own."""
+    result = integrate(g, [integral], cfg)[0]
+    if isinstance(result, QuadratureError):
+        return NormValue.failed(str(result))
+    total, err = result
     if total <= 0:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
     return NormValue.from_log((log_prefactor + math.log(total)) / s, err / max(total, cfg.abs_tol))
@@ -496,7 +445,7 @@ def _panel_lognorm(log_prefactor: float, s: float, cfg: QuadratureConfig, g, *pa
 
 def _polar_nodes(n: int, cfg: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
     """GL nodes of the polar angle on (0, pi), with weights times sin^(n-2)."""
-    psi, wpsi = _gl(cfg.angular_nodes)
+    psi, wpsi = gauss_legendre(cfg.angular_nodes)
     psi = 0.5 * math.pi * (psi + 1.0)
     return psi, 0.5 * math.pi * wpsi * np.sin(psi) ** (n - 2)
 
@@ -542,8 +491,8 @@ def _first_harmonic_gradient_lognorm(
 
     anchor_lo = lo if lo > 0 else min(1.0, *(x for x in (*profile.breakpoints, hi, 1.0) if 0 < x < math.inf))
     anchor_hi = hi if hi < math.inf else max(1.0, anchor_lo * 4.0, *(x for x in profile.breakpoints if x < math.inf))
-    return _panel_lognorm(math.log(sub_sphere_area(n)), pf, cfg, g, anchor_lo, anchor_hi,
-                          profile.breakpoints, down=lo == 0.0, up=hi == math.inf)
+    return _panel_lognorm(math.log(sub_sphere_area(n)), pf, cfg, g, Integral(
+        anchor_lo, anchor_hi, profile.breakpoints, down=lo == 0.0, up=hi == math.inf))
 
 
 def _translated_lognorm(
@@ -589,8 +538,35 @@ def _translated_lognorm(
         return out
 
     anchor_lo = lo if lo > 0 else hi / 512.0
-    return _panel_lognorm(df * math.log(offset) + prefactor_log, sf, cfg, g, anchor_lo, hi,
-                          profile.breakpoints, down=lo == 0.0)
+    return _panel_lognorm(df * math.log(offset) + prefactor_log, sf, cfg, g,
+                          Integral(anchor_lo, hi, profile.breakpoints, down=lo == 0.0))
+
+
+def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg: QuadratureConfig):
+    """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
+    for _session; the 2-D norms go through weighted_norm and
+    weighted_norm_gradient and yield nothing."""
+    if u.angular is Angular.RADIAL:
+        return (yield from _radial_norm(u.profile.derivative_profile() if gradient else u.profile, d, s, n, cfg))
+    if gradient:
+        return weighted_norm_gradient(u, d, s, n, cfg)
+    if u.angular is Angular.TRANSLATED:
+        return weighted_norm(u, d, s, n, cfg)
+    if n < 2:
+        raise ValueError("first harmonics need dimension >= 2")
+    base = yield from _radial_norm(u.profile, d, s, n, cfg)
+    if not base.finite:
+        return base
+    sf = float(s)
+    correction = (log_angular_moment(sf, n) - math.log(surface_area(n))) / sf
+    return NormValue.from_log(base.log_value + correction, base.error)
+
+
+def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """The norm of each (u, d, s, n, gradient) of norms: || grad u ||_{d,s}
+    when gradient, else || u ||_{d,s}.  Every radial panel integral among
+    them shares one session; the 2-D norms are computed one at a time."""
+    return _session([_norm(u, d, s, n, gradient, cfg) for u, d, s, n, gradient in norms], cfg)
 
 
 def weighted_norm(
@@ -601,18 +577,9 @@ def weighted_norm(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> NormValue:
     """|| u ||_{d,s} for any catalog test function."""
-    if u.angular is Angular.RADIAL:
-        return weighted_norm_radial(u.profile, d, s, n, cfg)
-    if u.angular is Angular.FIRST_HARMONIC:
-        if n < 2:
-            raise ValueError("first harmonics need dimension >= 2")
-        base = weighted_norm_radial(u.profile, d, s, n, cfg)
-        if not base.finite:
-            return base
-        sf = float(s)
-        correction = (log_angular_moment(sf, n) - math.log(surface_area(n))) / sf
-        return NormValue.from_log(base.log_value + correction, base.error)
-    return _translated_lognorm(u.profile, d, s, n, u.offset, cfg, use_derivative=False)
+    if u.angular is Angular.TRANSLATED:
+        return _translated_lognorm(u.profile, d, s, n, u.offset, cfg, use_derivative=False)
+    return weighted_norms([(u, d, s, n, False)], cfg)[0]
 
 
 def weighted_norm_gradient(
@@ -623,8 +590,8 @@ def weighted_norm_gradient(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> NormValue:
     """|| grad u ||_{b,p} (for radial u this is the radial-derivative norm)."""
-    if u.angular is Angular.RADIAL:
-        return weighted_norm_radial(u.profile.derivative_profile(), b, p, n, cfg)
     if u.angular is Angular.FIRST_HARMONIC:
         return _first_harmonic_gradient_lognorm(u.profile, b, p, n, cfg)
-    return _translated_lognorm(u.profile, b, p, n, u.offset, cfg, use_derivative=True)
+    if u.angular is Angular.TRANSLATED:
+        return _translated_lognorm(u.profile, b, p, n, u.offset, cfg, use_derivative=True)
+    return weighted_norms([(u, b, p, n, True)], cfg)[0]

@@ -5,8 +5,9 @@ before its integrator was batched: one integrand call per 16-node panel
 sum, each half-panel sum computed twice (once as the parent's fine
 estimate, once as the child's coarse one), and the walks toward 0 and
 infinity one panel at a time.  `panel_integral` composes these pieces
-with the signature of `ckn.quadrature._panel_integral`, so a test can
-swap it in and compare the norms the two give.
+for one integral, and `integrate` runs every integral of a session
+through it alone, with the signature of `ckn.panels.integrate`, so a test
+can swap it in and compare the norms the two give.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from typing import Tuple
 
 import numpy as np
 
-from ckn.quadrature import QuadratureConfig, QuadratureError, _gl, _panel_edges
+from ckn.panels import QuadratureConfig, QuadratureError, gauss_legendre, panel_edges
 
 
 def _gl_quad(g, x0: float, x1: float, nodes: int) -> float:
-    x, w = _gl(nodes)
+    x, w = gauss_legendre(nodes)
     mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
     return half * float(np.dot(w, g(mid + half * x)))
 
@@ -78,10 +79,23 @@ def _extend_up(g, hi_edge: float, cfg, total_hint: float) -> Tuple[float, float]
     raise QuadratureError("panel budget exhausted extending toward infinity")
 
 
+def integrate(g, integrals, cfg) -> list:
+    """Each integral of a session on its own, g read for that integral
+    only: (integral, error) or the QuadratureError that ended it."""
+    results = []
+    for i, it in enumerate(integrals):
+        try:
+            results.append(panel_integral(lambda t, i=i: g(t, np.array([i])), it.lo, it.hi,
+                                          it.breakpoints, cfg, it.down, it.up, it.hint))
+        except QuadratureError as exc:
+            results.append(exc)
+    return results
+
+
 def panel_integral(g, lo, hi, breakpoints, cfg, down=False, up=False, hint=0.0) -> Tuple[float, float]:
     """The panels of [lo, hi], then the walks from lo toward 0 and from hi
     toward infinity, in the order and with the hints the norm paths used."""
-    total, err = _integrate_panels(g, _panel_edges(lo, hi, breakpoints), cfg)
+    total, err = _integrate_panels(g, panel_edges(lo, hi, breakpoints), cfg)
     if down:
         part, part_err = _extend_down(g, lo, cfg, total + hint)
         total += part

@@ -397,3 +397,31 @@ def test_sweep_unknown_format_is_input_error(tmp_path, capsys):
     code, out, err = _sweep_error(tmp_path, capsys, spec)
     assert code == 2 and out == ""
     assert "xml" in err["error"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "-inf"])
+def test_defect_tol_outside_finite_nonnegative_exits_two_before_any_quadrature(
+    capsys, monkeypatch, tol
+):
+    # nan used to pass every defect (exit 0 whatever the probe found)
+    monkeypatch.setattr(ckn.cli, "verify_instance", _no_probe)
+    code, out, err = run(capsys, "verify", *BASE, "--c", "-1", f"--defect-tol={tol}")
+    assert code == 2 and out == ""
+    assert "--defect-tol" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("index", ["-1", "-40"])
+def test_negative_max_index_exits_two_before_any_quadrature(capsys, monkeypatch, index):
+    # -1 used to walk no member and exit 3, a false probe mismatch
+    monkeypatch.setattr(ckn.cli, "falsify_instance", _no_probe)
+    code, out, err = run(capsys, "falsify", "--n", "3", "--p", "2", "--q", "2", "--r", "7",
+                         "--a", "0", "--b", "0", "--c", "0", f"--max-index={index}")
+    assert code == 2 and out == ""
+    assert "--max-index" in json.loads(err)["error"]
+
+
+def test_max_index_zero_is_accepted(capsys):
+    code, out, _ = run(capsys, "falsify", "--n", "3", "--p", "2", "--q", "2", "--r", "7",
+                       "--a", "0", "--b", "0", "--c", "0", "--max-index", "0")
+    assert code in (0, 3)
+    assert json.loads(out)["trace"][0]["index"] == 0

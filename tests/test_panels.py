@@ -7,6 +7,7 @@ import numpy as np
 
 import ckn.quadrature as quadrature
 import oracle_panels
+from oracle_panels import panel_integral
 from ckn.profiles import Edge, PowerCutoffOuter, PowerTail, RadialProfile, SmoothBump
 from ckn.quadrature import (
     DEFAULT_CONFIG,
@@ -34,11 +35,21 @@ class Plateau(RadialProfile):
 
 
 def both(monkeypatch, norm, u, d, s, n, cfg=DEFAULT_CONFIG):
-    """The norm from the batched integrator, then from the oracle."""
+    """The norm from the batched integrator, then from the oracle, which
+    must have integrated at least one panel integral."""
     batched = norm(u, d, s, n, cfg)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return panel_integral(*args, **kwargs)
+
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_panel_integral", oracle_panels.panel_integral)
-        return batched, norm(u, d, s, n, cfg)
+        m.setattr(quadrature, "integrate", oracle_panels.integrate)
+        m.setattr(oracle_panels, "panel_integral", counted)
+        oracle = norm(u, d, s, n, cfg)
+    assert calls, "the oracle never ran"
+    return batched, oracle
 
 
 def assert_same(batched, oracle):

@@ -1,0 +1,151 @@
+"""One integrator session per probe instance, against one norm triple at a time.
+
+`verify_instance` computes the norms of all its members and scales in one
+session.  The reference below is its loop as it was before: one
+`compute_norms` per (member, scale), read in the same order.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+
+import ckn.panels as panels
+from ckn.admissible import theta_set
+from ckn.classify import classify
+from ckn.params import Params
+from ckn.probes import (
+    DEFAULT_SCALES,
+    compute_norms,
+    default_verification_family,
+    default_w0_family,
+    verify_instance,
+)
+from ckn.profiles import PowerTail, SmoothBump
+from ckn.quadrature import NormStatus, QuadratureConfig, weighted_norm, weighted_norms
+from ckn.testfunctions import dilate, radial
+from conftest import random_params
+
+F = Fraction
+
+
+def per_member(params, family, scales=DEFAULT_SCALES):
+    """(members as (member, scale, triple), failure) of the loop verify_instance ran before."""
+    members = []
+    for idx, u in enumerate(family):
+        base = compute_norms(params, u)
+        if not base.all_finite:
+            return members, f"member {idx}: divergent norm inside a yes-instance"
+        if base.target.log_value == -np.inf:
+            return members, f"member {idx}: identically zero member"
+        members.append((idx, 1.0, base))
+        for lam in scales:
+            triple = compute_norms(params, dilate(u, lam))
+            if not triple.all_finite:
+                return members, f"member {idx}: divergent norm at scale {lam}"
+            members.append((idx, lam, triple))
+    return members, None
+
+
+def assert_same_report(params, theta, family):
+    report = verify_instance(params, theta, family=family)
+    members, failure = per_member(params, family)
+    assert report.failure == failure
+    assert report.ok == (failure is None)
+    assert [(m.member, m.scale) for m in report.members] == [(idx, lam) for idx, lam, _ in members]
+    for member, (_, _, triple) in zip(report.members, members):
+        for key in ("target", "source", "grad"):
+            session, alone = getattr(member.norms, key), getattr(triple, key)
+            assert session.status is alone.status
+            assert abs(session.log_value - alone.log_value) <= 1e-12
+    return report
+
+
+def embedding_instances(seed, per_dimension):
+    rng, found = random.Random(seed), []
+    for n in range(1, 6):
+        count = 0
+        while count < per_dimension:
+            params = random_params(rng)
+            if params.n != n or not classify(params).embeds:
+                continue
+            known = theta_set(params)
+            if known.theta is not None:
+                found.append((params, known.theta))
+                count += 1
+    return found
+
+
+def test_random_instances_match_one_triple_at_a_time():
+    for params, theta in embedding_instances(2026, 2):
+        assert_same_report(params, theta, default_verification_family(params))
+
+
+def test_first_harmonic_fixture_matches_one_triple_at_a_time():
+    params = Params(3, F(2), F(2), F(4), F(0), F(0), F(-1))
+    assert assert_same_report(params, F(1), default_w0_family(params)).ok
+
+
+def test_walks_to_the_float_edges_match_one_triple_at_a_time():
+    # exponents 1/1000 from critical: the target and source walks never
+    # turn quiet and stop at t = 1e-280 (first instance) and 1e280 (second)
+    for b, member in ((2, PowerTail(F(2, 3) - F(1, 1000), 3)), (0, PowerTail(F(0), F(2, 3) + F(1, 1000)))):
+        params = Params(2, F(2), F(3), F(3), F(0), F(b), F(0))
+        family = [radial(SmoothBump(2.0, 1.0)), radial(member)]
+        assert assert_same_report(params, F(0), family).ok
+
+
+def test_a_failing_member_is_reported_as_before():
+    # the gradient of the second member diverges at infinity; the norms of
+    # the members after it are computed in the session and dropped
+    params = Params(2, F(2), F(3), F(3), F(0), F(2), F(0))
+    family = [radial(SmoothBump(2.0, 1.0)), radial(PowerTail(F(0), F(2, 3) + F(1, 1000))),
+              radial(SmoothBump(4.0, 2.0))]
+    report = assert_same_report(params, F(0), family)
+    assert report.failure == "member 1: divergent norm inside a yes-instance"
+
+
+def test_one_norm_out_of_budget_fails_alone():
+    # the walk toward 0 of the PowerTail(1/3, 2) head needs 51 panels; the
+    # others stop within their first blocks
+    cfg = QuadratureConfig(max_panels=32)
+    jobs = [
+        (radial(SmoothBump(2.0, 1.0)), F(0), F(2), 3, False),
+        (radial(PowerTail(F(1, 3), F(2))), F(0), F(1), 1, False),
+        (radial(PowerTail(F(-1), F(3))), F(0), F(2), 3, False),
+        (radial(PowerTail(F(-1), F(3))), F(1), F(2), 3, True),
+    ]
+    session = weighted_norms(jobs, cfg)
+    assert [norm.status for norm in session] == [
+        NormStatus.FINITE, NormStatus.FAILED, NormStatus.FINITE, NormStatus.FINITE]
+    assert session[1].detail == "panel budget exhausted extending toward zero"
+    for norm, (u, d, s, n, gradient) in zip(session, jobs):
+        alone = weighted_norms([(u, d, s, n, gradient)], cfg)[0]
+        assert norm.status is alone.status and norm.detail == alone.detail
+        if norm.finite:
+            assert abs(norm.log_value - alone.log_value) <= 1e-12
+    assert weighted_norm(*jobs[1][:4], cfg).detail == session[1].detail
+
+
+def test_batches_stay_within_the_chunk_and_the_call_budget(monkeypatch):
+    # the chunk bounds every array of points, and with it peak memory; the
+    # batches themselves must be large, else nothing is shared
+    sizes, calls = [], []
+    value, gauss_sums = PowerTail.value, panels._gauss_sums
+
+    def recorded(self, t):
+        sizes.append(np.size(t))
+        return value(self, t)
+
+    def counted(*args):
+        calls.append(args[3].size)
+        return gauss_sums(*args)
+
+    monkeypatch.setattr(PowerTail, "value", recorded)
+    monkeypatch.setattr(panels, "_gauss_sums", counted)
+    for params, theta in embedding_instances(7, 1):
+        calls.clear()
+        verify_instance(params, theta)
+        assert 0 < len(calls) <= 40
+    assert max(sizes) <= panels._CHUNK
+    assert max(sizes) > 1000
