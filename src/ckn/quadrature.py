@@ -27,21 +27,32 @@ integrand call per depth, and walks them toward 0 and infinity in
 lockstep blocks, each integral with its own tests, walks and budget.
 Every radial panel integral of a `weighted_norms` call shares one
 session, so the norms of a whole `verify` instance (8 members x 5 scales
-x 3 norms) take about 15 integrand calls instead of about 600.  Its
-integrand reads a dilated profile f(lam t) or its gradient view
-lam f'(lam t) as base.value(lam t) or lam base.derivative(lam t), one
-profile call per base and run of points.  Divergence certificates and
-closed forms settle their norms before the session, one norm at a time.
-The 2-D integrands below get a session each and are evaluated in slices
-of 256 points, which bounds their matrices.
+x 3 norms) take about 15 integrand calls instead of about 600, and the
+three norms of a `falsify` member one session.  Its integrand reads a
+dilated profile f(lam t) or its gradient view lam f'(lam t) as
+base.value(lam t) or lam base.derivative(lam t), one profile call per
+base and run of points.  Divergence certificates and closed forms settle
+their norms before the session, one norm at a time.
+
+Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
+around the translation point,
+
+    R^d |S^{N-1}|  integral t^{N-1} |f(t)|^s M(t/R) dt,
+
+where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
+|e + x w|^d over w in S^{N-1} (Funk-Hecke; A&S 15.1.1 for the series),
+and the gradient norm has the same form with f'.  The series is cut once
+per integral, from x_max = hi/R, where its tail is below 1e-17 of M; log M
+is added to the integrand's exponent, and sessions without translated
+norms never evaluate it.  Huge offsets stay in range through R^d, which
+is carried in log space.
 
 First-harmonic functions u = f(t) x1/|x| reduce to one radial integral
 times a closed-form angular moment (for the function) and to a 2D
 (t, angle) integral for the gradient, using |grad u|^2 = f'(t)^2 cos^2 +
-(f/t)^2 sin^2 of the polar angle.  Translated profiles reduce to a 2D
-integral over (t, angle) around the translation point, with the weight
-factored as R^d (1 + (t/R)^2 + 2 (t/R) cos)^{d/2} so that huge offsets
-stay in floating-point range.
+(f/t)^2 sin^2 of the polar angle.  That 2D integrand gets a session of
+its own and is evaluated in slices of 256 points, which bounds its
+matrices.
 
 Norm values are carried with their logarithm so that ratio probes remain
 meaningful when a norm overflows or underflows the double range.
@@ -179,6 +190,72 @@ def _log1mexp(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the spherical mean of the weight around a translation point
+# ---------------------------------------------------------------------------
+
+# the series tail allowed, relative to M, and the most terms it may take:
+# enough for x_max up to about 0.998 at moderate d
+MEAN_TOL = 1e-17
+MEAN_TERMS = 10_000
+
+
+@dataclass(frozen=True)
+class SphericalMean:
+    """M(x), the mean of |e + x w|^d over w in S^{n-1} (|e| = 1), as the
+    first terms of its series in x^2, for 0 <= x <= x_max < 1:
+
+        M(x) = 2F1(-d/2, 1 - n/2 - d/2; n/2; x^2) = sum_k coefs[k] x^(2k)
+
+    error bounds the dropped tail relative to M(x) on all of [0, x_max].
+    """
+
+    coefs: np.ndarray
+    error: float
+
+    @classmethod
+    def series(cls, n: int, d, x_max: float) -> Optional["SphericalMean"]:
+        """The shortest series whose tail is at most MEAN_TOL of M on [0, x_max],
+        or None if that takes more than MEAN_TERMS terms.
+
+        Past K >= max(-a, -b) the term ratio (a+k)(b+k)/((c+k)(k+1)) z has
+        both factors monotone in k, so rho = z max(1, (K+a)/(K+c))
+        max(1, (K+b)/(K+1)) bounds it, and the tail from term K is at most
+        |term K| / (1 - rho).  Every term grows with x.  When no term is
+        negative, M is at least its partial sum, and the tail's share of M
+        grows with x, so the share at x_max bounds it; otherwise M is at
+        least 1 where |y|^d is subharmonic, d (d + n - 2) >= 0, else at
+        least its least value on the sphere.
+        """
+        d = float(d)
+        a, b, c, z = -d / 2.0, 1.0 - n / 2.0 - d / 2.0, n / 2.0, x_max * x_max
+        least = 1.0 if d * (d + n - 2) >= 0 else min((1.0 + x_max) ** d, (1.0 - x_max) ** d)
+        coefs, head, positive = [1.0], 1.0, True  # head: the partial sum at x_max
+        for k in range(1, MEAN_TERMS + 1):
+            coef = coefs[-1] * (a + k - 1) * (b + k - 1) / ((c + k - 1) * k)
+            if coef == 0.0:  # a or b a non-positive integer: M is a polynomial
+                return cls(np.array(coefs), 0.0)
+            positive = positive and coef > 0.0
+            if k >= -a and k >= -b:
+                rho = z * max(1.0, (k + a) / (k + c)) * max(1.0, (k + b) / (k + 1))
+                tail = abs(coef) * z**k / (1.0 - rho) if rho < 1.0 else math.inf
+                floor = head if positive else least
+                if tail <= MEAN_TOL * floor:
+                    return cls(np.array(coefs), tail / floor)
+            coefs.append(coef)
+            head += coef * z**k
+        return None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """M(x) by Horner's rule in x^2."""
+        z = x * x
+        out = np.full_like(z, self.coefs[-1])
+        for coef in self.coefs[-2::-1]:
+            out *= z
+            out += coef
+        return out
+
+
+# ---------------------------------------------------------------------------
 # exact divergence tests
 # ---------------------------------------------------------------------------
 
@@ -222,17 +299,20 @@ def _dilation(profile: RadialProfile) -> Tuple[RadialProfile, bool, float]:
     return profile, derivative, 1.0
 
 
-def _radial_integrand(views, group, wexp, s):
-    """The integrand t^wexp[i] |f_i(t)|^s[i] of integral i, where
-    views[i] = _dilation(f_i) and group[i] numbers the (base profile, value
-    or derivative) that f_i reads.
+def _radial_integrand(views, group, wexp, s, angular):
+    """The integrand t^wexp[i] |f_i(t)|^s[i] M_i(t/R_i) of integral i, where
+    views[i] = _dilation(f_i), group[i] numbers the (base profile, value
+    or derivative) that f_i reads, and angular[i] is the (SphericalMean
+    M_i, offset R_i) of a translated norm, or None for M_i = 1.
 
     Each call reads each group once per run of consecutive rows in it; the
     per-row parameters are repeated per point, so that all arithmetic is on
     flat arrays, and a call whose rows all belong to one integral uses its
-    parameters as scalars.
+    parameters as scalars.  log M_i joins the exponent, once per run of
+    rows of a translated integral; a session without one never looks.
     """
     group, table = np.array(group), np.array([[view[2] for view in views], wexp, s])
+    translated = any(angular)
 
     def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         i = owner[0]
@@ -253,13 +333,31 @@ def _radial_integrand(views, group, wexp, s):
         fv = np.abs(fv)
         # 0 where f vanishes (or is nan)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(fv > 0, np.exp(wexp * np.log(t) + s * np.log(fv)), 0.0)
+            exponent = wexp * np.log(t) + s * np.log(fv)
+            if translated:
+                _add_log_means(exponent, t, owner, angular)
+            return np.where(fv > 0, np.exp(exponent), 0.0)
 
     return g
 
 
+def _add_log_means(exponent: np.ndarray, t: np.ndarray, owner: np.ndarray, angular) -> None:
+    """Add log M_i(t/R_i) to the exponent at the rows of each translated
+    integral i among owner."""
+    per_row = t.size // owner.size
+    cuts = [0, *((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist(), owner.size]
+    for a, b in zip(cuts, cuts[1:]):
+        if angular[owner[a]] is not None:
+            mean, offset = angular[owner[a]]
+            points = slice(a * per_row, b * per_row)
+            exponent[points] += np.log(mean(t[points] / offset))
+
+
 def _session(norms, cfg: QuadratureConfig) -> list:
-    """The values of the norm generators of _radial_norm and _norm.
+    """The values of norm generators such as _radial_norm, _translated_norm
+    and _norm, each of which yields (profile, wexp, s, Integral, angular)
+    for the panel integral it needs, if any, and is sent its (value,
+    error) or thrown its QuadratureError.
 
     Every panel integral they ask for shares one session, ordered so that
     the rows of each (base profile, value or derivative) are consecutive.
@@ -277,8 +375,8 @@ def _session(norms, cfg: QuadratureConfig) -> list:
     keys = {}
     group = [keys.setdefault((id(base), derivative), len(keys)) for base, derivative, _ in views]
     order = sorted(range(len(waiting)), key=group.__getitem__)
-    _, wexp, s, integrals = zip(*(waiting[k][2] for k in order))
-    g = _radial_integrand([views[k] for k in order], [group[k] for k in order], wexp, s)
+    _, wexp, s, integrals, angular = zip(*(waiting[k][2] for k in order))
+    g = _radial_integrand([views[k] for k in order], [group[k] for k in order], wexp, s, angular)
     for k, result in zip(order, integrate(g, integrals, cfg)):
         i, norm, _ = waiting[k]
         try:
@@ -290,7 +388,7 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 
 def _radial_log_integral(profile: RadialProfile, head, tail, wexp: float, s: float, cfg: QuadratureConfig):
     """log of the integral of t^wexp |f(t)|^s over the profile support, as
-    a generator: it yields (profile, wexp, s, Integral) for the panel
+    a generator: it yields (profile, wexp, s, Integral, None) for the panel
     integral it needs and is sent that integral's (value, error).
 
     Divergence must have been excluded by the caller.  Returns
@@ -328,7 +426,7 @@ def _radial_log_integral(profile: RadialProfile, head, tail, wexp: float, s: flo
         anchor_hi = max(anchor_lo * 4.0, 1.0)
 
     middle, err = yield profile, wexp, s, Integral(
-        anchor_lo, anchor_hi, profile.breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint)
+        anchor_lo, anchor_hi, profile.breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint), None
     if not math.isfinite(middle):
         raise QuadratureError("panel sum overflowed")
     if middle > 0:
@@ -443,13 +541,6 @@ def _panel_lognorm(log_prefactor: float, s: float, cfg: QuadratureConfig, g, int
     return NormValue.from_log((log_prefactor + math.log(total)) / s, err / max(total, cfg.abs_tol))
 
 
-def _polar_nodes(n: int, cfg: QuadratureConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """GL nodes of the polar angle on (0, pi), with weights times sin^(n-2)."""
-    psi, wpsi = gauss_legendre(cfg.angular_nodes)
-    psi = 0.5 * math.pi * (psi + 1.0)
-    return psi, 0.5 * math.pi * wpsi * np.sin(psi) ** (n - 2)
-
-
 def _first_harmonic_gradient_lognorm(
     profile: RadialProfile, b: Fraction, p: Fraction, n: int, cfg: QuadratureConfig
 ) -> NormValue:
@@ -467,7 +558,10 @@ def _first_harmonic_gradient_lognorm(
 
     pf = float(p)
     wexp = float(b + n - 1)
-    psi, angular_weight = _polar_nodes(n, cfg)
+    # GL nodes of the polar angle on (0, pi), with weights times sin^(n-2)
+    psi, angular_weight = gauss_legendre(cfg.angular_nodes)
+    psi = 0.5 * math.pi * (psi + 1.0)
+    angular_weight = 0.5 * math.pi * angular_weight * np.sin(psi) ** (n - 2)
     cos2 = np.cos(psi) ** 2
     sin2 = np.sin(psi) ** 2
 
@@ -495,63 +589,42 @@ def _first_harmonic_gradient_lognorm(
         anchor_lo, anchor_hi, profile.breakpoints, down=lo == 0.0, up=hi == math.inf))
 
 
-def _translated_lognorm(
-    profile: RadialProfile,
-    d: Fraction,
-    s: Fraction,
-    n: int,
-    offset: float,
-    cfg: QuadratureConfig,
-    use_derivative: bool,
-) -> NormValue:
-    """Norm of f(|x - x0|) (or its gradient magnitude |f'(|x - x0|)|).
-
-    The weight is factored as R^d (1 + x^2 + 2 x cos psi)^{d/2}, x = t/R,
-    keeping every intermediate in floating-point range for huge R.
-    """
+def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg: QuadratureConfig):
+    """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient,
+    as a generator for _session: R^d |S^{n-1}| times the integral of
+    t^(n-1) |f(t)|^s M(t/R), f' for gradient, with R the offset and M the
+    SphericalMean of |x|^d around it."""
+    profile, offset = u.profile, u.offset
     lo, hi = profile.support
     if hi >= offset:
         raise ValueError("translated support must stay away from the origin")
+    mean = SphericalMean.series(n, d, hi / offset)
+    if mean is None:
+        return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {hi / offset:.6g}")
     sf = float(s)
-    df = float(d)
-    values = profile.derivative if use_derivative else profile.value
-
-    if n >= 2:
-        psi, angular_weight = _polar_nodes(n, cfg)
-        cospsi = np.cos(psi)
-        prefactor_log = math.log(sub_sphere_area(n))
-    else:
-        cospsi = np.array([1.0, -1.0])
-        angular_weight = np.array([1.0, 1.0])
-        prefactor_log = 0.0
-
-    @_sliced
-    def g(t: np.ndarray) -> np.ndarray:
-        x = t / offset
-        base = 1.0 + x[:, None] ** 2 + 2.0 * x[:, None] * cospsi[None, :]
-        ang = np.power(base, df / 2.0, out=base) @ angular_weight
-        fv = np.abs(values(t))
-        out = np.zeros_like(t)
-        mask = fv > 0
-        if np.any(mask):
-            out[mask] = np.exp((n - 1) * np.log(t[mask]) + sf * np.log(fv[mask]) + np.log(ang[mask]))
-        return out
-
-    anchor_lo = lo if lo > 0 else hi / 512.0
-    return _panel_lognorm(df * math.log(offset) + prefactor_log, sf, cfg, g,
-                          Integral(anchor_lo, hi, profile.breakpoints, down=lo == 0.0))
+    try:
+        total, err = yield DerivView(profile) if gradient else profile, float(n - 1), sf, Integral(
+            lo if lo > 0 else hi / 512.0, hi, profile.breakpoints, down=lo == 0.0), (mean, offset)
+    except QuadratureError as exc:
+        return NormValue.failed(str(exc))
+    if not math.isfinite(total):
+        return NormValue.failed("panel sum overflowed")
+    if total <= 0:
+        return NormValue(0.0, -math.inf, NormStatus.FINITE)
+    log_prefactor = float(d) * math.log(offset) + math.log(surface_area(n))
+    return NormValue.from_log((log_prefactor + math.log(total)) / sf, err / max(total, cfg.abs_tol) + mean.error)
 
 
 def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg: QuadratureConfig):
     """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
-    for _session; the 2-D norms go through weighted_norm and
-    weighted_norm_gradient and yield nothing."""
+    for _session; the first-harmonic gradient goes through
+    weighted_norm_gradient and yields nothing."""
     if u.angular is Angular.RADIAL:
         return (yield from _radial_norm(u.profile.derivative_profile() if gradient else u.profile, d, s, n, cfg))
+    if u.angular is Angular.TRANSLATED:
+        return (yield from _translated_norm(u, d, s, n, gradient, cfg))
     if gradient:
         return weighted_norm_gradient(u, d, s, n, cfg)
-    if u.angular is Angular.TRANSLATED:
-        return weighted_norm(u, d, s, n, cfg)
     if n < 2:
         raise ValueError("first harmonics need dimension >= 2")
     base = yield from _radial_norm(u.profile, d, s, n, cfg)
@@ -564,8 +637,9 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg
 
 def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """The norm of each (u, d, s, n, gradient) of norms: || grad u ||_{d,s}
-    when gradient, else || u ||_{d,s}.  Every radial panel integral among
-    them shares one session; the 2-D norms are computed one at a time."""
+    when gradient, else || u ||_{d,s}.  Every panel integral among them
+    shares one session; first-harmonic gradients, the one 2-D norm, are
+    computed one at a time."""
     return _session([_norm(u, d, s, n, gradient, cfg) for u, d, s, n, gradient in norms], cfg)
 
 
@@ -577,8 +651,6 @@ def weighted_norm(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> NormValue:
     """|| u ||_{d,s} for any catalog test function."""
-    if u.angular is Angular.TRANSLATED:
-        return _translated_lognorm(u.profile, d, s, n, u.offset, cfg, use_derivative=False)
     return weighted_norms([(u, d, s, n, False)], cfg)[0]
 
 
@@ -592,6 +664,4 @@ def weighted_norm_gradient(
     """|| grad u ||_{b,p} (for radial u this is the radial-derivative norm)."""
     if u.angular is Angular.FIRST_HARMONIC:
         return _first_harmonic_gradient_lognorm(u.profile, b, p, n, cfg)
-    if u.angular is Angular.TRANSLATED:
-        return _translated_lognorm(u.profile, b, p, n, u.offset, cfg, use_derivative=True)
     return weighted_norms([(u, b, p, n, True)], cfg)[0]
