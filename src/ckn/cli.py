@@ -28,13 +28,6 @@ from .admissible import ThetaSetKind, admissible_set, theta_set
 from .classify import Case, CLine, Decision, classify, classify_radial, classify_w0
 from .multiweight import multiweight_classify, multiweight_from_dict
 from .params import Params, validate_full_space
-from .probes import (
-    default_verification_family,
-    default_w0_family,
-    falsify_instance,
-    verify_instance,
-)
-from .quadrature import DEFAULT_CONFIG
 from .rational import format_rational, parse_rational
 
 EXIT_EMBEDS = 0
@@ -53,6 +46,8 @@ def _emit(obj) -> None:
 
 
 def _config():
+    from .panels import DEFAULT_CONFIG
+
     cfg = DEFAULT_CONFIG
     override = os.environ.get("CKN_QUAD_TOL")
     if override:
@@ -157,8 +152,11 @@ def cmd_verify(args) -> int:
             }
         )
         return EXIT_PROBE_MISMATCH
-    family = default_w0_family(params) if args.w0_family else default_verification_family(params)
-    report = verify_instance(params, theta, family=family, cfg=_config())
+    # the probes, and with them numpy, are imported by verify and falsify only
+    from . import probes
+
+    family = probes.default_w0_family(params) if args.w0_family else probes.default_verification_family(params)
+    report = probes.verify_instance(params, theta, family=family, cfg=_config())
     payload = report.as_dict()
     payload["theta_in_known_set"] = known.contains(theta)
     _emit(payload)
@@ -178,7 +176,9 @@ def cmd_falsify(args) -> int:
     if verdict.decision is not Decision.DOES_NOT_EMBED:
         _emit({"error": "instance embeds; nothing to falsify", **verdict.as_dict()})
         return EXIT_NO_EMBED
-    report = falsify_instance(params, cfg=_config(), max_index=args.max_index)
+    from . import probes
+
+    report = probes.falsify_instance(params, cfg=_config(), max_index=args.max_index)
     _emit(report.as_dict())
     return EXIT_EMBEDS if report.ok else EXIT_PROBE_MISMATCH
 

@@ -48,8 +48,10 @@ class QuadratureError(RuntimeError):
     pass
 
 
-# panels per block of each walk toward 0 and infinity
+# panels per block of each walk toward 0 and infinity, and the factors
+# 2^-k and 2^k of the panel ends of a block
 _BLOCK = 16
+_HALVES, _DOUBLES = 0.5 ** np.arange(_BLOCK + 1), 2.0 ** np.arange(_BLOCK + 1)
 # points per integrand call: a bisection step evaluates its panels in
 # chunks of at most this many points, which bounds every array of points
 _CHUNK = 4096
@@ -91,7 +93,8 @@ def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, owner: np.ndarray,
     breadth first.
 
     A panel is accepted when the sum of its two halves (fine) agrees with
-    its own sum (coarse) to rel_tol, or at depth 0; otherwise its halves
+    its own sum (coarse) to rel_tol, at depth 0, or at once when fine is
+    inf or nan, which no bisection makes a finite sum; otherwise its halves
     take its place among the panels of the next depth, with their sums
     already in hand as coarse estimates.  The test is panel-local, so
     panels of different integrals share the arrays, and all pending panels
@@ -108,7 +111,8 @@ def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, owner: np.ndarray,
     while True:
         fine = halves[:, 0] + halves[:, 1]
         err = np.abs(fine - coarse)
-        accept = (err <= cfg.rel_tol * np.maximum(np.abs(fine), cfg.abs_tol)) | (depth <= 0)
+        accept = err <= cfg.rel_tol * np.maximum(np.abs(fine), cfg.abs_tol)
+        accept |= ~np.isfinite(fine) | (depth <= 0)
         split = np.flatnonzero(~accept)
         levels.append((fine, err, split))
         if not split.size:
@@ -173,22 +177,36 @@ class _Walk:
 
     def block(self) -> tuple:
         """(owner, x0, x1) of the next block of panels."""
-        factor = 0.5 if self.down else 2.0
-        outer = self.edge * factor ** np.arange(min(_BLOCK, self.cfg.max_panels - self.done) + 1)
+        factors = _HALVES if self.down else _DOUBLES
+        outer = self.edge * factors[:min(_BLOCK, self.cfg.max_panels - self.done) + 1]
         past = outer[1:] < 1e-280 if self.down else outer[1:] > 1e280
-        self.outer = outer = outer[:np.argmax(past) + 2] if past.any() else outer
+        # the block ends with its first panel past the float edge, if any
+        self.last = past.any()
+        if self.last:
+            outer = outer[:np.argmax(past) + 2]
+        self.edge = outer[-1]
         return (self.owner, outer[1:], outer[:-1]) if self.down else (self.owner, outer[:-1], outer[1:])
 
     def take(self, values: np.ndarray, errors: np.ndarray, hint: float):
         """(total, error) once the walk stops within the block, a
         QuadratureError once its budget is spent, else None."""
         cfg = self.cfg
-        for val, e, edge in zip(values.tolist(), errors.tolist(), self.outer[1:].tolist()):
-            self.total, self.err = self.total + val, self.err + e
-            self.quiet = self.quiet + 1 if val <= cfg.rel_tol * max(self.total + hint, cfg.abs_tol) else 0
-            if self.quiet >= 8 or (edge < 1e-280 if self.down else edge > 1e280):
-                return self.total, self.err
-        self.edge, self.done = edge, self.done + _BLOCK
+        tol, floor = cfg.rel_tol, cfg.abs_tol
+        total, err, quiet = self.total, self.err, self.quiet
+        for val, e in zip(values.tolist(), errors.tolist()):
+            total += val
+            err += e
+            # rel_tol * max(total + hint, floor), max as Python's
+            scale = total + hint
+            if val <= tol * (floor if floor > scale else scale):
+                quiet += 1
+                if quiet >= 8:
+                    return total, err
+            else:
+                quiet = 0
+        if self.last:
+            return total, err
+        self.total, self.err, self.quiet, self.done = total, err, quiet, self.done + _BLOCK
         if self.done < cfg.max_panels:
             return None
         return QuadratureError(f"panel budget exhausted extending toward {'zero' if self.down else 'infinity'}")

@@ -328,8 +328,12 @@ class SmoothBump(RadialProfile):
         # a centred bump, whose next term is -f(0) (t/width)^2
         if abs(self.center) >= self.width:
             return (None, None)
-        v0 = np.array([-self.center / self.width])
-        f0, slope = float(bump(v0)[0]), float(bump_prime(v0)[0]) / self.width
+        # bump and bump_prime at v0, in scalars: every translated witness
+        # member asks for these records
+        v0 = -self.center / self.width
+        gap = 1.0 - v0 * v0
+        f0 = math.exp(-1.0 / gap)
+        slope = f0 * (-2.0 * v0) / gap**2 / self.width
         nxt = (slope, Fraction(1)) if self.center != 0 else (-f0 / self.width**2, Fraction(2))
         return (Edge(f0, Fraction(0), next=nxt), None)
 

@@ -31,8 +31,16 @@ x 3 norms) take about 15 integrand calls instead of about 600, and the
 three norms of a `falsify` member one session.  Its integrand reads a
 dilated profile f(lam t) or its gradient view lam f'(lam t) as
 base.value(lam t) or lam base.derivative(lam t), one profile call per
-base and run of points.  Divergence certificates and closed forms settle
-their norms before the session, one norm at a time.
+base and run of points.
+
+Divergence certificates and closed forms settle their norms before the
+session, from a norm plan (`_NormPlan`) per (base profile, value or
+derivative, d, s, N) of the call: dilation changes no power of an edge
+record, so the exact verdicts, the closed-form branch, the base's edge
+records and the float constants are decided once for all dilations of a
+member.  A dilated norm then only scales support, seams and exact edge
+terms by lam, in floats; it is still integrated, never inferred from the
+scaling law.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -45,7 +53,9 @@ and the gradient norm has the same form with f'.  The series is cut once
 per integral, from x_max = hi/R, where its tail is below 1e-17 of M; log M
 is added to the integrand's exponent, and sessions without translated
 norms never evaluate it.  Huge offsets stay in range through R^d, which
-is carried in log space.
+is carried in log space.  Near t = 0 the weight is R^d M(0) = R^d, so
+divergence there is certified as for a radial norm with d = 0, from the
+edge record of f, or of f' for the gradient.
 
 First-harmonic functions u = f(t) x1/|x| reduce to one radial integral
 times a closed-form angular moment (for the function) and to a 2D
@@ -273,6 +283,73 @@ def _diverges_at_inf(d, s, n, powers) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# norm plans: what the dilations of one member share
+# ---------------------------------------------------------------------------
+
+class _NormPlan:
+    """What the norms || f ||_{d,s} on R^n of every dilation of one base
+    profile share, read as values f(t) = base(lam t) or as derivatives
+    f(t) = lam base'(lam t): dilation moves support, seams, coefficients
+    and exact regions, but no end of the support to or from 0 or infinity
+    and no power of an edge record.
+
+    So the plan holds the exact divergence verdicts, the closed-form
+    branch, the base's support, seams and exact edge terms, and the float
+    constants; a dilated norm does float work only.  The base's edge
+    records are read only where its support reaches 0 or infinity.
+    """
+
+    def __init__(self, base: RadialProfile, derivative: bool, d, s, n: int):
+        if s <= 0:
+            raise ValueError("norm exponent must be positive")
+        self.base, self.derivative = base, derivative
+        lo, hi = self.support = base.support
+        self.breakpoints = base.breakpoints
+        edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
+        ends = tuple(None if e is None else e.derivative() for e in edges) if derivative else edges
+        powers = [[] if end is None else [end.power] for end in ends]
+        self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
+        self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
+        # (coef, power, power read, exact) of each base edge whose read edge
+        # has an exact region: the read edge of a dilation is the base edge
+        # dilated, then derived when derivative, as Edge.dilated and
+        # Edge.derivative make it
+        self.terms = [None if end is None or end.exact is None
+                      else (edge.coef, float(edge.power), float(end.power), edge.exact)
+                      for edge, end in zip(edges, ends)]
+        self.wexp, self.sf = float(d + n - 1), float(s)
+        self.log_area = math.log(surface_area(n))
+        # the closed form of the base read as values, used when the norm's
+        # profile is the base itself
+        self.closed = None
+        if not derivative and isinstance(base, PiecewisePower):
+            self.closed = lambda cfg: _piecewise_log_integral(base, self.wexp, self.sf)
+        elif not derivative and isinstance(base, LogModulated):
+            self.closed = lambda cfg: _log_modulated_log_integral(base, d, s, n, cfg)
+
+    def term(self, end: int, lam: float) -> Optional[Tuple[float, float, float]]:
+        """(coef, power, exact) of the exact region at end (0 at zero, 1 at
+        infinity) of the dilation by lam, or None."""
+        if self.terms[end] is None:
+            return None
+        coef, power, read, exact = self.terms[end]
+        coef = coef * lam ** power
+        return (coef * power if self.derivative else coef), read, exact / lam
+
+
+def _plan(plans: dict, profile: RadialProfile, d, s, n: int) -> Tuple[_NormPlan, float]:
+    """(plan, lam) of the norm || profile ||_{d,s} on R^n, the plan shared
+    through plans by every norm of the same base, reading and (d, s, n)
+    objects.  Keys are identities: no Fraction is hashed per norm."""
+    base, derivative, lam = _dilation(profile)
+    key = (id(base), derivative, id(d), id(s), n)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _NormPlan(base, derivative, d, s, n)
+    return plan, lam
+
+
+# ---------------------------------------------------------------------------
 # integrands of the panel sessions
 # ---------------------------------------------------------------------------
 
@@ -355,9 +432,10 @@ def _add_log_means(exponent: np.ndarray, t: np.ndarray, owner: np.ndarray, angul
 
 def _session(norms, cfg: QuadratureConfig) -> list:
     """The values of norm generators such as _radial_norm, _translated_norm
-    and _norm, each of which yields (profile, wexp, s, Integral, angular)
-    for the panel integral it needs, if any, and is sent its (value,
-    error) or thrown its QuadratureError.
+    and _norm, each of which yields (view, wexp, s, Integral, angular) for
+    the panel integral it needs, if any, with view the (base, derivative,
+    lam) of _dilation, and is sent its (value, error) or thrown its
+    QuadratureError.
 
     Every panel integral they ask for shares one session, ordered so that
     the rows of each (base profile, value or derivative) are consecutive.
@@ -371,7 +449,7 @@ def _session(norms, cfg: QuadratureConfig) -> list:
             out.append(done.value)
     if not waiting:
         return out
-    views = [_dilation(ask[0]) for _, _, ask in waiting]
+    views = [ask[0] for _, _, ask in waiting]
     keys = {}
     group = [keys.setdefault((id(base), derivative), len(keys)) for base, derivative, _ in views]
     order = sorted(range(len(waiting)), key=group.__getitem__)
@@ -386,37 +464,43 @@ def _session(norms, cfg: QuadratureConfig) -> list:
     return out
 
 
-def _radial_log_integral(profile: RadialProfile, head, tail, wexp: float, s: float, cfg: QuadratureConfig):
-    """log of the integral of t^wexp |f(t)|^s over the profile support, as
-    a generator: it yields (profile, wexp, s, Integral, None) for the panel
+def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float, cfg: QuadratureConfig):
+    """log of the integral of t^wexp |f(t)|^s over the support (lo, hi) of
+    the dilation by lam that plan reads, as a generator: it yields
+    ((base, derivative, lam), wexp, s, Integral, None) for the panel
     integral it needs and is sent that integral's (value, error).
 
     Divergence must have been excluded by the caller.  Returns
     (log_integral, relative error estimate).
     """
-    lo, hi = profile.support
     if hi <= lo:
         return -math.inf, 0.0
 
+    wexp, s = plan.wexp, plan.sf
     log_parts = []
     lo_eff, hi_eff = lo, hi
-    if head is not None and head.exact is not None and lo == 0.0:
-        log_parts.append(_log_power_piece(head.coef, head.power, None, math.log(head.exact), wexp, s))
-        lo_eff = head.exact
-    if tail is not None and tail.exact is not None and hi == math.inf:
-        log_parts.append(_log_power_piece(tail.coef, tail.power, math.log(tail.exact), None, wexp, s))
-        hi_eff = tail.exact
+    head = plan.term(0, lam) if lo == 0.0 else None
+    if head is not None:
+        coef, power, exact = head
+        log_parts.append(_log_power_piece(coef, power, None, math.log(exact), wexp, s))
+        lo_eff = exact
+    tail = plan.term(1, lam) if hi == math.inf else None
+    if tail is not None:
+        coef, power, exact = tail
+        log_parts.append(_log_power_piece(coef, power, math.log(exact), None, wexp, s))
+        hi_eff = exact
 
     if hi_eff < lo_eff:
         # exact regions overlap the whole support
         return _logsumexp(log_parts), 0.0
 
+    breakpoints = tuple(x / lam for x in plan.breakpoints)
     hint = sum(math.exp(x) for x in log_parts if x < 700)
     anchor_lo = lo_eff if lo_eff > 0 else None
     anchor_hi = hi_eff if hi_eff < math.inf else None
     if anchor_lo is None and anchor_hi is None:
         anchor_lo, anchor_hi = 0.5, 2.0
-        for b in profile.breakpoints:
+        for b in breakpoints:
             if math.isfinite(b) and b > 0:
                 anchor_lo = min(anchor_lo, b)
                 anchor_hi = max(anchor_hi, b)
@@ -425,8 +509,8 @@ def _radial_log_integral(profile: RadialProfile, head, tail, wexp: float, s: flo
     elif anchor_hi is None:
         anchor_hi = max(anchor_lo * 4.0, 1.0)
 
-    middle, err = yield profile, wexp, s, Integral(
-        anchor_lo, anchor_hi, profile.breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint), None
+    middle, err = yield (plan.base, plan.derivative, lam), wexp, s, Integral(
+        anchor_lo, anchor_hi, breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint), None
     if not math.isfinite(middle):
         raise QuadratureError("panel sum overflowed")
     if middle > 0:
@@ -440,18 +524,18 @@ def _radial_log_integral(profile: RadialProfile, head, tail, wexp: float, s: flo
 # special exact paths
 # ---------------------------------------------------------------------------
 
-def _log_power_piece(coef: float, expo: Fraction, log_lo, log_hi, wexp: float, s: float) -> float:
+def _log_power_piece(coef: float, expo: float, log_lo, log_hi, wexp: float, s: float) -> float:
     """log of the integral of t^wexp |coef t^expo|^s over (lo, hi), bounds
     as in log_power_integral."""
     if coef == 0.0:
         return -math.inf
-    return s * math.log(abs(coef)) + log_power_integral(wexp + s * float(expo), log_lo, log_hi)
+    return s * math.log(abs(coef)) + log_power_integral(wexp + s * expo, log_lo, log_hi)
 
 
 def _piecewise_log_integral(profile: PiecewisePower, wexp: float, s: float) -> float:
     """Closed-form log integral for piecewise powers; exact in log space."""
     return _logsumexp(
-        _log_power_piece(coef, expo, None if lo == -math.inf else lo,
+        _log_power_piece(coef, float(expo), None if lo == -math.inf else lo,
                          None if hi == math.inf else hi, wexp, s)
         for coef, expo, lo, hi in profile.pieces
     )
@@ -489,34 +573,28 @@ def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction,
 # public norms
 # ---------------------------------------------------------------------------
 
-def _radial_norm(profile: RadialProfile, d: Fraction, s: Fraction, n: int, cfg: QuadratureConfig):
-    """weighted_norm_radial as a generator for _session: it yields what
+def _radial_norm(profile: RadialProfile, plan: _NormPlan, lam: float, cfg: QuadratureConfig):
+    """weighted_norm_radial of profile, the dilation by lam that plan
+    reads, as a generator for _session: it yields what
     _radial_log_integral yields, if anything, and returns the norm."""
-    if s <= 0:
-        raise ValueError("norm exponent must be positive")
-    lo, hi = profile.support
-    at_zero, at_inf = profile.edges()
-    if lo == 0.0 and _diverges_at_zero(d, s, n, _powers((at_zero, 0))):
+    lo, hi = plan.support
+    lo, hi = lo / lam, hi / lam
+    if lo == 0.0 and plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
-    if hi == math.inf and _diverges_at_inf(d, s, n, _powers((at_inf, 0))):
+    if hi == math.inf and plan.diverges_at_inf:
         return NormValue.divergent("non-integrable at infinity")
 
-    wexp = float(d + n - 1)
-    sf = float(s)
     try:
-        if isinstance(profile, PiecewisePower):
-            log_integral, rel_err = _piecewise_log_integral(profile, wexp, sf), 0.0
-        elif isinstance(profile, LogModulated):
-            log_integral, rel_err = _log_modulated_log_integral(profile, d, s, n, cfg), 0.0
+        if plan.closed is not None and profile is plan.base:
+            log_integral, rel_err = plan.closed(cfg), 0.0
         else:
-            log_integral, rel_err = yield from _radial_log_integral(profile, at_zero, at_inf, wexp, sf, cfg)
+            log_integral, rel_err = yield from _radial_log_integral(plan, lam, lo, hi, cfg)
     except QuadratureError as exc:
         return NormValue.failed(str(exc))
 
     if log_integral == -math.inf:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    log_norm = (math.log(surface_area(n)) + log_integral) / sf
-    return NormValue.from_log(log_norm, rel_err)
+    return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err)
 
 
 def weighted_norm_radial(
@@ -527,7 +605,7 @@ def weighted_norm_radial(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> NormValue:
     """(N omega_N integral t^{d+n-1} |f|^s dt)^{1/s} with divergence status."""
-    return _session([_radial_norm(profile, d, s, n, cfg)], cfg)[0]
+    return _session([_radial_norm(profile, *_plan({}, profile, d, s, n), cfg)], cfg)[0]
 
 
 def _panel_lognorm(log_prefactor: float, s: float, cfg: QuadratureConfig, g, integral: Integral) -> NormValue:
@@ -589,58 +667,73 @@ def _first_harmonic_gradient_lognorm(
         anchor_lo, anchor_hi, profile.breakpoints, down=lo == 0.0, up=hi == math.inf))
 
 
-def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg: QuadratureConfig):
+def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool,
+                     cfg: QuadratureConfig, plans: dict):
     """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient,
     as a generator for _session: R^d |S^{n-1}| times the integral of
     t^(n-1) |f(t)|^s M(t/R), f' for gradient, with R the offset and M the
-    SphericalMean of |x|^d around it."""
+    SphericalMean of |x|^d around it.
+
+    Near t = 0 the weight is R^d M(0) = R^d, so the integral diverges
+    there exactly when the unweighted radial one does: its plan is the
+    radial plan of d = 0."""
     profile, offset = u.profile, u.offset
-    lo, hi = profile.support
+    plan, lam = _plan(plans, DerivView(profile) if gradient else profile, 0, s, n)
+    lo, hi = plan.support
+    lo, hi = lo / lam, hi / lam
     if hi >= offset:
         raise ValueError("translated support must stay away from the origin")
+    if lo == 0.0 and plan.diverges_at_zero:
+        return NormValue.divergent("non-integrable at zero")
     mean = SphericalMean.series(n, d, hi / offset)
     if mean is None:
         return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {hi / offset:.6g}")
-    sf = float(s)
     try:
-        total, err = yield DerivView(profile) if gradient else profile, float(n - 1), sf, Integral(
-            lo if lo > 0 else hi / 512.0, hi, profile.breakpoints, down=lo == 0.0), (mean, offset)
+        total, err = yield (plan.base, plan.derivative, lam), plan.wexp, plan.sf, Integral(
+            lo if lo > 0 else hi / 512.0, hi, tuple(x / lam for x in plan.breakpoints),
+            down=lo == 0.0), (mean, offset)
     except QuadratureError as exc:
         return NormValue.failed(str(exc))
     if not math.isfinite(total):
         return NormValue.failed("panel sum overflowed")
     if total <= 0:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    log_prefactor = float(d) * math.log(offset) + math.log(surface_area(n))
-    return NormValue.from_log((log_prefactor + math.log(total)) / sf, err / max(total, cfg.abs_tol) + mean.error)
+    log_prefactor = float(d) * math.log(offset) + plan.log_area
+    return NormValue.from_log((log_prefactor + math.log(total)) / plan.sf,
+                              err / max(total, cfg.abs_tol) + mean.error)
 
 
-def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg: QuadratureConfig):
+def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg: QuadratureConfig,
+          plans: dict):
     """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
-    for _session; the first-harmonic gradient goes through
-    weighted_norm_gradient and yields nothing."""
+    for _session, with the norm plans of its weighted_norms call; the
+    first-harmonic gradient goes through weighted_norm_gradient and yields
+    nothing."""
     if u.angular is Angular.RADIAL:
-        return (yield from _radial_norm(u.profile.derivative_profile() if gradient else u.profile, d, s, n, cfg))
+        profile = u.profile.derivative_profile() if gradient else u.profile
+        return (yield from _radial_norm(profile, *_plan(plans, profile, d, s, n), cfg))
     if u.angular is Angular.TRANSLATED:
-        return (yield from _translated_norm(u, d, s, n, gradient, cfg))
+        return (yield from _translated_norm(u, d, s, n, gradient, cfg, plans))
     if gradient:
         return weighted_norm_gradient(u, d, s, n, cfg)
     if n < 2:
         raise ValueError("first harmonics need dimension >= 2")
-    base = yield from _radial_norm(u.profile, d, s, n, cfg)
+    plan, lam = _plan(plans, u.profile, d, s, n)
+    base = yield from _radial_norm(u.profile, plan, lam, cfg)
     if not base.finite:
         return base
-    sf = float(s)
-    correction = (log_angular_moment(sf, n) - math.log(surface_area(n))) / sf
+    correction = (log_angular_moment(plan.sf, n) - plan.log_area) / plan.sf
     return NormValue.from_log(base.log_value + correction, base.error)
 
 
 def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """The norm of each (u, d, s, n, gradient) of norms: || grad u ||_{d,s}
     when gradient, else || u ||_{d,s}.  Every panel integral among them
-    shares one session; first-harmonic gradients, the one 2-D norm, are
-    computed one at a time."""
-    return _session([_norm(u, d, s, n, gradient, cfg) for u, d, s, n, gradient in norms], cfg)
+    shares one session, and the norms of one base profile and (d, s, n)
+    one norm plan, whatever their dilations; first-harmonic gradients,
+    the one 2-D norm, are computed one at a time."""
+    plans = {}
+    return _session([_norm(u, d, s, n, gradient, cfg, plans) for u, d, s, n, gradient in norms], cfg)
 
 
 def weighted_norm(

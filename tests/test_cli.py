@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, JSON determinism, sweep output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import ckn.cli
+import ckn.probes
 from ckn.cli import main
 
 
@@ -381,8 +385,8 @@ def test_quad_tol_outside_unit_interval_exits_two_before_any_quadrature(
     # inf used to give a false probe mismatch (exit 3); 0, -1 and nan kept
     # the panel walks subdividing without end
     monkeypatch.setenv("CKN_QUAD_TOL", tol)
-    monkeypatch.setattr(ckn.cli, "verify_instance", _no_probe)
-    monkeypatch.setattr(ckn.cli, "falsify_instance", _no_probe)
+    monkeypatch.setattr(ckn.probes, "verify_instance", _no_probe)
+    monkeypatch.setattr(ckn.probes, "falsify_instance", _no_probe)
     code, out, err = run(capsys, command, *BASE, "--c", c)
     assert code == 2 and out == ""
     assert "CKN_QUAD_TOL" in json.loads(err)["error"]
@@ -404,7 +408,7 @@ def test_defect_tol_outside_finite_nonnegative_exits_two_before_any_quadrature(
     capsys, monkeypatch, tol
 ):
     # nan used to pass every defect (exit 0 whatever the probe found)
-    monkeypatch.setattr(ckn.cli, "verify_instance", _no_probe)
+    monkeypatch.setattr(ckn.probes, "verify_instance", _no_probe)
     code, out, err = run(capsys, "verify", *BASE, "--c", "-1", f"--defect-tol={tol}")
     assert code == 2 and out == ""
     assert "--defect-tol" in json.loads(err)["error"]
@@ -413,7 +417,7 @@ def test_defect_tol_outside_finite_nonnegative_exits_two_before_any_quadrature(
 @pytest.mark.parametrize("index", ["-1", "-40"])
 def test_negative_max_index_exits_two_before_any_quadrature(capsys, monkeypatch, index):
     # -1 used to walk no member and exit 3, a false probe mismatch
-    monkeypatch.setattr(ckn.cli, "falsify_instance", _no_probe)
+    monkeypatch.setattr(ckn.probes, "falsify_instance", _no_probe)
     code, out, err = run(capsys, "falsify", "--n", "3", "--p", "2", "--q", "2", "--r", "7",
                          "--a", "0", "--b", "0", "--c", "0", f"--max-index={index}")
     assert code == 2 and out == ""
@@ -425,3 +429,22 @@ def test_max_index_zero_is_accepted(capsys):
                        "--a", "0", "--b", "0", "--c", "0", "--max-index", "0")
     assert code in (0, 3)
     assert json.loads(out)["trace"][0]["index"] == 0
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    # the probes, and numpy with them, are imported by verify and falsify alone
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "fixed": {"n": "3", "p": "2", "q": "2", "r": "2", "a": "0", "b": "0"},
+        "axes": [{"param": "c", "start": "-3", "stop": "1", "step": "1/100"}],
+    }))
+    script = (
+        "import json, sys\n"
+        "import ckn.cli\n"
+        f"codes = [ckn.cli.main({['classify', *BASE, '--c', '0']!r}), ckn.cli.main(['sweep', {str(spec)!r}])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ckn.cli.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]

@@ -15,11 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ckn.panels as panels
 import ckn.quadrature as quadrature
 from ckn.panels import QuadratureConfig
 from ckn.params import Params
 from ckn.probes import compute_norms, default_verification_family, verify_instance
-from ckn.profiles import SmoothBump
+from ckn.profiles import PiecewisePower, SmoothBump
 from ckn.quadrature import (
     MEAN_TERMS,
     NormStatus,
@@ -29,7 +30,7 @@ from ckn.quadrature import (
     weighted_norm_gradient,
     weighted_norms,
 )
-from ckn.testfunctions import TestFunction, translated
+from ckn.testfunctions import TestFunction, radial, translated
 from conftest import rational
 from oracle_angular import translated_norm
 from oracle_panels import panel_integral
@@ -222,6 +223,40 @@ def test_an_overflowing_sum_fails_without_raising():
     got = weighted_norm(translated(Tall(0.0, 1.0), 64.0), F(0), F(2), 3)
     assert got.status is NormStatus.FAILED
     assert got.detail == "panel sum overflowed"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_an_overflowing_panel_is_not_bisected(monkeypatch):
+    # an inf or nan panel sum used to fail the acceptance test at every
+    # depth: 409,563 panel rows for the translated norm, 32,758 radial
+    rows, gauss_sums = [], panels._gauss_sums
+
+    def counted(g, nodes, owner, x0, x1):
+        rows.append(x0.size)
+        return gauss_sums(g, nodes, owner, x0, x1)
+
+    monkeypatch.setattr(panels, "_gauss_sums", counted)
+    for u in (translated(Tall(0.0, 1.0), 64.0), radial(Tall(2.0, 1.0))):
+        rows.clear()
+        got = weighted_norm(u, F(0), F(2), 3)
+        assert (got.status, got.detail) == (NormStatus.FAILED, "panel sum overflowed")
+        assert sum(rows) <= 200
+
+
+def test_translated_divergence_is_certified_from_the_edge_at_zero():
+    # near t = 0 the weight is R^d, so t^-2 is not in L^(3/2) of R^3 around
+    # the translation point, and its derivative t^-3 is not either, while
+    # t^-1 is; these used to fail as "panel sum overflowed"
+    head = float("-inf")
+    for expo, gradient, status in ((F(-2), False, NormStatus.DIVERGENT), (F(-1), True, NormStatus.DIVERGENT),
+                                   (F(-1), False, NormStatus.FINITE)):
+        profile = PiecewisePower([(1.0, expo, head, 0.0)])
+        for d in (F(0), F(-5, 2)):
+            got = weighted_norms([(translated(profile, 4.0), d, F(3, 2), 3, gradient)])[0]
+            assert got.status is status
+            if status is NormStatus.DIVERGENT:
+                assert got.detail == "non-integrable at zero"
+                assert weighted_norms([(radial(profile), F(0), F(3, 2), 3, gradient)])[0].detail == got.detail
 
 
 def test_past_the_term_budget_the_norm_fails():
