@@ -65,18 +65,24 @@ class NormTriple:
 
 
 def compute_norms(
-    params: Params, u: TestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG
+    params: Params, u: TestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG,
+    plans: Optional[dict] = None,
 ) -> NormTriple:
-    return _norm_triples(params, [u], cfg)[0]
+    """The target, source and gradient norms of u.  plans, if given, is
+    the norm-plan dict of quadrature.weighted_norms, kept by a caller that
+    computes the norms of many members with this cfg."""
+    return _norm_triples(params, [u], cfg, plans)[0]
 
 
 def _norm_triples(
-    params: Params, functions: Sequence[TestFunction], cfg: QuadratureConfig
+    params: Params, functions: Sequence[TestFunction], cfg: QuadratureConfig,
+    plans: Optional[dict] = None,
 ) -> List[NormTriple]:
     """The NormTriple of each function; all their radial panel integrals
     share one integrator session."""
     kinds = ((params.c, params.r, False), (params.a, params.q, False), (params.b, params.p, True))
-    norms = weighted_norms([(u, d, s, params.n, gradient) for u in functions for d, s, gradient in kinds], cfg)
+    norms = weighted_norms([(u, d, s, params.n, gradient) for u in functions for d, s, gradient in kinds],
+                           cfg, plans)
     return [NormTriple(*norms[i:i + 3]) for i in range(0, len(norms), 3)]
 
 
@@ -320,7 +326,12 @@ def falsify_instance(
     max_index: Optional[int] = None,
 ) -> FalsifyReport:
     """Walk the witness family until the additive ratio crosses the
-    divergence threshold or a divergent-target certificate appears."""
+    divergence threshold or a divergent-target certificate appears.
+
+    The walk keeps one norm-plan dict for all its members, so members that
+    read one base profile, as the translated bumps do, share its exact
+    facts and moment tables.  A member whose parameters leave the double
+    range ends the walk without a verdict."""
     verdict = classify(params)
     if verdict.decision is not Decision.DOES_NOT_EMBED:
         raise ValueError("falsify_instance requires a non-embedding instance")
@@ -337,9 +348,13 @@ def falsify_instance(
         return FalsifyReport(params, verdict.reason.value, witness.descriptor(), ok,
                              certificate, crossed_at, trace, failure)
 
+    plans = {}
     for index in range(cap + 1):
-        u = witness.member(index)
-        triple = compute_norms(params, u, cfg)
+        try:
+            u = witness.member(index)
+        except OverflowError as exc:
+            return report(False, False, None, f"member {index}: {exc}")
+        triple = compute_norms(params, u, cfg, plans=plans)
         if NormStatus.FAILED in (triple.target.status, triple.source.status, triple.grad.status):
             return report(False, False, None, f"member {index}: quadrature failure")
         if not triple.source.finite or not triple.grad.finite:

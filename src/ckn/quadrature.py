@@ -27,8 +27,8 @@ integrand call per depth, and walks them toward 0 and infinity in
 lockstep blocks, each integral with its own tests, walks and budget.
 Every radial panel integral of a `weighted_norms` call shares one
 session, so the norms of a whole `verify` instance (8 members x 5 scales
-x 3 norms) take about 15 integrand calls instead of about 600, and the
-three norms of a `falsify` member one session.  Its integrand reads a
+x 3 norms) take about 15 integrand calls instead of about 600.  Its
+integrand reads a
 dilated profile f(lam t) or its gradient view lam f'(lam t) as
 base.value(lam t) or lam base.derivative(lam t), one profile call per
 base and run of points.
@@ -40,7 +40,8 @@ record, so the exact verdicts, the closed-form branch, the base's edge
 records and the float constants are decided once for all dilations of a
 member.  A dilated norm then only scales support, seams and exact edge
 terms by lam, in floats; it is still integrated, never inferred from the
-scaling law.
+scaling law.  A caller may keep the plans across calls: a `falsify` walk
+keeps one dict for all its members.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -49,9 +50,19 @@ around the translation point,
 
 where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
 |e + x w|^d over w in S^{N-1} (Funk-Hecke; A&S 15.1.1 for the series),
-and the gradient norm has the same form with f'.  The series is cut once
-per integral, from x_max = hi/R, where its tail is below 1e-17 of M; log M
-is added to the integrand's exponent, and sessions without translated
+and the gradient norm has the same form with f'.  The series
+M = sum_k c_k x^(2k) is cut once per norm, from x_max = hi/R, where its
+tail is below 1e-17 of M.  A series of at most MOMENT_TERMS terms, as
+every witness member needs, makes the integral the sum
+
+    sum_k c_k (lam R)^(-2k) mu_k,   mu_k = integral t^(N-1+2k) |f(t)|^s dt,
+
+for f the dilation by lam of a base profile: the moments mu_k of the base
+depend only on the base, value or derivative, s and N, so they fill a
+table of its d = 0 norm plan, integrated once and shared by every d,
+offset and dilation (a dilation scales them by lam^-(N+2k), times lam^s
+for f').  A longer series, needed only near the sphere, adds log M to the
+exponent of the integrand at each point instead; sessions without such
 norms never evaluate it.  Huge offsets stay in range through R^d, which
 is carried in log space.  Near t = 0 the weight is R^d M(0) = R^d, so
 divergence there is certified as for a radial norm with d = 0, from the
@@ -207,6 +218,10 @@ def _log1mexp(x: float) -> float:
 # enough for x_max up to about 0.998 at moderate d
 MEAN_TOL = 1e-17
 MEAN_TERMS = 10_000
+# the longest series a translated norm sums over moment tables; witness
+# members (x_max <= 1/16) need at most about 12 terms, while x_max = 0.99
+# needs thousands, one moment integral each
+MOMENT_TERMS = 16
 
 
 @dataclass(frozen=True)
@@ -296,13 +311,19 @@ class _NormPlan:
     So the plan holds the exact divergence verdicts, the closed-form
     branch, the base's support, seams and exact edge terms, and the float
     constants; a dilated norm does float work only.  The base's edge
-    records are read only where its support reaches 0 or infinity.
+    records are read only where its support reaches 0 or infinity.  The
+    d = 0 plan of a translated norm also holds the moment table of the
+    base (`moment_table`).
+
+    The plan holds its base and its d and s, the objects whose ids key it
+    in a plans dict (`_plan`), so that no other object takes one of those
+    ids while the dict lives.
     """
 
     def __init__(self, base: RadialProfile, derivative: bool, d, s, n: int):
         if s <= 0:
             raise ValueError("norm exponent must be positive")
-        self.base, self.derivative = base, derivative
+        self.base, self.derivative, self.d, self.s = base, derivative, d, s
         lo, hi = self.support = base.support
         self.breakpoints = base.breakpoints
         edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
@@ -319,6 +340,8 @@ class _NormPlan:
                       for edge, end in zip(edges, ends)]
         self.wexp, self.sf = float(d + n - 1), float(s)
         self.log_area = math.log(surface_area(n))
+        # (mu_k, panel error) of the moments integrated so far
+        self.moments = []
         # the closed form of the base read as values, used when the norm's
         # profile is the base itself
         self.closed = None
@@ -336,11 +359,38 @@ class _NormPlan:
         coef = coef * lam ** power
         return (coef * power if self.derivative else coef), read, exact / lam
 
+    def moment_table(self, count: int, cfg: QuadratureConfig):
+        """The first count moments mu_k = integral t^(wexp+2k) |f(t)|^s dt
+        of the base read as values or derivatives (f = base or base'), as
+        (value, panel error) pairs, or the QuadratureError that stopped the
+        table short of count.  A short table is extended by one session
+        that integrates all its missing moments; a moment whose sum is not
+        finite stops it as "panel sum overflowed"."""
+        have = len(self.moments)
+        if have < count:
+            lo, hi = self.support
+            integral = Integral(lo if lo > 0 else hi / 512.0, hi, self.breakpoints, down=lo == 0.0)
+            more = count - have
+            g = _radial_integrand([(self.base, self.derivative, 1.0)] * more, [0] * more,
+                                  [self.wexp + 2.0 * k for k in range(have, count)], [self.sf] * more,
+                                  [None] * more)
+            for result in integrate(g, [integral] * more, cfg):
+                if not isinstance(result, QuadratureError) and not math.isfinite(result[0]):
+                    result = QuadratureError("panel sum overflowed")
+                if isinstance(result, QuadratureError):
+                    return result
+                self.moments.append(result)
+        return self.moments[:count]
+
 
 def _plan(plans: dict, profile: RadialProfile, d, s, n: int) -> Tuple[_NormPlan, float]:
     """(plan, lam) of the norm || profile ||_{d,s} on R^n, the plan shared
     through plans by every norm of the same base, reading and (d, s, n)
-    objects.  Keys are identities: no Fraction is hashed per norm."""
+    objects.  Keys are identities: no Fraction is hashed per norm.  Each
+    plan holds the objects of its key, so a plans dict may serve many
+    weighted_norms calls, as one falsify walk does, and its keys stay
+    unique while it lives; it must serve one QuadratureConfig, which fills
+    its moment tables."""
     base, derivative, lam = _dilation(profile)
     key = (id(base), derivative, id(d), id(s), n)
     plan = plans.get(key)
@@ -674,6 +724,14 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     t^(n-1) |f(t)|^s M(t/R), f' for gradient, with R the offset and M the
     SphericalMean of |x|^d around it.
 
+    With f the dilation by lam of a base, M = sum_k c_k x^(2k) of K <=
+    MOMENT_TERMS terms and y = (lam R)^-2, the integral is lam^(s - n) for
+    gradient, lam^-n else, times sum_k c_k y^k mu_k over the moment table
+    of the base (_NormPlan.moment_table), and the norm yields nothing; its
+    error is sum_k |c_k| y^k err_k over that sum, which also covers
+    cancellation between terms of both signs, plus the series bound.  A
+    longer series yields the panel integral of t^(n-1) |f|^s M(t/R).
+
     Near t = 0 the weight is R^d M(0) = R^d, so the integral diverges
     there exactly when the unweighted radial one does: its plan is the
     radial plan of d = 0."""
@@ -688,17 +746,30 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     mean = SphericalMean.series(n, d, hi / offset)
     if mean is None:
         return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {hi / offset:.6g}")
-    try:
-        total, err = yield (plan.base, plan.derivative, lam), plan.wexp, plan.sf, Integral(
-            lo if lo > 0 else hi / 512.0, hi, tuple(x / lam for x in plan.breakpoints),
-            down=lo == 0.0), (mean, offset)
-    except QuadratureError as exc:
-        return NormValue.failed(str(exc))
-    if not math.isfinite(total):
-        return NormValue.failed("panel sum overflowed")
+    log_prefactor = float(d) * math.log(offset) + plan.log_area
+    if mean.coefs.size <= MOMENT_TERMS:
+        moments = plan.moment_table(mean.coefs.size, cfg)
+        if isinstance(moments, QuadratureError):
+            return NormValue.failed(str(moments))
+        y = (1.0 / (lam * offset)) ** 2
+        total = err = 0.0
+        power = 1.0  # y^k
+        for coef, (moment, moment_err) in zip(mean.coefs.tolist(), moments):
+            total += coef * power * moment
+            err += abs(coef) * power * moment_err
+            power *= y
+        log_prefactor += ((plan.sf if gradient else 0.0) - n) * math.log(lam)
+    else:
+        try:
+            total, err = yield (plan.base, plan.derivative, lam), plan.wexp, plan.sf, Integral(
+                lo if lo > 0 else hi / 512.0, hi, tuple(x / lam for x in plan.breakpoints),
+                down=lo == 0.0), (mean, offset)
+        except QuadratureError as exc:
+            return NormValue.failed(str(exc))
+        if not math.isfinite(total):
+            return NormValue.failed("panel sum overflowed")
     if total <= 0:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    log_prefactor = float(d) * math.log(offset) + plan.log_area
     return NormValue.from_log((log_prefactor + math.log(total)) / plan.sf,
                               err / max(total, cfg.abs_tol) + mean.error)
 
@@ -726,13 +797,18 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg
     return NormValue.from_log(base.log_value + correction, base.error)
 
 
-def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG, plans: Optional[dict] = None) -> list:
     """The norm of each (u, d, s, n, gradient) of norms: || grad u ||_{d,s}
     when gradient, else || u ||_{d,s}.  Every panel integral among them
     shares one session, and the norms of one base profile and (d, s, n)
     one norm plan, whatever their dilations; first-harmonic gradients,
-    the one 2-D norm, are computed one at a time."""
-    plans = {}
+    the one 2-D norm, are computed one at a time.
+
+    plans, if given, holds the norm plans across calls, all with this cfg:
+    a caller that asks for the norms of many members of one base, such as
+    the translated witness members of a falsify walk, then decides its
+    exact facts and integrates its moment tables once (see _plan)."""
+    plans = {} if plans is None else plans
     return _session([_norm(u, d, s, n, gradient, cfg, plans) for u, d, s, n, gradient in norms], cfg)
 
 

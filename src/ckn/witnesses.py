@@ -158,16 +158,33 @@ class _LogModulatedFamily(WitnessFamily):
         return radial(LogModulated(self.eta, lam))
 
 
+# the bump every translated member reads: a member of width w is its
+# dilation by 1/w, so the members of a walk share its norm plans
+_UNIT_BUMP = SmoothBump(0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class _TranslatedBumpFamily(WitnessFamily):
+    """Bumps of width R^-nu translated to distance R = offset_start *
+    offset_base^index; an offset past the double range raises
+    OverflowError."""
+
     nu: int = 0
     offset_start: float = 64.0
     offset_base: float = 2.0
 
     def member(self, index: int) -> TestFunction:
-        offset = self.offset_start * self.offset_base**index
-        width = 1.0 if self.nu == 0 else max(offset**-self.nu, 1e-250)
-        return translated(SmoothBump(0.0, width), offset)
+        try:
+            offset = self.offset_start * self.offset_base**index
+        except OverflowError:
+            offset = math.inf
+        if offset == math.inf:
+            raise OverflowError(
+                f"translation offset {self.offset_start:g} * {self.offset_base:g}^{index} leaves the double range")
+        if self.nu == 0:
+            return translated(_UNIT_BUMP, offset)
+        width = max(offset**-self.nu, 1e-250)
+        return translated(_UNIT_BUMP.scaled(1.0 / width), offset)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,18 @@ def test_falsify_tiny_theta_defect_reports_instead_of_overflowing(capsys):
     assert json.loads(out)["reason"] == "ThetaConditionFails"
 
 
+def test_falsify_offsets_past_the_double_range_end_without_a_verdict(capsys):
+    # the walk of the 1e-4 theta defect reaches index 77, where the offset
+    # 64 * 1e4^77 overflows: no verdict (exit 3), not an internal error
+    code, out, _ = run(
+        capsys, "falsify", "--n", "5", "--p", "7/2", "--q", "5/3", "--r", "14/5",
+        "--a=-34/5", "--b", "5/3", "--c=-27/5", "--max-index", "200",
+    )
+    payload = json.loads(out)
+    assert code == 3 and not payload["ok"] and len(payload["trace"]) == 77
+    assert payload["failure"] == "member 77: translation offset 64 * 10000^77 leaves the double range"
+
+
 def test_falsify_far_indicator_band_is_not_an_empty_band(capsys):
     # EndpointC0WrongR with r > q: the indicator-band members reach m ~ e^37,
     # where the band (m, m + 1) has a log width below one ulp of log m

@@ -3,6 +3,7 @@
 A `weighted_norms` call shares one plan among the norms of each (base
 profile, value or derivative, d, s, N); each dilated norm is still
 integrated, with the plan's support, seams and exact edge terms scaled.
+A falsify walk keeps its plans for all its members.
 """
 
 import math
@@ -11,8 +12,9 @@ from fractions import Fraction
 import pytest
 
 import ckn.quadrature as quadrature
+import ckn.witnesses as witnesses
 from ckn.params import Params
-from ckn.probes import DEFAULT_SCALES, default_verification_family, default_w0_family, verify_instance
+from ckn.probes import DEFAULT_SCALES, default_verification_family, default_w0_family, falsify_instance, verify_instance
 from ckn.profiles import (
     PowerCutoffInner,
     PowerCutoffOuter,
@@ -143,3 +145,47 @@ def test_a_base_divergent_at_every_scale_is_divergent_at_each():
     for got, want in zip(shared, alone):
         assert got.status is NormStatus.DIVERGENT
         assert got.detail == want.detail == "non-integrable at zero"
+
+
+# the two translated D5 instances, which walk all 41 members of their family
+D5 = [
+    Params(4, F(13, 6), F(4), F(5), F(-29, 6), F(-9, 2), F(-8)),  # ROutOfRange, bumps of width R^-nu
+    Params(4, F(11, 3), F(1), F(2), F(5), F(-7), F(3)),  # ThetaConditionFails, unit bumps
+]
+
+
+@pytest.mark.parametrize("params", D5)
+def test_a_translated_walk_decides_and_integrates_each_norm_kind_once(monkeypatch, params):
+    # every member reads the one unit bump: 3 plans, 3 edges() calls and 3
+    # moment sessions for the walk, where each member used to build its
+    # own 3 plans and run its own session
+    calls = {"plans": 0, "edges": 0, "sessions": 0}
+    plans = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    init = quadrature._NormPlan.__init__
+
+    def recorded(plan, *args):
+        plans.append(plan)
+        init(plan, *args)
+
+    monkeypatch.setattr(quadrature._NormPlan, "__init__", counted("plans", recorded))
+    monkeypatch.setattr(SmoothBump, "edges", counted("edges", SmoothBump.edges))
+    monkeypatch.setattr(quadrature, "integrate", counted("sessions", quadrature.integrate))
+    report = falsify_instance(params)
+    assert not report.ok and len(report.trace) == 41
+    assert calls == {"plans": 3, "edges": 3, "sessions": 3}
+    assert all(plan.base is witnesses._UNIT_BUMP and plan.moments for plan in plans)
+
+
+def test_a_translated_offset_past_the_double_range_raises_overflow():
+    family = witnesses._TranslatedBumpFamily(None, None, "", "sup_dilation", offset_start=64.0, offset_base=1e4)
+    assert family.member(76).offset == 64.0 * 1e4 ** 76
+    for index in (77, 78, 200):
+        with pytest.raises(OverflowError, match=f"64 \\* 10000\\^{index} leaves the double range"):
+            family.member(index)

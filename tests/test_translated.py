@@ -2,7 +2,8 @@
 
 The norm of f(|x - x0|) is R^d |S^(N-1)| times the integral of
 t^(N-1) |f|^s M(t/R), where M is the mean of |e + x w|^d over the sphere.
-These tests check M against exact forms, the norms against the 2-D
+These tests check M against exact forms, the norms on both their paths
+(sums over moment tables, and log M at each point) against the 2-D
 integrand they replaced (`oracle_angular`) and against closed-form
 angular factors integrated by the depth-first `oracle_panels`, and the
 statuses the radial path shares with them.
@@ -23,6 +24,7 @@ from ckn.probes import compute_norms, default_verification_family, verify_instan
 from ckn.profiles import PiecewisePower, SmoothBump
 from ckn.quadrature import (
     MEAN_TERMS,
+    MOMENT_TERMS,
     NormStatus,
     SphericalMean,
     surface_area,
@@ -184,13 +186,125 @@ def test_translated_norms_match_the_angular_oracle():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_witness_members_match_the_angular_oracle(n):
     # the translated witness families: unit bumps or bumps of width R^-nu
-    # at distance R >= 16, so x <= 1/16
+    # at distance R >= 16, so x <= 1/16, each read as a bump of that width
+    # and, as the families make them, as the unit bump dilated by 1/width,
+    # whose moment sums carry lam^-(n+2k), times lam^s for the gradient
     rng = random.Random(612 + n)
     for offset in (16.0, 64.0, 16.0 * 64.0**3, 64.0 * 1e4**5):
         for width in (1.0, offset ** -1, offset ** -2):
             s, d = 1 + rational(rng, 0, 3), rational(rng, -3 * n, n + 3)
             for gradient in (False, True):
-                assert_pinned(translated(SmoothBump(0.0, width), offset), d, s, n, gradient)
+                for profile in (SmoothBump(0.0, width), SmoothBump(0.0, 1.0).scaled(1.0 / width)):
+                    assert_pinned(translated(profile, offset), d, s, n, gradient)
+
+
+# ---------------------------------------------------------------------------
+# the two paths: sums over moment tables, and log M at every point
+# ---------------------------------------------------------------------------
+
+# both sides integrate to 1e-12, the oracle's angle with 192 nodes: at the
+# default 1e-9 the panel error of a bump norm alone reaches 4.6e-12 in log
+# (the N = 1, d = 25 value norm at x = 1/2, on the per-point integrand)
+TIGHT = QuadratureConfig(rel_tol=1e-12)
+ORACLE = QuadratureConfig(rel_tol=1e-12, angular_nodes=192)
+
+
+def summed_over_moments(n, d, x):
+    return SphericalMean.series(n, d, x).coefs.size <= MOMENT_TERMS
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_both_paths_match_the_angular_oracle(n):
+    paths = set()
+    for x in (1 / 16, 1 / 2, 3 / 4):
+        for d in (F(-25), F(-49, 2), F(-3, 2), F(7, 3), F(49, 2), F(25)):
+            paths.add(summed_over_moments(n, d, x))
+            u = translated(SmoothBump(0.0, 1.0), 1.0 / x)
+            for gradient, s in ((False, F(3, 2)), (True, F(5, 2))):
+                got = (weighted_norm_gradient if gradient else weighted_norm)(u, d, s, n, TIGHT)
+                want = translated_norm(u.profile, d, s, n, u.offset, ORACLE, use_derivative=gradient)
+                assert got.finite and want.finite
+                assert abs(got.log_value - want.log_value) <= 1e-12, (x, d, gradient)
+    assert paths == {True, False}
+
+
+# x = 1/16 at large |d|, the witness members' worst case, and the two
+# kinds of series with negative terms that N <= 5 has: 2 - N < d < 0, and
+# d = 25 at x = 1/2
+ERROR_CASES = [(1 / 16, d) for d in (F(-25), F(-49, 2), F(49, 2), F(25))] + [(1 / 16, F(-1, 2)), (1 / 2, F(25))]
+
+
+def assert_error_covers(n, gradient, s):
+    """The reported error of each moment sum of ERROR_CASES covers its
+    distance from the oracle at 1e-12 with 192 angular nodes; returns
+    whether a series had a negative term."""
+    negative = False
+    for x, d in ERROR_CASES:
+        assert summed_over_moments(n, d, x)
+        negative = negative or bool((SphericalMean.series(n, d, x).coefs < 0).any())
+        u = translated(SmoothBump(0.0, 1.0), 1.0 / x)
+        got = (weighted_norm_gradient if gradient else weighted_norm)(u, d, s, n)
+        want = translated_norm(u.profile, d, s, n, u.offset, ORACLE, use_derivative=gradient)
+        assert 0 < got.error < 1e-6
+        assert abs(got.log_value - want.log_value) <= got.error, (x, d)
+    return negative
+
+
+@pytest.mark.parametrize("n, gradient", [(n, gradient) for n in range(1, 6) for gradient in (False, True)
+                                         if n > 1 or gradient])
+def test_the_error_of_a_moment_sum_covers_its_true_error(n, gradient):
+    assert assert_error_covers(n, gradient, F(2) if gradient else F(3, 2)) == (n >= 3)
+
+
+@pytest.mark.xfail(strict=True, reason="the remainder past the walk toward 0 is in no reported error")
+def test_the_error_of_a_one_dimensional_moment_sum_covers_its_true_error():
+    # |f|^s is about f(0)^s near 0 in one dimension, so mu_0 drops about
+    # f(0)^s 2^-38, 6.8e-12 of itself, past the walk's last panel: the
+    # norm at d = -25 is off by 3.8e-12 in log, with a reported error of
+    # 1.7e-14.  A per-point integral of t^(N-1) |f|^s M drops the same
+    assert_error_covers(1, False, F(3, 2))
+
+
+@pytest.mark.parametrize("n, d, x, mean_tol", [
+    # M = 1 - x^2/5 at x = 7/8: for N <= 5, |d| <= 25 and x <= 7/8, the
+    # only moment sums whose terms cancel by more than 10 %
+    (5, F(-1), 7 / 8, 1e-17),
+    # at a loose series tolerance, the series bound dominates
+    (3, F(-5), 1 / 4, 1e-10),
+])
+def test_a_moment_sum_reports_its_absolute_panel_errors_and_the_series_bound(monkeypatch, n, d, x, mean_tol):
+    monkeypatch.setattr(quadrature, "MEAN_TOL", mean_tol)
+    mean = SphericalMean.series(n, d, x)
+    assert summed_over_moments(n, d, x)
+    plans, s = {}, F(3, 2)
+    got = weighted_norms([(translated(SmoothBump(0.0, 1.0), 1 / x), d, s, n, False)], plans=plans)[0]
+    (plan,) = plans.values()
+    terms = [(coef * x ** (2 * k), moment, err)
+             for k, (coef, (moment, err)) in enumerate(zip(mean.coefs.tolist(), plan.moments))]
+    total = sum(coef * moment for coef, moment, _ in terms)
+    absolute = sum(abs(coef) * err for coef, _, err in terms) / total
+    assert got.error == pytest.approx(absolute + mean.error, rel=1e-12, abs=0.0)
+    if mean.error == 0.0:
+        assert sum(coef * err for coef, _, err in terms) / total < 0.9 * absolute
+    else:
+        assert mean.error > 10 * absolute
+
+
+def test_a_short_moment_table_is_extended_and_a_failed_one_fails():
+    plan = quadrature._NormPlan(SmoothBump(0.0, 1.0), False, 0, F(2), 3)
+    short = plan.moment_table(3, quadrature.DEFAULT_CONFIG)
+    assert len(short) == 3 and plan.moment_table(5, quadrature.DEFAULT_CONFIG)[:3] == short
+    assert len(plan.moments) == 5
+    # the moments of t^2 |f|^2 for f = 1 on (0, 1] in closed form: 1/(2k + 3)
+    flat = PiecewisePower([(1.0, F(0), -math.inf, 0.0)])
+    plan = quadrature._NormPlan(flat, False, 0, F(2), 3)
+    for k, (moment, _) in enumerate(plan.moment_table(4, quadrature.DEFAULT_CONFIG)):
+        assert moment == pytest.approx(1 / (2 * k + 3), rel=1e-14, abs=0.0)
+    budget = QuadratureConfig(max_panels=8)
+    plan = quadrature._NormPlan(SmoothBump(0.0, 1.0), False, 0, F(1), 1)
+    failed = plan.moment_table(2, budget)
+    assert isinstance(failed, panels.QuadratureError) and not plan.moments
+    assert str(plan.moment_table(1, budget)) == str(failed) == "panel budget exhausted extending toward zero"
 
 
 # ---------------------------------------------------------------------------
