@@ -36,8 +36,14 @@ end.
 
 The smooth cutoff is fixed once and for all: zeta(t) = 1 for t <= 1/2,
 0 for t >= 1, bridged by the standard exp-based mollifier step
-h(x) = exp(-1/x); the log-window bump is exp(-1/(1-v^2)) on (-1, 1).
-Fixing both makes quadrature outputs reproducible across runs.
+h(1-w) / (h(w) + h(1-w)), h(x) = exp(-1/x), at w = 2t - 1; the
+log-window bump is exp(-1/(1-v^2)) on (-1, 1).  Fixing both makes
+quadrature outputs reproducible across runs.  The step is evaluated in
+its logistic form: with z = 1/(1-w) - 1/w it is 1/(1 + e^z), its mirror
+1 - zeta is 1/(1 + e^-z) (no cancellation where zeta is near 1), and its
+slope is -(1/w^2 + 1/(1-w)^2) / (4 cosh^2(z/2)), all from the one
+exponential e^(z/2), with no masks.  The cutoff profiles keep their
+exponents as floats, so a call is a handful of ufuncs.
 """
 
 from __future__ import annotations
@@ -54,46 +60,40 @@ import numpy as np
 # fixed smooth cutoff and bump
 # ---------------------------------------------------------------------------
 
-def _h(x: np.ndarray) -> np.ndarray:
-    """exp(-1/x) for x > 0, else 0 (the standard mollifier kernel)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
+# the step is exactly 1 below w = _STEP_END and exactly 0 above 1 - _STEP_END:
+# there e^(-1/w), the step's distance from 1 or 0 and its slope (at most
+# 2^20 e^-1023) are all below the least subnormal float
+_STEP_END = 2.0 ** -10
 
 
-def _h_prime(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos]) / x[pos] ** 2
-    return out
+def _step_halves(w) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, a, b): w clamped to [_STEP_END, 1 - _STEP_END], and a = e^(-z/2)
+    and b = e^(z/2) for z = 1/(1-w) - 1/w.  The step 1/(1 + e^z) is then
+    a/(a+b), its mirror 1/(1 + e^-z) is b/(a+b), and 4 cosh^2(z/2) is
+    (a+b)^2; the clamp keeps a and b inside the float range."""
+    w = np.clip(np.asarray(w, dtype=float), _STEP_END, 1.0 - _STEP_END)
+    b = np.exp(0.5 / (1.0 - w) - 0.5 / w)
+    return w, 1.0 / b, b
+
+
+def _step_slope(w: np.ndarray, twocosh: np.ndarray) -> np.ndarray:
+    """d/dw of 1/(1 + e^z) = -z'(w) / (4 cosh^2(z/2)), with twocosh =
+    2 cosh(z/2) = a + b of _step_halves, divided out twice so that the
+    slope underflows gradually and nothing overflows."""
+    v = 1.0 - w
+    return -((1.0 / (w * w) + 1.0 / (v * v)) / twocosh) / twocosh
 
 
 def smooth_step(w: np.ndarray) -> np.ndarray:
-    """1 for w <= 0, 0 for w >= 1, smooth and monotone in between."""
-    w = np.asarray(w, dtype=float)
-    num = _h(1.0 - w)
-    den = _h(w) + num
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    out = np.where(w <= 0, 1.0, out)
-    out = np.where(w >= 1, 0.0, out)
-    return out
+    """1 for w <= 0, 0 for w >= 1, smooth and monotone in between: the
+    h-ratio h(1-w) / (h(w) + h(1-w)) of h(x) = exp(-1/x), as 1/(1 + e^z)."""
+    _, a, b = _step_halves(w)
+    return a / (a + b)
 
 
 def smooth_step_prime(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    inside = (w > 0) & (w < 1)
-    out = np.zeros_like(w)
-    if np.any(inside):
-        wi = w[inside]
-        hw, h1w = _h(wi), _h(1.0 - wi)
-        dhw, dh1w = _h_prime(wi), _h_prime(1.0 - wi)
-        den = hw + h1w
-        out[inside] = -(dh1w * hw + h1w * dhw) / den**2
-    return out
+    w, a, b = _step_halves(w)
+    return _step_slope(w, a + b)
 
 
 def zeta(t: np.ndarray) -> np.ndarray:
@@ -239,16 +239,21 @@ class PowerCutoffInner(RadialProfile):
 
     def __init__(self, alpha):
         self.alpha = Fraction(alpha)
+        # floats for value() and derivative(), as PowerTail keeps them
+        self._a, self._head, self._dhead = float(self.alpha), float(-self.alpha), float(-self.alpha - 1)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        return _fpow(t, -self.alpha) * zeta(t)
+        _, a, b = _step_halves(2.0 * t - 1.0)
+        return np.power(t, self._head) * (a / (a + b))
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
-        out = _fpow(t, -self.alpha) * zeta_prime(t)
-        if self.alpha != 0:
-            out = out - float(self.alpha) * _fpow(t, -self.alpha - 1) * zeta(t)
+        w, a, b = _step_halves(2.0 * t - 1.0)
+        twocosh = a + b
+        out = np.power(t, self._head) * (2.0 * _step_slope(w, twocosh))
+        if self._a != 0.0:
+            out = out - self._a * np.power(t, self._dhead) * (a / twocosh)
         return out
 
     @property
@@ -267,22 +272,28 @@ class PowerCutoffInner(RadialProfile):
 
 
 class PowerCutoffOuter(RadialProfile):
-    """t^{-alpha} (1 - zeta(t)): a pure power beyond t = 1."""
+    """t^{-alpha} (1 - zeta(t)): a pure power beyond t = 1.  1 - zeta is
+    the mirrored step 1/(1 + e^-z), which keeps its digits where zeta is
+    near 1."""
 
     kind = "power_cutoff_outer"
 
     def __init__(self, alpha):
         self.alpha = Fraction(alpha)
+        self._a, self._head, self._dhead = float(self.alpha), float(-self.alpha), float(-self.alpha - 1)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        return _fpow(t, -self.alpha) * (1.0 - zeta(t))
+        _, a, b = _step_halves(2.0 * t - 1.0)
+        return np.power(t, self._head) * (b / (a + b))
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
-        out = -_fpow(t, -self.alpha) * zeta_prime(t)
-        if self.alpha != 0:
-            out = out - float(self.alpha) * _fpow(t, -self.alpha - 1) * (1.0 - zeta(t))
+        w, a, b = _step_halves(2.0 * t - 1.0)
+        twocosh = a + b
+        out = np.power(t, self._head) * (-2.0 * _step_slope(w, twocosh))
+        if self._a != 0.0:
+            out = out - self._a * np.power(t, self._dhead) * (b / twocosh)
         return out
 
     @property

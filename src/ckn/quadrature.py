@@ -23,8 +23,9 @@ points.  Singular ends are handled in three tiers:
 
 One integrator serves every panel path: a session of `panels.integrate`,
 which bisects the pending panels of all its integrals breadth first, one
-integrand call per depth, and walks them toward 0 and infinity in
-lockstep blocks, each integral with its own tests, walks and budget.
+integrand call per depth (per few depths while they are few), and walks
+them toward 0 and infinity in lockstep blocks, each integral with its
+own tests, walks and budget.
 Every radial panel integral of a `weighted_norms` call shares one
 session, so the norms of a whole `verify` instance (8 members x 5 scales
 x 3 norms) take about 15 integrand calls instead of about 600.  Its
@@ -52,7 +53,8 @@ where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
 |e + x w|^d over w in S^{N-1} (Funk-Hecke; A&S 15.1.1 for the series),
 and the gradient norm has the same form with f'.  The series
 M = sum_k c_k x^(2k) is cut once per norm, from x_max = hi/R, where its
-tail is below 1e-17 of M.  A series of at most MOMENT_TERMS terms, as
+tail is below 1e-17 of M; its coefficients depend only on (N, d), so a
+plans dict keeps them, and a falsify walk runs each recurrence once.  A series of at most MOMENT_TERMS terms, as
 every witness member needs, makes the integral the sum
 
     sum_k c_k (lam R)^(-2k) mu_k,   mu_k = integral t^(N-1+2k) |f(t)|^s dt,
@@ -240,6 +242,43 @@ class SphericalMean:
     @classmethod
     def series(cls, n: int, d, x_max: float) -> Optional["SphericalMean"]:
         """The shortest series whose tail is at most MEAN_TOL of M on [0, x_max],
+        or None if that takes more than MEAN_TERMS terms (_MeanCoefficients.cut)."""
+        return _MeanCoefficients(n, d).cut(x_max)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """M(x) by Horner's rule in x^2."""
+        z = x * x
+        out = np.full_like(z, self.coefs[-1])
+        for coef in self.coefs[-2::-1]:
+            out *= z
+            out += coef
+        return out
+
+
+class _MeanCoefficients:
+    """The coefficients of the series of M for one (n, d), each computed
+    once by the term recurrence, and cut for any x_max: only the cut depends
+    on x_max, so a falsify walk keeps one per (n, d) in its plans dict
+    (_mean_coefficients).  It holds d, the object whose id keys it."""
+
+    def __init__(self, n: int, d):
+        self.n, self.d, self.df = n, d, float(d)
+        d = self.df
+        self.a, self.b, self.c = -d / 2.0, 1.0 - n / 2.0 - d / 2.0, n / 2.0
+        # M >= 1 where |y|^d is subharmonic
+        self.subharmonic = d * (d + n - 2) >= 0
+        # coefs[k], and whether coefs[1..k] are all positive
+        self.coefs, self.positive = [1.0], [True]
+
+    def _extend(self) -> None:
+        """Append the next coefficient by the recurrence."""
+        k, a, b, c = len(self.coefs), self.a, self.b, self.c
+        coef = self.coefs[-1] * (a + k - 1) * (b + k - 1) / ((c + k - 1) * k)
+        self.coefs.append(coef)
+        self.positive.append(self.positive[-1] and coef > 0.0)
+
+    def cut(self, x_max: float) -> Optional[SphericalMean]:
+        """The shortest series whose tail is at most MEAN_TOL of M on [0, x_max],
         or None if that takes more than MEAN_TERMS terms.
 
         Past K >= max(-a, -b) the term ratio (a+k)(b+k)/((c+k)(k+1)) z has
@@ -251,33 +290,33 @@ class SphericalMean:
         least 1 where |y|^d is subharmonic, d (d + n - 2) >= 0, else at
         least its least value on the sphere.
         """
-        d = float(d)
-        a, b, c, z = -d / 2.0, 1.0 - n / 2.0 - d / 2.0, n / 2.0, x_max * x_max
-        least = 1.0 if d * (d + n - 2) >= 0 else min((1.0 + x_max) ** d, (1.0 - x_max) ** d)
-        coefs, head, positive = [1.0], 1.0, True  # head: the partial sum at x_max
+        a, b, c, d, z = self.a, self.b, self.c, self.df, x_max * x_max
+        least = 1.0 if self.subharmonic else min((1.0 + x_max) ** d, (1.0 - x_max) ** d)
+        coefs, head = self.coefs, 1.0  # head: the partial sum at x_max
         for k in range(1, MEAN_TERMS + 1):
-            coef = coefs[-1] * (a + k - 1) * (b + k - 1) / ((c + k - 1) * k)
+            if k == len(coefs):
+                self._extend()
+            coef = coefs[k]
             if coef == 0.0:  # a or b a non-positive integer: M is a polynomial
-                return cls(np.array(coefs), 0.0)
-            positive = positive and coef > 0.0
+                return SphericalMean(np.array(coefs[:k]), 0.0)
             if k >= -a and k >= -b:
                 rho = z * max(1.0, (k + a) / (k + c)) * max(1.0, (k + b) / (k + 1))
                 tail = abs(coef) * z**k / (1.0 - rho) if rho < 1.0 else math.inf
-                floor = head if positive else least
+                floor = head if self.positive[k] else least
                 if tail <= MEAN_TOL * floor:
-                    return cls(np.array(coefs), tail / floor)
-            coefs.append(coef)
+                    return SphericalMean(np.array(coefs[:k]), tail / floor)
             head += coef * z**k
         return None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """M(x) by Horner's rule in x^2."""
-        z = x * x
-        out = np.full_like(z, self.coefs[-1])
-        for coef in self.coefs[-2::-1]:
-            out *= z
-            out += coef
-        return out
+
+def _mean_coefficients(plans: dict, n: int, d) -> _MeanCoefficients:
+    """The series coefficients of (n, d) that plans keeps, keyed by the
+    identity of d as _plan keys its plans."""
+    key = (id(d), n)
+    coefficients = plans.get(key)
+    if coefficients is None:
+        coefficients = plans[key] = _MeanCoefficients(n, d)
+    return coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +782,7 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
         raise ValueError("translated support must stay away from the origin")
     if lo == 0.0 and plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
-    mean = SphericalMean.series(n, d, hi / offset)
+    mean = _mean_coefficients(plans, n, d).cut(hi / offset)
     if mean is None:
         return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {hi / offset:.6g}")
     log_prefactor = float(d) * math.log(offset) + plan.log_area

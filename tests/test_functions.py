@@ -6,12 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle_cutoff
 from ckn.profiles import (
     PowerCutoffInner,
+    PowerCutoffOuter,
     PowerTail,
     SmoothBump,
     bump,
     smooth_step,
+    smooth_step_prime,
     zeta,
     zeta_prime,
 )
@@ -59,6 +62,55 @@ def test_smooth_step_endpoints():
     assert s[0] == 1.0 and s[1] == 1.0
     assert 0 < s[2] < 1
     assert s[3] == 0.0 and s[4] == 0.0
+
+
+# a dense grid of w with points 1e-6 inside and outside each end of the step
+STEP_GRID = np.unique(np.concatenate([
+    np.linspace(-0.25, 1.25, 150_001),
+    [-1e-6, 0.0, 1e-6, 1.0 - 1e-6, 1.0, 1.0 + 1e-6],
+]))
+
+
+def assert_matches_oracle(got, want):
+    """got within 1e-13 of want, relatively, where |want| >= 1e-300.  Below,
+    the oracle's h(x) = exp(-1/x) is subnormal and has lost digits, so
+    there both need only be below 1e-300."""
+    big = np.abs(want) >= 1e-300
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-13 * np.abs(want[big]))
+    assert np.all(np.abs(got[~big]) < 1e-300)
+
+
+@pytest.mark.filterwarnings("error")
+def test_logistic_step_matches_the_h_ratio():
+    assert_matches_oracle(smooth_step(STEP_GRID), oracle_cutoff.step(STEP_GRID))
+    assert_matches_oracle(smooth_step_prime(STEP_GRID), oracle_cutoff.step_prime(STEP_GRID))
+    # and the mirrored step of the outer cutoff, read at t = (1 + w)/2
+    t = np.linspace(0.25, 1.25, 100_001)
+    outer = PowerCutoffOuter(0)
+    assert_matches_oracle(outer.value(t), oracle_cutoff.mirrored_step(2.0 * t - 1.0))
+    assert_matches_oracle(outer.derivative(t), -2.0 * oracle_cutoff.step_prime(2.0 * t - 1.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_logistic_step_is_exactly_one_and_zero_outside_the_bridge():
+    below, above = STEP_GRID[STEP_GRID <= 0.0], STEP_GRID[STEP_GRID >= 1.0]
+    assert np.all(smooth_step(below) == 1.0) and np.all(smooth_step(above) == 0.0)
+    assert np.all(smooth_step_prime(below) == 0.0) and np.all(smooth_step_prime(above) == 0.0)
+    # as scalars too, and 1e-6 inside each end the step is already flat in floats
+    assert smooth_step(-1.0) == smooth_step(1e-6) == 1.0
+    assert smooth_step(2.0) == smooth_step(1.0 - 1e-6) == 0.0
+    t = np.array([0.1, 0.5, 1.0, 3.0])
+    assert np.all(PowerCutoffInner(F(3, 2)).value(t[2:]) == 0.0)
+    assert np.all(PowerCutoffOuter(F(3, 2)).value(t[:2]) == 0.0)
+    assert np.all(PowerCutoffOuter(F(3, 2)).value(t[2:]) == t[2:] ** -1.5)
+
+
+@pytest.mark.parametrize("t", [0.501, 0.51, 0.52])
+def test_outer_cutoff_keeps_its_digits_where_zeta_is_near_one(t):
+    # t^-1 (1 - zeta(t)), with 1 - zeta(t) = h(w) / (h(w) + h(1-w)) at w = 2t - 1
+    want = float(oracle_cutoff.mirrored_step(2.0 * t - 1.0)) / t
+    assert want > 0.0
+    assert abs(float(PowerCutoffOuter(1).value(t)) - want) <= 1e-12 * want
 
 
 def test_dilate_identity():

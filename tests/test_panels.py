@@ -5,19 +5,24 @@ from fractions import Fraction
 
 import numpy as np
 
+import ckn.panels as panels
 import ckn.quadrature as quadrature
 import oracle_panels
 from oracle_panels import panel_integral
-from ckn.profiles import Edge, PowerCutoffOuter, PowerTail, RadialProfile, SmoothBump
+from ckn.classify import Reason, classify
+from ckn.probes import compute_norms
+from ckn.profiles import Edge, PowerCutoffInner, PowerCutoffOuter, PowerTail, RadialProfile, SmoothBump
 from ckn.quadrature import (
     DEFAULT_CONFIG,
     NormStatus,
     QuadratureConfig,
     weighted_norm,
     weighted_norm_gradient,
+    weighted_norms,
 )
 from ckn.testfunctions import first_harmonic, radial, translated
-from conftest import rational
+from ckn.witnesses import witness_for_verdict
+from conftest import random_params, rational
 
 F = Fraction
 
@@ -143,3 +148,113 @@ def test_walk_budgets_match_oracle(monkeypatch):
                 assert batched.detail == f"panel budget exhausted extending toward {end}"
             statuses.add((end, batched.status))
     assert len(statuses) == 4
+
+
+# ---------------------------------------------------------------------------
+# halves of several depths per integrand call on small frontiers
+# ---------------------------------------------------------------------------
+
+def prefetch_corpus():
+    """Norm sessions of a seeded corpus: cutoffs at random alpha, d and s,
+    bumps and PowerTails, each norm in a session of its own (small
+    frontiers) and all of them in one session, plus the norms of one
+    translated member, which sum a moment table, and two first-harmonic
+    gradient norms."""
+    rng = random.Random(1414)
+    jobs = []
+    for _ in range(60):
+        n, s = rng.randint(1, 5), 1 + rational(rng, 0, 3)
+        d = rational(rng, -n + 1, 4)
+        kind = rng.random()
+        if kind < 0.6:
+            # mostly convergent: alpha below (d + n)/s for the inner cutoff,
+            # above it for the outer
+            crit, shift = (d + n) / s, rational(rng, -1, 3)
+            profile = PowerCutoffInner(crit - shift) if rng.random() < 0.5 else PowerCutoffOuter(crit + shift)
+        elif kind < 0.8:
+            profile = bump(rng)
+        else:
+            profile = power_tail(rng, n, d, s)
+        jobs.append((radial(profile), d, s, n, rng.random() < 0.5))
+    sessions = [weighted_norms([job]) for job in jobs] + [weighted_norms(jobs)]
+    member = translated(SmoothBump(0.0, 1.0), 64.0)
+    sessions.append(weighted_norms([(member, d, F(3, 2), 3, gradient)
+                                    for d in (F(-4), F(0), F(5, 2)) for gradient in (False, True)]))
+    # the 2-D gradient of first harmonics, whose integrand takes a dot product per point
+    sessions += [[weighted_norm_gradient(first_harmonic(profile), F(1), F(3, 2), 3)]
+                 for profile in (PowerCutoffInner(F(1, 2)), PowerCutoffOuter(F(5, 2)))]
+    return [(norm.status, norm.detail, norm.value.hex(), norm.log_value.hex(), norm.error.hex())
+            for session in sessions for norm in session]
+
+
+def test_prefetched_halves_give_the_sums_of_one_depth_per_call(monkeypatch):
+    calls = []
+    gauss_sums = panels._gauss_sums
+
+    def counted(*args):
+        calls.append(args[3].size)
+        return gauss_sums(*args)
+
+    monkeypatch.setattr(panels, "_gauss_sums", counted)
+    with monkeypatch.context() as m:
+        m.setattr(panels, "_PREFETCH", 0)  # one depth per call, as without the prefetch
+        one_depth = prefetch_corpus()
+    one_depth_calls, calls[:] = len(calls), []
+    prefetched = prefetch_corpus()
+    assert prefetched == one_depth
+    assert sum(status is NormStatus.FINITE for status, *_ in prefetched) > 90
+    # and the prefetch did take the place of calls
+    assert len(calls) < 0.6 * one_depth_calls
+
+
+def test_depths_ahead_stay_within_the_budget_and_the_subdivisions():
+    nodes = DEFAULT_CONFIG.gauss_nodes
+    for panels_, depth, coarse in ((1, 12, True), (2, 12, True), (2, 12, False), (3, 12, False),
+                                   (10, 12, False), (11, 12, False), (64, 12, True), (1, 2, False),
+                                   (1, 0, False)):
+        count = panels._depths_ahead(panels_, depth, nodes, coarse)
+        assert 1 <= count <= min(panels._AHEAD, depth + 1)
+        points = panels_ * nodes * (2 ** (count + 1) - 2 + coarse)
+        assert count == 1 or points <= panels._PREFETCH
+    assert panels._depths_ahead(2, 12, nodes, False) == 4
+    assert panels._depths_ahead(1, 2, nodes, False) == 3
+    assert panels._depths_ahead(64, 12, nodes, True) == 1
+
+
+def hull_witnesses(count):
+    """The first member of the witness family of count COutsideHull instances."""
+    rng, found = random.Random(1415), []
+    while len(found) < count:
+        params = random_params(rng)
+        verdict = classify(params)
+        if verdict.reason is Reason.C_OUTSIDE_HULL:
+            found.append((params, witness_for_verdict(params, verdict).member(0)))
+    return found
+
+
+def test_a_c_outside_hull_member_takes_at_most_4_integrand_calls(monkeypatch):
+    # the two finite norms of the cutoff bisect its [1/2, 1] to depth 8-9;
+    # one integrand call per depth took 8 or 9 calls
+    calls = []
+    integrand = quadrature._radial_integrand
+
+    def counted(*args):
+        g = integrand(*args)
+
+        def call(t, owner):
+            calls.append(t.size)
+            return g(t, owner)
+
+        return call
+
+    monkeypatch.setattr(quadrature, "_radial_integrand", counted)
+    members = hull_witnesses(20)
+    kinds = set()
+    for params, u in members:
+        calls.clear()
+        triple = compute_norms(params, u)
+        kinds.add(type(u.profile))
+        assert triple.target.status is NormStatus.DIVERGENT
+        assert triple.source.finite and triple.grad.finite
+        assert 1 <= len(calls) <= 4, (params, len(calls))
+    assert kinds == {PowerCutoffInner, PowerCutoffOuter}

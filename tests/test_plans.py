@@ -183,6 +183,34 @@ def test_a_translated_walk_decides_and_integrates_each_norm_kind_once(monkeypatc
     assert all(plan.base is witnesses._UNIT_BUMP and plan.moments for plan in plans)
 
 
+@pytest.mark.parametrize("params", D5)
+def test_a_translated_walk_runs_each_series_recurrence_once(monkeypatch, params):
+    # only x_max changes along the walk: one coefficient list per (n, d),
+    # each coefficient computed once, and the reports of a walk that starts
+    # each norm's series afresh
+    made, extended = [], []
+    init, extend = quadrature._MeanCoefficients.__init__, quadrature._MeanCoefficients._extend
+
+    def recorded(coefficients, n, d):
+        made.append(coefficients)
+        init(coefficients, n, d)
+
+    def counted(coefficients):
+        extended.append(coefficients)
+        extend(coefficients)
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature._MeanCoefficients, "__init__", recorded)
+        m.setattr(quadrature._MeanCoefficients, "_extend", counted)
+        report = falsify_instance(params)
+    assert not report.ok and len(report.trace) == 41
+    assert sorted((c.n, c.d) for c in made) == sorted((params.n, d) for d in (params.c, params.a, params.b))
+    for coefficients in made:
+        assert extended.count(coefficients) == len(coefficients.coefs) - 1 > 0
+    monkeypatch.setattr(quadrature, "_mean_coefficients", lambda plans, n, d: quadrature._MeanCoefficients(n, d))
+    assert falsify_instance(params).as_dict() == report.as_dict()
+
+
 def test_a_translated_offset_past_the_double_range_raises_overflow():
     family = witnesses._TranslatedBumpFamily(None, None, "", "sup_dilation", offset_start=64.0, offset_base=1e4)
     assert family.member(76).offset == 64.0 * 1e4 ** 76
