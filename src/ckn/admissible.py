@@ -192,7 +192,11 @@ class ThetaSet:
 
 def theta_set(params: Params) -> ThetaSet:
     """Known-valid multiplicative exponents for an Embeds instance."""
-    verdict = classify(params)
+    return _theta_set(params, classify(params))
+
+
+def _theta_set(params: Params, verdict) -> ThetaSet:
+    """theta_set of params, given verdict = classify(params)."""
     if verdict.decision is not Decision.EMBEDS:
         raise ValueError("theta_set requires an embedding instance")
     d = verdict.derived

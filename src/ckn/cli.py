@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .admissible import ThetaSetKind, admissible_set, theta_set
+from .admissible import ThetaSetKind, _theta_set, admissible_set
 from .classify import Case, CLine, Decision, classify, classify_radial, classify_w0
 from .multiweight import multiweight_classify, multiweight_from_dict
 from .params import Params, validate_full_space
@@ -118,7 +118,7 @@ def cmd_theta(args) -> int:
     _emit(
         {
             "params": params.as_dict(),
-            "theta_set": theta_set(params).as_dict(),
+            "theta_set": _theta_set(params, verdict).as_dict(),
             **verdict.as_dict(),
         }
     )
@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
     if verdict.decision is not Decision.EMBEDS:
         _emit({"error": "instance does not embed", **verdict.as_dict()})
         return EXIT_NO_EMBED
-    known = theta_set(params)
+    known = _theta_set(params, verdict)
     if args.theta is not None:
         theta = parse_rational(args.theta, "--theta")
     elif known.theta is not None:
@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
     from . import probes
 
     family = probes.default_w0_family(params) if args.w0_family else probes.default_verification_family(params)
-    report = probes.verify_instance(params, theta, family=family, cfg=_config())
+    report = probes._verify_instance(params, verdict, theta, family, cfg=_config())
     payload = report.as_dict()
     payload["theta_in_known_set"] = known.contains(theta)
     _emit(payload)

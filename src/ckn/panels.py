@@ -41,7 +41,6 @@ class QuadratureConfig:
     max_subdivisions: int = 12
     max_panels: int = 6000
     gauss_nodes: int = 16
-    angular_nodes: int = 48
     divergence_threshold: float = 1e3
 
     def with_rel_tol(self, rel_tol: float) -> "QuadratureConfig":

@@ -228,7 +228,12 @@ def verify_instance(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> VerifyReport:
     """Multiplicative-ratio scan over the family and its dilations."""
-    verdict = classify(params)
+    return _verify_instance(params, classify(params), theta, family, scales, cfg)
+
+
+def _verify_instance(params: Params, verdict, theta: Fraction, family: Optional[Sequence[TestFunction]] = None,
+                     scales: Sequence[float] = DEFAULT_SCALES, cfg: QuadratureConfig = DEFAULT_CONFIG) -> VerifyReport:
+    """verify_instance of params, given verdict = classify(params)."""
     if verdict.decision is not Decision.EMBEDS:
         raise ValueError("verify_instance requires an embedding instance")
     if family is None:

@@ -21,28 +21,25 @@ points.  Singular ends are handled in three tiers:
      contribution falls below the relative tolerance; failure to converge
      within the panel budget is an explicit error, never a silent value.
 
-One integrator serves every panel path: a session of `panels.integrate`,
-which bisects the pending panels of all its integrals breadth first, one
-integrand call per depth (per few depths while they are few), and walks
-them toward 0 and infinity in lockstep blocks, each integral with its
-own tests, walks and budget.
-Every radial panel integral of a `weighted_norms` call shares one
-session, so the norms of a whole `verify` instance (8 members x 5 scales
-x 3 norms) take about 15 integrand calls instead of about 600.  Its
-integrand reads a
-dilated profile f(lam t) or its gradient view lam f'(lam t) as
-base.value(lam t) or lam base.derivative(lam t), one profile call per
-base and run of points.
+One integrator serves every norm: a session of `panels.integrate`, which
+bisects the pending panels of all its integrals breadth first and walks
+them toward 0 and infinity in lockstep blocks, each integral with its own
+tests, walks and budget.  Every panel integral of a `weighted_norms` call
+shares one session, so the norms of a whole `verify` instance (8 members
+x 5 scales x 3 norms) take about 15 integrand calls.  Its one integrand
+is t^w |F(t)|^s, where F reads a base profile at lam t: as its value
+base(lam t), its derivative lam base'(lam t), or a first-harmonic
+gradient, one profile call per base and run of points.
 
 Divergence certificates and closed forms settle their norms before the
-session, from a norm plan (`_NormPlan`) per (base profile, value or
-derivative, d, s, N) of the call: dilation changes no power of an edge
-record, so the exact verdicts, the closed-form branch, the base's edge
-records and the float constants are decided once for all dilations of a
-member.  A dilated norm then only scales support, seams and exact edge
-terms by lam, in floats; it is still integrated, never inferred from the
-scaling law.  A caller may keep the plans across calls: a `falsify` walk
-keeps one dict for all its members.
+session, from a norm plan (`_NormPlan`) per (base profile, reading, d, s,
+N) of the call: dilation changes no power of an edge record, so the exact
+verdicts, the closed-form branch, the base's edge records and the float
+constants are decided once for all dilations of a member.  A dilated norm
+then only scales support, seams and exact edge terms by lam, in floats;
+it is still integrated, never inferred from the scaling law.  A caller
+may keep the plans across calls: a `falsify` walk keeps one dict for all
+its members.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -51,31 +48,22 @@ around the translation point,
 
 where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
 |e + x w|^d over w in S^{N-1} (Funk-Hecke; A&S 15.1.1 for the series),
-and the gradient norm has the same form with f'.  The series
-M = sum_k c_k x^(2k) is cut once per norm, from x_max = hi/R, where its
-tail is below 1e-17 of M; its coefficients depend only on (N, d), so a
-plans dict keeps them, and a falsify walk runs each recurrence once.  A series of at most MOMENT_TERMS terms, as
-every witness member needs, makes the integral the sum
+and the gradient norm has the same form with f'.  The series M = sum_k
+c_k x^(2k) is cut once per norm, from x_max = hi/R, where its tail is
+below 1e-17 of M; its coefficients depend only on (N, d), so a plans dict
+keeps them.  The integral is then sum_k c_k x_max^(2k) mu_k over the
+moments mu_k of the base on its support dilated to end at 1, which depend
+only on the base, reading, s and N: a table of the d = 0 plan, integrated
+once for every d, offset and dilation and extended when a longer series
+asks.  Huge offsets stay in range through R^d, carried in log space.
+Near t = 0 the weight is R^d M(0) = R^d, so divergence there is certified
+as for a radial norm with d = 0.
 
-    sum_k c_k (lam R)^(-2k) mu_k,   mu_k = integral t^(N-1+2k) |f(t)|^s dt,
-
-for f the dilation by lam of a base profile: the moments mu_k of the base
-depend only on the base, value or derivative, s and N, so they fill a
-table of its d = 0 norm plan, integrated once and shared by every d,
-offset and dilation (a dilation scales them by lam^-(N+2k), times lam^s
-for f').  A longer series, needed only near the sphere, adds log M to the
-exponent of the integrand at each point instead; sessions without such
-norms never evaluate it.  Huge offsets stay in range through R^d, which
-is carried in log space.  Near t = 0 the weight is R^d M(0) = R^d, so
-divergence there is certified as for a radial norm with d = 0, from the
-edge record of f, or of f' for the gradient.
-
-First-harmonic functions u = f(t) x1/|x| reduce to one radial integral
-times a closed-form angular moment (for the function) and to a 2D
-(t, angle) integral for the gradient, using |grad u|^2 = f'(t)^2 cos^2 +
-(f/t)^2 sin^2 of the polar angle.  That 2D integrand gets a session of
-its own and is evaluated in slices of 256 points, which bounds its
-matrices.
+First-harmonic functions u = f(t) x1/|x| reduce to a radial norm times a
+closed-form angular moment, and their gradients, with |grad u|^2 =
+f'(t)^2 cos^2 + (f/t)^2 sin^2 of the polar angle, to a radial norm whose
+reading carries the angular integral in closed form, a 2F1 of the ratio
+of the two squares (`_FirstHarmonicGradient`).
 
 Norm values are carried with their logarithm so that ratio probes remain
 meaningful when a norm overflows or underflows the double range.
@@ -88,6 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -220,10 +209,6 @@ def _log1mexp(x: float) -> float:
 # enough for x_max up to about 0.998 at moderate d
 MEAN_TOL = 1e-17
 MEAN_TERMS = 10_000
-# the longest series a translated norm sums over moment tables; witness
-# members (x_max <= 1/16) need at most about 12 terms, while x_max = 0.99
-# needs thousands, one moment integral each
-MOMENT_TERMS = 16
 
 
 @dataclass(frozen=True)
@@ -238,21 +223,6 @@ class SphericalMean:
 
     coefs: np.ndarray
     error: float
-
-    @classmethod
-    def series(cls, n: int, d, x_max: float) -> Optional["SphericalMean"]:
-        """The shortest series whose tail is at most MEAN_TOL of M on [0, x_max],
-        or None if that takes more than MEAN_TERMS terms (_MeanCoefficients.cut)."""
-        return _MeanCoefficients(n, d).cut(x_max)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """M(x) by Horner's rule in x^2."""
-        z = x * x
-        out = np.full_like(z, self.coefs[-1])
-        for coef in self.coefs[-2::-1]:
-            out *= z
-            out += coef
-        return out
 
 
 class _MeanCoefficients:
@@ -320,6 +290,126 @@ def _mean_coefficients(plans: dict, n: int, d) -> _MeanCoefficients:
 
 
 # ---------------------------------------------------------------------------
+# readings of a base profile: values, derivatives, first-harmonic gradients
+# ---------------------------------------------------------------------------
+
+def _read_value(base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
+    """f(t) = base(lam t) at x = lam t."""
+    return base.value(x)
+
+
+def _read_derivative(base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
+    """f'(t) = lam base'(lam t) at x = lam t."""
+    return lam * base.derivative(x)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: the recurrence up to x >= 16, then the asymptotic
+    series, whose first dropped term is below 1e-16 there."""
+    shift = 0.0
+    while x < 16.0:
+        shift -= 1.0 / x
+        x += 1.0
+    y = 1.0 / (x * x)
+    return shift + math.log(x) - 0.5 / x - y * (1 / 12 - y * (1 / 120 - y * (1 / 252 - y * (1 / 240 - y / 132))))
+
+
+def _gamma_ratio(up, down) -> float:
+    """The product of Gamma over up divided by that over down, none of them
+    a pole, through lgamma and the signs of Gamma at negative points."""
+    sign = math.prod(-1.0 if x < 0 and math.floor(x) % 2 else 1.0 for x in (*up, *down))
+    return sign * math.exp(sum(map(math.lgamma, up)) - sum(map(math.lgamma, down)))
+
+
+def _series(a, b, c, scale: float = 1.0) -> list:
+    """The coefficients scale (a)_k (b)_k / ((c)_k k!) of scale 2F1(a, b;
+    c; x): all of a polynomial, else up to a term past which the tail at x
+    = 1/2 is at most 1e-17 of the sum of the absolute terms, the term ratio
+    past k > |a|, |b|, |c| bounded as in _MeanCoefficients.cut."""
+    coefs, total, k = [scale], abs(scale), 0
+    while True:
+        coef = coefs[-1] * (a + k) * (b + k) / ((c + k) * (k + 1))
+        if coef == 0.0:
+            return coefs
+        k += 1
+        coefs.append(coef)
+        term = abs(coef) * 0.5**k
+        total += term
+        if k > max(abs(a), abs(b), abs(c)):
+            ratio = 0.5 * (k + abs(a)) / (k - abs(c)) * max(1.0, (k + abs(b)) / (k + 1))
+            if ratio < 1.0 and term <= 1e-17 * total * (1.0 - ratio):
+                return coefs
+
+
+class _Hypergeometric:
+    """2F1(a, b; c; 1 - rho) for 0 <= rho <= 1 and g = c - a - b > 0: its
+    series in 1 - rho where rho >= 1/2 or a is a non-positive integer (a
+    polynomial), else head(rho) + rho^g (rest(rho) + log(rho) log_part(rho)),
+    the connection formula of A&S 15.3.6, or of 15.3.11 for an integer g
+    (the finite head and the digamma weights of rest).  Near an integer g
+    the two terms of 15.3.6 cancel: at |g - m| = 5e-4 they keep about 12
+    digits.  rho = 0 reads rho^g log(rho) as 0."""
+
+    def __init__(self, a: float, b: float, c: float):
+        self.near, self.head = _series(a, b, c), None
+        if a <= 0 and a == int(a):
+            return
+        self.g = g = c - a - b
+        if g != int(g):
+            self.head = _series(a, b, 1 - g, _gamma_ratio([c, g], [c - a, c - b]))
+            self.rest = _series(c - a, c - b, 1 + g, _gamma_ratio([c, -g], [a, b]))
+            self.log_part = [0.0]
+            return
+        m = int(g)
+        self.head = [_gamma_ratio([m, c], [c - a, c - b])]
+        for n in range(m - 1):
+            self.head.append(self.head[-1] * (a + n) * (b + n) / ((1 - m + n) * (n + 1)))
+        self.log_part = _series(a + m, b + m, m + 1, -(-1) ** m * _gamma_ratio([c], [a, b, m + 1]))
+        self.rest = [coef * (_digamma(a + n + m) + _digamma(b + n + m) - _digamma(n + 1) - _digamma(n + m + 1))
+                     for n, coef in enumerate(self.log_part)]
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        polyval = np.polynomial.polynomial.polyval  # loaded on first use
+        if self.head is None:
+            return polyval(1.0 - rho, self.near)
+        out, near = np.empty_like(rho), rho >= 0.5
+        out[near] = polyval(1.0 - rho[near], self.near)
+        rho = rho[~near]
+        tail = polyval(rho, self.rest) + np.log(np.where(rho > 0.0, rho, 1.0)) * polyval(rho, self.log_part)
+        out[~near] = polyval(rho, self.head) + rho**self.g * tail
+        return out
+
+
+class _FirstHarmonicGradient:
+    """The reading m H^(1/p) of a base profile whose radial L^p norm on R^n
+    is that of the gradient of u = f(|x|) x1/|x|: over the sphere of radius
+    t, |grad u|^p integrates to t^(n-1) |S^(n-1)| m^p H (Euler's integral
+    of 2F1), for m = max(|f'|, |f/t|), rho the smaller square over the
+    larger and H = 2F1(-p/2, beta; n/2; 1 - rho), beta = (n-1)/2 where
+    |f'| >= |f/t|, else 1/2.  A dilation by lam reads lam m(lam t) and
+    rho(lam t)."""
+
+    def __init__(self, n: int, p: float):
+        self.root = 1.0 / p
+        self.branches = (_Hypergeometric(-p / 2.0, (n - 1) / 2.0, n / 2.0), _Hypergeometric(-p / 2.0, 0.5, n / 2.0))
+
+    def __call__(self, base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
+        fp, ft = np.abs(base.derivative(x)), np.abs(base.value(x) / x)
+        m = np.maximum(fp, ft)
+        rho = (np.minimum(fp, ft) / np.where(m > 0, m, 1.0)) ** 2
+        first, h = fp >= ft, np.empty_like(rho)
+        h[first] = self.branches[0](rho[first])
+        h[~first] = self.branches[1](rho[~first])
+        return lam * m * h**self.root
+
+
+@lru_cache(maxsize=16)
+def _first_harmonic_gradient(n: int, p: float) -> _FirstHarmonicGradient:
+    """The reading of (n, p), one object that a session groups rows by."""
+    return _FirstHarmonicGradient(n, p)
+
+
+# ---------------------------------------------------------------------------
 # exact divergence tests
 # ---------------------------------------------------------------------------
 
@@ -342,10 +432,10 @@ def _diverges_at_inf(d, s, n, powers) -> bool:
 
 class _NormPlan:
     """What the norms || f ||_{d,s} on R^n of every dilation of one base
-    profile share, read as values f(t) = base(lam t) or as derivatives
-    f(t) = lam base'(lam t): dilation moves support, seams, coefficients
-    and exact regions, but no end of the support to or from 0 or infinity
-    and no power of an edge record.
+    profile share, for one reading of it (values f(t) = base(lam t),
+    derivatives lam base'(lam t), or _FirstHarmonicGradient): dilation moves
+    support, seams, coefficients and exact regions, but no end of the
+    support to or from 0 or infinity and no power of an edge record.
 
     So the plan holds the exact divergence verdicts, the closed-form
     branch, the base's support, seams and exact edge terms, and the float
@@ -359,20 +449,23 @@ class _NormPlan:
     ids while the dict lives.
     """
 
-    def __init__(self, base: RadialProfile, derivative: bool, d, s, n: int):
+    def __init__(self, base: RadialProfile, reading, d, s, n: int):
         if s <= 0:
             raise ValueError("norm exponent must be positive")
-        self.base, self.derivative, self.d, self.s = base, derivative, d, s
+        self.base, self.reading, self.d, self.s = base, reading, d, s
         lo, hi = self.support = base.support
         self.breakpoints = base.breakpoints
         edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
-        ends = tuple(None if e is None else e.derivative() for e in edges) if derivative else edges
+        ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
         powers = [[] if end is None else [end.power] for end in ends]
+        if isinstance(reading, _FirstHarmonicGradient):
+            # as singular as the worse of f' and f/t, with no exact edge terms
+            powers, ends = [shifted + _powers((edge, -1)) for shifted, edge in zip(powers, edges)], (None, None)
         self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
         self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
         # (coef, power, power read, exact) of each base edge whose read edge
         # has an exact region: the read edge of a dilation is the base edge
-        # dilated, then derived when derivative, as Edge.dilated and
+        # dilated, then derived when read as derivatives, as Edge.dilated and
         # Edge.derivative make it
         self.terms = [None if end is None or end.exact is None
                       else (edge.coef, float(edge.power), float(end.power), edge.exact)
@@ -384,9 +477,9 @@ class _NormPlan:
         # the closed form of the base read as values, used when the norm's
         # profile is the base itself
         self.closed = None
-        if not derivative and isinstance(base, PiecewisePower):
+        if reading is _read_value and isinstance(base, PiecewisePower):
             self.closed = lambda cfg: _piecewise_log_integral(base, self.wexp, self.sf)
-        elif not derivative and isinstance(base, LogModulated):
+        elif reading is _read_value and isinstance(base, LogModulated):
             self.closed = lambda cfg: _log_modulated_log_integral(base, d, s, n, cfg)
 
     def term(self, end: int, lam: float) -> Optional[Tuple[float, float, float]]:
@@ -396,23 +489,24 @@ class _NormPlan:
             return None
         coef, power, read, exact = self.terms[end]
         coef = coef * lam ** power
-        return (coef * power if self.derivative else coef), read, exact / lam
+        return (coef * power if self.reading is _read_derivative else coef), read, exact / lam
 
     def moment_table(self, count: int, cfg: QuadratureConfig):
         """The first count moments mu_k = integral t^(wexp+2k) |f(t)|^s dt
-        of the base read as values or derivatives (f = base or base'), as
-        (value, panel error) pairs, or the QuadratureError that stopped the
-        table short of count.  A short table is extended by one session
-        that integrates all its missing moments; a moment whose sum is not
+        of the base as read, dilated to end its support at 1 (f(t) = base(h
+        t), h the end), as (value, panel error) pairs, or the QuadratureError
+        that stopped the table short of count: on (0, 1] no moment of a long
+        table overflows.  A short table is extended by one session that
+        integrates all its missing moments; a moment whose sum is not
         finite stops it as "panel sum overflowed"."""
         have = len(self.moments)
         if have < count:
             lo, hi = self.support
-            integral = Integral(lo if lo > 0 else hi / 512.0, hi, self.breakpoints, down=lo == 0.0)
+            integral = Integral(lo / hi if lo > 0 else 1 / 512.0, 1.0, tuple(x / hi for x in self.breakpoints),
+                                down=lo == 0.0)
             more = count - have
-            g = _radial_integrand([(self.base, self.derivative, 1.0)] * more, [0] * more,
-                                  [self.wexp + 2.0 * k for k in range(have, count)], [self.sf] * more,
-                                  [None] * more)
+            g = _radial_integrand([(self.base, self.reading, hi)] * more, [0] * more,
+                                  [self.wexp + 2.0 * k for k in range(have, count)], [self.sf] * more)
             for result in integrate(g, [integral] * more, cfg):
                 if not isinstance(result, QuadratureError) and not math.isfinite(result[0]):
                     result = QuadratureError("panel sum overflowed")
@@ -422,112 +516,81 @@ class _NormPlan:
         return self.moments[:count]
 
 
-def _plan(plans: dict, profile: RadialProfile, d, s, n: int) -> Tuple[_NormPlan, float]:
-    """(plan, lam) of the norm || profile ||_{d,s} on R^n, the plan shared
-    through plans by every norm of the same base, reading and (d, s, n)
-    objects.  Keys are identities: no Fraction is hashed per norm.  Each
-    plan holds the objects of its key, so a plans dict may serve many
-    weighted_norms calls, as one falsify walk does, and its keys stay
-    unique while it lives; it must serve one QuadratureConfig, which fills
-    its moment tables."""
-    base, derivative, lam = _dilation(profile)
-    key = (id(base), derivative, id(d), id(s), n)
+def _plan(plans: dict, view, d, s, n: int) -> _NormPlan:
+    """The plan of the norms || f ||_{d,s} on R^n of the view (base,
+    reading, lam) of f, shared through plans by every norm of the same
+    base, reading and (d, s, n) objects.  Keys are identities: no Fraction
+    is hashed per norm.  Each plan holds the objects of its key, so a plans
+    dict may serve many weighted_norms calls, as one falsify walk does, and
+    its keys stay unique while it lives; it must serve one
+    QuadratureConfig, which fills its moment tables."""
+    base, reading, _ = view
+    key = (id(base), reading, id(d), id(s), n)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _NormPlan(base, derivative, d, s, n)
-    return plan, lam
+        plan = plans[key] = _NormPlan(base, reading, d, s, n)
+    return plan
 
 
 # ---------------------------------------------------------------------------
 # integrands of the panel sessions
 # ---------------------------------------------------------------------------
 
-# points per evaluation of a 2-D integrand, whose points x angles matrices
-# would otherwise grow with the chunks of the integrator
-_SLICE = 256
-
-
-def _sliced(g):
-    """The integrand g(t) of a one-integral session, evaluated at most
-    _SLICE points at a time."""
-    return lambda t, _owner: np.concatenate([g(t[i:i + _SLICE]) for i in range(0, t.size, _SLICE)])
-
-
-def _dilation(profile: RadialProfile) -> Tuple[RadialProfile, bool, float]:
-    """(base, derivative, lam): the values of profile are base.value(lam t),
-    or lam base.derivative(lam t) when derivative, as ScaledProfile and
+def _dilation(profile: RadialProfile) -> Tuple[RadialProfile, object, float]:
+    """(base, reading, lam): the values of profile are base.value(lam t),
+    or lam base.derivative(lam t) for a DerivView, as ScaledProfile and
     DerivView compute them."""
-    derivative = isinstance(profile, DerivView)
-    if derivative:
-        profile = profile.base
+    reading = _read_value
+    if isinstance(profile, DerivView):
+        profile, reading = profile.base, _read_derivative
     if isinstance(profile, ScaledProfile):
-        return profile.inner, derivative, profile.lam
-    return profile, derivative, 1.0
+        return profile.inner, reading, profile.lam
+    return profile, reading, 1.0
 
 
-def _radial_integrand(views, group, wexp, s, angular):
-    """The integrand t^wexp[i] |f_i(t)|^s[i] M_i(t/R_i) of integral i, where
-    views[i] = _dilation(f_i), group[i] numbers the (base profile, value
-    or derivative) that f_i reads, and angular[i] is the (SphericalMean
-    M_i, offset R_i) of a translated norm, or None for M_i = 1.
+def _radial_integrand(views, group, wexp, s):
+    """The integrand t^wexp[i] |F_i(t)|^s[i] of integral i, where views[i]
+    = (base, reading, lam) gives F_i(t) = reading(base, lam t, lam), and
+    group[i] numbers the (base profile, reading) that F_i reads.
 
     Each call reads each group once per run of consecutive rows in it; the
     per-row parameters are repeated per point, so that all arithmetic is on
     flat arrays, and a call whose rows all belong to one integral uses its
-    parameters as scalars.  log M_i joins the exponent, once per run of
-    rows of a translated integral; a session without one never looks.
+    parameters as scalars.
     """
     group, table = np.array(group), np.array([[view[2] for view in views], wexp, s])
-    translated = any(angular)
 
     def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         i = owner[0]
         if i == owner[-1]:  # rows come in order of owner: all of integral i
-            base, derivative, scale = views[i]
+            base, reading, scale = views[i]
             wexp, s = table[1, i], table[2, i]
-            x = t * scale
-            fv = scale * base.derivative(x) if derivative else base.value(x)
+            fv = reading(base, t * scale, scale)
         else:
             per_row = t.size // owner.size
             runs, (scale, wexp, s) = group[owner], table[:, owner].repeat(per_row, axis=1)
             x, fv = t * scale, np.empty_like(t)
             cuts = [0, *((runs[1:] != runs[:-1]).nonzero()[0] + 1).tolist(), owner.size]
             for a, b in zip(cuts, cuts[1:]):
-                base, derivative, _ = views[owner[a]]
+                base, reading, _ = views[owner[a]]
                 points = slice(a * per_row, b * per_row)
-                fv[points] = scale[points] * base.derivative(x[points]) if derivative else base.value(x[points])
+                fv[points] = reading(base, x[points], scale[points])
         fv = np.abs(fv)
-        # 0 where f vanishes (or is nan)
+        # 0 where F vanishes (or is nan)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            exponent = wexp * np.log(t) + s * np.log(fv)
-            if translated:
-                _add_log_means(exponent, t, owner, angular)
-            return np.where(fv > 0, np.exp(exponent), 0.0)
+            return np.where(fv > 0, np.exp(wexp * np.log(t) + s * np.log(fv)), 0.0)
 
     return g
 
 
-def _add_log_means(exponent: np.ndarray, t: np.ndarray, owner: np.ndarray, angular) -> None:
-    """Add log M_i(t/R_i) to the exponent at the rows of each translated
-    integral i among owner."""
-    per_row = t.size // owner.size
-    cuts = [0, *((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist(), owner.size]
-    for a, b in zip(cuts, cuts[1:]):
-        if angular[owner[a]] is not None:
-            mean, offset = angular[owner[a]]
-            points = slice(a * per_row, b * per_row)
-            exponent[points] += np.log(mean(t[points] / offset))
-
-
 def _session(norms, cfg: QuadratureConfig) -> list:
-    """The values of norm generators such as _radial_norm, _translated_norm
-    and _norm, each of which yields (view, wexp, s, Integral, angular) for
-    the panel integral it needs, if any, with view the (base, derivative,
-    lam) of _dilation, and is sent its (value, error) or thrown its
-    QuadratureError.
+    """The values of norm generators such as _radial_norm and _norm, each of
+    which yields (view, wexp, s, Integral) for the panel integral it needs,
+    if any, with view the (base, reading, lam) of its plan, and is sent its
+    (value, error) or thrown its QuadratureError.
 
     Every panel integral they ask for shares one session, ordered so that
-    the rows of each (base profile, value or derivative) are consecutive.
+    the rows of each (base profile, reading) are consecutive.
     """
     out, waiting = [], []
     for norm in norms:
@@ -540,10 +603,10 @@ def _session(norms, cfg: QuadratureConfig) -> list:
         return out
     views = [ask[0] for _, _, ask in waiting]
     keys = {}
-    group = [keys.setdefault((id(base), derivative), len(keys)) for base, derivative, _ in views]
+    group = [keys.setdefault((id(base), reading), len(keys)) for base, reading, _ in views]
     order = sorted(range(len(waiting)), key=group.__getitem__)
-    _, wexp, s, integrals, angular = zip(*(waiting[k][2] for k in order))
-    g = _radial_integrand([views[k] for k in order], [group[k] for k in order], wexp, s, angular)
+    _, wexp, s, integrals = zip(*(waiting[k][2] for k in order))
+    g = _radial_integrand([views[k] for k in order], [group[k] for k in order], wexp, s)
     for k, result in zip(order, integrate(g, integrals, cfg)):
         i, norm, _ = waiting[k]
         try:
@@ -556,7 +619,7 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float, cfg: QuadratureConfig):
     """log of the integral of t^wexp |f(t)|^s over the support (lo, hi) of
     the dilation by lam that plan reads, as a generator: it yields
-    ((base, derivative, lam), wexp, s, Integral, None) for the panel
+    ((base, reading, lam), wexp, s, Integral) for the panel
     integral it needs and is sent that integral's (value, error).
 
     Divergence must have been excluded by the caller.  Returns
@@ -598,8 +661,8 @@ def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float, cfg:
     elif anchor_hi is None:
         anchor_hi = max(anchor_lo * 4.0, 1.0)
 
-    middle, err = yield (plan.base, plan.derivative, lam), wexp, s, Integral(
-        anchor_lo, anchor_hi, breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint), None
+    middle, err = yield (plan.base, plan.reading, lam), wexp, s, Integral(
+        anchor_lo, anchor_hi, breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint)
     if not math.isfinite(middle):
         raise QuadratureError("panel sum overflowed")
     if middle > 0:
@@ -662,10 +725,11 @@ def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction,
 # public norms
 # ---------------------------------------------------------------------------
 
-def _radial_norm(profile: RadialProfile, plan: _NormPlan, lam: float, cfg: QuadratureConfig):
-    """weighted_norm_radial of profile, the dilation by lam that plan
-    reads, as a generator for _session: it yields what
+def _radial_norm(profile: RadialProfile, view, d, s, n: int, cfg: QuadratureConfig, plans: dict):
+    """The radial norm || F ||_{d,s} on R^n of profile, read through view =
+    (base, reading, lam), as a generator for _session: it yields what
     _radial_log_integral yields, if anything, and returns the norm."""
+    plan, lam = _plan(plans, view, d, s, n), view[2]
     lo, hi = plan.support
     lo, hi = lo / lam, hi / lam
     if lo == 0.0 and plan.diverges_at_zero:
@@ -694,88 +758,28 @@ def weighted_norm_radial(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> NormValue:
     """(N omega_N integral t^{d+n-1} |f|^s dt)^{1/s} with divergence status."""
-    return _session([_radial_norm(profile, *_plan({}, profile, d, s, n), cfg)], cfg)[0]
-
-
-def _panel_lognorm(log_prefactor: float, s: float, cfg: QuadratureConfig, g, integral: Integral) -> NormValue:
-    """(prefactor * integral of g)^(1/s), the integral by a session of its own."""
-    result = integrate(g, [integral], cfg)[0]
-    if isinstance(result, QuadratureError):
-        return NormValue.failed(str(result))
-    total, err = result
-    if total <= 0:
-        return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    return NormValue.from_log((log_prefactor + math.log(total)) / s, err / max(total, cfg.abs_tol))
-
-
-def _first_harmonic_gradient_lognorm(
-    profile: RadialProfile, b: Fraction, p: Fraction, n: int, cfg: QuadratureConfig
-) -> NormValue:
-    """2D (t, polar angle) reduction of the gradient norm of f(t) sigma_1."""
-    if n < 2:
-        raise ValueError("first harmonics need dimension >= 2")
-
-    lo, hi = profile.support
-    # |grad u| is as singular as the worse of f' and f/t at each end
-    (g_zero, g_inf), (f_zero, f_inf) = profile.deriv_edges(), profile.edges()
-    if lo == 0.0 and _diverges_at_zero(b, p, n, _powers((g_zero, 0), (f_zero, -1))):
-        return NormValue.divergent("gradient non-integrable at zero")
-    if hi == math.inf and _diverges_at_inf(b, p, n, _powers((g_inf, 0), (f_inf, -1))):
-        return NormValue.divergent("gradient non-integrable at infinity")
-
-    pf = float(p)
-    wexp = float(b + n - 1)
-    # GL nodes of the polar angle on (0, pi), with weights times sin^(n-2)
-    psi, angular_weight = gauss_legendre(cfg.angular_nodes)
-    psi = 0.5 * math.pi * (psi + 1.0)
-    angular_weight = 0.5 * math.pi * angular_weight * np.sin(psi) ** (n - 2)
-    cos2 = np.cos(psi) ** 2
-    sin2 = np.sin(psi) ** 2
-
-    @_sliced
-    def g(t: np.ndarray) -> np.ndarray:
-        # f' and f/t are scaled by m = max(|f'|, |f/t|) before they are
-        # squared, so the squares neither overflow nor underflow; p log m
-        # is added back in log space
-        fp, ft = profile.derivative(t), profile.value(t) / t
-        m = np.maximum(np.abs(fp), np.abs(ft))
-        out = np.zeros_like(t)
-        live = m > 0
-        if np.any(live):
-            m, t = m[live], t[live]
-            mag = (fp[live] / m)[:, None] ** 2 * cos2
-            mag += (ft[live] / m)[:, None] ** 2 * sin2
-            ang = np.power(mag, pf / 2.0, out=mag) @ angular_weight
-            with np.errstate(over="ignore"):
-                out[live] = np.exp(wexp * np.log(t) + pf * np.log(m) + np.log(ang))
-        return out
-
-    anchor_lo = lo if lo > 0 else min(1.0, *(x for x in (*profile.breakpoints, hi, 1.0) if 0 < x < math.inf))
-    anchor_hi = hi if hi < math.inf else max(1.0, anchor_lo * 4.0, *(x for x in profile.breakpoints if x < math.inf))
-    return _panel_lognorm(math.log(sub_sphere_area(n)), pf, cfg, g, Integral(
-        anchor_lo, anchor_hi, profile.breakpoints, down=lo == 0.0, up=hi == math.inf))
+    return _session([_radial_norm(profile, _dilation(profile), d, s, n, cfg, {})], cfg)[0]
 
 
 def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool,
-                     cfg: QuadratureConfig, plans: dict):
-    """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient,
-    as a generator for _session: R^d |S^{n-1}| times the integral of
-    t^(n-1) |f(t)|^s M(t/R), f' for gradient, with R the offset and M the
-    SphericalMean of |x|^d around it.
+                     cfg: QuadratureConfig, plans: dict) -> NormValue:
+    """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient:
+    R^d |S^{n-1}| times the integral of t^(n-1) |f(t)|^s M(t/R), f' for
+    gradient, with R the offset and M the SphericalMean of |x|^d around it.
 
-    With f the dilation by lam of a base, M = sum_k c_k x^(2k) of K <=
-    MOMENT_TERMS terms and y = (lam R)^-2, the integral is lam^(s - n) for
-    gradient, lam^-n else, times sum_k c_k y^k mu_k over the moment table
-    of the base (_NormPlan.moment_table), and the norm yields nothing; its
-    error is sum_k |c_k| y^k err_k over that sum, which also covers
-    cancellation between terms of both signs, plus the series bound.  A
-    longer series yields the panel integral of t^(n-1) |f|^s M(t/R).
+    With f the dilation by lam of a base of support in (0, h], M = sum_k
+    c_k x^(2k) of K terms and y = (h / (lam R))^2 = x_max^2, the integral is
+    (lam/h)^(s - n) for gradient, (lam/h)^-n else, times sum_k c_k y^k mu_k
+    over the first K moments of the base dilated by h
+    (_NormPlan.moment_table); its error is sum_k |c_k| y^k err_k over that
+    sum, which also covers cancellation between terms of both signs, plus
+    the series bound.
 
     Near t = 0 the weight is R^d M(0) = R^d, so the integral diverges
     there exactly when the unweighted radial one does: its plan is the
     radial plan of d = 0."""
-    profile, offset = u.profile, u.offset
-    plan, lam = _plan(plans, DerivView(profile) if gradient else profile, 0, s, n)
+    view = _dilation(DerivView(u.profile) if gradient else u.profile)
+    plan, lam, offset = _plan(plans, view, 0, s, n), view[2], u.offset
     lo, hi = plan.support
     lo, hi = lo / lam, hi / lam
     if hi >= offset:
@@ -785,30 +789,20 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     mean = _mean_coefficients(plans, n, d).cut(hi / offset)
     if mean is None:
         return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {hi / offset:.6g}")
-    log_prefactor = float(d) * math.log(offset) + plan.log_area
-    if mean.coefs.size <= MOMENT_TERMS:
-        moments = plan.moment_table(mean.coefs.size, cfg)
-        if isinstance(moments, QuadratureError):
-            return NormValue.failed(str(moments))
-        y = (1.0 / (lam * offset)) ** 2
-        total = err = 0.0
-        power = 1.0  # y^k
-        for coef, (moment, moment_err) in zip(mean.coefs.tolist(), moments):
-            total += coef * power * moment
-            err += abs(coef) * power * moment_err
-            power *= y
-        log_prefactor += ((plan.sf if gradient else 0.0) - n) * math.log(lam)
-    else:
-        try:
-            total, err = yield (plan.base, plan.derivative, lam), plan.wexp, plan.sf, Integral(
-                lo if lo > 0 else hi / 512.0, hi, tuple(x / lam for x in plan.breakpoints),
-                down=lo == 0.0), (mean, offset)
-        except QuadratureError as exc:
-            return NormValue.failed(str(exc))
-        if not math.isfinite(total):
-            return NormValue.failed("panel sum overflowed")
+    moments = plan.moment_table(mean.coefs.size, cfg)
+    if isinstance(moments, QuadratureError):
+        return NormValue.failed(str(moments))
+    y = (plan.support[1] / (lam * offset)) ** 2
+    total = err = 0.0
+    power = 1.0  # y^k
+    for coef, (moment, moment_err) in zip(mean.coefs.tolist(), moments):
+        total += coef * power * moment
+        err += abs(coef) * power * moment_err
+        power *= y
     if total <= 0:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
+    log_prefactor = (float(d) * math.log(offset) + plan.log_area
+                     + ((plan.sf if gradient else 0.0) - n) * math.log(lam / plan.support[1]))
     return NormValue.from_log((log_prefactor + math.log(total)) / plan.sf,
                               err / max(total, cfg.abs_tol) + mean.error)
 
@@ -816,32 +810,31 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
 def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg: QuadratureConfig,
           plans: dict):
     """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
-    for _session, with the norm plans of its weighted_norms call; the
-    first-harmonic gradient goes through weighted_norm_gradient and yields
-    nothing."""
+    for _session, with the norm plans of its weighted_norms call."""
+    if u.angular is Angular.TRANSLATED:
+        return _translated_norm(u, d, s, n, gradient, cfg, plans)
     if u.angular is Angular.RADIAL:
         profile = u.profile.derivative_profile() if gradient else u.profile
-        return (yield from _radial_norm(profile, *_plan(plans, profile, d, s, n), cfg))
-    if u.angular is Angular.TRANSLATED:
-        return (yield from _translated_norm(u, d, s, n, gradient, cfg, plans))
-    if gradient:
-        return weighted_norm_gradient(u, d, s, n, cfg)
+        return (yield from _radial_norm(profile, _dilation(profile), d, s, n, cfg, plans))
     if n < 2:
         raise ValueError("first harmonics need dimension >= 2")
-    plan, lam = _plan(plans, u.profile, d, s, n)
-    base = yield from _radial_norm(u.profile, plan, lam, cfg)
-    if not base.finite:
-        return base
-    correction = (log_angular_moment(plan.sf, n) - plan.log_area) / plan.sf
-    return NormValue.from_log(base.log_value + correction, base.error)
+    view = _dilation(u.profile)
+    if gradient:
+        view = view[0], _first_harmonic_gradient(n, float(s)), view[2]
+    norm = yield from _radial_norm(u.profile, view, d, s, n, cfg, plans)
+    if gradient or not norm.finite:
+        return norm
+    # the function's angular moment in place of the sphere's area
+    sf = float(s)
+    correction = (log_angular_moment(sf, n) - math.log(surface_area(n))) / sf
+    return NormValue.from_log(norm.log_value + correction, norm.error)
 
 
 def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG, plans: Optional[dict] = None) -> list:
     """The norm of each (u, d, s, n, gradient) of norms: || grad u ||_{d,s}
     when gradient, else || u ||_{d,s}.  Every panel integral among them
-    shares one session, and the norms of one base profile and (d, s, n)
-    one norm plan, whatever their dilations; first-harmonic gradients,
-    the one 2-D norm, are computed one at a time.
+    shares one session, and the norms of one base profile, reading and
+    (d, s, n) one norm plan, whatever their dilations.
 
     plans, if given, holds the norm plans across calls, all with this cfg:
     a caller that asks for the norms of many members of one base, such as
@@ -870,6 +863,4 @@ def weighted_norm_gradient(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> NormValue:
     """|| grad u ||_{b,p} (for radial u this is the radial-derivative norm)."""
-    if u.angular is Angular.FIRST_HARMONIC:
-        return _first_harmonic_gradient_lognorm(u.profile, b, p, n, cfg)
     return weighted_norms([(u, b, p, n, True)], cfg)[0]

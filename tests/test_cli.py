@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import ckn.admissible
 import ckn.cli
 import ckn.probes
 from ckn.cli import main
@@ -119,6 +120,33 @@ def test_falsify_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["certificate"] is True
+
+
+def test_falsify_walk_over_long_angular_series(capsys):
+    # at weights b = c = 80 in five dimensions the translated members cut
+    # series of up to 41 terms: a cap of 16 terms fails the walk
+    code, out, _ = run(
+        capsys, "falsify", "--n", "5", "--p", "2", "--q", "2", "--r", "3",
+        "--a", "0", "--b", "80", "--c", "80",
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] and not payload["certificate"]
+    assert payload["crossed_at"] == 21 and len(payload["trace"]) == 22
+
+
+@pytest.mark.parametrize("command", ["theta", "verify"])
+def test_theta_and_verify_classify_once(capsys, monkeypatch, command):
+    calls = []
+    classify = ckn.cli.classify
+
+    def counted(params):
+        calls.append(params)
+        return classify(params)
+
+    for module in (ckn.cli, ckn.admissible, ckn.probes):
+        monkeypatch.setattr(module, "classify", counted)
+    code, _, _ = run(capsys, command, *BASE, "--c", "-1")
+    assert code == 0 and len(calls) == 1
 
 
 def test_falsify_on_embedding_is_exit_one(capsys):

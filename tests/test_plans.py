@@ -13,6 +13,7 @@ import pytest
 
 import ckn.quadrature as quadrature
 import ckn.witnesses as witnesses
+from ckn.classify import classify
 from ckn.params import Params
 from ckn.probes import DEFAULT_SCALES, default_verification_family, default_w0_family, falsify_instance, verify_instance
 from ckn.profiles import (
@@ -58,11 +59,35 @@ def test_a_verify_instance_decides_each_member_once(monkeypatch):
     assert calls["zero"] + calls["inf"] <= 18
 
 
+def test_a_first_harmonic_verify_instance_runs_one_session(monkeypatch):
+    # 6 members x 5 scales: the gradient norms took a session and two
+    # edges() calls each, 31 sessions and 64 calls in all; now each base
+    # reads its edge records once per plan, and only the 2 PowerTails
+    # reach 0 or infinity
+    params = Params(3, F(2), F(2), F(4), F(0), F(0), F(-1))
+    family = default_w0_family(params)
+    calls = {"edges": 0, "sessions": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for cls in (PowerTail, SmoothBump):
+        monkeypatch.setattr(cls, "edges", counted("edges", cls.edges))
+    monkeypatch.setattr(quadrature, "integrate", counted("sessions", quadrature.integrate))
+    report = verify_instance(params, classify(params).derived.theta_c, family=family)
+    assert report.ok and len(report.members) == len(family) * (1 + len(DEFAULT_SCALES))
+    assert calls["sessions"] == 1
+    assert calls["edges"] <= 2 * len(family)
+
+
 @pytest.mark.parametrize("family", [default_verification_family, default_w0_family])
 def test_shared_plans_give_the_norms_of_fresh_plans(monkeypatch, family):
     report = verify_instance(PARAMS, THETA, family=family(PARAMS))
     plan = quadrature._plan
-    monkeypatch.setattr(quadrature, "_plan", lambda plans, profile, d, s, n: plan({}, profile, d, s, n))
+    monkeypatch.setattr(quadrature, "_plan", lambda plans, view, d, s, n: plan({}, view, d, s, n))
     fresh = verify_instance(PARAMS, THETA, family=family(PARAMS))
     assert report.ok and len(report.members) == len(fresh.members)
     for member, other in zip(report.members, fresh.members):
