@@ -245,13 +245,16 @@ class Integral(NamedTuple):
 
 class _Walk:
     """Panels of one integral from edge toward 0 or infinity, _BLOCK at a
-    time, taken one at a time until 8 quiet panels in a row (value below
-    rel_tol of the running total plus hint) or the 1e-280 / 1e280 edge."""
+    time, taken one at a time until 8 quiet panels in a row or the 1e-280 /
+    1e280 edge: panels whose geometric rest is below rel_tol of the running
+    total plus hint, v^2 / (u - v) for a panel v that keeps more than half
+    of the panel u before it (a slow tail t^-(1+e), e < 1), else v."""
 
     def __init__(self, owner: int, edge: float, down: bool, cfg: QuadratureConfig):
         self.owner, self.edge, self.down, self.cfg = owner, edge, down, cfg
         self.total = self.err = 0.0
         self.quiet = self.done = 0
+        self.last_value = math.inf
 
     def block(self) -> tuple:
         """(owner, x0, x1) of the next block of panels."""
@@ -270,21 +273,24 @@ class _Walk:
         QuadratureError once its budget is spent, else None."""
         cfg = self.cfg
         tol, floor = cfg.rel_tol, cfg.abs_tol
-        total, err, quiet = self.total, self.err, self.quiet
+        total, err, quiet, before = self.total, self.err, self.quiet, self.last_value
         for val, e in zip(values.tolist(), errors.tolist()):
             total += val
             err += e
             # rel_tol * max(total + hint, floor), max as Python's
             scale = total + hint
-            if val <= tol * (floor if floor > scale else scale):
+            rest = val * val / (before - val) if 0.5 * before < val < before else val
+            if rest <= tol * (floor if floor > scale else scale):
                 quiet += 1
                 if quiet >= 8:
                     return total, err
             else:
                 quiet = 0
+            before = val
         if self.last:
             return total, err
         self.total, self.err, self.quiet, self.done = total, err, quiet, self.done + _BLOCK
+        self.last_value = before
         if self.done < cfg.max_panels:
             return None
         return QuadratureError(f"panel budget exhausted extending toward {'zero' if self.down else 'infinity'}")

@@ -21,25 +21,19 @@ points.  Singular ends are handled in three tiers:
      contribution falls below the relative tolerance; failure to converge
      within the panel budget is an explicit error, never a silent value.
 
-One integrator serves every norm: a session of `panels.integrate`, which
-bisects the pending panels of all its integrals breadth first and walks
-them toward 0 and infinity in lockstep blocks, each integral with its own
-tests, walks and budget.  Every panel integral of a `weighted_norms` call
-shares one session, so the norms of a whole `verify` instance (8 members
-x 5 scales x 3 norms) take about 15 integrand calls.  Its one integrand
-is t^w |F(t)|^s, where F reads a base profile at lam t: as its value
-base(lam t), its derivative lam base'(lam t), or a first-harmonic
-gradient, one profile call per base and run of points.
+One integrator serves every norm: a session of `panels.integrate` shared
+by every panel integral of a `weighted_norms` call, so the norms of a
+whole `verify` instance (8 members x 5 scales x 3 norms) take about 15
+integrand calls.  Its one integrand is t^w |F(t)|^s, where F reads a base
+profile at lam t: as its value base(lam t), its derivative lam base'(lam
+t), or a first-harmonic gradient, one profile call per base and run of
+points.
 
 Divergence certificates and closed forms settle their norms before the
 session, from a norm plan (`_NormPlan`) per (base profile, reading, d, s,
-N) of the call: dilation changes no power of an edge record, so the exact
-verdicts, the closed-form branch, the base's edge records and the float
-constants are decided once for all dilations of a member.  A dilated norm
-then only scales support, seams and exact edge terms by lam, in floats;
-it is still integrated, never inferred from the scaling law.  A caller
-may keep the plans across calls: a `falsify` walk keeps one dict for all
-its members.
+N) that all dilations of a member share; a dilated norm is still
+integrated, never inferred from the scaling law.  A `falsify` walk keeps
+one dict of plans for all its members.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -48,16 +42,11 @@ around the translation point,
 
 where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
 |e + x w|^d over w in S^{N-1} (Funk-Hecke; A&S 15.1.1 for the series),
-and the gradient norm has the same form with f'.  The series M = sum_k
-c_k x^(2k) is cut once per norm, from x_max = hi/R, where its tail is
-below 1e-17 of M; its coefficients depend only on (N, d), so a plans dict
-keeps them.  The integral is then sum_k c_k x_max^(2k) mu_k over the
-moments mu_k of the base on its support dilated to end at 1, which depend
-only on the base, reading, s and N: a table of the d = 0 plan, integrated
-once for every d, offset and dilation and extended when a longer series
-asks.  Huge offsets stay in range through R^d, carried in log space.
-Near t = 0 the weight is R^d M(0) = R^d, so divergence there is certified
-as for a radial norm with d = 0.
+and the gradient norm has the same form with f'.  The integral is a sum
+over the series of M, cut once per norm to below 1e-17 of M, of moments
+of the base that a table integrates once for every d, offset and
+dilation (`_translated_norm`); huge offsets stay in range through R^d,
+carried in log space.
 
 First-harmonic functions u = f(t) x1/|x| reduce to a radial norm times a
 closed-form angular moment, and their gradients, with |grad u|^2 =
@@ -149,24 +138,13 @@ def surface_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def sub_sphere_area(n: int) -> float:
-    """|S^{n-2}| for n >= 2 (equals 2 when n = 2)."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    return 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
-
-
 def log_angular_moment(s: float, n: int) -> float:
     """log of the integral of |sigma_1|^s over the unit sphere S^{n-1}."""
     if n == 1:
         return math.log(2.0)
     # |S^{n-2}| * B((s+1)/2, (n-1)/2)
-    return (
-        math.log(sub_sphere_area(n))
-        + math.lgamma((s + 1.0) / 2.0)
-        + math.lgamma((n - 1.0) / 2.0)
-        - math.lgamma((s + n) / 2.0)
-    )
+    return (math.log(surface_area(n - 1)) + math.lgamma((s + 1.0) / 2.0) + math.lgamma((n - 1.0) / 2.0)
+            - math.lgamma((s + n) / 2.0))
 
 
 def log_power_integral(exponent: float, log_lo: Optional[float], log_hi: Optional[float]) -> float:
@@ -225,56 +203,71 @@ class SphericalMean:
     error: float
 
 
-class _MeanCoefficients:
-    """The coefficients of the series of M for one (n, d), each computed
-    once by the term recurrence, and cut for any x_max: only the cut depends
-    on x_max, so a falsify walk keeps one per (n, d) in its plans dict
-    (_mean_coefficients).  It holds d, the object whose id keys it."""
+class _Terms:
+    """The coefficients scale (a)_k (b)_k / ((c)_k k!) of scale 2F1(a, b; c;
+    z), each computed once by the term recurrence, and a bound on the tail
+    of the series at any z."""
 
-    def __init__(self, n: int, d):
-        self.n, self.d, self.df = n, d, float(d)
-        d = self.df
-        self.a, self.b, self.c = -d / 2.0, 1.0 - n / 2.0 - d / 2.0, n / 2.0
-        # M >= 1 where |y|^d is subharmonic
-        self.subharmonic = d * (d + n - 2) >= 0
-        # coefs[k], and whether coefs[1..k] are all positive
-        self.coefs, self.positive = [1.0], [True]
+    def __init__(self, a: float, b: float, c: float, scale: float = 1.0):
+        self.a, self.b, self.c, self.coefs = a, b, c, [scale]
+
+    def __getitem__(self, k: int) -> float:
+        while len(self.coefs) <= k:
+            self._extend()
+        return self.coefs[k]
 
     def _extend(self) -> None:
         """Append the next coefficient by the recurrence."""
         k, a, b, c = len(self.coefs), self.a, self.b, self.c
-        coef = self.coefs[-1] * (a + k - 1) * (b + k - 1) / ((c + k - 1) * k)
-        self.coefs.append(coef)
-        self.positive.append(self.positive[-1] and coef > 0.0)
+        self.coefs.append(self.coefs[-1] * (a + k - 1) * (b + k - 1) / ((c + k - 1) * k))
+
+    def tail(self, k: int, z: float) -> float:
+        """A bound on the absolute terms from term k on at z, or inf: past k
+        >= -a, -b and k > -c both factors of the term ratio (a+j)(b+j)/((c+j)
+        (j+1)) z are monotone in j, so r = z max(1, (k+a)/(k+c)) max(1,
+        (k+b)/(k+1)) bounds it, and the tail is at most |term k| / (1 - r)."""
+        a, b, c = self.a, self.b, self.c
+        if k < -a or k < -b or k <= -c:
+            return math.inf
+        r = z * max(1.0, (k + a) / (k + c)) * max(1.0, (k + b) / (k + 1))
+        return abs(self[k]) * z**k / (1.0 - r) if r < 1.0 else math.inf
+
+
+class _MeanCoefficients(_Terms):
+    """The coefficients of the series of M for one (n, d), each computed
+    once, and cut for any x_max: only the cut depends on x_max, so a
+    falsify walk keeps one per (n, d) in its plans dict
+    (_mean_coefficients).  It holds d, the object whose id keys it."""
+
+    def __init__(self, n: int, d):
+        self.n, self.d, self.df = n, d, float(d)
+        super().__init__(-self.df / 2.0, 1.0 - n / 2.0 - self.df / 2.0, n / 2.0)
+        # M >= 1 where |y|^d is subharmonic
+        self.subharmonic = self.df * (self.df + n - 2) >= 0
 
     def cut(self, x_max: float) -> Optional[SphericalMean]:
         """The shortest series whose tail is at most MEAN_TOL of M on [0, x_max],
         or None if that takes more than MEAN_TERMS terms.
 
-        Past K >= max(-a, -b) the term ratio (a+k)(b+k)/((c+k)(k+1)) z has
-        both factors monotone in k, so rho = z max(1, (K+a)/(K+c))
-        max(1, (K+b)/(K+1)) bounds it, and the tail from term K is at most
-        |term K| / (1 - rho).  Every term grows with x.  When no term is
-        negative, M is at least its partial sum, and the tail's share of M
-        grows with x, so the share at x_max bounds it; otherwise M is at
-        least 1 where |y|^d is subharmonic, d (d + n - 2) >= 0, else at
-        least its least value on the sphere.
+        Every term grows with x, and so does the tail bound (_Terms.tail).
+        When no term is negative, M is at least its partial sum, and the
+        tail's share of M grows with x, so the share at x_max bounds it;
+        otherwise M is at least 1 where |y|^d is subharmonic, d (d + n - 2)
+        >= 0, else at least its least value on the sphere.
         """
-        a, b, c, d, z = self.a, self.b, self.c, self.df, x_max * x_max
+        d, z = self.df, x_max * x_max
         least = 1.0 if self.subharmonic else min((1.0 + x_max) ** d, (1.0 - x_max) ** d)
-        coefs, head = self.coefs, 1.0  # head: the partial sum at x_max
+        # the partial sum at x_max, and whether coefs[1..k] are all positive
+        head, positive = 1.0, True
         for k in range(1, MEAN_TERMS + 1):
-            if k == len(coefs):
-                self._extend()
-            coef = coefs[k]
+            coef = self[k]
+            positive = positive and coef > 0.0
             if coef == 0.0:  # a or b a non-positive integer: M is a polynomial
-                return SphericalMean(np.array(coefs[:k]), 0.0)
-            if k >= -a and k >= -b:
-                rho = z * max(1.0, (k + a) / (k + c)) * max(1.0, (k + b) / (k + 1))
-                tail = abs(coef) * z**k / (1.0 - rho) if rho < 1.0 else math.inf
-                floor = head if self.positive[k] else least
-                if tail <= MEAN_TOL * floor:
-                    return SphericalMean(np.array(coefs[:k]), tail / floor)
+                return SphericalMean(np.array(self.coefs[:k]), 0.0)
+            tail = self.tail(k, z)
+            floor = head if positive else least
+            if tail <= MEAN_TOL * floor:
+                return SphericalMean(np.array(self.coefs[:k]), tail / floor)
             head += coef * z**k
         return None
 
@@ -322,36 +315,31 @@ def _gamma_ratio(up, down) -> float:
 
 
 def _series(a, b, c, scale: float = 1.0) -> list:
-    """The coefficients scale (a)_k (b)_k / ((c)_k k!) of scale 2F1(a, b;
-    c; x): all of a polynomial, else up to a term past which the tail at x
-    = 1/2 is at most 1e-17 of the sum of the absolute terms, the term ratio
-    past k > |a|, |b|, |c| bounded as in _MeanCoefficients.cut."""
-    coefs, total, k = [scale], abs(scale), 0
-    while True:
-        coef = coefs[-1] * (a + k) * (b + k) / ((c + k) * (k + 1))
-        if coef == 0.0:
-            return coefs
+    """The coefficients of scale 2F1(a, b; c; x): all of a polynomial, else
+    up to a term from which the tail at x = 1/2 is at most 1e-17 of the
+    sum of the absolute terms before it."""
+    terms, total, k = _Terms(a, b, c, scale), abs(scale), 1
+    while terms[k] != 0.0 and terms.tail(k, 0.5) > 1e-17 * total:
+        total += abs(terms[k]) * 0.5**k
         k += 1
-        coefs.append(coef)
-        term = abs(coef) * 0.5**k
-        total += term
-        if k > max(abs(a), abs(b), abs(c)):
-            ratio = 0.5 * (k + abs(a)) / (k - abs(c)) * max(1.0, (k + abs(b)) / (k + 1))
-            if ratio < 1.0 and term <= 1e-17 * total * (1.0 - ratio):
-                return coefs
+    return terms.coefs[:k]
 
 
 class _Hypergeometric:
-    """2F1(a, b; c; 1 - rho) for 0 <= rho <= 1 and g = c - a - b > 0: its
-    series in 1 - rho where rho >= 1/2 or a is a non-positive integer (a
-    polynomial), else head(rho) + rho^g (rest(rho) + log(rho) log_part(rho)),
-    the connection formula of A&S 15.3.6, or of 15.3.11 for an integer g
-    (the finite head and the digamma weights of rest).  Near an integer g
-    the two terms of 15.3.6 cancel: at |g - m| = 5e-4 they keep about 12
-    digits.  rho = 0 reads rho^g log(rho) as 0."""
+    """2F1(a, b; c; 1 - rho) for 0 <= rho <= 1, g = c - a - b > 0 and c > b
+    > 0 > a: its series in 1 - rho where rho >= 1/2 or a is a non-positive
+    integer (a polynomial), else head(rho) + rho^g (rest(rho) + log(rho)
+    log_part(rho)), the connection formula of A&S 15.3.6, or of 15.3.11 for
+    an integer g (the finite head and the digamma weights of rest).  rho =
+    0 reads rho^g log(rho) as 0.
+
+    Near an integer g the two terms of 15.3.6 grow as 1/|g - m| and cancel:
+    error, 64 eps times their absolute sums at rho = 1/2 over head(0), the
+    least value, bounds the relative error (33 eps times it at most against
+    30-digit values, for n up to 24 and p near 1, 3, 5 and 7)."""
 
     def __init__(self, a: float, b: float, c: float):
-        self.near, self.head = _series(a, b, c), None
+        self.near, self.head, self.error = _series(a, b, c), None, 0.0
         if a <= 0 and a == int(a):
             return
         self.g = g = c - a - b
@@ -359,11 +347,13 @@ class _Hypergeometric:
             self.head = _series(a, b, 1 - g, _gamma_ratio([c, g], [c - a, c - b]))
             self.rest = _series(c - a, c - b, 1 + g, _gamma_ratio([c, -g], [a, b]))
             self.log_part = [0.0]
+            terms = sum(abs(x) * 0.5**k for k, x in enumerate(self.head)) + 0.5**g * sum(
+                abs(x) * 0.5**k for k, x in enumerate(self.rest))
+            self.error = 64 * np.finfo(float).eps * terms / self.head[0]
             return
         m = int(g)
-        self.head = [_gamma_ratio([m, c], [c - a, c - b])]
-        for n in range(m - 1):
-            self.head.append(self.head[-1] * (a + n) * (b + n) / ((1 - m + n) * (n + 1)))
+        head = _Terms(a, b, 1 - m, _gamma_ratio([m, c], [c - a, c - b]))
+        self.head = [head[n] for n in range(m)]
         self.log_part = _series(a + m, b + m, m + 1, -(-1) ** m * _gamma_ratio([c], [a, b, m + 1]))
         self.rest = [coef * (_digamma(a + n + m) + _digamma(b + n + m) - _digamma(n + 1) - _digamma(n + m + 1))
                      for n, coef in enumerate(self.log_part)]
@@ -387,11 +377,12 @@ class _FirstHarmonicGradient:
     of 2F1), for m = max(|f'|, |f/t|), rho the smaller square over the
     larger and H = 2F1(-p/2, beta; n/2; 1 - rho), beta = (n-1)/2 where
     |f'| >= |f/t|, else 1/2.  A dilation by lam reads lam m(lam t) and
-    rho(lam t)."""
+    rho(lam t).  error bounds the relative error of H (_Hypergeometric)."""
 
     def __init__(self, n: int, p: float):
         self.root = 1.0 / p
         self.branches = (_Hypergeometric(-p / 2.0, (n - 1) / 2.0, n / 2.0), _Hypergeometric(-p / 2.0, 0.5, n / 2.0))
+        self.error = max(branch.error for branch in self.branches)
 
     def __call__(self, base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
         fp, ft = np.abs(base.derivative(x)), np.abs(base.value(x) / x)
@@ -461,6 +452,8 @@ class _NormPlan:
         if isinstance(reading, _FirstHarmonicGradient):
             # as singular as the worse of f' and f/t, with no exact edge terms
             powers, ends = [shifted + _powers((edge, -1)) for shifted, edge in zip(powers, edges)], (None, None)
+        # the relative error of |F|^s that the reading reports
+        self.reading_error = getattr(reading, "error", 0.0)
         self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
         self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
         # (coef, power, power read, exact) of each base edge whose read edge
@@ -492,21 +485,21 @@ class _NormPlan:
         return (coef * power if self.reading is _read_derivative else coef), read, exact / lam
 
     def moment_table(self, count: int, cfg: QuadratureConfig):
-        """The first count moments mu_k = integral t^(wexp+2k) |f(t)|^s dt
-        of the base as read, dilated to end its support at 1 (f(t) = base(h
-        t), h the end), as (value, panel error) pairs, or the QuadratureError
-        that stopped the table short of count: on (0, 1] no moment of a long
+        """The first count moments mu_k = integral t^wexp (t/h)^(2k)
+        |f(t)|^s dt of the base as read, h the end of its support, as
+        (value, panel error) pairs, or the QuadratureError that stopped the
+        table short of count: with (t/h)^(2k) <= 1 no moment of a long
         table overflows.  A short table is extended by one session that
         integrates all its missing moments; a moment whose sum is not
         finite stops it as "panel sum overflowed"."""
         have = len(self.moments)
         if have < count:
             lo, hi = self.support
-            integral = Integral(lo / hi if lo > 0 else 1 / 512.0, 1.0, tuple(x / hi for x in self.breakpoints),
-                                down=lo == 0.0)
-            more = count - have
-            g = _radial_integrand([(self.base, self.reading, hi)] * more, [0] * more,
-                                  [self.wexp + 2.0 * k for k in range(have, count)], [self.sf] * more)
+            integral = Integral(lo if lo > 0 else hi / 512.0, hi, self.breakpoints, down=lo == 0.0)
+            more, log_h = count - have, math.log(hi)
+            g = _radial_integrand([(self.base, self.reading, 1.0)] * more, [0] * more,
+                                  [self.wexp + 2.0 * k for k in range(have, count)], [self.sf] * more,
+                                  [-2.0 * k * log_h for k in range(have, count)])
             for result in integrate(g, [integral] * more, cfg):
                 if not isinstance(result, QuadratureError) and not math.isfinite(result[0]):
                     result = QuadratureError("panel sum overflowed")
@@ -548,27 +541,29 @@ def _dilation(profile: RadialProfile) -> Tuple[RadialProfile, object, float]:
     return profile, reading, 1.0
 
 
-def _radial_integrand(views, group, wexp, s):
-    """The integrand t^wexp[i] |F_i(t)|^s[i] of integral i, where views[i]
-    = (base, reading, lam) gives F_i(t) = reading(base, lam t, lam), and
-    group[i] numbers the (base profile, reading) that F_i reads.
+def _radial_integrand(views, group, wexp, s, log_factor=None):
+    """The integrand t^wexp[i] |F_i(t)|^s[i] of integral i, times
+    e^log_factor[i] if given, where views[i] = (base, reading, lam) gives
+    F_i(t) = reading(base, lam t, lam), and group[i] numbers the (base
+    profile, reading) that F_i reads.
 
     Each call reads each group once per run of consecutive rows in it; the
     per-row parameters are repeated per point, so that all arithmetic is on
     flat arrays, and a call whose rows all belong to one integral uses its
     parameters as scalars.
     """
-    group, table = np.array(group), np.array([[view[2] for view in views], wexp, s])
+    group = np.array(group)
+    table = np.array([[view[2] for view in views], wexp, s, [0.0] * len(views) if log_factor is None else log_factor])
 
     def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         i = owner[0]
         if i == owner[-1]:  # rows come in order of owner: all of integral i
             base, reading, scale = views[i]
-            wexp, s = table[1, i], table[2, i]
+            wexp, s, factor = table[1:, i]
             fv = reading(base, t * scale, scale)
         else:
             per_row = t.size // owner.size
-            runs, (scale, wexp, s) = group[owner], table[:, owner].repeat(per_row, axis=1)
+            runs, (scale, wexp, s, factor) = group[owner], table[:, owner].repeat(per_row, axis=1)
             x, fv = t * scale, np.empty_like(t)
             cuts = [0, *((runs[1:] != runs[:-1]).nonzero()[0] + 1).tolist(), owner.size]
             for a, b in zip(cuts, cuts[1:]):
@@ -578,7 +573,8 @@ def _radial_integrand(views, group, wexp, s):
         fv = np.abs(fv)
         # 0 where F vanishes (or is nan)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(fv > 0, np.exp(wexp * np.log(t) + s * np.log(fv)), 0.0)
+            log_g = wexp * np.log(t) + s * np.log(fv)
+            return np.where(fv > 0, np.exp(log_g if log_factor is None else log_g + factor), 0.0)
 
     return g
 
@@ -648,18 +644,14 @@ def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float, cfg:
 
     breakpoints = tuple(x / lam for x in plan.breakpoints)
     hint = sum(math.exp(x) for x in log_parts if x < 700)
-    anchor_lo = lo_eff if lo_eff > 0 else None
-    anchor_hi = hi_eff if hi_eff < math.inf else None
-    if anchor_lo is None and anchor_hi is None:
-        anchor_lo, anchor_hi = 0.5, 2.0
-        for b in breakpoints:
-            if math.isfinite(b) and b > 0:
-                anchor_lo = min(anchor_lo, b)
-                anchor_hi = max(anchor_hi, b)
-    elif anchor_lo is None:
-        anchor_lo = min(anchor_hi / 4.0, 1.0)
-    elif anchor_hi is None:
-        anchor_hi = max(anchor_lo * 4.0, 1.0)
+    anchor_lo, anchor_hi = lo_eff, hi_eff
+    if lo_eff == 0.0 and hi_eff == math.inf:
+        seams = [b for b in breakpoints if 0.0 < b < math.inf]
+        anchor_lo, anchor_hi = min([0.5, *seams]), max([2.0, *seams])
+    elif lo_eff == 0.0:
+        anchor_lo = min(hi_eff / 4.0, 1.0)
+    elif hi_eff == math.inf:
+        anchor_hi = max(lo_eff * 4.0, 1.0)
 
     middle, err = yield (plan.base, plan.reading, lam), wexp, s, Integral(
         anchor_lo, anchor_hi, breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint)
@@ -747,7 +739,7 @@ def _radial_norm(profile: RadialProfile, view, d, s, n: int, cfg: QuadratureConf
 
     if log_integral == -math.inf:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err)
+    return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 
 def weighted_norm_radial(
@@ -768,12 +760,12 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     gradient, with R the offset and M the SphericalMean of |x|^d around it.
 
     With f the dilation by lam of a base of support in (0, h], M = sum_k
-    c_k x^(2k) of K terms and y = (h / (lam R))^2 = x_max^2, the integral is
-    (lam/h)^(s - n) for gradient, (lam/h)^-n else, times sum_k c_k y^k mu_k
-    over the first K moments of the base dilated by h
-    (_NormPlan.moment_table); its error is sum_k |c_k| y^k err_k over that
-    sum, which also covers cancellation between terms of both signs, plus
-    the series bound.
+    c_k x^(2k) of K terms (coefficients kept per (n, d) in plans) and y =
+    (h / (lam R))^2 = x_max^2, the integral is lam^(s - n) for gradient,
+    lam^-n else, times sum_k c_k y^k mu_k over the first K moments of the
+    base (_NormPlan.moment_table of the d = 0 plan); its error is sum_k
+    |c_k| y^k err_k, which also covers cancellation between terms of both
+    signs, plus the series bound.
 
     Near t = 0 the weight is R^d M(0) = R^d, so the integral diverges
     there exactly when the unweighted radial one does: its plan is the
@@ -802,7 +794,7 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     if total <= 0:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
     log_prefactor = (float(d) * math.log(offset) + plan.log_area
-                     + ((plan.sf if gradient else 0.0) - n) * math.log(lam / plan.support[1]))
+                     + ((plan.sf if gradient else 0.0) - n) * math.log(lam))
     return NormValue.from_log((log_prefactor + math.log(total)) / plan.sf,
                               err / max(total, cfg.abs_tol) + mean.error)
 

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from ckn.panels import DEFAULT_CONFIG, Integral, QuadratureError, gauss_legendre, integrate
-from ckn.quadrature import NormStatus, NormValue, sub_sphere_area
+from ckn.quadrature import NormStatus, NormValue, surface_area
 
 # points per evaluation: the points x angles matrices stay small
 _SLICE = 256
@@ -67,7 +67,7 @@ def translated_norm(profile, d, s, n: int, offset: float, cfg=DEFAULT_CONFIG, us
     if n >= 2:
         psi, angular_weight = _polar_rule(n, nodes)
         cospsi = np.cos(psi)
-        prefactor_log = math.log(sub_sphere_area(n))
+        prefactor_log = math.log(surface_area(n - 1))
     else:
         cospsi = np.array([1.0, -1.0])
         angular_weight = np.array([1.0, 1.0])
@@ -124,5 +124,5 @@ def first_harmonic_gradient_norm(profile, b, p, n: int, cfg=DEFAULT_CONFIG, node
 
     anchor_lo = lo if lo > 0 else min(1.0, *(x for x in (*profile.breakpoints, hi, 1.0) if 0 < x < math.inf))
     anchor_hi = hi if hi < math.inf else max(1.0, anchor_lo * 4.0, *(x for x in profile.breakpoints if x < math.inf))
-    return _norm(g, anchor_lo, anchor_hi, profile.breakpoints, math.log(sub_sphere_area(n)), pf, cfg,
+    return _norm(g, anchor_lo, anchor_hi, profile.breakpoints, math.log(surface_area(n - 1)), pf, cfg,
                  down=lo == 0.0, up=hi == math.inf)

@@ -4,7 +4,8 @@ This is the recursive adaptive Gauss-Legendre bisection the package used
 before its integrator was batched: one integrand call per 16-node panel
 sum, each half-panel sum computed twice (once as the parent's fine
 estimate, once as the child's coarse one), and the walks toward 0 and
-infinity one panel at a time.  `panel_integral` composes these pieces
+infinity one panel at a time, quiet by the rule of `ckn.panels._Walk`
+(`_rest`).  `panel_integral` composes these pieces
 for one integral, and `integrate` runs every integral of a session
 through it alone, with the signature of `ckn.panels.integrate`, so a test
 can swap it in and compare the norms the two give.
@@ -12,6 +13,7 @@ can swap it in and compare the norms the two give.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -46,18 +48,25 @@ def _integrate_panels(g, edges, cfg) -> Tuple[float, float]:
     return total, err
 
 
+def _rest(val: float, before: float) -> float:
+    """The tail past a walk panel of value val, the one before it before:
+    val, or the geometric series val^2 / (before - val) past it when val
+    falls by less than half."""
+    return val * val / (before - val) if 0.5 * before < val < before else val
+
+
 def _extend_down(g, lo_edge: float, cfg, total_hint: float) -> Tuple[float, float]:
     """Add panels [edge/2, edge] toward zero until they stop contributing."""
     total, err = 0.0, 0.0
-    edge = lo_edge
+    edge, before = lo_edge, math.inf
     quiet = 0
     for _ in range(cfg.max_panels):
         val, e = _adaptive_panel(g, edge / 2.0, edge, cfg, cfg.max_subdivisions)
         total += val
         err += e
         edge /= 2.0
-        floor = cfg.rel_tol * max(total + total_hint, cfg.abs_tol)
-        quiet = quiet + 1 if val <= floor else 0
+        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + total_hint, cfg.abs_tol) else 0
+        before = val
         if quiet >= 8 or edge < 1e-280:
             return total, err
     raise QuadratureError("panel budget exhausted extending toward zero")
@@ -65,15 +74,15 @@ def _extend_down(g, lo_edge: float, cfg, total_hint: float) -> Tuple[float, floa
 
 def _extend_up(g, hi_edge: float, cfg, total_hint: float) -> Tuple[float, float]:
     total, err = 0.0, 0.0
-    edge = hi_edge
+    edge, before = hi_edge, math.inf
     quiet = 0
     for _ in range(cfg.max_panels):
         val, e = _adaptive_panel(g, edge, edge * 2.0, cfg, cfg.max_subdivisions)
         total += val
         err += e
         edge *= 2.0
-        floor = cfg.rel_tol * max(total + total_hint, cfg.abs_tol)
-        quiet = quiet + 1 if val <= floor else 0
+        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + total_hint, cfg.abs_tol) else 0
+        before = val
         if quiet >= 8 or edge > 1e280:
             return total, err
     raise QuadratureError("panel budget exhausted extending toward infinity")

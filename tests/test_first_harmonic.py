@@ -133,16 +133,37 @@ def test_odd_powers_match_their_closed_forms_down_to_rho_zero():
         assert factor(1.0, math.sqrt(rho), 1.0, 2)[0] == pytest.approx(want, rel=1e-14, abs=0.0), rho
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_near_an_odd_power_the_reported_error_covers_the_cancellation(n):
+    # within 1e-6 of an odd p the two terms of A&S 15.3.6 cancel to about
+    # 1e-9 relative, worst just below rho = 1/2; the 2-D rule at 512 nodes
+    # is exact to 1.1e-14 for rho >= 1e-2
+    rng = np.random.default_rng(200 + n)
+    rho = np.concatenate([10.0 ** rng.uniform(-2, math.log10(0.5), size=200), [0.49, 0.4999, 0.5 - 1e-12]])
+    first = rng.random(rho.size) < 0.5
+    fp, ft = np.where(first, 1.0, np.sqrt(rho)), np.where(first, np.sqrt(rho), 1.0)
+    worst = 0.0
+    for p in (1 + 1e-6, 1 - 1e-6, 3 + 1e-6, 3 - 1e-6):
+        error = quadrature._first_harmonic_gradient(n, p).error
+        off = np.max(np.abs(factor(fp, ft, p, n) / angular_integral(fp, ft, p, n, 512) - 1))
+        assert off <= error + 2e-14 and error < 1e-6, (p, off, error)
+        worst = max(worst, off)
+    assert worst > 1e-11
+    # the norm reports it
+    p = F(1000001, 1000000)
+    got = weighted_norm_gradient(first_harmonic(PowerTail(F(1, 2), F(3))), p * 3 - n, p, n)
+    assert got.finite and got.error >= quadrature._first_harmonic_gradient(n, float(p)).error
+
+
 def test_the_d8_profile_is_pinned_to_a_30_digit_reference():
     # The reference is a 1-D mpmath integral in t, at 30 digits, of the
     # mpmath 2F1 factor; at t = 1/8 that factor agrees to 20 digits with a
     # 2-D mpmath quadrature over the angle.  The 48-node angle rule read
-    # -10.6952630865, 1.6e-6 off, with a reported error of 5.6e-16.  At
-    # the default rel_tol 1e-9 the walk toward infinity drops 1.8e-10 of
-    # the t^(-3/2) tail, an error no reported error includes; at 1e-10 it
-    # drops 1.6e-11
+    # -10.6952630865, 1.6e-6 off, with a reported error of 5.6e-16.  The
+    # walk toward infinity drops 9e-11 of the t^(-3/2) tail at the default
+    # rel_tol, an error no reported error includes
     u = first_harmonic(ScaledProfile(PowerTail(F(13, 2), 8), 8))
-    got = weighted_norm_gradient(u, F(9, 2), F(1), 4, QuadratureConfig(rel_tol=1e-10))
+    got = weighted_norm_gradient(u, F(9, 2), F(1), 4)
     assert abs(got.log_value - -10.6952646946913) <= 1e-10
 
 
