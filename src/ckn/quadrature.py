@@ -552,8 +552,8 @@ def _radial_integrand(views, group, wexp, s, log_factor=None):
     flat arrays, and a call whose rows all belong to one integral uses its
     parameters as scalars.
     """
-    group = np.array(group)
-    table = np.array([[view[2] for view in views], wexp, s, [0.0] * len(views) if log_factor is None else log_factor])
+    group, rows = np.array(group), [[view[2] for view in views], wexp, s]
+    table = np.array([*rows, [0.0] * len(views) if log_factor is None else log_factor])
 
     def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         i = owner[0]
