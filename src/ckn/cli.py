@@ -46,21 +46,20 @@ def _emit(obj) -> None:
 
 
 def _config():
-    from .panels import DEFAULT_CONFIG
+    from .panels import DEFAULT_CONFIG, QuadratureConfig
 
-    cfg = DEFAULT_CONFIG
     override = os.environ.get("CKN_QUAD_TOL")
-    if override:
-        try:
-            tol = float(override)
-        except ValueError:
-            tol = float("nan")
-        # inf, nan and tolerances outside (0, 1) make the quadrature wrong
-        # or keep it subdividing without end
-        if not 0 < tol < 1:
-            raise ValueError(f"CKN_QUAD_TOL must be a number in (0, 1), got {override!r}")
-        cfg = cfg.with_rel_tol(tol)
-    return cfg
+    if not override:
+        return DEFAULT_CONFIG
+    try:
+        tol = float(override)
+    except ValueError:
+        tol = float("nan")
+    # inf, nan and tolerances outside (0, 1) make the quadrature wrong
+    # or keep it subdividing without end
+    if not 0 < tol < 1:
+        raise ValueError(f"CKN_QUAD_TOL must be a number in (0, 1), got {override!r}")
+    return QuadratureConfig(rel_tol=tol)
 
 
 def _parse_params(args, need_c: bool = True) -> Params:

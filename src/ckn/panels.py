@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
 from typing import NamedTuple, Tuple
@@ -37,14 +37,8 @@ import numpy as np
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-280
-    max_subdivisions: int = 12
     max_panels: int = 6000
-    gauss_nodes: int = 16
     divergence_threshold: float = 1e3
-
-    def with_rel_tol(self, rel_tol: float) -> "QuadratureConfig":
-        return replace(self, rel_tol=rel_tol)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -54,6 +48,11 @@ class QuadratureError(RuntimeError):
     pass
 
 
+# the floor under every relative test, the bisection depth at which a
+# panel is accepted whatever its error, and the nodes of each panel's rule
+ABS_TOL = 1e-280
+MAX_SUBDIVISIONS = 12
+GAUSS_NODES = 16
 # panels per block of each walk toward 0 and infinity, and the factors
 # 2^-k and 2^k of the panel ends of a block
 _BLOCK = 16
@@ -177,7 +176,7 @@ def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, owner: np.ndarray,
     """
     if x0.size == 0:
         return x0, x0
-    nodes, depth = cfg.gauss_nodes, cfg.max_subdivisions
+    nodes, depth = GAUSS_NODES, MAX_SUBDIVISIONS
     # a row per panel: its left end, midpoint and right end
     ends = _columns(x0, 0.5 * (x0 + x1), x1)
     coarse, *ahead = _halves_ahead(g, nodes, owner, ends, depth, True)
@@ -186,7 +185,7 @@ def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, owner: np.ndarray,
         halves = ahead[0]
         fine = halves[:, 0] + halves[:, 1]
         err = np.abs(fine - coarse)
-        accept = err <= cfg.rel_tol * np.maximum(np.abs(fine), cfg.abs_tol)
+        accept = err <= cfg.rel_tol * np.maximum(np.abs(fine), ABS_TOL)
         accept |= ~np.isfinite(fine) | (depth <= 0)
         split = np.flatnonzero(~accept)
         levels.append((fine, err, split))
@@ -272,7 +271,7 @@ class _Walk:
         """(total, error) once the walk stops within the block, a
         QuadratureError once its budget is spent, else None."""
         cfg = self.cfg
-        tol, floor = cfg.rel_tol, cfg.abs_tol
+        tol, floor = cfg.rel_tol, ABS_TOL
         total, err, quiet, before = self.total, self.err, self.quiet, self.last_value
         for val, e in zip(values.tolist(), errors.tolist()):
             total += val

@@ -22,12 +22,12 @@ points.  Singular ends are handled in three tiers:
      within the panel budget is an explicit error, never a silent value.
 
 One integrator serves every norm: a session of `panels.integrate` shared
-by every panel integral of a `weighted_norms` call, so the norms of a
-whole `verify` instance (8 members x 5 scales x 3 norms) take about 15
-integrand calls.  Its one integrand is t^w |F(t)|^s, where F reads a base
-profile at lam t: as its value base(lam t), its derivative lam base'(lam
-t), or a first-harmonic gradient, one profile call per base and run of
-points.
+by every panel integral of a `weighted_norms` call, moments included, so
+the norms of a whole `verify` instance (8 members x 5 scales x 3 norms)
+take about 15 integrand calls.  Its one integrand is t^w |F(t)|^s e^l,
+where F reads a base profile at lam t: as its value base(lam t), its
+derivative lam base'(lam t), or a first-harmonic gradient, one profile
+call per base and run of points, and l is 0 but for moments.
 
 Divergence certificates and closed forms settle their norms before the
 session, from a norm plan (`_NormPlan`) per (base profile, reading, d, s,
@@ -44,9 +44,9 @@ where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
 |e + x w|^d over w in S^{N-1} (Funk-Hecke; A&S 15.1.1 for the series),
 and the gradient norm has the same form with f'.  The integral is a sum
 over the series of M, cut once per norm to below 1e-17 of M, of moments
-of the base that a table integrates once for every d, offset and
-dilation (`_translated_norm`); huge offsets stay in range through R^d,
-carried in log space.
+of the base that its plan's table keeps for every d, offset and dilation,
+each integrated in the session of the first norm that needs it
+(`_translated_norm`); huge offsets stay in range through R^d.
 
 First-harmonic functions u = f(t) x1/|x| reduce to a radial norm times a
 closed-form angular moment, and their gradients, with |grad u|^2 =
@@ -71,7 +71,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, gauss_legendre, integrate
+from .panels import (ABS_TOL, DEFAULT_CONFIG, GAUSS_NODES, Integral, QuadratureConfig, QuadratureError,
+                     gauss_legendre, integrate)
 from .profiles import DerivView, LogModulated, PiecewisePower, RadialProfile, ScaledProfile
 from .testfunctions import Angular, TestFunction
 
@@ -433,7 +434,7 @@ class _NormPlan:
     constants; a dilated norm does float work only.  The base's edge
     records are read only where its support reaches 0 or infinity.  The
     d = 0 plan of a translated norm also holds the moment table of the
-    base (`moment_table`).
+    base (`moment_table`), filled in place by the norms that read it.
 
     The plan holds its base and its d and s, the objects whose ids key it
     in a plans dict (`_plan`), so that no other object takes one of those
@@ -471,9 +472,9 @@ class _NormPlan:
         # profile is the base itself
         self.closed = None
         if reading is _read_value and isinstance(base, PiecewisePower):
-            self.closed = lambda cfg: _piecewise_log_integral(base, self.wexp, self.sf)
+            self.closed = lambda: _piecewise_log_integral(base, self.wexp, self.sf)
         elif reading is _read_value and isinstance(base, LogModulated):
-            self.closed = lambda cfg: _log_modulated_log_integral(base, d, s, n, cfg)
+            self.closed = lambda: _log_modulated_log_integral(base, d, s, n)
 
     def term(self, end: int, lam: float) -> Optional[Tuple[float, float, float]]:
         """(coef, power, exact) of the exact region at end (0 at zero, 1 at
@@ -484,28 +485,25 @@ class _NormPlan:
         coef = coef * lam ** power
         return (coef * power if self.reading is _read_derivative else coef), read, exact / lam
 
-    def moment_table(self, count: int, cfg: QuadratureConfig):
+    def moment_table(self, count: int):
         """The first count moments mu_k = integral t^wexp (t/h)^(2k)
         |f(t)|^s dt of the base as read, h the end of its support, as
         (value, panel error) pairs, or the QuadratureError that stopped the
         table short of count: with (t/h)^(2k) <= 1 no moment of a long
-        table overflows.  A short table is extended by one session that
-        integrates all its missing moments; a moment whose sum is not
-        finite stops it as "panel sum overflowed"."""
+        table overflows.  A generator for _session: a short table asks for
+        all its missing moments at once, and writes moment k in place k, as
+        another norm of the session that shares the plan may too."""
         have = len(self.moments)
         if have < count:
             lo, hi = self.support
             integral = Integral(lo if lo > 0 else hi / 512.0, hi, self.breakpoints, down=lo == 0.0)
-            more, log_h = count - have, math.log(hi)
-            g = _radial_integrand([(self.base, self.reading, 1.0)] * more, [0] * more,
-                                  [self.wexp + 2.0 * k for k in range(have, count)], [self.sf] * more,
-                                  [-2.0 * k * log_h for k in range(have, count)])
-            for result in integrate(g, [integral] * more, cfg):
-                if not isinstance(result, QuadratureError) and not math.isfinite(result[0]):
-                    result = QuadratureError("panel sum overflowed")
+            view, log_h = (self.base, self.reading, 1.0), math.log(hi)
+            results = yield [(view, self.wexp + 2.0 * k, self.sf, -2.0 * k * log_h, integral)
+                             for k in range(have, count)]
+            for k, result in enumerate(results, have):
                 if isinstance(result, QuadratureError):
                     return result
-                self.moments.append(result)
+                self.moments[k:k + 1] = [result]
         return self.moments[:count]
 
 
@@ -515,8 +513,8 @@ def _plan(plans: dict, view, d, s, n: int) -> _NormPlan:
     base, reading and (d, s, n) objects.  Keys are identities: no Fraction
     is hashed per norm.  Each plan holds the objects of its key, so a plans
     dict may serve many weighted_norms calls, as one falsify walk does, and
-    its keys stay unique while it lives; it must serve one
-    QuadratureConfig, which fills its moment tables."""
+    its keys stay unique while it lives; their sessions fill its moment
+    tables, so they must share one QuadratureConfig."""
     base, reading, _ = view
     key = (id(base), reading, id(d), id(s), n)
     plan = plans.get(key)
@@ -541,19 +539,18 @@ def _dilation(profile: RadialProfile) -> Tuple[RadialProfile, object, float]:
     return profile, reading, 1.0
 
 
-def _radial_integrand(views, group, wexp, s, log_factor=None):
-    """The integrand t^wexp[i] |F_i(t)|^s[i] of integral i, times
-    e^log_factor[i] if given, where views[i] = (base, reading, lam) gives
-    F_i(t) = reading(base, lam t, lam), and group[i] numbers the (base
-    profile, reading) that F_i reads.
+def _radial_integrand(views, group, wexp, s, log_factor):
+    """The integrand t^wexp[i] |F_i(t)|^s[i] e^log_factor[i] of integral i,
+    where views[i] = (base, reading, lam) gives F_i(t) = reading(base, lam
+    t, lam), and group[i] numbers the (base profile, reading) that F_i
+    reads.
 
     Each call reads each group once per run of consecutive rows in it; the
     per-row parameters are repeated per point, so that all arithmetic is on
     flat arrays, and a call whose rows all belong to one integral uses its
     parameters as scalars.
     """
-    group, rows = np.array(group), [[view[2] for view in views], wexp, s]
-    table = np.array([*rows, [0.0] * len(views) if log_factor is None else log_factor])
+    group, table = np.array(group), np.array([[view[2] for view in views], wexp, s, log_factor])
 
     def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         i = owner[0]
@@ -573,50 +570,56 @@ def _radial_integrand(views, group, wexp, s, log_factor=None):
         fv = np.abs(fv)
         # 0 where F vanishes (or is nan)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_g = wexp * np.log(t) + s * np.log(fv)
-            return np.where(fv > 0, np.exp(log_g if log_factor is None else log_g + factor), 0.0)
+            return np.where(fv > 0, np.exp(wexp * np.log(t) + s * np.log(fv) + factor), 0.0)
 
     return g
 
 
 def _session(norms, cfg: QuadratureConfig) -> list:
-    """The values of norm generators such as _radial_norm and _norm, each of
-    which yields (view, wexp, s, Integral) for the panel integral it needs,
-    if any, with view the (base, reading, lam) of its plan, and is sent its
-    (value, error) or thrown its QuadratureError.
+    """The values of norm generators such as _norm, each of which yields a
+    list of requests (view, wexp, s, log_factor, Integral) for the panel
+    integrals it needs, if any, with view the (base, reading, lam) of its
+    plan, and is sent their results: (value, error), or a QuadratureError,
+    "panel sum overflowed" for a sum that is not finite.
 
-    Every panel integral they ask for shares one session, ordered so that
-    the rows of each (base profile, reading) are consecutive.
+    Every panel integral they ask for shares one session, the package's
+    only one, ordered so that the rows of each (base, reading) are
+    consecutive.
     """
-    out, waiting = [], []
+    out, waiting, asks = [], [], []
     for norm in norms:
         try:
-            waiting.append((len(out), norm, next(norm)))
-            out.append(None)
+            ask = next(norm)
         except StopIteration as done:
             out.append(done.value)
+            continue
+        waiting.append((len(out), norm, len(asks), len(asks) + len(ask)))
+        out.append(None)
+        asks += ask
     if not waiting:
         return out
-    views = [ask[0] for _, _, ask in waiting]
     keys = {}
-    group = [keys.setdefault((id(base), reading), len(keys)) for base, reading, _ in views]
-    order = sorted(range(len(waiting)), key=group.__getitem__)
-    _, wexp, s, integrals = zip(*(waiting[k][2] for k in order))
-    g = _radial_integrand([views[k] for k in order], [group[k] for k in order], wexp, s)
+    group = [keys.setdefault((id(base), reading), len(keys)) for (base, reading, _), *_ in asks]
+    order = sorted(range(len(asks)), key=group.__getitem__)
+    views, wexp, s, log_factor, integrals = zip(*(asks[k] for k in order))
+    g = _radial_integrand(views, [group[k] for k in order], wexp, s, log_factor)
+    results = [None] * len(asks)
     for k, result in zip(order, integrate(g, integrals, cfg)):
-        i, norm, _ = waiting[k]
+        if not isinstance(result, QuadratureError) and not math.isfinite(result[0]):
+            result = QuadratureError("panel sum overflowed")
+        results[k] = result
+    for i, norm, start, stop in waiting:
         try:
-            (norm.throw if isinstance(result, QuadratureError) else norm.send)(result)
+            norm.send(results[start:stop])
         except StopIteration as done:
             out[i] = done.value
     return out
 
 
-def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float, cfg: QuadratureConfig):
+def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float):
     """log of the integral of t^wexp |f(t)|^s over the support (lo, hi) of
-    the dilation by lam that plan reads, as a generator: it yields
-    ((base, reading, lam), wexp, s, Integral) for the panel
-    integral it needs and is sent that integral's (value, error).
+    the dilation by lam that plan reads, as a generator for _session that
+    asks for one panel integral and raises the QuadratureError it may get.
 
     Divergence must have been excluded by the caller.  Returns
     (log_integral, relative error estimate).
@@ -653,14 +656,15 @@ def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float, cfg:
     elif hi_eff == math.inf:
         anchor_hi = max(lo_eff * 4.0, 1.0)
 
-    middle, err = yield (plan.base, plan.reading, lam), wexp, s, Integral(
-        anchor_lo, anchor_hi, breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint)
-    if not math.isfinite(middle):
-        raise QuadratureError("panel sum overflowed")
+    (result,) = yield [((plan.base, plan.reading, lam), wexp, s, 0.0, Integral(
+        anchor_lo, anchor_hi, breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint))]
+    if isinstance(result, QuadratureError):
+        raise result
+    middle, err = result
     if middle > 0:
         log_parts.append(math.log(middle))
     total_log = _logsumexp(log_parts)
-    rel_err = err / max(middle + hint, cfg.abs_tol)
+    rel_err = err / max(middle + hint, ABS_TOL)
     return total_log, rel_err
 
 
@@ -685,7 +689,7 @@ def _piecewise_log_integral(profile: PiecewisePower, wexp: float, s: float) -> f
     )
 
 
-def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction, n: int, cfg) -> float:
+def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction, n: int) -> float:
     """Exact log-variable reduction for log-window profiles.
 
     With K = d + n - m s the integral equals
@@ -696,7 +700,7 @@ def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction,
     lam = profile.loglam
     # 32-panel composite GL in v, all panels in one window call, with the
     # exponential weight and each panel's sum handled in log space
-    x, w = gauss_legendre(cfg.gauss_nodes)
+    x, w = gauss_legendre(GAUSS_NODES)
     edges = np.linspace(-1.0, 1.0, 33)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     v = mid[:, None] + half[:, None] * x
@@ -717,7 +721,7 @@ def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction,
 # public norms
 # ---------------------------------------------------------------------------
 
-def _radial_norm(profile: RadialProfile, view, d, s, n: int, cfg: QuadratureConfig, plans: dict):
+def _radial_norm(profile: RadialProfile, view, d, s, n: int, plans: dict):
     """The radial norm || F ||_{d,s} on R^n of profile, read through view =
     (base, reading, lam), as a generator for _session: it yields what
     _radial_log_integral yields, if anything, and returns the norm."""
@@ -731,9 +735,9 @@ def _radial_norm(profile: RadialProfile, view, d, s, n: int, cfg: QuadratureConf
 
     try:
         if plan.closed is not None and profile is plan.base:
-            log_integral, rel_err = plan.closed(cfg), 0.0
+            log_integral, rel_err = plan.closed(), 0.0
         else:
-            log_integral, rel_err = yield from _radial_log_integral(plan, lam, lo, hi, cfg)
+            log_integral, rel_err = yield from _radial_log_integral(plan, lam, lo, hi)
     except QuadratureError as exc:
         return NormValue.failed(str(exc))
 
@@ -742,22 +746,11 @@ def _radial_norm(profile: RadialProfile, view, d, s, n: int, cfg: QuadratureConf
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 
-def weighted_norm_radial(
-    profile: RadialProfile,
-    d: Fraction,
-    s: Fraction,
-    n: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> NormValue:
-    """(N omega_N integral t^{d+n-1} |f|^s dt)^{1/s} with divergence status."""
-    return _session([_radial_norm(profile, _dilation(profile), d, s, n, cfg, {})], cfg)[0]
-
-
-def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool,
-                     cfg: QuadratureConfig, plans: dict) -> NormValue:
+def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict):
     """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient:
     R^d |S^{n-1}| times the integral of t^(n-1) |f(t)|^s M(t/R), f' for
-    gradient, with R the offset and M the SphericalMean of |x|^d around it.
+    gradient, with R the offset and M the SphericalMean of |x|^d around it,
+    as a generator for _session that asks for the missing moments, if any.
 
     With f the dilation by lam of a base of support in (0, h], M = sum_k
     c_k x^(2k) of K terms (coefficients kept per (n, d) in plans) and y =
@@ -781,7 +774,7 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     mean = _mean_coefficients(plans, n, d).cut(hi / offset)
     if mean is None:
         return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {hi / offset:.6g}")
-    moments = plan.moment_table(mean.coefs.size, cfg)
+    moments = yield from plan.moment_table(mean.coefs.size)
     if isinstance(moments, QuadratureError):
         return NormValue.failed(str(moments))
     y = (plan.support[1] / (lam * offset)) ** 2
@@ -796,24 +789,23 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     log_prefactor = (float(d) * math.log(offset) + plan.log_area
                      + ((plan.sf if gradient else 0.0) - n) * math.log(lam))
     return NormValue.from_log((log_prefactor + math.log(total)) / plan.sf,
-                              err / max(total, cfg.abs_tol) + mean.error)
+                              err / max(total, ABS_TOL) + mean.error)
 
 
-def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg: QuadratureConfig,
-          plans: dict):
+def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict):
     """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
     for _session, with the norm plans of its weighted_norms call."""
     if u.angular is Angular.TRANSLATED:
-        return _translated_norm(u, d, s, n, gradient, cfg, plans)
+        return (yield from _translated_norm(u, d, s, n, gradient, plans))
     if u.angular is Angular.RADIAL:
         profile = u.profile.derivative_profile() if gradient else u.profile
-        return (yield from _radial_norm(profile, _dilation(profile), d, s, n, cfg, plans))
+        return (yield from _radial_norm(profile, _dilation(profile), d, s, n, plans))
     if n < 2:
         raise ValueError("first harmonics need dimension >= 2")
     view = _dilation(u.profile)
     if gradient:
         view = view[0], _first_harmonic_gradient(n, float(s)), view[2]
-    norm = yield from _radial_norm(u.profile, view, d, s, n, cfg, plans)
+    norm = yield from _radial_norm(u.profile, view, d, s, n, plans)
     if gradient or not norm.finite:
         return norm
     # the function's angular moment in place of the sphere's area
@@ -824,16 +816,17 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, cfg
 
 def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG, plans: Optional[dict] = None) -> list:
     """The norm of each (u, d, s, n, gradient) of norms: || grad u ||_{d,s}
-    when gradient, else || u ||_{d,s}.  Every panel integral among them
-    shares one session, and the norms of one base profile, reading and
-    (d, s, n) one norm plan, whatever their dilations.
+    when gradient, else || u ||_{d,s}.  Every panel integral among them,
+    moments included, shares one session, and the norms of one base
+    profile, reading and (d, s, n) one norm plan, whatever their dilations.
 
     plans, if given, holds the norm plans across calls, all with this cfg:
     a caller that asks for the norms of many members of one base, such as
     the translated witness members of a falsify walk, then decides its
-    exact facts and integrates its moment tables once (see _plan)."""
+    exact facts once and integrates each moment in the session of the
+    first member that needs it (see _plan)."""
     plans = {} if plans is None else plans
-    return _session([_norm(u, d, s, n, gradient, cfg, plans) for u, d, s, n, gradient in norms], cfg)
+    return _session([_norm(u, d, s, n, gradient, plans) for u, d, s, n, gradient in norms], cfg)
 
 
 def weighted_norm(

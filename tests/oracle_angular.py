@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from ckn.panels import DEFAULT_CONFIG, Integral, QuadratureError, gauss_legendre, integrate
+from ckn.panels import ABS_TOL, DEFAULT_CONFIG, Integral, QuadratureError, gauss_legendre, integrate
 from ckn.quadrature import NormStatus, NormValue, surface_area
 
 # points per evaluation: the points x angles matrices stay small
@@ -52,7 +52,7 @@ def _norm(g, lo, hi, breakpoints, log_prefactor, s, cfg, down, up=False) -> Norm
     total, err = result
     if total <= 0:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    return NormValue.from_log((log_prefactor + math.log(total)) / s, err / max(total, cfg.abs_tol))
+    return NormValue.from_log((log_prefactor + math.log(total)) / s, err / max(total, ABS_TOL))
 
 
 def translated_norm(profile, d, s, n: int, offset: float, cfg=DEFAULT_CONFIG, use_derivative=False,

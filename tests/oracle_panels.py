@@ -18,7 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ckn.panels import QuadratureConfig, QuadratureError, gauss_legendre, panel_edges
+from ckn.panels import (ABS_TOL, GAUSS_NODES, MAX_SUBDIVISIONS, QuadratureConfig, QuadratureError, gauss_legendre,
+                        panel_edges)
 
 
 def _gl_quad(g, x0: float, x1: float, nodes: int) -> float:
@@ -28,11 +29,11 @@ def _gl_quad(g, x0: float, x1: float, nodes: int) -> float:
 
 
 def _adaptive_panel(g, x0: float, x1: float, cfg: QuadratureConfig, depth: int) -> Tuple[float, float]:
-    coarse = _gl_quad(g, x0, x1, cfg.gauss_nodes)
+    coarse = _gl_quad(g, x0, x1, GAUSS_NODES)
     xm = 0.5 * (x0 + x1)
-    fine = _gl_quad(g, x0, xm, cfg.gauss_nodes) + _gl_quad(g, xm, x1, cfg.gauss_nodes)
+    fine = _gl_quad(g, x0, xm, GAUSS_NODES) + _gl_quad(g, xm, x1, GAUSS_NODES)
     err = abs(fine - coarse)
-    if err <= cfg.rel_tol * max(abs(fine), cfg.abs_tol) or depth <= 0:
+    if err <= cfg.rel_tol * max(abs(fine), ABS_TOL) or depth <= 0:
         return fine, err
     left = _adaptive_panel(g, x0, xm, cfg, depth - 1)
     right = _adaptive_panel(g, xm, x1, cfg, depth - 1)
@@ -42,7 +43,7 @@ def _adaptive_panel(g, x0: float, x1: float, cfg: QuadratureConfig, depth: int) 
 def _integrate_panels(g, edges, cfg) -> Tuple[float, float]:
     total, err = 0.0, 0.0
     for x0, x1 in zip(edges[:-1], edges[1:]):
-        val, e = _adaptive_panel(g, x0, x1, cfg, cfg.max_subdivisions)
+        val, e = _adaptive_panel(g, x0, x1, cfg, MAX_SUBDIVISIONS)
         total += val
         err += e
     return total, err
@@ -61,11 +62,11 @@ def _extend_down(g, lo_edge: float, cfg, total_hint: float) -> Tuple[float, floa
     edge, before = lo_edge, math.inf
     quiet = 0
     for _ in range(cfg.max_panels):
-        val, e = _adaptive_panel(g, edge / 2.0, edge, cfg, cfg.max_subdivisions)
+        val, e = _adaptive_panel(g, edge / 2.0, edge, cfg, MAX_SUBDIVISIONS)
         total += val
         err += e
         edge /= 2.0
-        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + total_hint, cfg.abs_tol) else 0
+        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + total_hint, ABS_TOL) else 0
         before = val
         if quiet >= 8 or edge < 1e-280:
             return total, err
@@ -77,11 +78,11 @@ def _extend_up(g, hi_edge: float, cfg, total_hint: float) -> Tuple[float, float]
     edge, before = hi_edge, math.inf
     quiet = 0
     for _ in range(cfg.max_panels):
-        val, e = _adaptive_panel(g, edge, edge * 2.0, cfg, cfg.max_subdivisions)
+        val, e = _adaptive_panel(g, edge, edge * 2.0, cfg, MAX_SUBDIVISIONS)
         total += val
         err += e
         edge *= 2.0
-        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + total_hint, cfg.abs_tol) else 0
+        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + total_hint, ABS_TOL) else 0
         before = val
         if quiet >= 8 or edge > 1e280:
             return total, err

@@ -208,7 +208,7 @@ def test_prefetched_halves_give_the_sums_of_one_depth_per_call(monkeypatch):
 
 
 def test_depths_ahead_stay_within_the_budget_and_the_subdivisions():
-    nodes = DEFAULT_CONFIG.gauss_nodes
+    nodes = panels.GAUSS_NODES
     for panels_, depth, coarse in ((1, 12, True), (2, 12, True), (2, 12, False), (3, 12, False),
                                    (10, 12, False), (11, 12, False), (64, 12, True), (1, 2, False),
                                    (1, 0, False)):

@@ -181,9 +181,9 @@ D5 = [
 
 @pytest.mark.parametrize("params", D5)
 def test_a_translated_walk_decides_and_integrates_each_norm_kind_once(monkeypatch, params):
-    # every member reads the one unit bump: 3 plans, 3 edges() calls and 3
-    # moment sessions for the walk, where each member used to build its
-    # own 3 plans and run its own session
+    # every member reads the one unit bump: 3 plans, 3 edges() calls and
+    # one session, the first member's, that integrates all three moment
+    # tables; each table used to run a session of its own
     calls = {"plans": 0, "edges": 0, "sessions": 0}
     plans = []
 
@@ -204,7 +204,7 @@ def test_a_translated_walk_decides_and_integrates_each_norm_kind_once(monkeypatc
     monkeypatch.setattr(quadrature, "integrate", counted("sessions", quadrature.integrate))
     report = falsify_instance(params)
     assert not report.ok and len(report.trace) == 41
-    assert calls == {"plans": 3, "edges": 3, "sessions": 3}
+    assert calls == {"plans": 3, "edges": 3, "sessions": 1}
     assert all(plan.base is witnesses._UNIT_BUMP and plan.moments for plan in plans)
 
 

@@ -28,7 +28,6 @@ from ckn.quadrature import (
     surface_area,
     weighted_norm,
     weighted_norm_gradient,
-    weighted_norm_radial,
 )
 from ckn.testfunctions import (
     dilate,
@@ -71,13 +70,13 @@ def close(a, b, rel=1e-8):
 # ---------------------------------------------------------------------------
 
 def test_exponential_l1_norm_dimension_one():
-    nv = weighted_norm_radial(ExpProfile(0), F(0), F(1), 1)
+    nv = weighted_norm(radial(ExpProfile(0)), F(0), F(1), 1)
     assert nv.status is NormStatus.FINITE
     assert close(nv.value, 2.0)
 
 
 def test_gamma_integral_dimension_three():
-    nv = weighted_norm_radial(ExpProfile(1), F(-1), F(2), 3)
+    nv = weighted_norm(radial(ExpProfile(1)), F(-1), F(2), 3)
     assert close(nv.value, math.sqrt(1.5 * math.pi))
 
 
@@ -93,13 +92,13 @@ def test_divergent_target_certificate():
     # c < min(c0, c1): the inner power cutoff has |x|^c |u|^r = |x|^{-n}
     n, r, c = 3, F(2), F(-3)
     profile = PowerCutoffInner((c + n) / r)
-    nv = weighted_norm_radial(profile, c, r, n)
+    nv = weighted_norm(radial(profile), c, r, n)
     assert nv.status is NormStatus.DIVERGENT
 
 
 def test_piecewise_exact_matches_generic_quadrature():
     piece = PiecewisePower([(1.0, F(-1, 2), math.log(2.0), math.log(5.0))])
-    exact = weighted_norm_radial(piece, F(1), F(3), 3)
+    exact = weighted_norm(radial(piece), F(1), F(3), 3)
 
     class Generic(RadialProfile):
         def value(self, t):
@@ -114,7 +113,7 @@ def test_piecewise_exact_matches_generic_quadrature():
         def breakpoints(self):
             return (2.0, 5.0)
 
-    generic = weighted_norm_radial(Generic(), F(1), F(3), 3)
+    generic = weighted_norm(radial(Generic()), F(1), F(3), 3)
     assert close(exact.value, generic.value, rel=1e-9)
 
 
@@ -122,7 +121,7 @@ def test_piecewise_far_band_stays_accurate():
     # band at t ~ 1e60: closed form in log space
     m = 1e60
     piece = PiecewisePower([(1.0, F(0), math.log(m), math.log(2 * m))])
-    nv = weighted_norm_radial(piece, F(-6), F(2), 3)
+    nv = weighted_norm(radial(piece), F(-6), F(2), 3)
     # integral of t^{-6+2} over (m, 2m) = (m^-3 - (2m)^-3)/3
     expected = math.sqrt(surface_area(3) * (m**-3) * (1 - 0.125) / 3)
     assert close(nv.value, expected, rel=1e-12)
@@ -139,7 +138,7 @@ def test_far_bands_do_not_reach_the_ends():
     want = (math.log(surface_area(n)) + math.log(4.0) + 799.0 + math.log(math.e - 1.0)) / 2
     for profile in (near, far):
         assert profile.edges() == (None, None)
-        nv = weighted_norm_radial(profile, d, s, n)
+        nv = weighted_norm(radial(profile), d, s, n)
         assert nv.status is NormStatus.FINITE
         assert close(nv.log_value, want, rel=1e-14)
     # f' = -4 t^-3 on the near band: t^2 16 t^-6 integrates to 16 (e^2400 - e^2397) / 3
@@ -265,14 +264,14 @@ def test_log_modulated_canonical_norms():
     q, lam = F(2), 1.0 / 64
     a = q * eta - n
     u = LogModulated(eta, lam)
-    nv = weighted_norm_radial(u, a, q, n)
+    nv = weighted_norm(radial(u), a, q, n)
     predicted = (surface_area(n) / lam) ** 0.5 * _window_lp(2.0)
     assert close(nv.value, predicted, rel=1e-6)
 
 
 def test_log_modulated_tiny_lambda_stays_finite():
     u = LogModulated(F(1, 2), 2.0**-40)
-    nv = weighted_norm_radial(u, F(-2), F(2), 3)  # a with slope 1/2, q=2, n=3
+    nv = weighted_norm(radial(u), F(-2), F(2), 3)  # a with slope 1/2, q=2, n=3
     assert nv.status is NormStatus.FINITE
     assert 0 < nv.log_value < 60
 

@@ -310,21 +310,55 @@ def test_a_moment_sum_reports_its_absolute_panel_errors_and_the_series_bound(mon
         assert mean.error > 10 * absolute
 
 
+def moment_table(plans):
+    """The moments of the one norm plan in plans."""
+    (plan,) = [plan for plan in plans.values() if isinstance(plan, quadrature._NormPlan)]
+    return plan.moments
+
+
+def terms(n, d, x):
+    """The number of terms of the series of M at x_max = x, and so of moments."""
+    return _MeanCoefficients(n, d).cut(x).coefs.size
+
+
 def test_a_short_moment_table_is_extended_and_a_failed_one_fails():
-    plan = quadrature._NormPlan(SmoothBump(0.0, 1.0), quadrature._read_value, 0, F(2), 3)
-    short = plan.moment_table(3, quadrature.DEFAULT_CONFIG)
-    assert len(short) == 3 and plan.moment_table(5, quadrature.DEFAULT_CONFIG)[:3] == short
-    assert len(plan.moments) == 5
+    bump, d, s, plans = SmoothBump(0.0, 1.0), F(-3, 2), F(2), {}
+    weighted_norms([(translated(bump, 4.0), d, s, 3, False)], plans=plans)
+    moments = moment_table(plans)
+    short = list(moments)
+    assert len(short) == terms(3, d, 1 / 4)
+    # a norm nearer the sphere needs more terms, and only those are added
+    weighted_norms([(translated(bump, 2.0), d, s, 3, False)], plans=plans)
+    assert len(moments) == terms(3, d, 1 / 2) > len(short) and moments[:len(short)] == short
     # the moments of t^2 |f|^2 for f = 1 on (0, 1] in closed form: 1/(2k + 3)
-    flat = PiecewisePower([(1.0, F(0), -math.inf, 0.0)])
-    plan = quadrature._NormPlan(flat, quadrature._read_value, 0, F(2), 3)
-    for k, (moment, _) in enumerate(plan.moment_table(4, quadrature.DEFAULT_CONFIG)):
+    flat, plans = PiecewisePower([(1.0, F(0), -math.inf, 0.0)]), {}
+    weighted_norms([(translated(flat, 2.0), d, s, 3, False)], plans=plans)
+    assert len(moment_table(plans)) >= 4
+    for k, (moment, _) in enumerate(moment_table(plans)):
         assert moment == pytest.approx(1 / (2 * k + 3), rel=1e-14, abs=0.0)
-    budget = QuadratureConfig(max_panels=8)
-    plan = quadrature._NormPlan(SmoothBump(0.0, 1.0), quadrature._read_value, 0, F(1), 1)
-    failed = plan.moment_table(2, budget)
-    assert isinstance(failed, panels.QuadratureError) and not plan.moments
-    assert str(plan.moment_table(1, budget)) == str(failed) == "panel budget exhausted extending toward zero"
+    # in one dimension |f| ~ 1 near 0: mu_0 needs more than 8 panels toward 0
+    budget, plans = QuadratureConfig(max_panels=8), {}
+    failed = weighted_norms([(translated(bump, 2.0), d, F(1), 1, False)], budget, plans)[0]
+    assert failed.status is NormStatus.FAILED and not moment_table(plans)
+    again = weighted_norms([(translated(bump, 8.0), d, F(1), 1, False)], budget, plans)[0]
+    assert again.detail == failed.detail == "panel budget exhausted extending toward zero"
+
+
+def test_norms_of_one_session_that_share_a_plan_integrate_each_moment_once():
+    # one base and one s object: the two norms share the d = 0 plan, and
+    # each asks for the moments its series of M needs, the longer first or
+    # second; the table holds each moment once, as separate sessions fill it
+    bump, s, n = SmoothBump(0.0, 1.0), F(3, 2), 3
+    jobs = [(translated(bump, 2.0), d, s, n, False) for d in (F(-3, 2), F(5, 2))]
+    count = max(terms(n, d, 1 / 2) for _, d, *_ in jobs)
+    assert terms(n, jobs[0][1], 1 / 2) != terms(n, jobs[1][1], 1 / 2)
+    for order in (jobs, jobs[::-1]):
+        plans = {}
+        shared = weighted_norms(order, plans=plans)
+        assert len(moment_table(plans)) == count
+        for norm, job in zip(shared, order):
+            alone = weighted_norms([job])[0]
+            assert norm.finite and repr(norm) == repr(alone)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +496,8 @@ def test_radial_verify_norms_are_bit_identical_and_never_read_the_angular_code(m
     def refuse(*args):
         raise AssertionError("a radial session evaluated a first-harmonic factor")
 
-    def before(views, group, wexp, s):
+    def before(views, group, wexp, s, log_factor):
+        assert all(factor == 0.0 for factor in log_factor)
         readings = {quadrature._read_value: False, quadrature._read_derivative: True}
         return radial_integrand_before([(base, readings[reading], lam) for base, reading, lam in views],
                                        group, wexp, s)
