@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Digest of the probe reports on the benchmark's verify and falsify inputs.
+
+Runs verify_instance on the verify input set and falsify_instance on the
+falsify input set of seeds 1-3, and prints the number of reports and the
+SHA-256 of their as_dict() JSON, one line per report.  Two checkouts whose
+reports are byte-identical print the same digest, so a change meant to move
+no number is checked by running this on the checkout before and after it.
+
+ckn is imported from checkout/src and the input sets from
+checkout/benchmark/inputs.py, by default this script's own checkout; the
+checkout is only read (no bytecode is written).
+
+Usage:
+    python3 scripts/report_digest.py [checkout]
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+
+
+def main(argv) -> int:
+    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "src"))
+    spec = importlib.util.spec_from_file_location("inputs", root / "benchmark" / "inputs.py")
+    inputs = sys.modules["inputs"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    import ckn
+    from ckn import probes
+
+    digest, count = hashlib.sha256(), 0
+    for seed in SEEDS:
+        reports = []
+        for case in inputs.verify_cases(ckn.Params, ckn.classify, seed):
+            family = probes.default_w0_family(case.params) if case.first_harmonic else None
+            reports.append(probes.verify_instance(case.params, case.theta, family=family))
+        for case in inputs.falsify_cases(ckn.Params, ckn.classify, seed):
+            reports.append(probes.falsify_instance(case.params))
+        for report in reports:
+            digest.update((json.dumps(report.as_dict()) + "\n").encode())
+        count += len(reports)
+    print(f"{count} reports, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -408,11 +408,13 @@ def log_window_theta_probe(
 ) -> ThetaProbeResult:
     """Multiplicative ratio along log-window profiles with two-sided
     window-width dilations; used against fixed exponents in the
-    equal-slope regime (no exponent can tame both directions unless the
-    inequality actually holds)."""
+    equal-slope regime at c = c0 (no exponent can tame both directions
+    unless the inequality actually holds).  Off c0 the target norm's log
+    rate K = c + n - eta r is not 0, and the narrowing windows soon take
+    |K|/lam past quadrature.LOG_WINDOW_RATE, where log-window norms fail."""
     d = derive(params)
-    if not d.slopes_equal:
-        raise ValueError("the log-window probe applies to equal-slope instances")
+    if not d.slopes_equal or params.c != d.c0:
+        raise ValueError("the log-window probe applies to equal-slope instances with c = c0")
     threshold = cfg.divergence_threshold
     trace: List[TraceEntry] = []
     max_ratio = 0.0

@@ -27,6 +27,14 @@ other record:
     invert;
   * modulation t^-eps f(t): powers shift by -eps.
 
+The quadrature reads every profile through a view (base, reading, lam): a
+ScaledProfile is its inner profile read at lam t, and the reading is the
+value, the derivative lam f'(lam t) or a first-harmonic gradient.  Its
+norm plans dilate and derive the base's edge records by `Edge.dilated` and
+`Edge.derivative`.  `derivative_profile()` gives f' as a profile only where
+f' has a closed form (PiecewisePower, TruncatedPrimitive, LogModulated,
+whose derivative() reads it), and None for every other profile.
+
 Exact powers on bands (the indicator band and the vanishing-exponent
 power of the r-endpoint constructions, the derivative of a truncated
 primitive) are one class, `PiecewisePower`, whose bands are bounded in
@@ -213,12 +221,9 @@ class RadialProfile:
         """Edge records of f at 0 and infinity; the default declares none."""
         return (None, None)
 
-    def deriv_edges(self) -> Edges:
-        return _each(self.edges(), Edge.derivative)
-
-    def derivative_profile(self) -> "RadialProfile":
-        """f' as a profile (for gradient norms)."""
-        return DerivView(self)
+    def derivative_profile(self) -> Optional["RadialProfile"]:
+        """f' as a profile where it has a closed form, else None."""
+        return None
 
     # transforms ------------------------------------------------------------
     def scaled(self, lam: float) -> "RadialProfile":
@@ -427,22 +432,12 @@ class LogModulated(RadialProfile):
         return self.prefactor * _fpow(t, -self.m) * self.window_values(self.loglam * (w + self.shift))
 
     def derivative(self, t):
-        if self.window_combo is not None:
-            raise NotImplementedError("second derivatives of log windows are not needed")
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            w = np.log(t)
-        v = self.loglam * (w + self.shift)
-        return (
-            self.prefactor
-            * _fpow(t, -self.m - 1)
-            * (-float(self.m) * bump(v) + self.loglam * bump_prime(v))
-        )
+        return self.derivative_profile().value(t)
 
     def derivative_profile(self) -> "LogModulated":
         """f' as a log-modulated profile with power m+1 and combined window."""
         if self.window_combo is not None:
-            raise NotImplementedError
+            raise NotImplementedError("second derivatives of log windows are not needed")
         return LogModulated(
             self.m + 1,
             self.loglam,
@@ -609,11 +604,7 @@ class TruncatedPrimitive(RadialProfile):
         return out
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        band = (t > 1.0) & (t < self.n)
-        out[band] = _fpow(t[band], -self.beta)
-        return out
+        return self.derivative_profile().value(t)
 
     @property
     def support(self):
@@ -741,32 +732,3 @@ class InvertedProfile(RadialProfile):
 
     def descriptor(self):
         return {"kind": self.kind, "inner": self.inner.descriptor()}
-
-
-class DerivView(RadialProfile):
-    """Presents f' of a profile as a profile (for gradient norms)."""
-
-    kind = "derivative_view"
-
-    def __init__(self, base: RadialProfile):
-        self.base = base
-
-    def value(self, t):
-        return self.base.derivative(t)
-
-    def derivative(self, t):
-        raise NotImplementedError("second derivatives are not used")
-
-    @property
-    def support(self):
-        return self.base.support
-
-    @property
-    def breakpoints(self):
-        return self.base.breakpoints
-
-    def edges(self):
-        return self.base.deriv_edges()
-
-    def descriptor(self):
-        return {"kind": self.kind, "inner": self.base.descriptor()}

@@ -25,15 +25,21 @@ One integrator serves every norm: a session of `panels.integrate` shared
 by every panel integral of a `weighted_norms` call, moments included, so
 the norms of a whole `verify` instance (8 members x 5 scales x 3 norms)
 take about 15 integrand calls.  Its one integrand is t^w |F(t)|^s e^l,
-where F reads a base profile at lam t: as its value base(lam t), its
-derivative lam base'(lam t), or a first-harmonic gradient, one profile
-call per base and run of points, and l is 0 but for moments.
+where F is a view (base, reading, lam) of a profile (`_view`): a base
+profile read at lam t as its value base(lam t), its derivative lam
+base'(lam t), or a first-harmonic gradient, one profile call per base and
+run of points, and l is 0 but for moments.  `_norm` chooses the reading
+once; a radial gradient reads the profile's derivative_profile() as
+values where that closed form exists, else the base's derivative.
 
 Divergence certificates and closed forms settle their norms before the
 session, from a norm plan (`_NormPlan`) per (base profile, reading, d, s,
-N) that all dilations of a member share; a dilated norm is still
+N) that all dilations of a member share: the plan keeps the base's edge
+records, and the read record of a dilation is Edge.dilated, then
+Edge.derivative for a derivative reading.  A dilated norm is still
 integrated, never inferred from the scaling law.  A `falsify` walk keeps
-one dict of plans for all its members.
+one dict of plans for all its members.  A log window whose weight
+e^(vK/loglam) grows faster than LOG_WINDOW_RATE fails, named by its rate.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -73,7 +79,7 @@ import numpy as np
 
 from .panels import (ABS_TOL, DEFAULT_CONFIG, GAUSS_NODES, Integral, QuadratureConfig, QuadratureError,
                      gauss_legendre, integrate)
-from .profiles import DerivView, LogModulated, PiecewisePower, RadialProfile, ScaledProfile
+from .profiles import Edge, LogModulated, PiecewisePower, RadialProfile, ScaledProfile
 from .testfunctions import Angular, TestFunction
 
 
@@ -405,11 +411,6 @@ def _first_harmonic_gradient(n: int, p: float) -> _FirstHarmonicGradient:
 # exact divergence tests
 # ---------------------------------------------------------------------------
 
-def _powers(*shifted) -> list:
-    """Powers of the declared edges among (edge, shift) pairs, shifted."""
-    return [edge.power + shift for edge, shift in shifted if edge is not None]
-
-
 def _diverges_at_zero(d, s, n, powers) -> bool:
     return any(d + n + s * power <= 0 for power in powers)
 
@@ -430,7 +431,8 @@ class _NormPlan:
     support to or from 0 or infinity and no power of an edge record.
 
     So the plan holds the exact divergence verdicts, the closed-form
-    branch, the base's support, seams and exact edge terms, and the float
+    branch, the base's support, seams and the base edge records with an
+    exact region read (`term` maps them by the Edge rules), and the float
     constants; a dilated norm does float work only.  The base's edge
     records are read only where its support reaches 0 or infinity.  The
     d = 0 plan of a translated norm also holds the moment table of the
@@ -452,38 +454,33 @@ class _NormPlan:
         powers = [[] if end is None else [end.power] for end in ends]
         if isinstance(reading, _FirstHarmonicGradient):
             # as singular as the worse of f' and f/t, with no exact edge terms
-            powers, ends = [shifted + _powers((edge, -1)) for shifted, edge in zip(powers, edges)], (None, None)
+            powers = [own + [edge.power - 1] if edge is not None else own for own, edge in zip(powers, edges)]
+            ends = (None, None)
         # the relative error of |F|^s that the reading reports
         self.reading_error = getattr(reading, "error", 0.0)
         self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
         self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
-        # (coef, power, power read, exact) of each base edge whose read edge
-        # has an exact region: the read edge of a dilation is the base edge
-        # dilated, then derived when read as derivatives, as Edge.dilated and
-        # Edge.derivative make it
-        self.terms = [None if end is None or end.exact is None
-                      else (edge.coef, float(edge.power), float(end.power), edge.exact)
-                      for edge, end in zip(edges, ends)]
+        # the base edges whose read edge has an exact region
+        self.exact_edges = [None if end is None or end.exact is None else edge for edge, end in zip(edges, ends)]
         self.wexp, self.sf = float(d + n - 1), float(s)
         self.log_area = math.log(surface_area(n))
         # (mu_k, panel error) of the moments integrated so far
         self.moments = []
-        # the closed form of the base read as values, used when the norm's
-        # profile is the base itself
+        # the closed form of the base read as values, used at lam = 1
         self.closed = None
         if reading is _read_value and isinstance(base, PiecewisePower):
             self.closed = lambda: _piecewise_log_integral(base, self.wexp, self.sf)
         elif reading is _read_value and isinstance(base, LogModulated):
             self.closed = lambda: _log_modulated_log_integral(base, d, s, n)
 
-    def term(self, end: int, lam: float) -> Optional[Tuple[float, float, float]]:
-        """(coef, power, exact) of the exact region at end (0 at zero, 1 at
-        infinity) of the dilation by lam, or None."""
-        if self.terms[end] is None:
+    def term(self, end: int, lam: float) -> Optional[Edge]:
+        """The read edge record, with an exact region, at end (0 at zero, 1
+        at infinity) of the dilation by lam, or None."""
+        edge = self.exact_edges[end]
+        if edge is None:
             return None
-        coef, power, read, exact = self.terms[end]
-        coef = coef * lam ** power
-        return (coef * power if self.reading is _read_derivative else coef), read, exact / lam
+        edge = edge.dilated(lam)
+        return edge.derivative() if self.reading is _read_derivative else edge
 
     def moment_table(self, count: int):
         """The first count moments mu_k = integral t^wexp (t/h)^(2k)
@@ -507,6 +504,14 @@ class _NormPlan:
         return self.moments[:count]
 
 
+def _view(profile: RadialProfile, reading) -> Tuple[RadialProfile, object, float]:
+    """(base, reading, lam): profile, read by reading, is base read by
+    reading at lam t (lam is 1 but for a ScaledProfile)."""
+    if isinstance(profile, ScaledProfile):
+        return profile.inner, reading, profile.lam
+    return profile, reading, 1.0
+
+
 def _plan(plans: dict, view, d, s, n: int) -> _NormPlan:
     """The plan of the norms || f ||_{d,s} on R^n of the view (base,
     reading, lam) of f, shared through plans by every norm of the same
@@ -526,18 +531,6 @@ def _plan(plans: dict, view, d, s, n: int) -> _NormPlan:
 # ---------------------------------------------------------------------------
 # integrands of the panel sessions
 # ---------------------------------------------------------------------------
-
-def _dilation(profile: RadialProfile) -> Tuple[RadialProfile, object, float]:
-    """(base, reading, lam): the values of profile are base.value(lam t),
-    or lam base.derivative(lam t) for a DerivView, as ScaledProfile and
-    DerivView compute them."""
-    reading = _read_value
-    if isinstance(profile, DerivView):
-        profile, reading = profile.base, _read_derivative
-    if isinstance(profile, ScaledProfile):
-        return profile.inner, reading, profile.lam
-    return profile, reading, 1.0
-
 
 def _radial_integrand(views, group, wexp, s, log_factor):
     """The integrand t^wexp[i] |F_i(t)|^s[i] e^log_factor[i] of integral i,
@@ -632,14 +625,12 @@ def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float):
     lo_eff, hi_eff = lo, hi
     head = plan.term(0, lam) if lo == 0.0 else None
     if head is not None:
-        coef, power, exact = head
-        log_parts.append(_log_power_piece(coef, power, None, math.log(exact), wexp, s))
-        lo_eff = exact
+        log_parts.append(_log_power_piece(head.coef, float(head.power), None, math.log(head.exact), wexp, s))
+        lo_eff = head.exact
     tail = plan.term(1, lam) if hi == math.inf else None
     if tail is not None:
-        coef, power, exact = tail
-        log_parts.append(_log_power_piece(coef, power, math.log(exact), None, wexp, s))
-        hi_eff = exact
+        log_parts.append(_log_power_piece(tail.coef, float(tail.power), math.log(tail.exact), None, wexp, s))
+        hi_eff = tail.exact
 
     if hi_eff < lo_eff:
         # exact regions overlap the whole support
@@ -663,9 +654,7 @@ def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float):
     middle, err = result
     if middle > 0:
         log_parts.append(math.log(middle))
-    total_log = _logsumexp(log_parts)
-    rel_err = err / max(middle + hint, ABS_TOL)
-    return total_log, rel_err
+    return _logsumexp(log_parts), err / max(middle + hint, ABS_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -689,15 +678,25 @@ def _piecewise_log_integral(profile: PiecewisePower, wexp: float, s: float) -> f
     )
 
 
+# the largest rate |K|/loglam of the weight e^(vK/loglam) at which the
+# 32-panel rule below keeps every norm with s >= 1/2 within 1e-9 of an
+# 8192-panel rule (the first miss is at rate 49 for s = 1/2, 128 for s = 1);
+# past it the weight's peak near v = +-1 falls between the nodes
+LOG_WINDOW_RATE = 32.0
+
+
 def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction, n: int) -> float:
     """Exact log-variable reduction for log-window profiles.
 
     With K = d + n - m s the integral equals
     P^s e^{-shift K} / loglam * integral over (-1,1) of e^{v K / loglam} |W(v)|^s dv.
+    Raises QuadratureError past LOG_WINDOW_RATE.
     """
     kf = float(d + n - profile.m * s)
     sf = float(s)
     lam = profile.loglam
+    if abs(kf) / lam > LOG_WINDOW_RATE:
+        raise QuadratureError(f"log-window rate |K|/loglam = {abs(kf) / lam:.6g} is beyond {LOG_WINDOW_RATE:g}")
     # 32-panel composite GL in v, all panels in one window call, with the
     # exponential weight and each panel's sum handled in log space
     x, w = gauss_legendre(GAUSS_NODES)
@@ -721,20 +720,19 @@ def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction,
 # public norms
 # ---------------------------------------------------------------------------
 
-def _radial_norm(profile: RadialProfile, view, d, s, n: int, plans: dict):
-    """The radial norm || F ||_{d,s} on R^n of profile, read through view =
-    (base, reading, lam), as a generator for _session: it yields what
-    _radial_log_integral yields, if anything, and returns the norm."""
+def _radial_norm(view, d, s, n: int, plans: dict):
+    """The radial norm || F ||_{d,s} on R^n of the view (base, reading, lam)
+    of F, as a generator for _session: it yields what _radial_log_integral
+    yields, if anything, and returns the norm."""
     plan, lam = _plan(plans, view, d, s, n), view[2]
-    lo, hi = plan.support
-    lo, hi = lo / lam, hi / lam
+    lo, hi = (x / lam for x in plan.support)
     if lo == 0.0 and plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
     if hi == math.inf and plan.diverges_at_inf:
         return NormValue.divergent("non-integrable at infinity")
 
     try:
-        if plan.closed is not None and profile is plan.base:
+        if plan.closed is not None and lam == 1.0:
             log_integral, rel_err = plan.closed(), 0.0
         else:
             log_integral, rel_err = yield from _radial_log_integral(plan, lam, lo, hi)
@@ -763,10 +761,9 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     Near t = 0 the weight is R^d M(0) = R^d, so the integral diverges
     there exactly when the unweighted radial one does: its plan is the
     radial plan of d = 0."""
-    view = _dilation(DerivView(u.profile) if gradient else u.profile)
+    view = _view(u.profile, _read_derivative if gradient else _read_value)
     plan, lam, offset = _plan(plans, view, 0, s, n), view[2], u.offset
-    lo, hi = plan.support
-    lo, hi = lo / lam, hi / lam
+    lo, hi = (x / lam for x in plan.support)
     if hi >= offset:
         raise ValueError("translated support must stay away from the origin")
     if lo == 0.0 and plan.diverges_at_zero:
@@ -797,16 +794,17 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, pla
     for _session, with the norm plans of its weighted_norms call."""
     if u.angular is Angular.TRANSLATED:
         return (yield from _translated_norm(u, d, s, n, gradient, plans))
-    if u.angular is Angular.RADIAL:
-        profile = u.profile.derivative_profile() if gradient else u.profile
-        return (yield from _radial_norm(profile, _dilation(profile), d, s, n, plans))
-    if n < 2:
+    harmonic = u.angular is Angular.FIRST_HARMONIC
+    if harmonic and n < 2:
         raise ValueError("first harmonics need dimension >= 2")
-    view = _dilation(u.profile)
-    if gradient:
-        view = view[0], _first_harmonic_gradient(n, float(s)), view[2]
-    norm = yield from _radial_norm(u.profile, view, d, s, n, plans)
-    if gradient or not norm.finite:
+    profile, reading = u.profile, _read_value
+    if gradient and harmonic:
+        reading = _first_harmonic_gradient(n, float(s))
+    elif gradient:
+        closed = profile.derivative_profile()
+        profile, reading = (profile, _read_derivative) if closed is None else (closed, _read_value)
+    norm = yield from _radial_norm(_view(profile, reading), d, s, n, plans)
+    if not harmonic or gradient or not norm.finite:
         return norm
     # the function's angular moment in place of the sphere's area
     sf = float(s)

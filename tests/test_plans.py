@@ -147,7 +147,7 @@ class Derivative(RadialProfile):
         return self.f.breakpoints
 
     def edges(self):
-        return self.f.deriv_edges()
+        return tuple(None if e is None else e.derivative() for e in self.f.edges())
 
 
 @pytest.mark.parametrize("profile,d,s,n", [

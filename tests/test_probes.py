@@ -86,5 +86,8 @@ def test_exceptional_instance_has_no_working_exponent():
 
 
 def test_log_window_probe_requires_equal_slopes():
-    with pytest.raises(ValueError):
-        log_window_theta_probe(INTERIOR, 0.5)
+    # distinct slopes, and equal slopes (eta = 0) off c0 = -2: there every
+    # target norm of the walk has K = c + n - eta r != 0
+    for params in (INTERIOR, make(2, 2, 2, 4, -2, 0, -1)):
+        with pytest.raises(ValueError):
+            log_window_theta_probe(params, 0.5)

@@ -276,6 +276,36 @@ def test_log_modulated_tiny_lambda_stays_finite():
     assert 0 < nv.log_value < 60
 
 
+def _log_window_log_norm(profile: LogModulated, d, s, n: int, panels: int = 8192) -> float:
+    """log || f ||_{d,s} of a log window by a composite 16-point rule of
+    panels panels in v = loglam (ln t + shift), summed in log space."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    k, sf = float(d + n - profile.m * s), float(s)
+    ends = np.linspace(-1.0, 1.0, panels + 1)
+    half = 0.5 * (ends[1:] - ends[:-1])[:, None]
+    v = 0.5 * (ends[:-1] + ends[1:])[:, None] + half * x
+    with np.errstate(divide="ignore"):
+        terms = (k * v / profile.loglam + sf * np.log(np.abs(profile.window_values(v))) + np.log(half * w)).ravel()
+    top = terms.max()
+    log_integral = (sf * math.log(abs(profile.prefactor)) - profile.shift * k - math.log(profile.loglam)
+                    + top + math.log(np.sum(np.exp(terms - top))))
+    return (math.log(surface_area(n)) + log_integral) / sf
+
+
+@pytest.mark.parametrize("d", [F(0), F(-4)])  # K = d + n - m s = 2 and -2
+@pytest.mark.parametrize("log2_lam", [-2, -4, -6, -8, -10, -12])
+def test_log_window_off_the_critical_rate_is_accurate_or_failed(d, log2_lam):
+    # the weight e^(vK/loglam) peaks near v = +-1, the narrower the smaller loglam
+    n, s = 3, F(2)
+    profile = LogModulated(F(1, 2), 2.0**log2_lam)
+    nv = weighted_norm(radial(profile), d, s, n)
+    if nv.status is NormStatus.FAILED:
+        assert "log-window rate" in nv.detail
+        return
+    assert nv.finite
+    assert abs(nv.log_value - _log_window_log_norm(profile, d, s, n)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # translated profiles
 # ---------------------------------------------------------------------------
