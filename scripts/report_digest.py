@@ -1,24 +1,31 @@
 #!/usr/bin/env python3
-"""Digest of the probe reports on the benchmark's verify and falsify inputs.
+"""Digests of the probe reports and sweep tables on the benchmark's inputs.
 
 Runs verify_instance on the verify input set and falsify_instance on the
 falsify input set of seeds 1-3, and prints the number of reports and the
-SHA-256 of their as_dict() JSON, one line per report.  Two checkouts whose
-reports are byte-identical print the same digest, so a change meant to move
-no number is checked by running this on the checkout before and after it.
+SHA-256 of their as_dict() JSON, one line per report.  Then runs `ckn sweep
+--jobs 1` on the sweep calls of the same seeds, each in CSV and in JSON,
+and prints the number of rows and the SHA-256 of the standard outputs.  Two
+checkouts whose outputs are byte-identical print the same digests, so a
+change meant to move no number is checked by running this on the checkout
+before and after it.
 
 ckn is imported from checkout/src and the input sets from
 checkout/benchmark/inputs.py, by default this script's own checkout; the
-checkout is only read (no bytecode is written).
+checkout is only read (no bytecode is written; the sweep specs are written
+to a temporary directory).
 
 Usage:
     python3 scripts/report_digest.py [checkout]
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
@@ -32,6 +39,7 @@ def main(argv) -> int:
     inputs = sys.modules["inputs"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     import ckn
+    import ckn.cli
     from ckn import probes
 
     digest, count = hashlib.sha256(), 0
@@ -46,6 +54,22 @@ def main(argv) -> int:
             digest.update((json.dumps(report.as_dict()) + "\n").encode())
         count += len(reports)
     print(f"{count} reports, sha256 {digest.hexdigest()}")
+
+    digest, rows = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "sweep.json")
+        for seed in SEEDS:
+            for call in inputs.sweep_calls(seed):
+                for out_format in ("csv", "json"):
+                    Path(path).write_text(json.dumps({**call.spec(), "format": out_format}))
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = ckn.cli.main(["sweep", path, "--jobs", "1"])
+                    if code != 0:
+                        raise SystemExit(f"sweep of {call} in {out_format} exited {code}")
+                    digest.update(out.getvalue().encode())
+                    rows += call.rows
+    print(f"{rows} sweep rows, sha256 {digest.hexdigest()}")
     return 0
 
 

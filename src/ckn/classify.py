@@ -40,8 +40,8 @@ c1 < c0).  It is built in integers from `derived.line_core`, with each
 mark an integer (num, den) pair, den > 0.  Its `label(c)` writes the six
 cases and eight reasons above once, and decides every comparison by the
 sign of a cross product.  `classify` labels one c, `ckn sweep` labels
-every c of a grid line, and `admissible_set` labels the marks and the
-midpoints between them.
+a grid line once per open piece between its marks, and `admissible_set`
+labels the marks and the midpoints between them.
 
 `classify_radial` is the analogous characterization for the subspace of
 radially symmetric functions (valid for all q, r > 0), with its own case

@@ -3,7 +3,9 @@
 All parameters are exact rationals on the wire ("num/den" or integer
 strings); decimal input is rejected with a hint.  Outputs are JSON with
 stable key order and canonical rational strings, so identical inputs give
-byte-identical output.
+byte-identical output.  `sweep` writes a CSV or JSON table computed in
+integers, labelling each c-line once per open piece between its marks
+(`cmd_sweep`).
 
 Exit codes: 0 embedding (or success), 1 no embedding (or precondition
 verdict mismatch), 2 input error, 3 classifier/probe mismatch, 4 internal
@@ -19,16 +21,17 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .admissible import ThetaSetKind, _theta_set, admissible_set
-from .classify import Case, CLine, Decision, classify, classify_radial, classify_w0
+from .classify import Case, CLine, Decision, Reason, classify, classify_radial, classify_w0
 from .multiweight import multiweight_classify, multiweight_from_dict
 from .params import Params, validate_full_space
-from .rational import format_rational, parse_rational
+from .rational import Pair, parse_rational
 
 EXIT_EMBEDS = 0
 EXIT_NO_EMBED = 1
@@ -192,21 +195,26 @@ def _axis_range(axis: dict) -> Tuple[Fraction, Fraction, int]:
     return start, step, max(0, (stop - start) // step + 1)
 
 
-def _axis_values(start: Fraction, step: Fraction, count: int) -> Iterator[Fraction]:
-    current = start
+def _axis_values(start: Fraction, step: Fraction, count: int) -> Iterator[Pair]:
+    """The count values start + k step as reduced (num, den) pairs, den > 0,
+    written over one common denominator: one add and one gcd per value."""
+    den = math.lcm(start.denominator, step.denominator)
+    num = start.numerator * (den // start.denominator)
+    inc = step.numerator * (den // step.denominator)
     for _ in range(count):
-        yield current
-        current += step
+        g = math.gcd(num, den)
+        yield num // g, den // g
+        num += inc
 
 
-def _grid(ranges: List[Tuple[Fraction, Fraction, int]]) -> Iterator[tuple]:
-    """The axis values of every grid point, first axis slowest, made one
-    point at a time."""
+def _grid(fixed: tuple, ranges: List[Tuple[Fraction, Fraction, int]]) -> Iterator[tuple]:
+    """fixed followed by the axis values of every grid point, first axis
+    slowest, made one point at a time."""
     if not ranges:
-        yield ()
+        yield fixed
         return
     *outer, last = ranges
-    for head in _grid(outer):
+    for head in _grid(fixed, outer):
         for value in _axis_values(*last):
             yield (*head, value)
 
@@ -233,42 +241,113 @@ def _in_order(pool, fn, chunks: Iterable[list], ahead: int) -> Iterator[list]:
         yield pending.popleft().get()
 
 
-def _sweep_rows(n: int, points: List[tuple]) -> List[List[str]]:
-    """Table rows of the points (p, q, r, a, b, c), labelled on one c-line
-    per distinct (p, q, r, a, b); the same rows `classify` gives point by
-    point."""
+def _text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) of a pair in lowest terms, den > 0."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+# the decision, case and reason cells of each label
+_CELLS = {
+    **{case: (Decision.EMBEDS.value, case.value, "") for case in Case},
+    **{reason: (Decision.DOES_NOT_EMBED.value, "", reason.value) for reason in Reason},
+}
+# -inf and +inf as pairs: every c lies strictly between them
+_BELOW, _ABOVE = (-1, 0), (1, 0)
+
+
+class _SweepLine:
+    """One c-line of a sweep: its `CLine`, the text of n, p, q, r, a, b and
+    of c0, c1, its marks, and the open piece (lo, hi) between neighbouring
+    marks that its last labelled row fell in, with that row's cells.
+
+    The label changes only at c0, c1, -N and c_bar (when the theta-condition
+    has one), so a row strictly inside the piece keeps its cells; off the r
+    range the whole line is one piece.  A row on a mark, or outside the
+    piece, is labelled and starts a new piece, empty for a mark.
+    """
+
+    __slots__ = ("line", "head", "ends", "marks", "theta", "lo", "hi", "cells")
+
+    def __init__(self, n: int, key: tuple):
+        # `cmd_sweep` has validated the extreme points, which bound every
+        # coordinate of every point
+        line = self.line = CLine(n, *(Fraction(*x) for x in key))
+        self.head = (str(n), *(_text(*x) for x in key))
+        self.ends = (str(Fraction(*line.c0)), str(Fraction(*line.c1)))
+        marks = (line.c0, line.c1, line.mn) + (() if line.c_bar is None else (line.c_bar,))
+        self.marks = marks if line.r_ok else ()
+        self.theta = line.core.theta_pair if line.distinct else None
+        # no c lies strictly between 0 and 0: the first row is labelled
+        self.lo = self.hi = (0, 1)
+        self.cells = None
+
+    def relabel(self, c: Pair) -> tuple:
+        """The cells of c, which starts a new piece."""
+        self.cells = _CELLS[self.line.label(c)]
+        lo, hi = _BELOW, _ABOVE
+        cn, cd = c
+        for mark in self.marks:
+            mn, md = mark
+            side = mn * cd - cn * md  # sign of mark - c
+            if side < 0:
+                if mn * lo[1] > lo[0] * md:
+                    lo = mark
+            elif side > 0:
+                if mn * hi[1] < hi[0] * md:
+                    hi = mark
+            else:
+                lo = hi = c
+                break
+        self.lo, self.hi = lo, hi
+        return self.cells
+
+
+def _sweep_rows(n: int, points: List[tuple]) -> List[tuple]:
+    """Table rows of the points (p, q, r, a, b, c) of (num, den) pairs: the
+    rows `classify` gives point by point, labelled once per open piece of
+    each c-line between its marks (`_SweepLine`)."""
     lines = {}
     rows = []
     key = None
     for point in points:
         # neighbouring rows mostly share their (p, q, r, a, b) objects, and
-        # comparing those is cheaper than hashing five Fractions
+        # comparing those is cheaper than hashing five pairs
         if point[:5] != key:
             key = point[:5]
-            if key not in lines:
-                # `cmd_sweep` has validated the extreme points, which bound
-                # every coordinate of every point
-                line = CLine(n, *key)
-                head = [str(n), *map(format_rational, key)]
-                lines[key] = (line, head, str(Fraction(*line.c0)), str(Fraction(*line.c1)))
-            line, head, c0, c1 = lines[key]
-        c = point[5].as_integer_ratio()
-        tag = line.label(c)
-        embeds = isinstance(tag, Case)
-        rows.append([
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = _SweepLine(n, key)
+            head, ends, theta = line.head, line.ends, line.theta
+        c = point[5]
+        cn, cd = c
+        lo, hi = line.lo, line.hi
+        if lo[0] * cd < cn * lo[1] and cn * hi[1] < hi[0] * cd:
+            cells = line.cells
+        else:
+            cells = line.relabel(c)
+        rows.append((
             *head,
-            format_rational(point[5]),
-            (Decision.EMBEDS if embeds else Decision.DOES_NOT_EMBED).value,
-            tag.value if embeds else "",
-            "" if embeds else tag.value,
-            c0,
-            c1,
-            str(line.core.theta(*c)) if line.distinct else "",
-        ])
+            _text(cn, cd),
+            *cells,
+            *ends,
+            "" if theta is None else _text(*theta(cn, cd)),
+        ))
     return rows
 
 
 def cmd_sweep(args) -> int:
+    """Classify every point of the spec's grid and write one row per point.
+
+    The whole spec is checked before anything is written.  Axis values are
+    integer (num, den) pairs, rows are labelled once per open piece of
+    their c-line between c0, c1, -N and c_bar (`_SweepLine`), and all text
+    is written from the pairs, byte for byte `str(Fraction)`.  --jobs must
+    be at least 1; the pool has at most one worker per core and per chunk
+    of 512 points, and none when that is one.
+    """
+    # a count below 1 would run sequentially without a word
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be an integer >= 1, got {args.jobs}")
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     if not isinstance(spec, dict):
@@ -304,11 +383,11 @@ def cmd_sweep(args) -> int:
     if total > cap:
         raise ValueError(f"sweep grid of {total} points exceeds the cap {cap}")
 
-    # each parameter comes from the last axis that sweeps it, else from fixed
-    source = {name: k for k, name in enumerate(axis_names)}
-
-    def point(values: tuple) -> tuple:
-        return tuple(values[source[k]] if k in source else base[k] for k in PARAM_NAMES)
+    # a grid point is the fixed values followed by the axis values; each
+    # parameter comes from the last axis that sweeps it, else from fixed
+    source = {name: len(PARAM_NAMES) + k for k, name in enumerate(axis_names)}
+    point = operator.itemgetter(*(source.get(name, k) for k, name in enumerate(PARAM_NAMES)))
+    fixed_values = tuple(base.get(name) for name in PARAM_NAMES)
 
     if total:
         missing = [k for k in PARAM_NAMES if k not in base and k not in source]
@@ -319,21 +398,28 @@ def cmd_sweep(args) -> int:
         firsts = tuple(start for start, _, _ in ranges)
         lasts = tuple(start + (count - 1) * step for start, step, count in ranges)
         for values in (firsts, lasts):
-            validate_full_space(Params(n, *point(values)))
+            validate_full_space(Params(n, *point(fixed_values + values)))
 
+    fixed_pairs = tuple(None if value is None else value.as_integer_ratio() for value in fixed_values)
     rows_of = functools.partial(_sweep_rows, n)
-    chunks = _chunks(map(point, _grid(ranges)), 512)
-    if args.jobs > 1 and total > 256:
+    chunks = _chunks(map(point, _grid(fixed_pairs, ranges)), 512)
+    # no more workers than cores or chunks
+    workers = min(args.jobs, os.cpu_count() or 1, -(-total // 512))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
-            _write_rows(_in_order(pool, rows_of, chunks, 2 * args.jobs), out_format)
+        with multiprocessing.Pool(workers) as pool:
+            _write_rows(_in_order(pool, rows_of, chunks, 2 * workers), out_format)
     else:
         _write_rows(map(rows_of, chunks), out_format)
     return EXIT_EMBEDS
 
 
-def _write_rows(row_chunks: Iterable[List[List[str]]], out_format: str) -> None:
+# one JSON row of `json.dumps(rows, indent=2)`, with a %s per cell
+_JSON_ROW = "{\n    " + ",\n    ".join(f"{json.dumps(key)}: %s" for key in SWEEP_HEADER) + "\n  }"
+
+
+def _write_rows(row_chunks: Iterable[List[tuple]], out_format: str) -> None:
     """Write each chunk of rows as it comes; the JSON form is byte for byte
     `json.dumps(all_rows, indent=2)`."""
     write = sys.stdout.write
@@ -345,7 +431,7 @@ def _write_rows(row_chunks: Iterable[List[List[str]]], out_format: str) -> None:
         return
     opening = "[\n  "
     for row in rows:
-        write(opening + json.dumps(dict(zip(SWEEP_HEADER, row)), indent=2).replace("\n", "\n  "))
+        write(opening + _JSON_ROW % tuple(map(json.dumps, row)))
         opening = ",\n  "
     write("[]\n" if opening == "[\n  " else "\n]\n")
 
@@ -397,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="classify a rational parameter grid from a spec file")
     sp.add_argument("spec", type=str)
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes (output order is unchanged)")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes, at most one per core and per 512 points (output order is unchanged)")
     sp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .params import Params
@@ -118,10 +118,22 @@ class LineCore(NamedTuple):
         num, den = s * x0 + n * L * (Q - R) * gap, L * Q * s
         return (num, den) if s > 0 else (-num, -den)
 
+    def theta_terms(self, num: int, den: int) -> Pair:
+        """theta_c of c = num/den (den > 0) as a ratio of two integers, not
+        reduced; the slopes must differ."""
+        n, L, P, Q, R, sa, sb, x0, x1, gap, s = self
+        return P * (Q * L * (num + n * den) - R * sa * den), den * R * gap
+
+    def theta_pair(self, num: int, den: int) -> Pair:
+        """theta_c of c = num/den (den > 0) in lowest terms, den > 0, as
+        `ckn sweep` writes it."""
+        top, bottom = self.theta_terms(num, den)
+        g = gcd(top, bottom) if bottom > 0 else -gcd(top, bottom)
+        return top // g, bottom // g
+
     def theta(self, num: int, den: int) -> Fraction:
         """theta_c of c = num/den (den > 0); the slopes must differ."""
-        n, L, P, Q, R, sa, sb, x0, x1, gap, s = self
-        return Fraction(P * (Q * L * (num + n * den) - R * sa * den), den * R * gap)
+        return Fraction(*self.theta_terms(num, den))
 
     def quantities(self, c: Fraction) -> DerivedQuantities:
         """The derived quantities at c; `classify` reads them off the core

@@ -51,7 +51,7 @@ where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
 and the gradient norm has the same form with f'.  The integral is a sum
 over the series of M, cut once per norm to below 1e-17 of M, of moments
 of the base that its plan's table keeps for every d, offset and dilation,
-each integrated in the session of the first norm that needs it
+each integrated once, in the session of the first norms that need it
 (`_translated_norm`); huge offsets stay in range through R^d.
 
 First-harmonic functions u = f(t) x1/|x| reduce to a radial norm times a
@@ -577,7 +577,8 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 
     Every panel integral they ask for shares one session, the package's
     only one, ordered so that the rows of each (base, reading) are
-    consecutive.
+    consecutive; equal requests, such as the moments that two norms of a
+    shared plan both lack, are integrated once.
     """
     out, waiting, asks = [], [], []
     for norm in norms:
@@ -591,16 +592,20 @@ def _session(norms, cfg: QuadratureConfig) -> list:
         asks += ask
     if not waiting:
         return out
+    index = {}
+    slot = [index.setdefault((id(base), reading, lam, *rest), len(index)) for (base, reading, lam), *rest in asks]
+    unique = list(dict(zip(slot, asks)).values())
     keys = {}
-    group = [keys.setdefault((id(base), reading), len(keys)) for (base, reading, _), *_ in asks]
-    order = sorted(range(len(asks)), key=group.__getitem__)
-    views, wexp, s, log_factor, integrals = zip(*(asks[k] for k in order))
+    group = [keys.setdefault((id(base), reading), len(keys)) for (base, reading, _), *_ in unique]
+    order = sorted(range(len(unique)), key=group.__getitem__)
+    views, wexp, s, log_factor, integrals = zip(*(unique[k] for k in order))
     g = _radial_integrand(views, [group[k] for k in order], wexp, s, log_factor)
-    results = [None] * len(asks)
+    results = [None] * len(unique)
     for k, result in zip(order, integrate(g, integrals, cfg)):
         if not isinstance(result, QuadratureError) and not math.isfinite(result[0]):
             result = QuadratureError("panel sum overflowed")
         results[k] = result
+    results = [results[k] for k in slot]
     for i, norm, start, stop in waiting:
         try:
             norm.send(results[start:stop])

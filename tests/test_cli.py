@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -488,3 +490,61 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
+
+
+def _c_axis_spec(tmp_path, rows):
+    spec = {
+        "fixed": {"n": "3", "p": "2", "q": "2", "r": "2", "a": "0", "b": "0"},
+        "axes": [{"param": "c", "start": "-3", "stop": str(Fraction(rows - 1, 64) - 3), "step": "1/64"}],
+    }
+    path = tmp_path / f"sweep_{rows}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_input_error(tmp_path, capsys, jobs):
+    # these used to run sequentially without a word
+    code, out, err = run(capsys, "sweep", _c_axis_spec(tmp_path, 17), "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"--jobs must be an integer >= 1, got {jobs}"}
+
+
+@pytest.mark.parametrize("jobs, cores, rows, workers", [
+    (5000, 8, 257, None),  # one chunk of 512 points: no pool
+    (5000, 8, 1537, 4),  # four chunks
+    (5000, 2, 1537, 2),
+    (3, 8, 5000, 3),
+    (2, None, 1537, None),  # an unknown core count is one core
+])
+def test_sweep_starts_no_more_workers_than_cores_or_chunks(tmp_path, capsys, monkeypatch, jobs, cores, rows, workers):
+    # --jobs 5000 used to start 5,000 processes for one chunk of work
+    import multiprocessing
+
+    started = []
+
+    class InlinePool:
+        """A multiprocessing.Pool that records its worker count and runs
+        each task at once, in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def apply_async(self, fn, args):
+            result = fn(*args)
+            return SimpleNamespace(get=lambda: result)
+
+    path = _c_axis_spec(tmp_path, rows)
+    code, alone, _ = run(capsys, "sweep", path)
+    assert code == 0 and len(alone.splitlines()) == rows + 1
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    code, out, _ = run(capsys, "sweep", path, "--jobs", str(jobs))
+    assert code == 0 and out == alone
+    assert started == ([] if workers is None else [workers])

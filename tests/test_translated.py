@@ -361,6 +361,39 @@ def test_norms_of_one_session_that_share_a_plan_integrate_each_moment_once():
             assert norm.finite and repr(norm) == repr(alone)
 
 
+def test_a_session_integrates_a_moment_that_two_norms_lack_once(monkeypatch):
+    # the table keeps 24 moments; the two norms ask for 24 and 16 of them
+    asked, integrate = [], quadrature.integrate
+
+    def counted(g, integrals, cfg):
+        asked.append(len(integrals))
+        return integrate(g, integrals, cfg)
+
+    bump, s, n = SmoothBump(0.0, 1.0), F(3, 2), 3
+    jobs = [(translated(bump, 2.0), d, s, n, False) for d in (F(-3, 2), F(5, 2))]
+    alone = {job[1]: weighted_norms([job])[0] for job in jobs}
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    for order in (jobs, jobs[::-1]):
+        asked.clear()
+        shared = weighted_norms(order, plans={})
+        assert asked == [24]
+        assert [norm.log_value for norm in shared] == [alone[d].log_value for _, d, *_ in order]
+
+
+def test_a_failed_moment_fails_every_norm_of_the_session_that_reads_it():
+    # in one dimension mu_0 needs more than 8 panels toward 0; it is
+    # integrated once for both norms, both fail, either way round, and the
+    # table keeps no moment
+    bump, s, budget = SmoothBump(0.0, 1.0), F(1), QuadratureConfig(max_panels=8)
+    jobs = [(translated(bump, 2.0), d, s, 1, False) for d in (F(-3, 2), F(5, 2))]
+    for order in (jobs, jobs[::-1]):
+        plans = {}
+        failed = weighted_norms(order, budget, plans)
+        assert [norm.status for norm in failed] == [NormStatus.FAILED] * 2
+        assert {norm.detail for norm in failed} == {"panel budget exhausted extending toward zero"}
+        assert moment_table(plans) == []
+
+
 # ---------------------------------------------------------------------------
 # statuses shared with the radial path
 # ---------------------------------------------------------------------------
