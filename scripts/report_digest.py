@@ -3,7 +3,8 @@
 
 Runs verify_instance on the verify input set and falsify_instance on the
 falsify input set of seeds 1-3, and prints the number of reports and the
-SHA-256 of their as_dict() JSON, one line per report.  Then runs `ckn sweep
+SHA-256 of their as_dict() JSON, one line per report, then the same for
+the verify reports alone and for the falsify reports alone.  Then runs `ckn sweep
 --jobs 1` on the sweep calls of the same seeds, each in CSV and in JSON,
 and prints the number of rows and the SHA-256 of the standard outputs.  Two
 checkouts whose outputs are byte-identical print the same digests, so a
@@ -43,17 +44,23 @@ def main(argv) -> int:
     from ckn import probes
 
     digest, count = hashlib.sha256(), 0
+    kinds = {kind: [hashlib.sha256(), 0] for kind in ("verify", "falsify")}
     for seed in SEEDS:
         reports = []
         for case in inputs.verify_cases(ckn.Params, ckn.classify, seed):
             family = probes.default_w0_family(case.params) if case.first_harmonic else None
-            reports.append(probes.verify_instance(case.params, case.theta, family=family))
+            reports.append(("verify", probes.verify_instance(case.params, case.theta, family=family)))
         for case in inputs.falsify_cases(ckn.Params, ckn.classify, seed):
-            reports.append(probes.falsify_instance(case.params))
-        for report in reports:
-            digest.update((json.dumps(report.as_dict()) + "\n").encode())
+            reports.append(("falsify", probes.falsify_instance(case.params)))
+        for kind, report in reports:
+            line = (json.dumps(report.as_dict()) + "\n").encode()
+            digest.update(line)
+            kinds[kind][0].update(line)
+            kinds[kind][1] += 1
         count += len(reports)
     print(f"{count} reports, sha256 {digest.hexdigest()}")
+    for kind, (kind_digest, kind_count) in kinds.items():
+        print(f"{kind_count} {kind} reports, sha256 {kind_digest.hexdigest()}")
 
     digest, rows = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -54,10 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .derived import DerivedQuantities, derive, line_core, theta_condition_holds
+from .derived import DerivedQuantities, derive, line_core, line_pairs, theta_condition_holds
 from .params import Params, validate_full_space, validate_radial
 from .rational import Pair, compare, ext_le, ext_max, ext_min, sign
 
@@ -121,7 +120,8 @@ class Verdict:
 class CLine:
     """Every c-free fact of the full-space theorem at one (N, p, q, r, a, b).
 
-    Built from the six inputs in integers (`derived.line_core`).  The marks
+    Built in integers from n and the (num, den) pairs, den > 0, of p, q, r,
+    a, b (`derived.line_core`).  The marks
     c0, c1, -N and c_bar are (num, den) pairs with den > 0, and `label`
     places a c = num/den against them by the signs of cross products.
     Shared by `classify`, `classify_radial`, `admissible_set` and
@@ -134,7 +134,7 @@ class CLine:
         "theta_cut", "theta_all",
     )
 
-    def __init__(self, n: int, p: Fraction, q: Fraction, r: Fraction, a: Fraction, b: Fraction):
+    def __init__(self, n: int, p: Pair, q: Pair, r: Pair, a: Pair, b: Pair):
         core = self.core = line_core(n, p, q, r, a, b)
         _, L, P, Q, R, sa, sb, x0, x1, gap, s = core
         nL = n * L
@@ -198,7 +198,7 @@ class CLine:
     @classmethod
     def of(cls, params: Params) -> "CLine":
         """The line through a tuple; its c is ignored."""
-        return cls(params.n, params.p, params.q, params.r, params.a, params.b)
+        return cls(params.n, *line_pairs(params))
 
     def place(self, c: Pair) -> Tuple[int, int, int]:
         """Signs of c - c0, c - c1 and c + N."""
@@ -293,8 +293,10 @@ def classify_radial(params: Params) -> Verdict:
     d = derive(params)
     p, q, r = params.p, params.q, params.r
     shift = params.n - 1
-    line = CLine(1, p, q, r, params.a + shift, params.b + shift)
-    c = (params.c.numerator + shift * params.c.denominator, params.c.denominator)
+    pairs = line_pairs(params)
+    (an, ad), (bn, bd), (cn, cd) = pairs[3], pairs[4], params.c.as_integer_ratio()
+    line = CLine(1, *pairs[:3], (an + shift * ad, ad), (bn + shift * bd, bd))
+    c = (cn + shift * cd, cd)
     s0, s1, sm = line.place(c)
 
     if s0 == 0 and (

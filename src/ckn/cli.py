@@ -31,7 +31,7 @@ from .admissible import ThetaSetKind, _theta_set, admissible_set
 from .classify import Case, CLine, Decision, Reason, classify, classify_radial, classify_w0
 from .multiweight import multiweight_classify, multiweight_from_dict
 from .params import Params, validate_full_space
-from .rational import Pair, parse_rational
+from .rational import Pair, parse_rational, reduced
 
 EXIT_EMBEDS = 0
 EXIT_NO_EMBED = 1
@@ -271,9 +271,9 @@ class _SweepLine:
     def __init__(self, n: int, key: tuple):
         # `cmd_sweep` has validated the extreme points, which bound every
         # coordinate of every point
-        line = self.line = CLine(n, *(Fraction(*x) for x in key))
+        line = self.line = CLine(n, *key)
         self.head = (str(n), *(_text(*x) for x in key))
-        self.ends = (str(Fraction(*line.c0)), str(Fraction(*line.c1)))
+        self.ends = (_text(*reduced(*line.c0)), _text(*reduced(*line.c1)))
         marks = (line.c0, line.c1, line.mn) + (() if line.c_bar is None else (line.c_bar,))
         self.marks = marks if line.r_ok else ()
         self.theta = line.core.theta_pair if line.distinct else None

@@ -22,9 +22,9 @@ auxiliary exponents used by the radial and interior characterizations:
     c_bar       = theta_bar * c1 + (1 - theta_bar) * c0
 
 Everything here is exact rational arithmetic; no floats.  The arithmetic
-runs on Python ints: `line_core` reads the numerators and denominators of
-p, q, r, a, b once and writes the line over their least common
-denominator L (p = P/L and so on).  `LineCore.quantities(c)` writes each
+runs on Python ints: `line_core` takes p, q, r, a, b as integer (num,
+den) pairs and writes the line over the least common multiple L of their
+denominators (p = P/L and so on).  `LineCore.quantities(c)` writes each
 field as one integer numerator over one integer denominator, one
 `Fraction(num, den)` per field; `derive` and `classify.CLine` share it.
 """
@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .params import Params
-from .rational import INF, ExtRational, Pair, format_optional, format_rational, holder_conjugate
+from .rational import INF, ExtRational, Pair, format_optional, format_rational, holder_conjugate, reduced
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,7 @@ class LineCore(NamedTuple):
     def theta_pair(self, num: int, den: int) -> Pair:
         """theta_c of c = num/den (den > 0) in lowest terms, den > 0, as
         `ckn sweep` writes it."""
-        top, bottom = self.theta_terms(num, den)
-        g = gcd(top, bottom) if bottom > 0 else -gcd(top, bottom)
-        return top // g, bottom // g
+        return reduced(*self.theta_terms(num, den))
 
     def theta(self, num: int, den: int) -> Fraction:
         """theta_c of c = num/den (den > 0); the slopes must differ."""
@@ -175,12 +173,10 @@ class LineCore(NamedTuple):
         )
 
 
-def line_core(n: int, p: Fraction, q: Fraction, r: Fraction, a: Fraction, b: Fraction) -> LineCore:
-    pn, pd = p.as_integer_ratio()
-    qn, qd = q.as_integer_ratio()
-    rn, rd = r.as_integer_ratio()
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
+def line_core(n: int, p: Pair, q: Pair, r: Pair, a: Pair, b: Pair) -> LineCore:
+    """The line through (n, p, q, r, a, b), each of p, q, r, a, b an integer
+    (num, den) pair, den > 0."""
+    (pn, pd), (qn, qd), (rn, rd), (an, ad), (bn, bd) = p, q, r, a, b
     L = lcm(pd, qd, rd, ad, bd)
     P = pn * (L // pd)
     Q = qn * (L // qd)
@@ -197,9 +193,14 @@ def line_core(n: int, p: Fraction, q: Fraction, r: Fraction, a: Fraction, b: Fra
     ))
 
 
+def line_pairs(params: Params) -> tuple:
+    """The (num, den) pairs of p, q, r, a, b: the line of line_core."""
+    return (params.p.as_integer_ratio(), params.q.as_integer_ratio(), params.r.as_integer_ratio(),
+            params.a.as_integer_ratio(), params.b.as_integer_ratio())
+
+
 def derive(params: Params) -> DerivedQuantities:
-    core = line_core(params.n, params.p, params.q, params.r, params.a, params.b)
-    return core.quantities(params.c)
+    return line_core(params.n, *line_pairs(params)).quantities(params.c)
 
 
 def theta_slack(theta: Fraction, params: Params) -> Fraction:

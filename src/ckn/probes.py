@@ -410,8 +410,9 @@ def log_window_theta_probe(
     window-width dilations; used against fixed exponents in the
     equal-slope regime at c = c0 (no exponent can tame both directions
     unless the inequality actually holds).  Off c0 the target norm's log
-    rate K = c + n - eta r is not 0, and the narrowing windows soon take
-    |K|/lam past quadrature.LOG_WINDOW_RATE, where log-window norms fail."""
+    rate K = c + n - eta r is not 0, and the narrowing windows soon make
+    the weight's peak narrower than the finest panel of the quadrature,
+    where log-window norms fail."""
     d = derive(params)
     if not d.slopes_equal or params.c != d.c0:
         raise ValueError("the log-window probe applies to equal-slope instances with c = c0")

@@ -27,10 +27,12 @@ the norms of a whole `verify` instance (8 members x 5 scales x 3 norms)
 take about 15 integrand calls.  Its one integrand is t^w |F(t)|^s e^l,
 where F is a view (base, reading, lam) of a profile (`_view`): a base
 profile read at lam t as its value base(lam t), its derivative lam
-base'(lam t), or a first-harmonic gradient, one profile call per base and
-run of points, and l is 0 but for moments.  `_norm` chooses the reading
-once; a radial gradient reads the profile's derivative_profile() as
-values where that closed form exists, else the base's derivative.
+base'(lam t), a first-harmonic gradient, or the window W(ln x) of a log
+window, one profile call per base and run of points, and l is 0 but for
+moments and log windows.  `_norm` chooses the reading once; a radial
+gradient reads the profile's derivative_profile() as values where that
+closed form exists, else the base's derivative, and a log window read as
+values is read by its window.
 
 Divergence certificates and closed forms settle their norms before the
 session, from a norm plan (`_NormPlan`) per (base profile, reading, d, s,
@@ -38,8 +40,9 @@ N) that all dilations of a member share: the plan keeps the base's edge
 records, and the read record of a dilation is Edge.dilated, then
 Edge.derivative for a derivative reading.  A dilated norm is still
 integrated, never inferred from the scaling law.  A `falsify` walk keeps
-one dict of plans for all its members.  A log window whose weight
-e^(vK/loglam) grows faster than LOG_WINDOW_RATE fails, named by its rate.
+one dict of plans for all its members.  A log window's integral in t is
+one over (1/e, e) in x = e^v, v = loglam (ln t + shift), at every loglam;
+its norm fails where the weight's peak is too narrow for the panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -77,8 +80,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .panels import (ABS_TOL, DEFAULT_CONFIG, GAUSS_NODES, Integral, QuadratureConfig, QuadratureError,
-                     gauss_legendre, integrate)
+from .panels import ABS_TOL, DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
 from .profiles import Edge, LogModulated, PiecewisePower, RadialProfile, ScaledProfile
 from .testfunctions import Angular, TestFunction
 
@@ -303,6 +305,12 @@ def _read_derivative(base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
     return lam * base.derivative(x)
 
 
+def _read_window(base: LogModulated, x: np.ndarray, lam) -> np.ndarray:
+    """W(ln x), the window of a log window at x = e^v, v = loglam (ln t +
+    shift): its integrals live on (1/e, e) at every loglam (_NormPlan)."""
+    return base.window_values(np.log(x))
+
+
 def _digamma(x: float) -> float:
     """psi(x) for x > 0: the recurrence up to x >= 16, then the asymptotic
     series, whose first dropped term is below 1e-16 there."""
@@ -426,9 +434,10 @@ def _diverges_at_inf(d, s, n, powers) -> bool:
 class _NormPlan:
     """What the norms || f ||_{d,s} on R^n of every dilation of one base
     profile share, for one reading of it (values f(t) = base(lam t),
-    derivatives lam base'(lam t), or _FirstHarmonicGradient): dilation moves
-    support, seams, coefficients and exact regions, but no end of the
-    support to or from 0 or infinity and no power of an edge record.
+    derivatives lam base'(lam t), _FirstHarmonicGradient or _read_window):
+    dilation moves support, seams, coefficients and exact regions, but no
+    end of the support to or from 0 or infinity and no power of an edge
+    record.
 
     So the plan holds the exact divergence verdicts, the closed-form
     branch, the base's support, seams and the base edge records with an
@@ -437,6 +446,13 @@ class _NormPlan:
     records are read only where its support reaches 0 or infinity.  The
     d = 0 plan of a translated norm also holds the moment table of the
     base (`moment_table`), filled in place by the norms that read it.
+
+    A log window P t^-m W(loglam (ln t + shift)) is read by its window in
+    x = e^v, v = loglam (ln t + shift): with K = d + n - m s its integral
+    is P^s e^(-shift K) / loglam times that of x^(K/loglam - 1) |W(ln x)|^s
+    over (1/e, e), with no seams or edges.  The log factor -|K|/loglam
+    keeps the weight x^(K/loglam - 1) e^(-|K|/loglam) at most e at any
+    rate, and log_area takes it back with the prefactor.
 
     The plan holds its base and its d and s, the objects whose ids key it
     in a plans dict (`_plan`), so that no other object takes one of those
@@ -447,8 +463,9 @@ class _NormPlan:
         if s <= 0:
             raise ValueError("norm exponent must be positive")
         self.base, self.reading, self.d, self.s = base, reading, d, s
-        lo, hi = self.support = base.support
-        self.breakpoints = base.breakpoints
+        window = reading is _read_window
+        lo, hi = self.support = (1.0 / math.e, math.e) if window else base.support
+        self.breakpoints = () if window else base.breakpoints
         edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
         ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
         powers = [[] if end is None else [end.power] for end in ends]
@@ -462,16 +479,19 @@ class _NormPlan:
         self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
         # the base edges whose read edge has an exact region
         self.exact_edges = [None if end is None or end.exact is None else edge for edge, end in zip(edges, ends)]
-        self.wexp, self.sf = float(d + n - 1), float(s)
+        self.wexp, self.sf, self.log_factor = float(d + n - 1), float(s), 0.0
         self.log_area = math.log(surface_area(n))
+        if window:
+            k, lam = float(d + n - base.m * s), base.loglam
+            self.wexp, self.log_factor = k / lam - 1.0, -abs(k) / lam
+            self.log_area += (self.sf * math.log(abs(base.prefactor)) - base.shift * k - math.log(lam)
+                              + abs(k) / lam)
         # (mu_k, panel error) of the moments integrated so far
         self.moments = []
         # the closed form of the base read as values, used at lam = 1
         self.closed = None
         if reading is _read_value and isinstance(base, PiecewisePower):
             self.closed = lambda: _piecewise_log_integral(base, self.wexp, self.sf)
-        elif reading is _read_value and isinstance(base, LogModulated):
-            self.closed = lambda: _log_modulated_log_integral(base, d, s, n)
 
     def term(self, end: int, lam: float) -> Optional[Edge]:
         """The read edge record, with an exact region, at end (0 at zero, 1
@@ -615,9 +635,10 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 
 
 def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float):
-    """log of the integral of t^wexp |f(t)|^s over the support (lo, hi) of
-    the dilation by lam that plan reads, as a generator for _session that
-    asks for one panel integral and raises the QuadratureError it may get.
+    """log of the integral of t^wexp |f(t)|^s e^log_factor over the support
+    (lo, hi) of the dilation by lam that plan reads, as a generator for
+    _session that asks for one panel integral and raises the
+    QuadratureError it may get.
 
     Divergence must have been excluded by the caller.  Returns
     (log_integral, relative error estimate).
@@ -652,7 +673,7 @@ def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float):
     elif hi_eff == math.inf:
         anchor_hi = max(lo_eff * 4.0, 1.0)
 
-    (result,) = yield [((plan.base, plan.reading, lam), wexp, s, 0.0, Integral(
+    (result,) = yield [((plan.base, plan.reading, lam), wexp, s, plan.log_factor, Integral(
         anchor_lo, anchor_hi, breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint))]
     if isinstance(result, QuadratureError):
         raise result
@@ -683,44 +704,6 @@ def _piecewise_log_integral(profile: PiecewisePower, wexp: float, s: float) -> f
     )
 
 
-# the largest rate |K|/loglam of the weight e^(vK/loglam) at which the
-# 32-panel rule below keeps every norm with s >= 1/2 within 1e-9 of an
-# 8192-panel rule (the first miss is at rate 49 for s = 1/2, 128 for s = 1);
-# past it the weight's peak near v = +-1 falls between the nodes
-LOG_WINDOW_RATE = 32.0
-
-
-def _log_modulated_log_integral(profile: LogModulated, d: Fraction, s: Fraction, n: int) -> float:
-    """Exact log-variable reduction for log-window profiles.
-
-    With K = d + n - m s the integral equals
-    P^s e^{-shift K} / loglam * integral over (-1,1) of e^{v K / loglam} |W(v)|^s dv.
-    Raises QuadratureError past LOG_WINDOW_RATE.
-    """
-    kf = float(d + n - profile.m * s)
-    sf = float(s)
-    lam = profile.loglam
-    if abs(kf) / lam > LOG_WINDOW_RATE:
-        raise QuadratureError(f"log-window rate |K|/loglam = {abs(kf) / lam:.6g} is beyond {LOG_WINDOW_RATE:g}")
-    # 32-panel composite GL in v, all panels in one window call, with the
-    # exponential weight and each panel's sum handled in log space
-    x, w = gauss_legendre(GAUSS_NODES)
-    edges = np.linspace(-1.0, 1.0, 33)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    v = mid[:, None] + half[:, None] * x
-    wv = np.abs(profile.window_values(v.ravel())).reshape(v.shape)
-    live = np.any(wv > 0, axis=1)
-    if not np.any(live):
-        return -math.inf
-    v, wv, half = v[live], wv[live], half[live]
-    with np.errstate(divide="ignore"):
-        terms = kf * v / lam + sf * np.log(wv) + np.log(half[:, None] * w)
-    m = np.max(terms, axis=1)
-    logs = m + np.log(np.sum(np.exp(terms - m[:, None]), axis=1))
-    log_v_integral = _logsumexp(logs.tolist())
-    return sf * math.log(abs(profile.prefactor)) - profile.shift * kf - math.log(lam) + log_v_integral
-
-
 # ---------------------------------------------------------------------------
 # public norms
 # ---------------------------------------------------------------------------
@@ -745,6 +728,8 @@ def _radial_norm(view, d, s, n: int, plans: dict):
         return NormValue.failed(str(exc))
 
     if log_integral == -math.inf:
+        if plan.reading is _read_window:  # a window's integral is positive: its peak fell between the nodes
+            return NormValue.failed("log-window integral underflowed")
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
@@ -808,6 +793,8 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, pla
     elif gradient:
         closed = profile.derivative_profile()
         profile, reading = (profile, _read_derivative) if closed is None else (closed, _read_value)
+    if reading is _read_value and isinstance(profile, LogModulated):
+        reading = _read_window
     norm = yield from _radial_norm(_view(profile, reading), d, s, n, plans)
     if not harmonic or gradient or not norm.finite:
         return norm

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Tuple, Union
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -95,6 +96,12 @@ def ext_min(x: ExtRational, y: ExtRational) -> ExtRational:
 
 def sign(x: int) -> int:
     return (x > 0) - (x < 0)
+
+
+def reduced(num: int, den: int) -> Pair:
+    """num/den (den != 0) in lowest terms, den > 0."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def compare(x: Pair, y: Pair) -> int:

@@ -295,15 +295,38 @@ def _log_window_log_norm(profile: LogModulated, d, s, n: int, panels: int = 8192
 @pytest.mark.parametrize("d", [F(0), F(-4)])  # K = d + n - m s = 2 and -2
 @pytest.mark.parametrize("log2_lam", [-2, -4, -6, -8, -10, -12])
 def test_log_window_off_the_critical_rate_is_accurate_or_failed(d, log2_lam):
-    # the weight e^(vK/loglam) peaks near v = +-1, the narrower the smaller loglam
+    # the weight e^(vK/loglam) peaks near v = +-1, the narrower the smaller
+    # loglam; up to rate 8192 every norm is Finite and accurate
     n, s = 3, F(2)
     profile = LogModulated(F(1, 2), 2.0**log2_lam)
     nv = weighted_norm(radial(profile), d, s, n)
-    if nv.status is NormStatus.FAILED:
-        assert "log-window rate" in nv.detail
-        return
     assert nv.finite
     assert abs(nv.log_value - _log_window_log_norm(profile, d, s, n)) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [F(-1), F(1, 2), F(1)])
+@pytest.mark.parametrize("log4_lam", range(1, 7))
+def test_log_window_norms_at_the_critical_rate_are_accurate(m, log4_lam):
+    # K = 0, where every witness norm sits: |-m W + loglam W'|^p has a kink
+    # at the zero of the gradient window for p not an even integer, and
+    # |W|^s rises in a thin layer at v = +-1 for small s
+    n, profile = 3, LogModulated(m, 4.0**-log4_lam)
+    cases = [(profile.derivative_profile(), p * (m + 1) - n, p, True) for p in (F(1), F(3, 2), F(5, 2))]
+    cases.append((profile, m / 16 - n, F(1, 16), False))
+    for read, d, s, gradient in cases:
+        nv = (weighted_norm_gradient if gradient else weighted_norm)(radial(profile), d, s, n)
+        assert nv.finite
+        assert abs(nv.log_value - _log_window_log_norm(read, d, s, n, panels=16384)) <= 1e-9
+        assert nv.error > 0
+
+
+def test_log_window_past_the_reach_of_the_panels_fails():
+    # at rate |K|/loglam = 2^41 the weight's peak is far narrower than the
+    # finest panel: the norm fails, and never reads as a zero norm
+    profile = LogModulated(F(1, 2), 2.0**-40)
+    u = radial(profile)
+    for nv in (weighted_norm(u, F(0), F(2), 3), weighted_norm_gradient(u, F(2), F(2), 3)):
+        assert nv.status is NormStatus.FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def _lines(seed=20):
             Params(n, p, q, r, a, b, F(0))
         except ValueError:
             continue
-        line = CLine(n, p, q, r, a, b)
+        line = CLine(n, *(x.as_integer_ratio() for x in (p, q, r, a, b)))
         kind = _kind(n, p, q, r, a, b, line)
         if kind is None or len(found[kind]) >= PER_KIND:
             continue
