@@ -27,13 +27,15 @@ other record:
     invert;
   * modulation t^-eps f(t): powers shift by -eps.
 
-The quadrature reads every profile through a view (base, reading, lam): a
-ScaledProfile is its inner profile read at lam t, and the reading is the
-value, the derivative lam f'(lam t) or a first-harmonic gradient.  Its
-norm plans dilate and derive the base's edge records by `Edge.dilated` and
-`Edge.derivative`.  `derivative_profile()` gives f' as a profile only where
-f' has a closed form (PiecewisePower, TruncatedPrimitive, LogModulated,
-whose derivative() reads it), and None for every other profile.
+Every dilation is the ScaledProfile that `RadialProfile.scaled` returns;
+no profile dilates itself.  The quadrature reads every profile through a
+view (base, reading, lam): a ScaledProfile is its inner profile read at
+lam t, and the reading is the value, the derivative lam f'(lam t) or a
+first-harmonic gradient.  Its norm plans dilate and derive the base's edge
+records by `Edge.dilated` and `Edge.derivative`.  `derivative_profile()`
+gives f' as a profile only where f' has a closed form (PiecewisePower,
+TruncatedPrimitive, LogModulated), and None for every other profile; the
+default `derivative()` reads it as values.
 
 Exact powers on bands (the indicator band and the vanishing-exponent
 power of the r-endpoint constructions, the derivative of a truncated
@@ -205,7 +207,11 @@ class RadialProfile:
         raise NotImplementedError
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """f'(t): derivative_profile() read as values, where it exists."""
+        closed = self.derivative_profile()
+        if closed is None:
+            raise NotImplementedError
+        return closed.value(t)
 
     # support and seams -----------------------------------------------------
     @property
@@ -400,22 +406,21 @@ class PowerTail(RadialProfile):
 
 
 class LogModulated(RadialProfile):
-    """prefactor * t^{-m} * W(loglam (ln t + shift)), W the standard bump.
+    """t^{-m} * W(loglam ln t), W the standard bump.
 
     The window W lives on (-1, 1); the profile occupies an interval of the
     log axis of width 2/loglam.  Weighted norms of these profiles are
     computed in the log variable (see quadrature), because for small
-    loglam the support in t overflows floating point.
+    loglam the support in t overflows floating point; a dilation is a
+    ScaledProfile, whose norms follow from the undilated ones by the
+    scaling law.
     """
 
     kind = "log_modulated"
 
-    def __init__(self, m, loglam: float, shift: float = 0.0, prefactor: float = 1.0,
-                 window_combo: Optional[Tuple[float, float]] = None):
+    def __init__(self, m, loglam: float, window_combo: Optional[Tuple[float, float]] = None):
         self.m = Fraction(m)
         self.loglam = float(loglam)
-        self.shift = float(shift)
-        self.prefactor = float(prefactor)
         # (c0, c1): effective window c0*W + c1*W'; None means plain W
         self.window_combo = window_combo
 
@@ -429,50 +434,24 @@ class LogModulated(RadialProfile):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             w = np.log(t)
-        return self.prefactor * _fpow(t, -self.m) * self.window_values(self.loglam * (w + self.shift))
-
-    def derivative(self, t):
-        return self.derivative_profile().value(t)
+        return _fpow(t, -self.m) * self.window_values(self.loglam * w)
 
     def derivative_profile(self) -> "LogModulated":
         """f' as a log-modulated profile with power m+1 and combined window."""
         if self.window_combo is not None:
             raise NotImplementedError("second derivatives of log windows are not needed")
-        return LogModulated(
-            self.m + 1,
-            self.loglam,
-            shift=self.shift,
-            prefactor=self.prefactor,
-            window_combo=(-float(self.m), self.loglam),
-        )
-
-    @property
-    def log_support(self) -> Tuple[float, float]:
-        """Support of ln t."""
-        half = 1.0 / self.loglam
-        return (-half - self.shift, half - self.shift)
+        return LogModulated(self.m + 1, self.loglam, window_combo=(-float(self.m), self.loglam))
 
     @property
     def support(self):
-        lo, hi = self.log_support
-        return (_safe_exp(lo), _safe_exp(hi))
-
-    def scaled(self, lam: float) -> "LogModulated":
-        return LogModulated(
-            self.m,
-            self.loglam,
-            shift=self.shift + math.log(lam),
-            prefactor=self.prefactor * lam ** (-float(self.m)),
-            window_combo=self.window_combo,
-        )
+        half = 1.0 / self.loglam
+        return (_safe_exp(-half), _safe_exp(half))
 
     def descriptor(self):
         return {
             "kind": self.kind,
             "m": str(self.m),
             "loglam": self.loglam,
-            "shift": self.shift,
-            "prefactor": self.prefactor,
             "window": "bump",
             "combo": self.window_combo,
         }
@@ -510,9 +489,6 @@ class PiecewisePower(RadialProfile):
                 out[mask] = coef * _fpow(t[mask], expo)
         return out
 
-    def derivative(self, t):
-        return self.derivative_profile().value(t)
-
     def derivative_profile(self) -> "PiecewisePower":
         return PiecewisePower(
             [(coef * float(expo), expo - 1, lo, hi) for coef, expo, lo, hi in self.pieces if expo != 0]
@@ -540,15 +516,6 @@ class PiecewisePower(RadialProfile):
             coef, expo, log_lo, _ = self.pieces[-1]
             tail = Edge(coef, expo, exact=_safe_exp(log_lo))
         return (head, tail)
-
-    def scaled(self, lam: float) -> "PiecewisePower":
-        shift = math.log(lam)
-        return PiecewisePower(
-            [
-                (coef * float(lam) ** float(expo), expo, lo - shift, hi - shift)
-                for coef, expo, lo, hi in self.pieces
-            ]
-        )
 
     def descriptor(self):
         return {
@@ -602,9 +569,6 @@ class TruncatedPrimitive(RadialProfile):
         out[band] = self._primitive(t[band])
         out[t >= self.n] = self.plateau()
         return out
-
-    def derivative(self, t):
-        return self.derivative_profile().value(t)
 
     @property
     def support(self):

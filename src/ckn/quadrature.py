@@ -29,20 +29,24 @@ where F is a view (base, reading, lam) of a profile (`_view`): a base
 profile read at lam t as its value base(lam t), its derivative lam
 base'(lam t), a first-harmonic gradient, or the window W(ln x) of a log
 window, one profile call per base and run of points, and l is 0 but for
-moments and log windows.  `_norm` chooses the reading once; a radial
-gradient reads the profile's derivative_profile() as values where that
-closed form exists, else the base's derivative, and a log window read as
-values is read by its window.
+moments and log windows.  `_norm` takes the view first and chooses the
+reading of its base once: a radial gradient reads the base's
+derivative_profile() as values where that closed form exists, adding ln
+lam to the log norm (|| grad (f o lam) || = lam || f' o lam ||), else the
+base's derivative, and a log window read as values is read by its window.
 
 Divergence certificates and closed forms settle their norms before the
 session, from a norm plan (`_NormPlan`) per (base profile, reading, d, s,
 N) that all dilations of a member share: the plan keeps the base's edge
 records, and the read record of a dilation is Edge.dilated, then
-Edge.derivative for a derivative reading.  A dilated norm is still
-integrated, never inferred from the scaling law.  A `falsify` walk keeps
-one dict of plans for all its members.  A log window's integral in t is
-one over (1/e, e) in x = e^v, v = loglam (ln t + shift), at every loglam;
-its norm fails where the weight's peak is too narrow for the panels.
+Edge.derivative for a derivative reading.  Closed forms and log windows
+serve every dilation by the exact scaling law: the integral at lam is
+lam^-(d+N) times the one at lam = 1.  Every other dilated norm, each
+`verify` member among them, is still integrated at its own scale.  A
+`falsify` walk keeps one dict of plans for all its members.  A log
+window's integral in t is one over (1/e, e) in x = e^v, v = loglam ln t,
+at every loglam; its norm fails where the weight's peak is too narrow for
+the panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -306,8 +310,8 @@ def _read_derivative(base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
 
 
 def _read_window(base: LogModulated, x: np.ndarray, lam) -> np.ndarray:
-    """W(ln x), the window of a log window at x = e^v, v = loglam (ln t +
-    shift): its integrals live on (1/e, e) at every loglam (_NormPlan)."""
+    """W(ln x), the window of a log window at x = e^v, v = loglam ln t: its
+    integrals live on (1/e, e) at every loglam (_NormPlan)."""
     return base.window_values(np.log(x))
 
 
@@ -447,12 +451,16 @@ class _NormPlan:
     d = 0 plan of a translated norm also holds the moment table of the
     base (`moment_table`), filled in place by the norms that read it.
 
-    A log window P t^-m W(loglam (ln t + shift)) is read by its window in
-    x = e^v, v = loglam (ln t + shift): with K = d + n - m s its integral
-    is P^s e^(-shift K) / loglam times that of x^(K/loglam - 1) |W(ln x)|^s
-    over (1/e, e), with no seams or edges.  The log factor -|K|/loglam
-    keeps the weight x^(K/loglam - 1) e^(-|K|/loglam) at most e at any
-    rate, and log_area takes it back with the prefactor.
+    A closed form (a PiecewisePower read as values) or a window serves
+    every dilation by the scaling law: the integral of the dilation by lam
+    is lam^-(d+n) times that of the base, which is integrated once, at lam
+    = 1.  Every other dilated norm is integrated at its own scale.
+
+    A log window t^-m W(loglam ln t) is read by its window in x = e^v, v =
+    loglam ln t: with K = d + n - m s its integral is 1 / loglam times
+    that of x^(K/loglam - 1) |W(ln x)|^s over (1/e, e), with no seams or
+    edges.  The log factor -|K|/loglam keeps the weight x^(K/loglam - 1)
+    e^(-|K|/loglam) at most e at any rate, and log_area takes it back.
 
     The plan holds its base and its d and s, the objects whose ids key it
     in a plans dict (`_plan`), so that no other object takes one of those
@@ -482,16 +490,18 @@ class _NormPlan:
         self.wexp, self.sf, self.log_factor = float(d + n - 1), float(s), 0.0
         self.log_area = math.log(surface_area(n))
         if window:
-            k, lam = float(d + n - base.m * s), base.loglam
-            self.wexp, self.log_factor = k / lam - 1.0, -abs(k) / lam
-            self.log_area += (self.sf * math.log(abs(base.prefactor)) - base.shift * k - math.log(lam)
-                              + abs(k) / lam)
+            k, rate = float(d + n - base.m * s), base.loglam
+            self.wexp, self.log_factor = k / rate - 1.0, -abs(k) / rate
+            self.log_area += abs(k) / rate - math.log(rate)
         # (mu_k, panel error) of the moments integrated so far
         self.moments = []
-        # the closed form of the base read as values, used at lam = 1
+        # the closed form of the base read as values
         self.closed = None
         if reading is _read_value and isinstance(base, PiecewisePower):
             self.closed = lambda: _piecewise_log_integral(base, self.wexp, self.sf)
+        # the log of the integral of the dilation by lam is that of the base
+        # minus degree ln lam
+        self.scaling_law, self.degree = self.closed is not None or window, float(d + n)
 
     def term(self, end: int, lam: float) -> Optional[Edge]:
         """The read edge record, with an exact region, at end (0 at zero, 1
@@ -711,19 +721,21 @@ def _piecewise_log_integral(profile: PiecewisePower, wexp: float, s: float) -> f
 def _radial_norm(view, d, s, n: int, plans: dict):
     """The radial norm || F ||_{d,s} on R^n of the view (base, reading, lam)
     of F, as a generator for _session: it yields what _radial_log_integral
-    yields, if anything, and returns the norm."""
+    yields, if anything, and returns the norm.  A plan that keeps the
+    scaling law integrates at scale 1 (_NormPlan)."""
     plan, lam = _plan(plans, view, d, s, n), view[2]
-    lo, hi = (x / lam for x in plan.support)
+    scale = 1.0 if plan.scaling_law else lam
+    lo, hi = (x / scale for x in plan.support)
     if lo == 0.0 and plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
     if hi == math.inf and plan.diverges_at_inf:
         return NormValue.divergent("non-integrable at infinity")
 
     try:
-        if plan.closed is not None and lam == 1.0:
+        if plan.closed is not None:
             log_integral, rel_err = plan.closed(), 0.0
         else:
-            log_integral, rel_err = yield from _radial_log_integral(plan, lam, lo, hi)
+            log_integral, rel_err = yield from _radial_log_integral(plan, scale, lo, hi)
     except QuadratureError as exc:
         return NormValue.failed(str(exc))
 
@@ -731,6 +743,7 @@ def _radial_norm(view, d, s, n: int, plans: dict):
         if plan.reading is _read_window:  # a window's integral is positive: its peak fell between the nodes
             return NormValue.failed("log-window integral underflowed")
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
+    log_integral -= plan.degree * math.log(lam / scale)
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 
@@ -787,20 +800,22 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, pla
     harmonic = u.angular is Angular.FIRST_HARMONIC
     if harmonic and n < 2:
         raise ValueError("first harmonics need dimension >= 2")
-    profile, reading = u.profile, _read_value
-    if gradient and harmonic:
-        reading = _first_harmonic_gradient(n, float(s))
-    elif gradient:
-        closed = profile.derivative_profile()
-        profile, reading = (profile, _read_derivative) if closed is None else (closed, _read_value)
-    if reading is _read_value and isinstance(profile, LogModulated):
+    reading, correction, sf = _read_value, 0.0, float(s)
+    if gradient:
+        reading = _first_harmonic_gradient(n, sf) if harmonic else _read_derivative
+    elif harmonic:
+        # the function's angular moment in place of the sphere's area
+        correction = (log_angular_moment(sf, n) - math.log(surface_area(n))) / sf
+    base, reading, lam = _view(u.profile, reading)
+    closed = base.derivative_profile() if reading is _read_derivative else None
+    if closed is not None:
+        # || grad (f o lam) || = lam || f' o lam ||, with f' read as values
+        base, reading, correction = closed, _read_value, math.log(lam)
+    if reading is _read_value and isinstance(base, LogModulated):
         reading = _read_window
-    norm = yield from _radial_norm(_view(profile, reading), d, s, n, plans)
-    if not harmonic or gradient or not norm.finite:
+    norm = yield from _radial_norm((base, reading, lam), d, s, n, plans)
+    if correction == 0.0 or not norm.finite:
         return norm
-    # the function's angular moment in place of the sphere's area
-    sf = float(s)
-    correction = (log_angular_moment(sf, n) - math.log(surface_area(n))) / sf
     return NormValue.from_log(norm.log_value + correction, norm.error)
 
 
