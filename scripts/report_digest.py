@@ -4,12 +4,14 @@
 Runs verify_instance on the verify input set and falsify_instance on the
 falsify input set of seeds 1-3, and prints the number of reports and the
 SHA-256 of their as_dict() JSON, one line per report, then the same for
-the verify reports alone and for the falsify reports alone.  Then runs `ckn sweep
---jobs 1` on the sweep calls of the same seeds, each in CSV and in JSON,
-and prints the number of rows and the SHA-256 of the standard outputs.  Two
-checkouts whose outputs are byte-identical print the same digests, so a
-change meant to move no number is checked by running this on the checkout
-before and after it.
+the verify reports alone and for the falsify reports alone, and then how
+many of each are not ok: unlike the digests, which may move with the last
+bits of the BLAS, those counts are the same on every machine.  Then runs
+`ckn sweep --jobs 1` on the sweep calls of the same seeds, each in CSV and
+in JSON, and prints the number of rows and the SHA-256 of the standard
+outputs.  Two checkouts whose outputs are byte-identical print the same
+digests, so a change meant to move no number is checked by running this
+on the checkout before and after it.
 
 ckn is imported from checkout/src and the input sets from
 checkout/benchmark/inputs.py, by default this script's own checkout; the
@@ -44,7 +46,7 @@ def main(argv) -> int:
     from ckn import probes
 
     digest, count = hashlib.sha256(), 0
-    kinds = {kind: [hashlib.sha256(), 0] for kind in ("verify", "falsify")}
+    kinds = {kind: [hashlib.sha256(), 0, 0] for kind in ("verify", "falsify")}
     for seed in SEEDS:
         reports = []
         for case in inputs.verify_cases(ckn.Params, ckn.classify, seed):
@@ -57,10 +59,12 @@ def main(argv) -> int:
             digest.update(line)
             kinds[kind][0].update(line)
             kinds[kind][1] += 1
+            kinds[kind][2] += not report.ok
         count += len(reports)
     print(f"{count} reports, sha256 {digest.hexdigest()}")
-    for kind, (kind_digest, kind_count) in kinds.items():
+    for kind, (kind_digest, kind_count, _) in kinds.items():
         print(f"{kind_count} {kind} reports, sha256 {kind_digest.hexdigest()}")
+    print("not ok: " + ", ".join(f"{bad} of {kind_count} {kind} reports" for kind, (_, kind_count, bad) in kinds.items()))
 
     digest, rows = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:

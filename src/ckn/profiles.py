@@ -32,10 +32,10 @@ no profile dilates itself.  The quadrature reads every profile through a
 view (base, reading, lam): a ScaledProfile is its inner profile read at
 lam t, and the reading is the value, the derivative lam f'(lam t) or a
 first-harmonic gradient.  Its norm plans dilate and derive the base's edge
-records by `Edge.dilated` and `Edge.derivative`.  `derivative_profile()`
-gives f' as a profile only where f' has a closed form (PiecewisePower,
-TruncatedPrimitive, LogModulated), and None for every other profile; the
-default `derivative()` reads it as values.
+records by `Edge.dilated` and `Edge.derivative`.  `derivative_profile`
+is f' as a profile, built once per profile object, only where f' has a
+closed form (PiecewisePower, TruncatedPrimitive, LogModulated), and None
+for every other profile; the default `derivative()` reads it as values.
 
 Exact powers on bands (the indicator band and the vanishing-exponent
 power of the r-endpoint constructions, the derivative of a truncated
@@ -44,22 +44,24 @@ ln t.  A band far out keeps its width where its bounds in t would round
 to one float, or to 0 or infinity; only an infinite log bound reaches an
 end.
 
-The smooth cutoff is fixed once and for all: zeta(t) = 1 for t <= 1/2,
-0 for t >= 1, bridged by the standard exp-based mollifier step
-h(1-w) / (h(w) + h(1-w)), h(x) = exp(-1/x), at w = 2t - 1; the
+The smooth cutoff is fixed once and for all: zeta = PowerCutoffInner(0),
+1 for t <= 1/2, 0 for t >= 1, bridged by the standard exp-based mollifier
+step h(1-w) / (h(w) + h(1-w)), h(x) = exp(-1/x), at w = 2t - 1; the
 log-window bump is exp(-1/(1-v^2)) on (-1, 1).  Fixing both makes
-quadrature outputs reproducible across runs.  The step is evaluated in
-its logistic form: with z = 1/(1-w) - 1/w it is 1/(1 + e^z), its mirror
-1 - zeta is 1/(1 + e^-z) (no cancellation where zeta is near 1), and its
-slope is -(1/w^2 + 1/(1-w)^2) / (4 cosh^2(z/2)), all from the one
-exponential e^(z/2), with no masks.  The cutoff profiles keep their
-exponents as floats, so a call is a handful of ufuncs.
+quadrature outputs reproducible across runs.  Every cutoff at infinity
+is the Kelvin inversion of one at 0: t^-alpha zeta(1/t) is
+InvertedProfile(PowerCutoffInner(-alpha)).  The step is evaluated in its
+logistic form: with z = 1/(1-w) - 1/w it is 1/(1 + e^z), and its slope is
+-(1/w^2 + 1/(1-w)^2) / (4 cosh^2(z/2)), both from the one exponential
+e^(z/2), with no masks.  The cutoff keeps its exponents as floats, so a
+call is a handful of ufuncs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -77,42 +79,22 @@ _STEP_END = 2.0 ** -10
 
 
 def _step_halves(w) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, a, b): w clamped to [_STEP_END, 1 - _STEP_END], and a = e^(-z/2)
-    and b = e^(z/2) for z = 1/(1-w) - 1/w.  The step 1/(1 + e^z) is then
-    a/(a+b), its mirror 1/(1 + e^-z) is b/(a+b), and 4 cosh^2(z/2) is
-    (a+b)^2; the clamp keeps a and b inside the float range."""
+    """(w, a, twocosh): w clamped to [_STEP_END, 1 - _STEP_END], a =
+    e^(-z/2) and twocosh = 2 cosh(z/2) = a + e^(z/2) for z = 1/(1-w) - 1/w.
+    The step 1/(1 + e^z) is then a / twocosh; the clamp keeps both inside
+    the float range."""
     w = np.clip(np.asarray(w, dtype=float), _STEP_END, 1.0 - _STEP_END)
     b = np.exp(0.5 / (1.0 - w) - 0.5 / w)
-    return w, 1.0 / b, b
+    a = 1.0 / b
+    return w, a, a + b
 
 
 def _step_slope(w: np.ndarray, twocosh: np.ndarray) -> np.ndarray:
-    """d/dw of 1/(1 + e^z) = -z'(w) / (4 cosh^2(z/2)), with twocosh =
-    2 cosh(z/2) = a + b of _step_halves, divided out twice so that the
-    slope underflows gradually and nothing overflows."""
+    """d/dw of 1/(1 + e^z) = -z'(w) / (4 cosh^2(z/2)), with twocosh of
+    _step_halves divided out twice so that the slope underflows gradually
+    and nothing overflows."""
     v = 1.0 - w
     return -((1.0 / (w * w) + 1.0 / (v * v)) / twocosh) / twocosh
-
-
-def smooth_step(w: np.ndarray) -> np.ndarray:
-    """1 for w <= 0, 0 for w >= 1, smooth and monotone in between: the
-    h-ratio h(1-w) / (h(w) + h(1-w)) of h(x) = exp(-1/x), as 1/(1 + e^z)."""
-    _, a, b = _step_halves(w)
-    return a / (a + b)
-
-
-def smooth_step_prime(w: np.ndarray) -> np.ndarray:
-    w, a, b = _step_halves(w)
-    return _step_slope(w, a + b)
-
-
-def zeta(t: np.ndarray) -> np.ndarray:
-    """Radial cutoff: 1 on t <= 1/2, 0 on t >= 1."""
-    return smooth_step(2.0 * np.asarray(t, dtype=float) - 1.0)
-
-
-def zeta_prime(t: np.ndarray) -> np.ndarray:
-    return 2.0 * smooth_step_prime(2.0 * np.asarray(t, dtype=float) - 1.0)
 
 
 def bump(v: np.ndarray) -> np.ndarray:
@@ -207,8 +189,8 @@ class RadialProfile:
         raise NotImplementedError
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
-        """f'(t): derivative_profile() read as values, where it exists."""
-        closed = self.derivative_profile()
+        """f'(t): derivative_profile read as values, where it exists."""
+        closed = self.derivative_profile
         if closed is None:
             raise NotImplementedError
         return closed.value(t)
@@ -227,9 +209,8 @@ class RadialProfile:
         """Edge records of f at 0 and infinity; the default declares none."""
         return (None, None)
 
-    def derivative_profile(self) -> Optional["RadialProfile"]:
-        """f' as a profile where it has a closed form, else None."""
-        return None
+    # f' as a profile where it has a closed form, else None
+    derivative_profile: Optional["RadialProfile"] = None
 
     # transforms ------------------------------------------------------------
     def scaled(self, lam: float) -> "RadialProfile":
@@ -244,7 +225,8 @@ class RadialProfile:
 
 
 class PowerCutoffInner(RadialProfile):
-    """t^{-alpha} zeta(t): a pure power near 0, cut off beyond t = 1."""
+    """t^{-alpha} zeta(t): a pure power near 0, cut off beyond t = 1.  Its
+    inversion t^{alpha} zeta(1/t) is the cutoff at infinity."""
 
     kind = "power_cutoff_inner"
 
@@ -255,13 +237,12 @@ class PowerCutoffInner(RadialProfile):
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        _, a, b = _step_halves(2.0 * t - 1.0)
-        return np.power(t, self._head) * (a / (a + b))
+        _, a, twocosh = _step_halves(2.0 * t - 1.0)
+        return np.power(t, self._head) * (a / twocosh)
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
-        w, a, b = _step_halves(2.0 * t - 1.0)
-        twocosh = a + b
+        w, a, twocosh = _step_halves(2.0 * t - 1.0)
         out = np.power(t, self._head) * (2.0 * _step_slope(w, twocosh))
         if self._a != 0.0:
             out = out - self._a * np.power(t, self._dhead) * (a / twocosh)
@@ -277,46 +258,6 @@ class PowerCutoffInner(RadialProfile):
 
     def edges(self):
         return (Edge(1.0, -self.alpha, exact=0.5), None)
-
-    def descriptor(self):
-        return {"kind": self.kind, "alpha": str(self.alpha)}
-
-
-class PowerCutoffOuter(RadialProfile):
-    """t^{-alpha} (1 - zeta(t)): a pure power beyond t = 1.  1 - zeta is
-    the mirrored step 1/(1 + e^-z), which keeps its digits where zeta is
-    near 1."""
-
-    kind = "power_cutoff_outer"
-
-    def __init__(self, alpha):
-        self.alpha = Fraction(alpha)
-        self._a, self._head, self._dhead = float(self.alpha), float(-self.alpha), float(-self.alpha - 1)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        _, a, b = _step_halves(2.0 * t - 1.0)
-        return np.power(t, self._head) * (b / (a + b))
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        w, a, b = _step_halves(2.0 * t - 1.0)
-        twocosh = a + b
-        out = np.power(t, self._head) * (-2.0 * _step_slope(w, twocosh))
-        if self._a != 0.0:
-            out = out - self._a * np.power(t, self._dhead) * (b / twocosh)
-        return out
-
-    @property
-    def support(self):
-        return (0.5, math.inf)
-
-    @property
-    def breakpoints(self):
-        return (0.5, 1.0)
-
-    def edges(self):
-        return (None, Edge(1.0, -self.alpha, exact=1.0))
 
     def descriptor(self):
         return {"kind": self.kind, "alpha": str(self.alpha)}
@@ -436,6 +377,7 @@ class LogModulated(RadialProfile):
             w = np.log(t)
         return _fpow(t, -self.m) * self.window_values(self.loglam * w)
 
+    @cached_property
     def derivative_profile(self) -> "LogModulated":
         """f' as a log-modulated profile with power m+1 and combined window."""
         if self.window_combo is not None:
@@ -489,6 +431,7 @@ class PiecewisePower(RadialProfile):
                 out[mask] = coef * _fpow(t[mask], expo)
         return out
 
+    @cached_property
     def derivative_profile(self) -> "PiecewisePower":
         return PiecewisePower(
             [(coef * float(expo), expo - 1, lo, hi) for coef, expo, lo, hi in self.pieces if expo != 0]
@@ -581,6 +524,7 @@ class TruncatedPrimitive(RadialProfile):
     def edges(self):
         return (None, Edge(self.plateau(), Fraction(0), exact=self.n))
 
+    @cached_property
     def derivative_profile(self) -> PiecewisePower:
         return PiecewisePower([(1.0, -self.beta, 0.0, self.log_n)])
 

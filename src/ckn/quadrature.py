@@ -31,7 +31,7 @@ base'(lam t), a first-harmonic gradient, or the window W(ln x) of a log
 window, one profile call per base and run of points, and l is 0 but for
 moments and log windows.  `_norm` takes the view first and chooses the
 reading of its base once: a radial gradient reads the base's
-derivative_profile() as values where that closed form exists, adding ln
+derivative_profile as values where that closed form exists, adding ln
 lam to the log norm (|| grad (f o lam) || = lam || f' o lam ||), else the
 base's derivative, and a log window read as values is read by its window.
 
@@ -495,13 +495,14 @@ class _NormPlan:
             self.log_area += abs(k) / rate - math.log(rate)
         # (mu_k, panel error) of the moments integrated so far
         self.moments = []
-        # the closed form of the base read as values
-        self.closed = None
-        if reading is _read_value and isinstance(base, PiecewisePower):
-            self.closed = lambda: _piecewise_log_integral(base, self.wexp, self.sf)
         # the log of the integral of the dilation by lam is that of the base
         # minus degree ln lam
-        self.scaling_law, self.degree = self.closed is not None or window, float(d + n)
+        closed = reading is _read_value and isinstance(base, PiecewisePower)
+        self.scaling_law, self.degree = closed or window, float(d + n)
+        # the log integral of the base in closed form, where it converges
+        self.closed = None
+        if closed and not (self.diverges_at_zero or self.diverges_at_inf):
+            self.closed = _piecewise_log_integral(base, self.wexp, self.sf)
 
     def term(self, end: int, lam: float) -> Optional[Edge]:
         """The read edge record, with an exact region, at end (0 at zero, 1
@@ -733,7 +734,7 @@ def _radial_norm(view, d, s, n: int, plans: dict):
 
     try:
         if plan.closed is not None:
-            log_integral, rel_err = plan.closed(), 0.0
+            log_integral, rel_err = plan.closed, 0.0
         else:
             log_integral, rel_err = yield from _radial_log_integral(plan, scale, lo, hi)
     except QuadratureError as exc:
@@ -807,7 +808,7 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, pla
         # the function's angular moment in place of the sphere's area
         correction = (log_angular_moment(sf, n) - math.log(surface_area(n))) / sf
     base, reading, lam = _view(u.profile, reading)
-    closed = base.derivative_profile() if reading is _read_derivative else None
+    closed = base.derivative_profile if reading is _read_derivative else None
     if closed is not None:
         # || grad (f o lam) || = lam || f' o lam ||, with f' read as values
         base, reading, correction = closed, _read_value, math.log(lam)

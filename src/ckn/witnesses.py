@@ -5,12 +5,13 @@ additive norm ratio ||u||_{c,r} / (||u||_{a,q} + ||grad u||_{b,p}) grows
 without bound, or by a single function whose target norm is certified
 divergent while the source norms are finite:
 
-  COutsideHull               inner/outer power cutoff |x|^{-(c+N)/r} with
-                             the target integrand exactly |x|^{-N}: a
+  COutsideHull               the power cutoff |x|^{-(c+N)/r} at 0, or its
+                             Kelvin inversion at infinity, with the
+                             target integrand exactly |x|^{-N}: a
                              divergence certificate, no limit needed.
   COutsideOppositeSideWindow the plateau cutoff (1 near 0, resp. near
                              infinity after inversion): again a
-                             certificate.
+                             certificate, from the same builder.
   EndpointC0WrongR           1-d reduction u = |x|^{1/r - (a+N)/q} g(|x|)
                              with g an indicator band marching to
                              infinity (r > q) or a vanishing-exponent
@@ -57,7 +58,6 @@ from .profiles import (
     LogModulated,
     PiecewisePower,
     PowerCutoffInner,
-    PowerCutoffOuter,
     PowerModulated,
     RadialProfile,
     SmoothBump,
@@ -222,48 +222,30 @@ def _geometric_base(exponent: float, target_index: int = 20, cap: float = 1e4) -
 # builders per reason
 # ---------------------------------------------------------------------------
 
-def _hull_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
-    alpha = (params.c + params.n) / params.r
-    if params.c < min(d.c0, d.c1):
-        profile: RadialProfile = PowerCutoffInner(alpha)
-        kind = "inner_power_cutoff"
+def _cutoff_family(params: Params, d: DerivedQuantities, reason: Reason) -> WitnessFamily:
+    """A divergence certificate: the power cutoff t^-alpha zeta(t) at 0, or
+    its Kelvin inversion t^-alpha zeta(1/t) at infinity.  Outside the hull
+    alpha = (c + N)/r makes |x|^c |u|^r exactly |x|^-N at the end that c
+    lies beyond; outside the opposite-side window alpha = 0, a plateau at
+    the origin when b - p <= -N < a (c <= -N makes |x|^c non-integrable
+    over it), else the mirrored plateau at infinity (a < -N < b - p, c >=
+    -N)."""
+    if reason is Reason.C_OUTSIDE_HULL:
+        alpha, at_zero = (params.c + params.n) / params.r, params.c < min(d.c0, d.c1)
+        kind = "inner_power_cutoff" if at_zero else "outer_power_cutoff"
     else:
-        profile = PowerCutoffOuter(alpha)
-        kind = "outer_power_cutoff"
-    return _FixedFamily(
-        Reason.C_OUTSIDE_HULL, params, kind, "certificate", 1, profile=profile
-    )
+        alpha, at_zero = Fraction(0), params.a > -params.n
+        kind = "plateau_cutoff" if at_zero else "plateau_cutoff_inverted"
+    profile = PowerCutoffInner(alpha) if at_zero else InvertedProfile(PowerCutoffInner(-alpha))
+    return _FixedFamily(reason, params, kind, "certificate", 1, profile=profile)
 
 
-def _window_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
-    if params.a > -params.n:
-        # b - p <= -N < a: the plateau at the origin lies in the source
-        # space while |x|^c is non-integrable over it (c <= -N here)
-        return _FixedFamily(
-            Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW,
-            params,
-            "plateau_cutoff",
-            "certificate",
-            1,
-            profile=PowerCutoffInner(Fraction(0)),
-        )
-    # mirrored side (a < -N < b - p, c >= -N): plateau at infinity
-    return _FixedFamily(
-        Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW,
-        params,
-        "plateau_cutoff_inverted",
-        "certificate",
-        1,
-        profile=InvertedProfile(PowerCutoffInner(Fraction(0))),
-    )
-
-
-def _c0_endpoint_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
+def _c0_endpoint_family(params: Params, d: DerivedQuantities, reason: Reason) -> WitnessFamily:
     kappa = 1 / params.r - d.slope_a
     growth = abs(float(1 / params.q - 1 / params.r))
     if params.r > params.q:
         return _IndicatorBandFamily(
-            Reason.ENDPOINT_C0_WRONG_R,
+            reason,
             params,
             "indicator_band",
             "sup_dilation",
@@ -271,7 +253,7 @@ def _c0_endpoint_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
             log_base=math.log(_geometric_base(growth, cap=1e5)),
         )
     return _VanishingPowerFamily(
-        Reason.ENDPOINT_C0_WRONG_R,
+        reason,
         params,
         "vanishing_power",
         "sup_dilation",
@@ -280,7 +262,7 @@ def _c0_endpoint_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
     )
 
 
-def _c1_endpoint_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
+def _c1_endpoint_family(params: Params, d: DerivedQuantities, reason: Reason) -> WitnessFamily:
     # mirrored instances take the inverted profile: the Kelvin reflection
     # keeps a = -N and negates slope_b
     eps_modulated = params.a == -params.n
@@ -291,7 +273,7 @@ def _c1_endpoint_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
     if gamma >= 0:
         # eventually-constant profiles have divergent target norm outright
         return _TruncatedPrimitiveFamily(
-            Reason.ENDPOINT_C1_SMALL_R,
+            reason,
             params,
             "truncated_primitive",
             "certificate",
@@ -310,7 +292,7 @@ def _c1_endpoint_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
     target = min(max(target, 30.0), 250.0)
     growth = (target / 2.0) ** (1.0 / 24.0)
     return _TruncatedPrimitiveFamily(
-        Reason.ENDPOINT_C1_SMALL_R,
+        reason,
         params,
         "truncated_primitive_eps" if eps_modulated else "truncated_primitive",
         "sup_dilation",
@@ -337,7 +319,7 @@ def _log_window_family(params: Params, d: DerivedQuantities, reason: Reason) -> 
     )
 
 
-def _r_range_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
+def _r_range_family(params: Params, d: DerivedQuantities, reason: Reason) -> WitnessFamily:
     best_nu, best_val = 1, None
     for nu in range(1, 13):
         val = _translation_exponent(params, nu)
@@ -349,7 +331,7 @@ def _r_range_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
     if best_val is None or best_val <= 0:
         raise AssertionError(f"no shrinking translation exponent found for {params}")
     return _TranslatedBumpFamily(
-        Reason.R_OUT_OF_RANGE,
+        reason,
         params,
         "translated_shrinking_bump",
         "sup_dilation",
@@ -359,12 +341,12 @@ def _r_range_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
     )
 
 
-def _theta_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
+def _theta_family(params: Params, d: DerivedQuantities, reason: Reason) -> WitnessFamily:
     defect = _theta_defect(params, d)
     if defect <= 0:
         raise AssertionError(f"theta-condition defect not positive for {params}")
     return _TranslatedBumpFamily(
-        Reason.THETA_CONDITION_FAILS,
+        reason,
         params,
         "translated_bump",
         "sup_dilation",
@@ -374,10 +356,12 @@ def _theta_family(params: Params, d: DerivedQuantities) -> WitnessFamily:
 
 
 _BUILDERS = {
-    Reason.C_OUTSIDE_HULL: _hull_family,
-    Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW: _window_family,
+    Reason.C_OUTSIDE_HULL: _cutoff_family,
+    Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW: _cutoff_family,
     Reason.ENDPOINT_C0_WRONG_R: _c0_endpoint_family,
     Reason.ENDPOINT_C1_SMALL_R: _c1_endpoint_family,
+    Reason.EQUAL_SLOPES_SMALL_R: _log_window_family,
+    Reason.ETA_ZERO_SMALL_R: _log_window_family,
     Reason.R_OUT_OF_RANGE: _r_range_family,
     Reason.THETA_CONDITION_FAILS: _theta_family,
 }
@@ -389,7 +373,4 @@ def witness_for_verdict(params: Params, verdict: Verdict) -> WitnessFamily:
     and does not classify again."""
     if verdict.embeds:
         raise ValueError("witness families exist only for non-embedding instances")
-    reason, d = verdict.reason, verdict.derived
-    if reason in (Reason.EQUAL_SLOPES_SMALL_R, Reason.ETA_ZERO_SMALL_R):
-        return _log_window_family(params, d, reason)
-    return _BUILDERS[reason](params, d)
+    return _BUILDERS[verdict.reason](params, verdict.derived, verdict.reason)

@@ -3,9 +3,8 @@ form in `ckn.profiles`.
 
     step(w) = h(1-w) / (h(w) + h(1-w)),   h(x) = exp(-1/x) for x > 0, else 0,
 
-which is 1 for w <= 0 and 0 for w >= 1, and its mirror 1 - step(w) =
-h(w) / (h(w) + h(1-w)), computed without the subtraction.  Each h is
-evaluated on its own, with masks, so no exp overflows.
+which is 1 for w <= 0 and 0 for w >= 1.  Each h is evaluated on its own,
+with masks, so no exp overflows.
 """
 
 import numpy as np
@@ -37,12 +36,6 @@ def _ratio(num, other):
 def step(w):
     w = np.asarray(w, dtype=float)
     return _ratio(h(1.0 - w), h(w))
-
-
-def mirrored_step(w):
-    """1 - step(w)."""
-    w = np.asarray(w, dtype=float)
-    return _ratio(h(w), h(1.0 - w))
 
 
 def step_prime(w):

@@ -8,15 +8,11 @@ import pytest
 
 import oracle_cutoff
 from ckn.profiles import (
+    InvertedProfile,
     PowerCutoffInner,
-    PowerCutoffOuter,
     PowerTail,
     SmoothBump,
     bump,
-    smooth_step,
-    smooth_step_prime,
-    zeta,
-    zeta_prime,
 )
 from ckn.testfunctions import (
     Angular,
@@ -30,23 +26,26 @@ from ckn.testfunctions import (
 
 F = Fraction
 
+# the cutoff zeta, 1 on t <= 1/2 and 0 on t >= 1
+ZETA = PowerCutoffInner(0)
+
 
 def test_cutoff_shape():
     t = np.array([0.1, 0.5, 0.6, 0.9, 1.0, 2.0])
-    z = zeta(t)
+    z = ZETA.value(t)
     assert z[0] == 1.0 and z[1] == 1.0
     assert 0 < z[2] < 1 and 0 < z[3] < 1
     assert z[4] == 0.0 and z[5] == 0.0
     # monotone bridge
-    bridge = zeta(np.linspace(0.5, 1.0, 200))
+    bridge = ZETA.value(np.linspace(0.5, 1.0, 200))
     assert np.all(np.diff(bridge) <= 1e-12)
 
 
 def test_cutoff_derivative_matches_finite_difference():
     t = np.linspace(0.55, 0.95, 41)
     h = 1e-6
-    fd = (zeta(t + h) - zeta(t - h)) / (2 * h)
-    assert np.allclose(zeta_prime(t), fd, atol=1e-5)
+    fd = (ZETA.value(t + h) - ZETA.value(t - h)) / (2 * h)
+    assert np.allclose(ZETA.derivative(t), fd, atol=1e-5)
 
 
 def test_bump_support_and_smoothness():
@@ -57,8 +56,9 @@ def test_bump_support_and_smoothness():
 
 
 def test_smooth_step_endpoints():
+    # the step at w is zeta at t = (1 + w)/2
     w = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
-    s = smooth_step(w)
+    s = ZETA.value((1.0 + w) / 2.0)
     assert s[0] == 1.0 and s[1] == 1.0
     assert 0 < s[2] < 1
     assert s[3] == 0.0 and s[4] == 0.0
@@ -82,35 +82,44 @@ def assert_matches_oracle(got, want):
 
 @pytest.mark.filterwarnings("error")
 def test_logistic_step_matches_the_h_ratio():
-    assert_matches_oracle(smooth_step(STEP_GRID), oracle_cutoff.step(STEP_GRID))
-    assert_matches_oracle(smooth_step_prime(STEP_GRID), oracle_cutoff.step_prime(STEP_GRID))
-    # and the mirrored step of the outer cutoff, read at t = (1 + w)/2
-    t = np.linspace(0.25, 1.25, 100_001)
-    outer = PowerCutoffOuter(0)
-    assert_matches_oracle(outer.value(t), oracle_cutoff.mirrored_step(2.0 * t - 1.0))
-    assert_matches_oracle(outer.derivative(t), -2.0 * oracle_cutoff.step_prime(2.0 * t - 1.0))
+    # zeta at the t = (1 + w)/2 of the grid, and its inversion zeta(1/t) at
+    # their reciprocals; the oracle reads the float w that the profile does
+    t = (1.0 + STEP_GRID) / 2.0
+    w = 2.0 * t - 1.0
+    assert_matches_oracle(ZETA.value(t), oracle_cutoff.step(w))
+    assert_matches_oracle(ZETA.derivative(t), 2.0 * oracle_cutoff.step_prime(w))
+    outer, t = InvertedProfile(ZETA), 1.0 / t
+    w = 2.0 * (1.0 / t) - 1.0
+    assert_matches_oracle(outer.value(t), oracle_cutoff.step(w))
+    assert_matches_oracle(outer.derivative(t), -2.0 * oracle_cutoff.step_prime(w) / t**2)
 
 
 @pytest.mark.filterwarnings("error")
 def test_logistic_step_is_exactly_one_and_zero_outside_the_bridge():
-    below, above = STEP_GRID[STEP_GRID <= 0.0], STEP_GRID[STEP_GRID >= 1.0]
-    assert np.all(smooth_step(below) == 1.0) and np.all(smooth_step(above) == 0.0)
-    assert np.all(smooth_step_prime(below) == 0.0) and np.all(smooth_step_prime(above) == 0.0)
+    t = (1.0 + STEP_GRID) / 2.0
+    below, above = t[STEP_GRID <= 0.0], t[STEP_GRID >= 1.0]
+    assert np.all(ZETA.value(below) == 1.0) and np.all(ZETA.value(above) == 0.0)
+    assert np.all(ZETA.derivative(below) == 0.0) and np.all(ZETA.derivative(above) == 0.0)
     # as scalars too, and 1e-6 inside each end the step is already flat in floats
-    assert smooth_step(-1.0) == smooth_step(1e-6) == 1.0
-    assert smooth_step(2.0) == smooth_step(1.0 - 1e-6) == 0.0
-    t = np.array([0.1, 0.5, 1.0, 3.0])
+    assert ZETA.value(0.0) == ZETA.value((1.0 + 1e-6) / 2.0) == 1.0
+    assert ZETA.value(1.5) == ZETA.value((2.0 - 1e-6) / 2.0) == 0.0
+    t = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
     assert np.all(PowerCutoffInner(F(3, 2)).value(t[2:]) == 0.0)
-    assert np.all(PowerCutoffOuter(F(3, 2)).value(t[:2]) == 0.0)
-    assert np.all(PowerCutoffOuter(F(3, 2)).value(t[2:]) == t[2:] ** -1.5)
+    # the cutoff at infinity t^-3/2 zeta(1/t): 0 up to t = 1, exact from t = 2
+    outer = InvertedProfile(PowerCutoffInner(F(-3, 2)))
+    assert np.all(outer.value(t[:3]) == 0.0)
+    assert np.all(outer.value(t[3:]) == (1.0 / t[3:]) ** 1.5)
 
 
-@pytest.mark.parametrize("t", [0.501, 0.51, 0.52])
-def test_outer_cutoff_keeps_its_digits_where_zeta_is_near_one(t):
-    # t^-1 (1 - zeta(t)), with 1 - zeta(t) = h(w) / (h(w) + h(1-w)) at w = 2t - 1
-    want = float(oracle_cutoff.mirrored_step(2.0 * t - 1.0)) / t
+@pytest.mark.parametrize("x", [0.999, 0.99, 0.98])
+def test_outer_cutoff_keeps_its_digits_where_zeta_is_near_zero(x):
+    # t^-1 zeta(1/t) at t = 1/x, where zeta(x) = h(1-w) / (h(w) + h(1-w)) at
+    # w = 2x - 1 is between about 1e-217 and 4e-11
+    t = 1.0 / x
+    x = 1.0 / t
+    want = x * float(oracle_cutoff.step(2.0 * x - 1.0))
     assert want > 0.0
-    assert abs(float(PowerCutoffOuter(1).value(t)) - want) <= 1e-12 * want
+    assert abs(float(InvertedProfile(PowerCutoffInner(-1)).value(t)) - want) <= 1e-12 * want
 
 
 def test_dilate_identity():

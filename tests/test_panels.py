@@ -11,7 +11,7 @@ import oracle_panels
 from oracle_panels import panel_integral
 from ckn.classify import Reason, classify
 from ckn.probes import compute_norms
-from ckn.profiles import Edge, PowerCutoffInner, PowerCutoffOuter, PowerTail, RadialProfile, SmoothBump
+from ckn.profiles import Edge, InvertedProfile, PowerCutoffInner, PowerTail, RadialProfile, SmoothBump
 from ckn.quadrature import (
     DEFAULT_CONFIG,
     NormStatus,
@@ -137,9 +137,9 @@ def test_walk_budgets_match_oracle(monkeypatch):
         # toward zero: a PowerTail head
         down = both(monkeypatch, weighted_norm, radial(PowerTail(F(1, 3), F(2))), F(0), F(1), 1, cfg)
         # toward infinity: the first-harmonic gradient of an outer cutoff has
-        # no closed-form tail, and its support starts at 1/2
+        # no closed-form tail, and its support starts at 1
         up = both(
-            monkeypatch, weighted_norm_gradient, first_harmonic(PowerCutoffOuter(F(3, 4))),
+            monkeypatch, weighted_norm_gradient, first_harmonic(InvertedProfile(PowerCutoffInner(F(-3, 4)))),
             F(0), F(2), 2, cfg,
         )
         for (batched, oracle), end in ((down, "zero"), (up, "infinity")):
@@ -170,7 +170,7 @@ def prefetch_corpus():
             # mostly convergent: alpha below (d + n)/s for the inner cutoff,
             # above it for the outer
             crit, shift = (d + n) / s, rational(rng, -1, 3)
-            profile = PowerCutoffInner(crit - shift) if rng.random() < 0.5 else PowerCutoffOuter(crit + shift)
+            profile = PowerCutoffInner(crit - shift) if rng.random() < 0.5 else InvertedProfile(PowerCutoffInner(-crit - shift))
         elif kind < 0.8:
             profile = bump(rng)
         else:
@@ -182,7 +182,7 @@ def prefetch_corpus():
                                     for d in (F(-4), F(0), F(5, 2)) for gradient in (False, True)]))
     # the 2-D gradient of first harmonics, whose integrand takes a dot product per point
     sessions += [[weighted_norm_gradient(first_harmonic(profile), F(1), F(3, 2), 3)]
-                 for profile in (PowerCutoffInner(F(1, 2)), PowerCutoffOuter(F(5, 2)))]
+                 for profile in (PowerCutoffInner(F(1, 2)), InvertedProfile(PowerCutoffInner(F(-5, 2))))]
     return [(norm.status, norm.detail, norm.value.hex(), norm.log_value.hex(), norm.error.hex())
             for session in sessions for norm in session]
 
@@ -233,8 +233,9 @@ def hull_witnesses(count):
 
 
 def test_a_c_outside_hull_member_takes_at_most_4_integrand_calls(monkeypatch):
-    # the two finite norms of the cutoff bisect its [1/2, 1] to depth 8-9;
-    # one integrand call per depth took 8 or 9 calls
+    # the two finite norms of the cutoff bisect its [1/2, 1], or [1, 2] for
+    # the inversion at infinity, to depth 8-9; one integrand call per depth
+    # took 8 or 9 calls
     calls = []
     integrand = quadrature._radial_integrand
 
@@ -257,4 +258,4 @@ def test_a_c_outside_hull_member_takes_at_most_4_integrand_calls(monkeypatch):
         assert triple.target.status is NormStatus.DIVERGENT
         assert triple.source.finite and triple.grad.finite
         assert 1 <= len(calls) <= 4, (params, len(calls))
-    assert kinds == {PowerCutoffInner, PowerCutoffOuter}
+    assert kinds == {PowerCutoffInner, InvertedProfile}

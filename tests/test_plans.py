@@ -17,8 +17,9 @@ from ckn.classify import classify
 from ckn.params import Params
 from ckn.probes import DEFAULT_SCALES, default_verification_family, default_w0_family, falsify_instance, verify_instance
 from ckn.profiles import (
+    InvertedProfile,
+    LogModulated,
     PowerCutoffInner,
-    PowerCutoffOuter,
     PowerTail,
     RadialProfile,
     SmoothBump,
@@ -107,10 +108,10 @@ def dilated_norms(u, d, s, n):
 
 
 @pytest.mark.parametrize("profile,d,s,n", [
-    # exact regions at zero (t < 1/2) and at infinity (t > 1), each read as
+    # exact regions at zero (t < 1/2) and at infinity (t > 2), each read as
     # values and as derivatives, with their closed forms dilated
     (PowerCutoffInner(F(1, 3)), F(1, 2), F(2), 3),
-    (PowerCutoffOuter(F(5, 2)), F(-1), F(3, 2), 2),
+    (InvertedProfile(PowerCutoffInner(F(-5, 2))), F(-1), F(3, 2), 2),
     # an exact plateau at infinity whose derivative vanishes there
     (TruncatedPrimitive(F(1, 2), 2.0), F(-4), F(2), 2),
 ])
@@ -152,7 +153,7 @@ class Derivative(RadialProfile):
 
 @pytest.mark.parametrize("profile,d,s,n", [
     (PowerCutoffInner(F(1, 3)), F(1, 2), F(2), 3),
-    (PowerCutoffOuter(F(5, 2)), F(-1), F(3, 2), 2),
+    (InvertedProfile(PowerCutoffInner(F(-5, 2))), F(-1), F(3, 2), 2),
 ])
 def test_dilated_derivative_terms_match_derived_then_dilated_ones(profile, d, s, n):
     # the gradient of u(lam x) is lam f'(lam t)
@@ -161,6 +162,45 @@ def test_dilated_derivative_terms_match_derived_then_dilated_ones(profile, d, s,
         value = weighted_norm(dilate(radial(Derivative(profile)), lam), d, s, n)
         assert gradient.finite and value.finite
         assert abs(gradient.log_value - (math.log(lam) + value.log_value)) <= 1e-10
+
+
+@pytest.mark.parametrize("profile,plans,integrals,closed", [
+    # f' in closed form: a PiecewisePower band, evaluated once for all 5
+    (TruncatedPrimitive(F(1, 3), 5.0), 1, 0, 1),
+    # f' a log window, integrated once, at lam = 1, for all 5
+    (LogModulated(F(1, 2), 2.0**-10), 1, 1, 0),
+    # f' read from the base at each scale
+    (SmoothBump(2.0, 1.0), 1, 5, 0),
+], ids=["truncated_primitive", "log_window", "smooth_bump"])
+def test_the_dilations_of_a_closed_derivative_share_its_plan(monkeypatch, profile, plans, integrals, closed):
+    # the closed derivative is built once per profile: its dilations took a
+    # plan each, and the window integrated the same lam = 1 integral 5 times
+    calls = {"plans": 0, "integrals": 0, "closed": 0}
+    init, integrate, log_integral = (
+        quadrature._NormPlan.__init__, quadrature.integrate, quadrature._piecewise_log_integral)
+
+    def counted_plan(plan, *args):
+        calls["plans"] += 1
+        init(plan, *args)
+
+    def counted_integrals(g, requests, cfg):
+        calls["integrals"] += len(requests)
+        return integrate(g, requests, cfg)
+
+    def counted_closed(*args):
+        calls["closed"] += 1
+        return log_integral(*args)
+
+    u, d, s, n = radial(profile), F(0), F(2), 3
+    alone = [weighted_norm_gradient(dilate(u, lam), d, s, n) for lam in (1.0, *DEFAULT_SCALES)]
+    monkeypatch.setattr(quadrature._NormPlan, "__init__", counted_plan)
+    monkeypatch.setattr(quadrature, "integrate", counted_integrals)
+    monkeypatch.setattr(quadrature, "_piecewise_log_integral", counted_closed)
+    shared = weighted_norms([(dilate(u, lam), d, s, n, True) for lam in (1.0, *DEFAULT_SCALES)])
+    assert calls == {"plans": plans, "integrals": integrals, "closed": closed}
+    # and each norm is the one of its own session, bit for bit
+    assert all(got.finite for got in shared)
+    assert [got.log_value for got in shared] == [want.log_value for want in alone]
 
 
 def test_a_base_divergent_at_every_scale_is_divergent_at_each():

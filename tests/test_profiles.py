@@ -24,7 +24,6 @@ from ckn.profiles import (
     LogModulated,
     PiecewisePower,
     PowerCutoffInner,
-    PowerCutoffOuter,
     PowerModulated,
     PowerTail,
     ScaledProfile,
@@ -52,7 +51,6 @@ def _catalog(rng: random.Random) -> list:
     x2 = x1 + float(rational(rng, 1, 4))
     return [
         PowerCutoffInner(rational(rng, -3, 3)),
-        PowerCutoffOuter(rational(rng, -3, 3)),
         PowerTail(alpha, beta),
         PowerTail(alpha, F(0)),
         PowerTail(F(0), _nonzero(rng, -3, 3)),

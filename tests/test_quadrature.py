@@ -14,7 +14,6 @@ from ckn.profiles import (
     LogModulated,
     PiecewisePower,
     PowerCutoffInner,
-    PowerCutoffOuter,
     PowerTail,
     RadialProfile,
     ScaledProfile,
@@ -172,7 +171,7 @@ def test_indicator_first_harmonic_gradient_closed_form():
 CATALOG = [
     radial(SmoothBump(2.0, 1.0)),
     radial(PowerCutoffInner(F(1, 2))),
-    radial(PowerCutoffOuter(F(5, 2))),
+    radial(InvertedProfile(PowerCutoffInner(F(-5, 2)))),
     radial(PowerTail(F(-1, 2), F(5, 2))),
     first_harmonic(SmoothBump(3.0, 1.5)),
     radial(LogModulated(F(1, 2), 0.5)),
@@ -341,7 +340,7 @@ def test_log_window_norms_at_the_critical_rate_are_accurate(m, log4_lam):
     # at the zero of the gradient window for p not an even integer, and
     # |W|^s rises in a thin layer at v = +-1 for small s
     n, profile = 3, LogModulated(m, 4.0**-log4_lam)
-    cases = [(profile.derivative_profile(), p * (m + 1) - n, p, True) for p in (F(1), F(3, 2), F(5, 2))]
+    cases = [(profile.derivative_profile, p * (m + 1) - n, p, True) for p in (F(1), F(3, 2), F(5, 2))]
     cases.append((profile, m / 16 - n, F(1, 16), False))
     for read, d, s, gradient in cases:
         nv = (weighted_norm_gradient if gradient else weighted_norm)(radial(profile), d, s, n)

@@ -190,7 +190,7 @@ def test_c1_reflection_by_slope_sign_matches_kelvin_reflection():
     # slopes are 0 there); the builder still must not reflect it
     instances.append(make(3, 2, 2, 1, -3, -1, -3))
     for params in instances:
-        family = _c1_endpoint_family(params, derive(params))
+        family = _c1_endpoint_family(params, derive(params), Reason.ENDPOINT_C1_SMALL_R)
         got = {key: getattr(family, key) for key in (
             "kind", "mode", "beta", "inverted", "eps_modulated", "log_n_start", "log_n_growth")}
         assert got == _kelvin_c1_family(params), (params, _c1_side(params))
