@@ -5,8 +5,10 @@ Runs verify_instance on the verify input set and falsify_instance on the
 falsify input set of seeds 1-3, and prints the number of reports and the
 SHA-256 of their as_dict() JSON, one line per report, then the same for
 the verify reports alone and for the falsify reports alone, and then how
-many of each are not ok: unlike the digests, which may move with the last
-bits of the BLAS, those counts are the same on every machine.  Then runs
+many of each are not ok, and how many panel integrals the verify and the
+falsify reports asked for, and how many of those walk toward 0 and toward
+infinity: unlike the digests, which may move with the last bits of the
+BLAS, those counts are the same on every machine.  Then runs
 `ckn sweep --jobs 1` on the sweep calls of the same seeds, each in CSV and
 in JSON, and prints the number of rows and the SHA-256 of the standard
 outputs.  Two checkouts whose outputs are byte-identical print the same
@@ -43,15 +45,29 @@ def main(argv) -> int:
     spec.loader.exec_module(inputs)
     import ckn
     import ckn.cli
-    from ckn import probes
+    from ckn import probes, quadrature
 
+    # the panel integrals of each kind's sessions: how many, and how many
+    # walk toward 0 and toward infinity
+    panels = {"verify": [0, 0, 0], "falsify": [0, 0, 0]}
+    integrate, tally = quadrature.integrate, panels["verify"]
+
+    def counted(g, integrals, cfg):
+        tally[0] += len(integrals)
+        tally[1] += sum(it.down for it in integrals)
+        tally[2] += sum(it.up for it in integrals)
+        return integrate(g, integrals, cfg)
+
+    quadrature.integrate = counted
     digest, count = hashlib.sha256(), 0
     kinds = {kind: [hashlib.sha256(), 0, 0] for kind in ("verify", "falsify")}
     for seed in SEEDS:
         reports = []
+        tally = panels["verify"]
         for case in inputs.verify_cases(ckn.Params, ckn.classify, seed):
             family = probes.default_w0_family(case.params) if case.first_harmonic else None
             reports.append(("verify", probes.verify_instance(case.params, case.theta, family=family)))
+        tally = panels["falsify"]
         for case in inputs.falsify_cases(ckn.Params, ckn.classify, seed):
             reports.append(("falsify", probes.falsify_instance(case.params)))
         for kind, report in reports:
@@ -65,6 +81,8 @@ def main(argv) -> int:
     for kind, (kind_digest, kind_count, _) in kinds.items():
         print(f"{kind_count} {kind} reports, sha256 {kind_digest.hexdigest()}")
     print("not ok: " + ", ".join(f"{bad} of {kind_count} {kind} reports" for kind, (_, kind_count, bad) in kinds.items()))
+    print("panel integrals: " + ", ".join(f"{total} {kind} ({down} toward 0, {up} toward infinity)"
+                                          for kind, (total, down, up) in panels.items()))
 
     digest, rows = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:

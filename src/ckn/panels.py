@@ -17,9 +17,9 @@ other rows of its call (`_row_dot`), so the sums are those of one depth
 per call.  A call evaluates g in chunks of at most 4096 points.  The
 walks integrate blocks of 16 panels per step and apply their stopping
 rules panel by panel, so each integral sums the panels a one-at-a-time
-walk would.  Each integral keeps its own acceptance tests, walks, hints
-and panel budget, so its result does not depend on the other integrals
-of its session.
+walk would.  Each integral keeps its own acceptance tests, walks and
+panel budget, so its result does not depend on the other integrals of its
+session.
 """
 
 from __future__ import annotations
@@ -230,24 +230,21 @@ def panel_edges(lo: float, hi: float, breakpoints) -> list:
 
 class Integral(NamedTuple):
     """One integral of a session: g over [lo, hi], cut at the 2^k grid and
-    the seams, and if asked over (0, lo) and (hi, infinity) by walks.  hint
-    is what the caller adds to the integral (closed forms); the walks judge
-    their panels quiet against it too."""
+    the seams, and if asked over (0, lo) and (hi, infinity) by walks."""
 
     lo: float
     hi: float
     breakpoints: Tuple[float, ...]
     down: bool = False
     up: bool = False
-    hint: float = 0.0
 
 
 class _Walk:
     """Panels of one integral from edge toward 0 or infinity, _BLOCK at a
     time, taken one at a time until 8 quiet panels in a row or the 1e-280 /
     1e280 edge: panels whose geometric rest is below rel_tol of the running
-    total plus hint, v^2 / (u - v) for a panel v that keeps more than half
-    of the panel u before it (a slow tail t^-(1+e), e < 1), else v."""
+    total of the integral, v^2 / (u - v) for a panel v that keeps more than
+    half of the panel u before it (a slow tail t^-(1+e), e < 1), else v."""
 
     def __init__(self, owner: int, edge: float, down: bool, cfg: QuadratureConfig):
         self.owner, self.edge, self.down, self.cfg = owner, edge, down, cfg
@@ -267,17 +264,18 @@ class _Walk:
         self.edge = outer[-1]
         return (self.owner, outer[1:], outer[:-1]) if self.down else (self.owner, outer[:-1], outer[1:])
 
-    def take(self, values: np.ndarray, errors: np.ndarray, hint: float):
+    def take(self, values: np.ndarray, errors: np.ndarray, outside: float):
         """(total, error) once the walk stops within the block, a
-        QuadratureError once its budget is spent, else None."""
+        QuadratureError once its budget is spent, else None; outside is
+        what the integral has summed outside the walk."""
         cfg = self.cfg
         tol, floor = cfg.rel_tol, ABS_TOL
         total, err, quiet, before = self.total, self.err, self.quiet, self.last_value
         for val, e in zip(values.tolist(), errors.tolist()):
             total += val
             err += e
-            # rel_tol * max(total + hint, floor), max as Python's
-            scale = total + hint
+            # rel_tol * max(total + outside, floor), max as Python's
+            scale = total + outside
             rest = val * val / (before - val) if 0.5 * before < val < before else val
             if rest <= tol * (floor if floor > scale else scale):
                 quiet += 1
@@ -302,12 +300,11 @@ def integrate(g, integrals, cfg: QuadratureConfig) -> list:
     owner[j], and rows come in order of owner.
 
     The panels of every [lo, hi] share one bisection pass with the first
-    block of every walk, which each walk integrates whatever its hint.
-    Then the walks toward 0 take their next blocks in lockstep, one pass
-    per step, judged quiet against their middle total plus hint; then the
-    walks toward infinity, against the middle total, the walk toward 0 and
-    hint.  Each integral keeps its own panels, tests, walks and budget, so
-    it gets the sums a session of its own would.
+    block of every walk.  Then the walks toward 0 take their next blocks in
+    lockstep, one pass per step, judged quiet against their middle total;
+    then the walks toward infinity, against the middle total and the walk
+    toward 0.  Each integral keeps its own panels, tests, walks and budget,
+    so it gets the sums a session of its own would.
     """
     def run(segments):
         """(values, errors) of the panels of each (owner, x0, x1), from one pass."""
@@ -340,7 +337,7 @@ def integrate(g, integrals, cfg: QuadratureConfig) -> list:
             pending = []
             for walk, block in going:
                 total, err = results[walk.owner]
-                part = walk.take(*block, total + integrals[walk.owner].hint)
+                part = walk.take(*block, total)
                 if isinstance(part, tuple):
                     results[walk.owner] = total + part[0], err + part[1]
                 elif part is None:

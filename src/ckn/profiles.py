@@ -31,8 +31,9 @@ Every dilation is the ScaledProfile that `RadialProfile.scaled` returns;
 no profile dilates itself.  The quadrature reads every profile through a
 view (base, reading, lam): a ScaledProfile is its inner profile read at
 lam t, and the reading is the value, the derivative lam f'(lam t) or a
-first-harmonic gradient.  Its norm plans dilate and derive the base's edge
-records by `Edge.dilated` and `Edge.derivative`.  `derivative_profile`
+first-harmonic gradient.  Its norm plans read the base's edge records,
+derived by `Edge.derivative` for a derivative, once at lam = 1, and move
+their closed pieces to each lam by the scaling law.  `derivative_profile`
 is f' as a profile, built once per profile object, only where f' has a
 closed form (PiecewisePower, TruncatedPrimitive, LogModulated), and None
 for every other profile; the default `derivative()` reads it as values.

@@ -4,7 +4,8 @@ The radial workhorse computes
 
     || f ||_{d,s}  =  ( N omega_N  *  integral t^{d+N-1} |f(t)|^s dt )^{1/s}
 
-over (0, infinity) by geometric panels [2^k, 2^(k+1)] with adaptive
+over (0, infinity) as the log integrals of closed pieces plus at most
+one range left to geometric panels [2^k, 2^(k+1)] with adaptive
 Gauss-Legendre inside each panel; panels split at the profile's seam
 points.  Singular ends are handled in three tiers:
 
@@ -12,14 +13,17 @@ points.  Singular ends are handled in three tiers:
      profile's edge record at the singular end decides d + N + s*pi <= 0
      (at zero) or >= 0 (at infinity) in rational arithmetic.  Quadrature
      growth is only a cross-check.
-  2. Where the edge record declares f exactly a power C t^m (cutoff
-     plateaus, indicator pieces, truncated-primitive tails), the
-     contribution is a closed-form integral evaluated in log space; this
-     is what keeps near-critical tails (exponent -1-epsilon) accurate
-     without millions of panels.
-  3. Otherwise panels extend toward the singular end until their
-     contribution falls below the relative tolerance; failure to converge
-     within the panel budget is an explicit error, never a silent value.
+  2. Where the read edge record declares F exactly a power C t^m (cutoff
+     plateaus, indicator pieces, truncated-primitive tails), that end is a
+     closed piece, an integral evaluated in log space, and the range stops
+     at its bound; this is what keeps near-critical tails (exponent
+     -1-epsilon) accurate without millions of panels.  Where F is the
+     derivative of an exact constant it is an exact zero, and the range
+     stops there with no piece.
+  3. Otherwise the range reaches the singular end, and panels walk toward
+     it until their contribution falls below the relative tolerance;
+     failure to converge within the panel budget is an explicit error,
+     never a silent value.
 
 One integrator serves every norm: a session of `panels.integrate` shared
 by every panel integral of a `weighted_norms` call, moments included, so
@@ -35,18 +39,17 @@ derivative_profile as values where that closed form exists, adding ln
 lam to the log norm (|| grad (f o lam) || = lam || f' o lam ||), else the
 base's derivative, and a log window read as values is read by its window.
 
-Divergence certificates and closed forms settle their norms before the
-session, from a norm plan (`_NormPlan`) per (base profile, reading, d, s,
-N) that all dilations of a member share: the plan keeps the base's edge
-records, and the read record of a dilation is Edge.dilated, then
-Edge.derivative for a derivative reading.  Closed forms and log windows
-serve every dilation by the exact scaling law: the integral at lam is
-lam^-(d+N) times the one at lam = 1.  Every other dilated norm, each
-`verify` member among them, is still integrated at its own scale.  A
-`falsify` walk keeps one dict of plans for all its members.  A log
-window's integral in t is one over (1/e, e) in x = e^v, v = loglam ln t,
-at every loglam; its norm fails where the weight's peak is too narrow for
-the panels.
+Divergence certificates and closed pieces are settled before the
+session, in a norm plan (`_NormPlan`) per (base profile, reading, d, s,
+N) that all dilations of a member share: the plan reads the norm at lam =
+1 as its closed pieces plus its one range, or none.  Every dilation moves
+the pieces by the exact scaling law, the integral at lam being
+lam^-degree times the one at lam = 1, degree = d + N, less s for a
+derivative reading, and integrates the range at its own scale (a log
+window's at 1, moved alike).  A `falsify` walk keeps one dict of plans
+for all its members.  A log window's integral in t is one over (1/e, e)
+in x = e^v, v = loglam ln t, at every loglam; its norm fails where the
+weight's peak is too narrow for the panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -85,7 +88,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .panels import ABS_TOL, DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
-from .profiles import Edge, LogModulated, PiecewisePower, RadialProfile, ScaledProfile
+from .profiles import LogModulated, PiecewisePower, RadialProfile, ScaledProfile
 from .testfunctions import Angular, TestFunction
 
 
@@ -187,6 +190,14 @@ def log_power_integral(exponent: float, log_lo: Optional[float], log_hi: Optiona
     return e1 * log_lo + _log1mexp(e1 * (log_hi - log_lo)) - math.log(-e1)
 
 
+def _log_power_piece(coef: float, expo: float, log_lo, log_hi, wexp: float, s: float) -> float:
+    """log of the integral of t^wexp |coef t^expo|^s over (lo, hi), bounds
+    as in log_power_integral."""
+    if coef == 0.0:
+        return -math.inf
+    return s * math.log(abs(coef)) + log_power_integral(wexp + s * expo, log_lo, log_hi)
+
+
 def _log1mexp(x: float) -> float:
     """log(1 - e^x) for x < 0, keeping its digits when x is near 0 (a narrow band)."""
     return math.log(-math.expm1(x)) if x > -math.log(2.0) else math.log1p(-math.exp(x))
@@ -250,10 +261,10 @@ class _MeanCoefficients(_Terms):
     """The coefficients of the series of M for one (n, d), each computed
     once, and cut for any x_max: only the cut depends on x_max, so a
     falsify walk keeps one per (n, d) in its plans dict
-    (_mean_coefficients).  It holds d, the object whose id keys it."""
+    (_mean_coefficients)."""
 
     def __init__(self, n: int, d):
-        self.n, self.d, self.df = n, d, float(d)
+        self.n, self.df = n, float(d)
         super().__init__(-self.df / 2.0, 1.0 - n / 2.0 - self.df / 2.0, n / 2.0)
         # M >= 1 where |y|^d is subharmonic
         self.subharmonic = self.df * (self.df + n - 2) >= 0
@@ -286,9 +297,8 @@ class _MeanCoefficients(_Terms):
 
 
 def _mean_coefficients(plans: dict, n: int, d) -> _MeanCoefficients:
-    """The series coefficients of (n, d) that plans keeps, keyed by the
-    identity of d as _plan keys its plans."""
-    key = (id(d), n)
+    """The series coefficients of (n, d) that plans keeps."""
+    key = (d, n)
     coefficients = plans.get(key)
     if coefficients is None:
         coefficients = plans[key] = _MeanCoefficients(n, d)
@@ -443,38 +453,37 @@ class _NormPlan:
     end of the support to or from 0 or infinity and no power of an edge
     record.
 
-    So the plan holds the exact divergence verdicts, the closed-form
-    branch, the base's support, seams and the base edge records with an
-    exact region read (`term` maps them by the Edge rules), and the float
-    constants; a dilated norm does float work only.  The base's edge
-    records are read only where its support reaches 0 or infinity.  The
-    d = 0 plan of a translated norm also holds the moment table of the
-    base (`moment_table`), filled in place by the norms that read it.
-
-    A closed form (a PiecewisePower read as values) or a window serves
-    every dilation by the scaling law: the integral of the dilation by lam
-    is lam^-(d+n) times that of the base, which is integrated once, at lam
-    = 1.  Every other dilated norm is integrated at its own scale.
+    So the plan holds the exact divergence verdicts and, for a norm that
+    converges, its reading at lam = 1: the log integrals of its closed
+    pieces and the one range left to the panels, or None.  A PiecewisePower
+    read as values is all pieces.  Otherwise an end of the support at 0 or
+    infinity whose read edge record has an exact region is a piece, and the
+    range stops at its bound; it stops there too, with no piece, where a
+    derivative reads an exact constant, an exact zero.  The dilation by lam
+    moves each piece by -degree ln lam, degree = d + n, less s for a
+    derivative reading, and integrates the range at lam (_radial_norm).
+    The base's edge records are read only where its support reaches 0 or
+    infinity.  The d = 0 plan of a translated norm also holds the moment
+    table of the base (`moment_table`), filled in place by the norms that
+    read it.
 
     A log window t^-m W(loglam ln t) is read by its window in x = e^v, v =
     loglam ln t: with K = d + n - m s its integral is 1 / loglam times
     that of x^(K/loglam - 1) |W(ln x)|^s over (1/e, e), with no seams or
-    edges.  The log factor -|K|/loglam keeps the weight x^(K/loglam - 1)
-    e^(-|K|/loglam) at most e at any rate, and log_area takes it back.
-
-    The plan holds its base and its d and s, the objects whose ids key it
-    in a plans dict (`_plan`), so that no other object takes one of those
-    ids while the dict lives.
+    edges, its range at every dilation.  The log factor -|K|/loglam keeps
+    the weight x^(K/loglam - 1) e^(-|K|/loglam) at most e at any rate, and
+    log_area takes it back.
     """
 
     def __init__(self, base: RadialProfile, reading, d, s, n: int):
         if s <= 0:
             raise ValueError("norm exponent must be positive")
-        self.base, self.reading, self.d, self.s = base, reading, d, s
+        self.base, self.reading = base, reading
         window = reading is _read_window
         lo, hi = self.support = (1.0 / math.e, math.e) if window else base.support
         self.breakpoints = () if window else base.breakpoints
         edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
+        edges = (edges[0] if lo == 0.0 else None, edges[1] if hi == math.inf else None)
         ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
         powers = [[] if end is None else [end.power] for end in ends]
         if isinstance(reading, _FirstHarmonicGradient):
@@ -485,33 +494,43 @@ class _NormPlan:
         self.reading_error = getattr(reading, "error", 0.0)
         self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
         self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
-        # the base edges whose read edge has an exact region
-        self.exact_edges = [None if end is None or end.exact is None else edge for edge, end in zip(edges, ends)]
         self.wexp, self.sf, self.log_factor = float(d + n - 1), float(s), 0.0
         self.log_area = math.log(surface_area(n))
+        self.degree = float(d + n - s if reading is _read_derivative else d + n)
         if window:
             k, rate = float(d + n - base.m * s), base.loglam
             self.wexp, self.log_factor = k / rate - 1.0, -abs(k) / rate
             self.log_area += abs(k) / rate - math.log(rate)
         # (mu_k, panel error) of the moments integrated so far
         self.moments = []
-        # the log of the integral of the dilation by lam is that of the base
-        # minus degree ln lam
-        closed = reading is _read_value and isinstance(base, PiecewisePower)
-        self.scaling_law, self.degree = closed or window, float(d + n)
-        # the log integral of the base in closed form, where it converges
-        self.closed = None
-        if closed and not (self.diverges_at_zero or self.diverges_at_inf):
-            self.closed = _piecewise_log_integral(base, self.wexp, self.sf)
+        # the reading at lam = 1, or why a closed piece failed
+        self.pieces, self.range, self.failure = [], None, None
+        if not (self.diverges_at_zero or self.diverges_at_inf):
+            try:
+                self._read_at_one(edges, ends)
+            except QuadratureError as exc:  # a float exponent past the exact verdict
+                self.failure = str(exc)
 
-    def term(self, end: int, lam: float) -> Optional[Edge]:
-        """The read edge record, with an exact region, at end (0 at zero, 1
-        at infinity) of the dilation by lam, or None."""
-        edge = self.exact_edges[end]
-        if edge is None:
-            return None
-        edge = edge.dilated(lam)
-        return edge.derivative() if self.reading is _read_derivative else edge
+    def _read_at_one(self, edges, ends) -> None:
+        """The pieces and the range of a convergent plan, from the base's
+        edge records and the read ones (see the class docstring)."""
+        base, reading, wexp, sf = self.base, self.reading, self.wexp, self.sf
+        if reading is _read_value and isinstance(base, PiecewisePower):
+            self.pieces = [_log_power_piece(coef, float(expo), None if lo == -math.inf else lo,
+                                            None if hi == math.inf else hi, wexp, sf)
+                           for coef, expo, lo, hi in base.pieces]
+            return
+        bounds = list(self.support)
+        for end, (edge, read) in enumerate(zip(edges, ends)):
+            if read is not None and read.exact is not None:
+                log_exact = math.log(read.exact)
+                log_bounds = (None, log_exact) if end == 0 else (log_exact, None)
+                self.pieces.append(_log_power_piece(read.coef, float(read.power), *log_bounds, wexp, sf))
+                bounds[end] = read.exact
+            elif reading is _read_derivative and edge is not None and edge.exact is not None:
+                bounds[end] = edge.exact  # the derivative of an exact constant
+        if bounds[0] < bounds[1]:
+            self.range = tuple(bounds)
 
     def moment_table(self, count: int):
         """The first count moments mu_k = integral t^wexp (t/h)^(2k)
@@ -545,14 +564,13 @@ def _view(profile: RadialProfile, reading) -> Tuple[RadialProfile, object, float
 
 def _plan(plans: dict, view, d, s, n: int) -> _NormPlan:
     """The plan of the norms || f ||_{d,s} on R^n of the view (base,
-    reading, lam) of f, shared through plans by every norm of the same
-    base, reading and (d, s, n) objects.  Keys are identities: no Fraction
-    is hashed per norm.  Each plan holds the objects of its key, so a plans
-    dict may serve many weighted_norms calls, as one falsify walk does, and
-    its keys stay unique while it lives; their sessions fill its moment
-    tables, so they must share one QuadratureConfig."""
+    reading, lam) of f, shared through plans by every norm of the same base
+    object, reading and (d, s, n) values.  Each plan holds its base, so a
+    plans dict may serve many weighted_norms calls, as one falsify walk
+    does, and the base's id stays unique while it lives; their sessions
+    fill its moment tables, so they must share one QuadratureConfig."""
     base, reading, _ = view
-    key = (id(base), reading, id(d), id(s), n)
+    key = (id(base), reading, d, s, n)
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = _NormPlan(base, reading, d, s, n)
@@ -645,106 +663,46 @@ def _session(norms, cfg: QuadratureConfig) -> list:
     return out
 
 
-def _radial_log_integral(plan: _NormPlan, lam: float, lo: float, hi: float):
-    """log of the integral of t^wexp |f(t)|^s e^log_factor over the support
-    (lo, hi) of the dilation by lam that plan reads, as a generator for
-    _session that asks for one panel integral and raises the
-    QuadratureError it may get.
-
-    Divergence must have been excluded by the caller.  Returns
-    (log_integral, relative error estimate).
-    """
-    if hi <= lo:
-        return -math.inf, 0.0
-
-    wexp, s = plan.wexp, plan.sf
-    log_parts = []
-    lo_eff, hi_eff = lo, hi
-    head = plan.term(0, lam) if lo == 0.0 else None
-    if head is not None:
-        log_parts.append(_log_power_piece(head.coef, float(head.power), None, math.log(head.exact), wexp, s))
-        lo_eff = head.exact
-    tail = plan.term(1, lam) if hi == math.inf else None
-    if tail is not None:
-        log_parts.append(_log_power_piece(tail.coef, float(tail.power), math.log(tail.exact), None, wexp, s))
-        hi_eff = tail.exact
-
-    if hi_eff < lo_eff:
-        # exact regions overlap the whole support
-        return _logsumexp(log_parts), 0.0
-
-    breakpoints = tuple(x / lam for x in plan.breakpoints)
-    hint = sum(math.exp(x) for x in log_parts if x < 700)
-    anchor_lo, anchor_hi = lo_eff, hi_eff
-    if lo_eff == 0.0 and hi_eff == math.inf:
-        seams = [b for b in breakpoints if 0.0 < b < math.inf]
-        anchor_lo, anchor_hi = min([0.5, *seams]), max([2.0, *seams])
-    elif lo_eff == 0.0:
-        anchor_lo = min(hi_eff / 4.0, 1.0)
-    elif hi_eff == math.inf:
-        anchor_hi = max(lo_eff * 4.0, 1.0)
-
-    (result,) = yield [((plan.base, plan.reading, lam), wexp, s, plan.log_factor, Integral(
-        anchor_lo, anchor_hi, breakpoints, down=lo_eff == 0.0, up=hi_eff == math.inf, hint=hint))]
-    if isinstance(result, QuadratureError):
-        raise result
-    middle, err = result
-    if middle > 0:
-        log_parts.append(math.log(middle))
-    return _logsumexp(log_parts), err / max(middle + hint, ABS_TOL)
-
-
-# ---------------------------------------------------------------------------
-# special exact paths
-# ---------------------------------------------------------------------------
-
-def _log_power_piece(coef: float, expo: float, log_lo, log_hi, wexp: float, s: float) -> float:
-    """log of the integral of t^wexp |coef t^expo|^s over (lo, hi), bounds
-    as in log_power_integral."""
-    if coef == 0.0:
-        return -math.inf
-    return s * math.log(abs(coef)) + log_power_integral(wexp + s * expo, log_lo, log_hi)
-
-
-def _piecewise_log_integral(profile: PiecewisePower, wexp: float, s: float) -> float:
-    """Closed-form log integral for piecewise powers; exact in log space."""
-    return _logsumexp(
-        _log_power_piece(coef, float(expo), None if lo == -math.inf else lo,
-                         None if hi == math.inf else hi, wexp, s)
-        for coef, expo, lo, hi in profile.pieces
-    )
-
-
 # ---------------------------------------------------------------------------
 # public norms
 # ---------------------------------------------------------------------------
 
 def _radial_norm(view, d, s, n: int, plans: dict):
     """The radial norm || F ||_{d,s} on R^n of the view (base, reading, lam)
-    of F, as a generator for _session: it yields what _radial_log_integral
-    yields, if anything, and returns the norm.  A plan that keeps the
-    scaling law integrates at scale 1 (_NormPlan)."""
+    of F, as a generator for _session that asks for the panel integral of
+    its plan's range, if any, and returns the norm: the plan's pieces, each
+    moved by -degree ln lam, plus the range at lam, a window's at 1 and
+    moved alike (_NormPlan).  A walk starts past every seam of the range."""
     plan, lam = _plan(plans, view, d, s, n), view[2]
-    scale = 1.0 if plan.scaling_law else lam
-    lo, hi = (x / scale for x in plan.support)
-    if lo == 0.0 and plan.diverges_at_zero:
+    if plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
-    if hi == math.inf and plan.diverges_at_inf:
+    if plan.diverges_at_inf:
         return NormValue.divergent("non-integrable at infinity")
-
-    try:
-        if plan.closed is not None:
-            log_integral, rel_err = plan.closed, 0.0
-        else:
-            log_integral, rel_err = yield from _radial_log_integral(plan, scale, lo, hi)
-    except QuadratureError as exc:
-        return NormValue.failed(str(exc))
-
+    if plan.failure is not None:
+        return NormValue.failed(plan.failure)
+    shift = plan.degree * math.log(lam)
+    log_parts, rel_err = [piece - shift for piece in plan.pieces], 0.0
+    if plan.range is not None:
+        window = plan.reading is _read_window
+        scale = 1.0 if window else lam
+        lo, hi = (x / scale for x in plan.range)
+        breakpoints = tuple(x / scale for x in plan.breakpoints)
+        seams = [x for x in breakpoints if lo < x < hi]
+        anchor_lo = min([0.5 if hi == math.inf else min(hi / 4.0, 1.0), *seams]) if lo == 0.0 else lo
+        anchor_hi = max([2.0 if lo == 0.0 else max(lo * 4.0, 1.0), *seams]) if hi == math.inf else hi
+        (result,) = yield [((plan.base, plan.reading, scale), plan.wexp, plan.sf, plan.log_factor, Integral(
+            anchor_lo, anchor_hi, breakpoints, down=lo == 0.0, up=hi == math.inf))]
+        if isinstance(result, QuadratureError):
+            return NormValue.failed(str(result))
+        middle, err = result
+        rel_err = err / max(middle + sum(math.exp(x) for x in log_parts if x < 700), ABS_TOL)
+        if middle > 0:
+            log_parts.append(math.log(middle) - (shift if window else 0.0))
+    log_integral = _logsumexp(log_parts)
     if log_integral == -math.inf:
         if plan.reading is _read_window:  # a window's integral is positive: its peak fell between the nodes
             return NormValue.failed("log-window integral underflowed")
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    log_integral -= plan.degree * math.log(lam / scale)
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 
@@ -767,10 +725,10 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     radial plan of d = 0."""
     view = _view(u.profile, _read_derivative if gradient else _read_value)
     plan, lam, offset = _plan(plans, view, 0, s, n), view[2], u.offset
-    lo, hi = (x / lam for x in plan.support)
+    hi = plan.support[1] / lam
     if hi >= offset:
         raise ValueError("translated support must stay away from the origin")
-    if lo == 0.0 and plan.diverges_at_zero:
+    if plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
     mean = _mean_coefficients(plans, n, d).cut(hi / offset)
     if mean is None:

@@ -56,7 +56,7 @@ def _rest(val: float, before: float) -> float:
     return val * val / (before - val) if 0.5 * before < val < before else val
 
 
-def _extend_down(g, lo_edge: float, cfg, total_hint: float) -> Tuple[float, float]:
+def _extend_down(g, lo_edge: float, cfg, outside: float) -> Tuple[float, float]:
     """Add panels [edge/2, edge] toward zero until they stop contributing."""
     total, err = 0.0, 0.0
     edge, before = lo_edge, math.inf
@@ -66,14 +66,14 @@ def _extend_down(g, lo_edge: float, cfg, total_hint: float) -> Tuple[float, floa
         total += val
         err += e
         edge /= 2.0
-        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + total_hint, ABS_TOL) else 0
+        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + outside, ABS_TOL) else 0
         before = val
         if quiet >= 8 or edge < 1e-280:
             return total, err
     raise QuadratureError("panel budget exhausted extending toward zero")
 
 
-def _extend_up(g, hi_edge: float, cfg, total_hint: float) -> Tuple[float, float]:
+def _extend_up(g, hi_edge: float, cfg, outside: float) -> Tuple[float, float]:
     total, err = 0.0, 0.0
     edge, before = hi_edge, math.inf
     quiet = 0
@@ -82,7 +82,7 @@ def _extend_up(g, hi_edge: float, cfg, total_hint: float) -> Tuple[float, float]
         total += val
         err += e
         edge *= 2.0
-        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + total_hint, ABS_TOL) else 0
+        quiet = quiet + 1 if _rest(val, before) <= cfg.rel_tol * max(total + outside, ABS_TOL) else 0
         before = val
         if quiet >= 8 or edge > 1e280:
             return total, err
@@ -96,22 +96,22 @@ def integrate(g, integrals, cfg) -> list:
     for i, it in enumerate(integrals):
         try:
             results.append(panel_integral(lambda t, i=i: g(t, np.array([i])), it.lo, it.hi,
-                                          it.breakpoints, cfg, it.down, it.up, it.hint))
+                                          it.breakpoints, cfg, it.down, it.up))
         except QuadratureError as exc:
             results.append(exc)
     return results
 
 
-def panel_integral(g, lo, hi, breakpoints, cfg, down=False, up=False, hint=0.0) -> Tuple[float, float]:
+def panel_integral(g, lo, hi, breakpoints, cfg, down=False, up=False) -> Tuple[float, float]:
     """The panels of [lo, hi], then the walks from lo toward 0 and from hi
-    toward infinity, in the order and with the hints the norm paths used."""
+    toward infinity, in the order the norm paths used."""
     total, err = _integrate_panels(g, panel_edges(lo, hi, breakpoints), cfg)
     if down:
-        part, part_err = _extend_down(g, lo, cfg, total + hint)
+        part, part_err = _extend_down(g, lo, cfg, total)
         total += part
         err += part_err
     if up:
-        part, part_err = _extend_up(g, hi, cfg, total + hint)
+        part, part_err = _extend_up(g, hi, cfg, total)
         total += part
         err += part_err
     return total, err

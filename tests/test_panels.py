@@ -11,11 +11,13 @@ import oracle_panels
 from oracle_panels import panel_integral
 from ckn.classify import Reason, classify
 from ckn.probes import compute_norms
-from ckn.profiles import Edge, InvertedProfile, PowerCutoffInner, PowerTail, RadialProfile, SmoothBump
+from ckn.profiles import (Edge, InvertedProfile, PowerCutoffInner, PowerTail, RadialProfile, SmoothBump,
+                          TruncatedPrimitive)
 from ckn.quadrature import (
     DEFAULT_CONFIG,
     NormStatus,
     QuadratureConfig,
+    surface_area,
     weighted_norm,
     weighted_norm_gradient,
     weighted_norms,
@@ -121,11 +123,29 @@ def test_walks_to_the_float_edges_match_oracle(monkeypatch):
         assert_same(batched, oracle)
 
 
-def test_walk_judged_against_a_closed_form_head_matches_oracle(monkeypatch):
+def test_a_closed_form_head_and_a_walked_tail_match_oracle(monkeypatch):
     for n, s in ((1, F(1)), (3, F(2)), (3, F(5, 2))):
         batched, oracle = both(monkeypatch, weighted_norm, radial(Plateau()), F(0), s, n)
         assert batched.finite
         assert_same(batched, oracle)
+
+
+def test_a_walk_from_one_end_starts_past_every_seam():
+    # f/t of TruncatedPrimitive(1/2, 2) turns from the primitive to the
+    # plateau at e^2; a walk toward infinity that started at 4 crossed that
+    # seam inside a panel.  The reference integrates the same reading over
+    # [1, e^2] and walks from e^2, tighter
+    base, b, p, n = TruncatedPrimitive(F(1, 2), 2.0), F(-1), F(3, 2), 2
+    reading = quadrature._first_harmonic_gradient(n, float(p))
+
+    def g(t):
+        return t ** float(b + n - 1) * np.abs(reading(base, t, 1.0)) ** float(p)
+
+    total, _ = panel_integral(g, 1.0, base.n, base.breakpoints, QuadratureConfig(rel_tol=1e-13), up=True)
+    want = (np.log(surface_area(n)) + np.log(total)) / float(p)
+    got = weighted_norm_gradient(first_harmonic(base), b, p, n)
+    assert got.finite and got.error <= 1e-9
+    assert abs(got.log_value - want) <= 1e-9
 
 
 def test_walk_budgets_match_oracle(monkeypatch):

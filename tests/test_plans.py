@@ -177,7 +177,7 @@ def test_the_dilations_of_a_closed_derivative_share_its_plan(monkeypatch, profil
     # plan each, and the window integrated the same lam = 1 integral 5 times
     calls = {"plans": 0, "integrals": 0, "closed": 0}
     init, integrate, log_integral = (
-        quadrature._NormPlan.__init__, quadrature.integrate, quadrature._piecewise_log_integral)
+        quadrature._NormPlan.__init__, quadrature.integrate, quadrature._log_power_piece)
 
     def counted_plan(plan, *args):
         calls["plans"] += 1
@@ -195,12 +195,29 @@ def test_the_dilations_of_a_closed_derivative_share_its_plan(monkeypatch, profil
     alone = [weighted_norm_gradient(dilate(u, lam), d, s, n) for lam in (1.0, *DEFAULT_SCALES)]
     monkeypatch.setattr(quadrature._NormPlan, "__init__", counted_plan)
     monkeypatch.setattr(quadrature, "integrate", counted_integrals)
-    monkeypatch.setattr(quadrature, "_piecewise_log_integral", counted_closed)
+    monkeypatch.setattr(quadrature, "_log_power_piece", counted_closed)
     shared = weighted_norms([(dilate(u, lam), d, s, n, True) for lam in (1.0, *DEFAULT_SCALES)])
     assert calls == {"plans": plans, "integrals": integrals, "closed": closed}
     # and each norm is the one of its own session, bit for bit
     assert all(got.finite for got in shared)
     assert [got.log_value for got in shared] == [want.log_value for want in alone]
+
+
+def test_equal_exponents_of_distinct_objects_share_one_plan(monkeypatch):
+    # each job builds its own F(0): plans are keyed by the values of d and
+    # s, where their identities made a plan per job
+    calls = {"plans": 0}
+    init = quadrature._NormPlan.__init__
+
+    def counted(plan, *args):
+        calls["plans"] += 1
+        init(plan, *args)
+
+    monkeypatch.setattr(quadrature._NormPlan, "__init__", counted)
+    u = radial(SmoothBump(2, 1))
+    norms = weighted_norms([(dilate(u, lam), F(0), F(2), 3, True) for lam in (1, 1 / 8, 1 / 2, 2, 8)])
+    assert all(norm.finite for norm in norms)
+    assert calls["plans"] == 1
 
 
 def test_a_base_divergent_at_every_scale_is_divergent_at_each():
@@ -257,7 +274,7 @@ def test_a_translated_walk_runs_each_series_recurrence_once(monkeypatch, params)
     init, extend = quadrature._MeanCoefficients.__init__, quadrature._MeanCoefficients._extend
 
     def recorded(coefficients, n, d):
-        made.append(coefficients)
+        made.append((coefficients, n, d))
         init(coefficients, n, d)
 
     def counted(coefficients):
@@ -269,8 +286,8 @@ def test_a_translated_walk_runs_each_series_recurrence_once(monkeypatch, params)
         m.setattr(quadrature._MeanCoefficients, "_extend", counted)
         report = falsify_instance(params)
     assert not report.ok and len(report.trace) == 41
-    assert sorted((c.n, c.d) for c in made) == sorted((params.n, d) for d in (params.c, params.a, params.b))
-    for coefficients in made:
+    assert sorted((n, d) for _, n, d in made) == sorted((params.n, d) for d in (params.c, params.a, params.b))
+    for coefficients, _, _ in made:
         assert extended.count(coefficients) == len(coefficients.coefs) - 1 > 0
     monkeypatch.setattr(quadrature, "_mean_coefficients", lambda plans, n, d: quadrature._MeanCoefficients(n, d))
     assert falsify_instance(params).as_dict() == report.as_dict()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ckn.quadrature as quadrature
 from ckn.params import Params, kelvin_params
 from ckn.profiles import (
     Edge,
@@ -441,3 +442,71 @@ def test_truncated_primitive_shape():
     expected_mid = (4.0**0.5 - 1) / 0.5
     assert close(vals[2], expected_mid, rel=1e-12)
     assert vals[3] == vals[4] == prof.plateau()
+
+
+# ---------------------------------------------------------------------------
+# closed pieces and the one range left to the panels
+# ---------------------------------------------------------------------------
+
+def walks_of(monkeypatch, norm, u, d, s, n):
+    """The norm and the (down, up) flags of each panel integral it asked for."""
+    walks, integrate = [], quadrature.integrate
+
+    def counted(g, integrals, cfg):
+        walks.extend((it.down, it.up) for it in integrals)
+        return integrate(g, integrals, cfg)
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "integrate", counted)
+        return norm(u, d, s, n), walks
+
+
+@pytest.mark.parametrize("d,s,n", [(F(0), F(2), 3), (F(-1), F(3, 2), 2), (F(-4), F(2), 2)])
+def test_an_inverted_truncated_primitive_gradient_stops_at_its_plateau(d, s, n):
+    # f(t) = F(1/t) is the constant F(n) below 1/n, so f' = -t^(beta-2) on
+    # (1/n, 1) and 0 below: the panels start at 1/n instead of walking down
+    # across the jump of f' there
+    beta, log_n = F(3, 2), 3.0
+    e1 = float(d + n - 1 + s * (beta - 2)) + 1.0
+    want = (math.log(surface_area(n)) + math.log(-math.expm1(-log_n * e1) / e1)) / float(s)
+    got = weighted_norm_gradient(radial(InvertedProfile(TruncatedPrimitive(beta, log_n))), d, s, n)
+    assert got.finite and abs(got.log_value - want) <= 1e-13
+
+
+@pytest.mark.parametrize("profile", [PowerCutoffInner(0), InvertedProfile(PowerCutoffInner(0))],
+                         ids=["at_zero", "at_infinity"])
+def test_the_gradient_of_a_plateau_cutoff_walks_no_zeros(monkeypatch, profile):
+    # f' is exactly 0 on the plateau: the range ends there, with no walk
+    norm, walks = walks_of(monkeypatch, weighted_norm_gradient, radial(profile), F(0), F(2), 3)
+    assert norm.finite and walks == [(False, False)]
+
+
+def test_a_first_harmonic_gradient_of_a_plateau_still_walks(monkeypatch):
+    # |grad u| reads f/t too, which is not 0 on the plateau
+    norm, walks = walks_of(monkeypatch, weighted_norm_gradient, first_harmonic(PowerCutoffInner(0)), F(0), F(2), 3)
+    assert walks == [(True, False)]
+    assert norm.finite and abs(norm.log_value - 1.3077419782544233) <= 1e-12
+
+
+@pytest.mark.parametrize("norm", [weighted_norm, weighted_norm_gradient], ids=["value", "gradient"])
+def test_a_pure_power_is_divergent_before_any_piece(norm):
+    # t^-1 is exact on all of (0, infinity): its exact regions end at 0 and
+    # infinity, where no piece has a logarithm
+    assert norm(radial(PowerTail(1, 1)), F(0), F(2), 3).status is NormStatus.DIVERGENT
+
+
+def test_the_gradient_of_a_constant_is_zero():
+    # the exact zeros of f' at both ends cross, and no range is left
+    norm = weighted_norm_gradient(radial(PowerTail(0, 0)), F(0), F(2), 3)
+    assert norm.status is NormStatus.FINITE and norm.log_value == -math.inf
+
+
+@pytest.mark.parametrize("profile", [
+    PowerCutoffInner(F(3, 2) - F(1, 10**18)),
+    PiecewisePower([(1.0, F(-3, 2) + F(1, 10**18), -math.inf, 0.0)]),
+], ids=["edge_piece", "band"])
+def test_a_closed_piece_past_the_float_edge_of_its_verdict_fails(profile):
+    # d + N + s pi = 2e-18 > 0 converges, but in floats the head's exponent
+    # is exactly -1: the norm fails, it does not raise
+    norm = weighted_norm(radial(profile), F(0), F(2), 3)
+    assert norm.status is NormStatus.FAILED and norm.detail == "divergent power head"
