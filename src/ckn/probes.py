@@ -64,25 +64,16 @@ class NormTriple:
         }
 
 
-def compute_norms(
-    params: Params, u: TestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG,
-    plans: Optional[dict] = None,
-) -> NormTriple:
-    """The target, source and gradient norms of u.  plans, if given, is
-    the norm-plan dict of quadrature.weighted_norms, kept by a caller that
-    computes the norms of many members with this cfg."""
-    return _norm_triples(params, [u], cfg, plans)[0]
+def compute_norms(params: Params, u: TestFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormTriple:
+    """The target, source and gradient norms of u."""
+    return _norm_triples(params, [u], cfg)[0]
 
 
-def _norm_triples(
-    params: Params, functions: Sequence[TestFunction], cfg: QuadratureConfig,
-    plans: Optional[dict] = None,
-) -> List[NormTriple]:
+def _norm_triples(params: Params, functions: Sequence[TestFunction], cfg: QuadratureConfig) -> List[NormTriple]:
     """The NormTriple of each function; all their radial panel integrals
     share one integrator session."""
     kinds = ((params.c, params.r, False), (params.a, params.q, False), (params.b, params.p, True))
-    norms = weighted_norms([(u, d, s, params.n, gradient) for u in functions for d, s, gradient in kinds],
-                           cfg, plans)
+    norms = weighted_norms([(u, d, s, params.n, gradient) for u in functions for d, s, gradient in kinds], cfg)
     return [NormTriple(*norms[i:i + 3]) for i in range(0, len(norms), 3)]
 
 
@@ -333,10 +324,10 @@ def falsify_instance(
     """Walk the witness family until the additive ratio crosses the
     divergence threshold or a divergent-target certificate appears.
 
-    The walk keeps one norm-plan dict for all its members, so members that
-    read one base profile, as the translated bumps do, share its exact
-    facts and moment tables.  A member whose parameters leave the double
-    range ends the walk without a verdict."""
+    Each member's three norms share one integrator session; a translated
+    member, a dilated ball bump, asks for none, its norms being closed-form
+    series.  A member whose parameters leave the double range ends the
+    walk without a verdict."""
     verdict = classify(params)
     if verdict.decision is not Decision.DOES_NOT_EMBED:
         raise ValueError("falsify_instance requires a non-embedding instance")
@@ -353,13 +344,12 @@ def falsify_instance(
         return FalsifyReport(params, verdict.reason.value, witness.descriptor(), ok,
                              certificate, crossed_at, trace, failure)
 
-    plans = {}
     for index in range(cap + 1):
         try:
             u = witness.member(index)
         except OverflowError as exc:
             return report(False, False, None, f"member {index}: {exc}")
-        triple = compute_norms(params, u, cfg, plans=plans)
+        triple = compute_norms(params, u, cfg)
         if NormStatus.FAILED in (triple.target.status, triple.source.status, triple.grad.status):
             return report(False, False, None, f"member {index}: quadrature failure")
         if not triple.source.finite or not triple.grad.finite:

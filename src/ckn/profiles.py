@@ -49,9 +49,10 @@ The smooth cutoff is fixed once and for all: zeta = PowerCutoffInner(0),
 1 for t <= 1/2, 0 for t >= 1, bridged by the standard exp-based mollifier
 step h(1-w) / (h(w) + h(1-w)), h(x) = exp(-1/x), at w = 2t - 1; the
 log-window bump is exp(-1/(1-v^2)) on (-1, 1).  Fixing both makes
-quadrature outputs reproducible across runs.  Every cutoff at infinity
-is the Kelvin inversion of one at 0: t^-alpha zeta(1/t) is
-InvertedProfile(PowerCutoffInner(-alpha)).  The step is evaluated in its
+quadrature outputs reproducible across runs.  The translated witnesses
+read the ball bump (1 - t^2)^2 on [0, 1), whose moments are Beta
+integrals.  Every cutoff at infinity is the Kelvin inversion of one at
+0: t^-alpha zeta(1/t) is InvertedProfile(PowerCutoffInner(-alpha)).  The step is evaluated in its
 logistic form: with z = 1/(1-w) - 1/w it is 1/(1 + e^z), and its slope is
 -(1/w^2 + 1/(1-w)^2) / (4 cosh^2(z/2)), both from the one exponential
 e^(z/2), with no masks.  The cutoff keeps its exponents as floats, so a
@@ -292,8 +293,7 @@ class SmoothBump(RadialProfile):
         # a centred bump, whose next term is -f(0) (t/width)^2
         if abs(self.center) >= self.width:
             return (None, None)
-        # bump and bump_prime at v0, in scalars: every translated witness
-        # member asks for these records
+        # bump and bump_prime at v0, in scalars, read once per norm plan
         v0 = -self.center / self.width
         gap = 1.0 - v0 * v0
         f0 = math.exp(-1.0 / gap)
@@ -303,6 +303,30 @@ class SmoothBump(RadialProfile):
 
     def descriptor(self):
         return {"kind": self.kind, "center": self.center, "width": self.width}
+
+
+class BallBump(RadialProfile):
+    """(1 - t^2)^2 on [0, 1), 0 beyond: a C^1 ball bump whose moments are
+    Beta integrals, so that its translated norms are hypergeometric series
+    (quadrature._translated_norm)."""
+
+    kind = "ball_bump"
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
+
+    def derivative(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 1.0, -4.0 * t * (1.0 - t * t), 0.0)
+
+    @property
+    def support(self):
+        return (0.0, 1.0)
+
+    def edges(self):
+        # 1 - 2 t^2 + t^4 at 0
+        return (Edge(1.0, Fraction(0), next=(-2.0, Fraction(2))), None)
 
 
 class PowerTail(RadialProfile):

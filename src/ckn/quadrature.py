@@ -25,19 +25,19 @@ points.  Singular ends are handled in three tiers:
      failure to converge within the panel budget is an explicit error,
      never a silent value.
 
-One integrator serves every norm: a session of `panels.integrate` shared
-by every panel integral of a `weighted_norms` call, moments included, so
-the norms of a whole `verify` instance (8 members x 5 scales x 3 norms)
-take about 15 integrand calls.  Its one integrand is t^w |F(t)|^s e^l,
-where F is a view (base, reading, lam) of a profile (`_view`): a base
-profile read at lam t as its value base(lam t), its derivative lam
-base'(lam t), a first-harmonic gradient, or the window W(ln x) of a log
-window, one profile call per base and run of points, and l is 0 but for
-moments and log windows.  `_norm` takes the view first and chooses the
-reading of its base once: a radial gradient reads the base's
-derivative_profile as values where that closed form exists, adding ln
-lam to the log norm (|| grad (f o lam) || = lam || f' o lam ||), else the
-base's derivative, and a log window read as values is read by its window.
+One integrator serves every radial norm: a session of `panels.integrate`
+shared by every panel integral of a `weighted_norms` call, so the norms
+of a whole `verify` instance (8 members x 5 scales x 3 norms) take about
+15 integrand calls.  Its one integrand is t^w |F(t)|^s e^l, where F is a
+view (base, reading, lam) of a profile (`_view`): a base profile read at
+lam t as its value base(lam t), its derivative lam base'(lam t), a
+first-harmonic gradient, or the window W(ln x) of a log window, one
+profile call per base and run of points, and l is 0 but for log windows.
+`_norm` takes the view first and chooses the reading of its base once: a
+radial gradient reads the base's derivative_profile as values where that
+closed form exists, adding ln lam to the log norm (|| grad (f o lam) || =
+lam || f' o lam ||), else the base's derivative, and a log window read as
+values is read by its window.
 
 Divergence certificates and closed pieces are settled before the
 session, in a norm plan (`_NormPlan`) per (base profile, reading, d, s,
@@ -46,10 +46,9 @@ N) that all dilations of a member share: the plan reads the norm at lam =
 the pieces by the exact scaling law, the integral at lam being
 lam^-degree times the one at lam = 1, degree = d + N, less s for a
 derivative reading, and integrates the range at its own scale (a log
-window's at 1, moved alike).  A `falsify` walk keeps one dict of plans
-for all its members.  A log window's integral in t is one over (1/e, e)
-in x = e^v, v = loglam ln t, at every loglam; its norm fails where the
-weight's peak is too narrow for the panels.
+window's at 1, moved alike).  A log window's integral in t is one over
+(1/e, e) in x = e^v, v = loglam ln t, at every loglam; its norm fails
+where the weight's peak is too narrow for the panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -58,11 +57,12 @@ around the translation point,
 
 where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
 |e + x w|^d over w in S^{N-1} (Funk-Hecke; A&S 15.1.1 for the series),
-and the gradient norm has the same form with f'.  The integral is a sum
-over the series of M, cut once per norm to below 1e-17 of M, of moments
-of the base that its plan's table keeps for every d, offset and dilation,
-each integrated once, in the session of the first norms that need it
-(`_translated_norm`); huge offsets stay in range through R^d.
+and the gradient norm has the same form with f'.  The one translated
+profile is the ball bump (1 - t^2)^2, dilated, whose moments are Beta
+integrals, so the integral is one hypergeometric series in (1/(lam R))^2
+(a 2F1 for values, a 3F2 for gradients) with no panels, cut where its
+tail is below 1e-17 of its least value (`_translated_norm`); huge offsets
+and dilations stay in range through logs.
 
 First-harmonic functions u = f(t) x1/|x| reduce to a radial norm times a
 closed-form angular moment, and their gradients, with |grad u|^2 =
@@ -204,36 +204,17 @@ def _log1mexp(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the spherical mean of the weight around a translation point
+# hypergeometric series
 # ---------------------------------------------------------------------------
 
-# the series tail allowed, relative to M, and the most terms it may take:
-# enough for x_max up to about 0.998 at moderate d
-MEAN_TOL = 1e-17
-MEAN_TERMS = 10_000
-
-
-@dataclass(frozen=True)
-class SphericalMean:
-    """M(x), the mean of |e + x w|^d over w in S^{n-1} (|e| = 1), as the
-    first terms of its series in x^2, for 0 <= x <= x_max < 1:
-
-        M(x) = 2F1(-d/2, 1 - n/2 - d/2; n/2; x^2) = sum_k coefs[k] x^(2k)
-
-    error bounds the dropped tail relative to M(x) on all of [0, x_max].
-    """
-
-    coefs: np.ndarray
-    error: float
-
-
 class _Terms:
-    """The coefficients scale (a)_k (b)_k / ((c)_k k!) of scale 2F1(a, b; c;
-    z), each computed once by the term recurrence, and a bound on the tail
-    of the series at any z."""
+    """The coefficients scale prod_i (ups_i)_k / (prod_j (downs_j)_k k!) of
+    scale pFq(ups; downs; z), p = q + 1, each computed once by the term
+    recurrence, and a bound on the tail of the series at any z."""
 
-    def __init__(self, a: float, b: float, c: float, scale: float = 1.0):
-        self.a, self.b, self.c, self.coefs = a, b, c, [scale]
+    def __init__(self, ups, downs, scale: float = 1.0):
+        # each up is paired with a down, the last with the 1 of k!
+        self.ups, self.downs, self.coefs = tuple(ups), (*downs, 1.0), [scale]
 
     def __getitem__(self, k: int) -> float:
         while len(self.coefs) <= k:
@@ -242,67 +223,22 @@ class _Terms:
 
     def _extend(self) -> None:
         """Append the next coefficient by the recurrence."""
-        k, a, b, c = len(self.coefs), self.a, self.b, self.c
-        self.coefs.append(self.coefs[-1] * (a + k - 1) * (b + k - 1) / ((c + k - 1) * k))
+        k, coef = len(self.coefs), self.coefs[-1]
+        for u in self.ups:
+            coef *= u + k - 1
+        self.coefs.append(coef / math.prod(v + k - 1 for v in self.downs))
 
     def tail(self, k: int, z: float) -> float:
         """A bound on the absolute terms from term k on at z, or inf: past k
-        >= -a, -b and k > -c both factors of the term ratio (a+j)(b+j)/((c+j)
-        (j+1)) z are monotone in j, so r = z max(1, (k+a)/(k+c)) max(1,
-        (k+b)/(k+1)) bounds it, and the tail is at most |term k| / (1 - r)."""
-        a, b, c = self.a, self.b, self.c
-        if k < -a or k < -b or k <= -c:
+        >= -up and k > -down each factor (up+j)/(down+j) of the term ratio
+        is monotone in j, so r = z prod max(1, (up+k)/(down+k)) bounds it,
+        and the tail is at most |term k| / (1 - r)."""
+        if any(k < -u for u in self.ups) or any(k <= -v for v in self.downs):
             return math.inf
-        r = z * max(1.0, (k + a) / (k + c)) * max(1.0, (k + b) / (k + 1))
+        r = z
+        for u, v in zip(self.ups, self.downs):
+            r *= max(1.0, (k + u) / (k + v))
         return abs(self[k]) * z**k / (1.0 - r) if r < 1.0 else math.inf
-
-
-class _MeanCoefficients(_Terms):
-    """The coefficients of the series of M for one (n, d), each computed
-    once, and cut for any x_max: only the cut depends on x_max, so a
-    falsify walk keeps one per (n, d) in its plans dict
-    (_mean_coefficients)."""
-
-    def __init__(self, n: int, d):
-        self.n, self.df = n, float(d)
-        super().__init__(-self.df / 2.0, 1.0 - n / 2.0 - self.df / 2.0, n / 2.0)
-        # M >= 1 where |y|^d is subharmonic
-        self.subharmonic = self.df * (self.df + n - 2) >= 0
-
-    def cut(self, x_max: float) -> Optional[SphericalMean]:
-        """The shortest series whose tail is at most MEAN_TOL of M on [0, x_max],
-        or None if that takes more than MEAN_TERMS terms.
-
-        Every term grows with x, and so does the tail bound (_Terms.tail).
-        When no term is negative, M is at least its partial sum, and the
-        tail's share of M grows with x, so the share at x_max bounds it;
-        otherwise M is at least 1 where |y|^d is subharmonic, d (d + n - 2)
-        >= 0, else at least its least value on the sphere.
-        """
-        d, z = self.df, x_max * x_max
-        least = 1.0 if self.subharmonic else min((1.0 + x_max) ** d, (1.0 - x_max) ** d)
-        # the partial sum at x_max, and whether coefs[1..k] are all positive
-        head, positive = 1.0, True
-        for k in range(1, MEAN_TERMS + 1):
-            coef = self[k]
-            positive = positive and coef > 0.0
-            if coef == 0.0:  # a or b a non-positive integer: M is a polynomial
-                return SphericalMean(np.array(self.coefs[:k]), 0.0)
-            tail = self.tail(k, z)
-            floor = head if positive else least
-            if tail <= MEAN_TOL * floor:
-                return SphericalMean(np.array(self.coefs[:k]), tail / floor)
-            head += coef * z**k
-        return None
-
-
-def _mean_coefficients(plans: dict, n: int, d) -> _MeanCoefficients:
-    """The series coefficients of (n, d) that plans keeps."""
-    key = (d, n)
-    coefficients = plans.get(key)
-    if coefficients is None:
-        coefficients = plans[key] = _MeanCoefficients(n, d)
-    return coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +283,7 @@ def _series(a, b, c, scale: float = 1.0) -> list:
     """The coefficients of scale 2F1(a, b; c; x): all of a polynomial, else
     up to a term from which the tail at x = 1/2 is at most 1e-17 of the
     sum of the absolute terms before it."""
-    terms, total, k = _Terms(a, b, c, scale), abs(scale), 1
+    terms, total, k = _Terms((a, b), (c,), scale), abs(scale), 1
     while terms[k] != 0.0 and terms.tail(k, 0.5) > 1e-17 * total:
         total += abs(terms[k]) * 0.5**k
         k += 1
@@ -381,7 +317,7 @@ class _Hypergeometric:
             self.error = 64 * np.finfo(float).eps * terms / self.head[0]
             return
         m = int(g)
-        head = _Terms(a, b, 1 - m, _gamma_ratio([m, c], [c - a, c - b]))
+        head = _Terms((a, b), (1 - m,), _gamma_ratio([m, c], [c - a, c - b]))
         self.head = [head[n] for n in range(m)]
         self.log_part = _series(a + m, b + m, m + 1, -(-1) ** m * _gamma_ratio([c], [a, b, m + 1]))
         self.rest = [coef * (_digamma(a + n + m) + _digamma(b + n + m) - _digamma(n + 1) - _digamma(n + m + 1))
@@ -463,9 +399,7 @@ class _NormPlan:
     moves each piece by -degree ln lam, degree = d + n, less s for a
     derivative reading, and integrates the range at lam (_radial_norm).
     The base's edge records are read only where its support reaches 0 or
-    infinity.  The d = 0 plan of a translated norm also holds the moment
-    table of the base (`moment_table`), filled in place by the norms that
-    read it.
+    infinity.
 
     A log window t^-m W(loglam ln t) is read by its window in x = e^v, v =
     loglam ln t: with K = d + n - m s its integral is 1 / loglam times
@@ -501,8 +435,6 @@ class _NormPlan:
             k, rate = float(d + n - base.m * s), base.loglam
             self.wexp, self.log_factor = k / rate - 1.0, -abs(k) / rate
             self.log_area += abs(k) / rate - math.log(rate)
-        # (mu_k, panel error) of the moments integrated so far
-        self.moments = []
         # the reading at lam = 1, or why a closed piece failed
         self.pieces, self.range, self.failure = [], None, None
         if not (self.diverges_at_zero or self.diverges_at_inf):
@@ -532,27 +464,6 @@ class _NormPlan:
         if bounds[0] < bounds[1]:
             self.range = tuple(bounds)
 
-    def moment_table(self, count: int):
-        """The first count moments mu_k = integral t^wexp (t/h)^(2k)
-        |f(t)|^s dt of the base as read, h the end of its support, as
-        (value, panel error) pairs, or the QuadratureError that stopped the
-        table short of count: with (t/h)^(2k) <= 1 no moment of a long
-        table overflows.  A generator for _session: a short table asks for
-        all its missing moments at once, and writes moment k in place k, as
-        another norm of the session that shares the plan may too."""
-        have = len(self.moments)
-        if have < count:
-            lo, hi = self.support
-            integral = Integral(lo if lo > 0 else hi / 512.0, hi, self.breakpoints, down=lo == 0.0)
-            view, log_h = (self.base, self.reading, 1.0), math.log(hi)
-            results = yield [(view, self.wexp + 2.0 * k, self.sf, -2.0 * k * log_h, integral)
-                             for k in range(have, count)]
-            for k, result in enumerate(results, have):
-                if isinstance(result, QuadratureError):
-                    return result
-                self.moments[k:k + 1] = [result]
-        return self.moments[:count]
-
 
 def _view(profile: RadialProfile, reading) -> Tuple[RadialProfile, object, float]:
     """(base, reading, lam): profile, read by reading, is base read by
@@ -565,10 +476,8 @@ def _view(profile: RadialProfile, reading) -> Tuple[RadialProfile, object, float
 def _plan(plans: dict, view, d, s, n: int) -> _NormPlan:
     """The plan of the norms || f ||_{d,s} on R^n of the view (base,
     reading, lam) of f, shared through plans by every norm of the same base
-    object, reading and (d, s, n) values.  Each plan holds its base, so a
-    plans dict may serve many weighted_norms calls, as one falsify walk
-    does, and the base's id stays unique while it lives; their sessions
-    fill its moment tables, so they must share one QuadratureConfig."""
+    object, reading and (d, s, n) values.  Each plan holds its base, so the
+    base's id stays unique while the plans dict lives."""
     base, reading, _ = view
     key = (id(base), reading, d, s, n)
     plan = plans.get(key)
@@ -626,8 +535,8 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 
     Every panel integral they ask for shares one session, the package's
     only one, ordered so that the rows of each (base, reading) are
-    consecutive; equal requests, such as the moments that two norms of a
-    shared plan both lack, are integrated once.
+    consecutive; equal requests, such as the lam = 1 integrals of the
+    dilations of one log window, are integrated once.
     """
     out, waiting, asks = [], [], []
     for norm in norms:
@@ -706,56 +615,77 @@ def _radial_norm(view, d, s, n: int, plans: dict):
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 
-def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict):
-    """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient:
-    R^d |S^{n-1}| times the integral of t^(n-1) |f(t)|^s M(t/R), f' for
-    gradient, with R the offset and M the SphericalMean of |x|^d around it,
-    as a generator for _session that asks for the missing moments, if any.
+# the series tail allowed, relative to the least value of its sum, and the
+# most terms it may take: enough for x up to about 0.998 at moderate d
+MEAN_TOL = 1e-17
+MEAN_TERMS = 10_000
 
-    With f the dilation by lam of a base of support in (0, h], M = sum_k
-    c_k x^(2k) of K terms (coefficients kept per (n, d) in plans) and y =
-    (h / (lam R))^2 = x_max^2, the integral is lam^(s - n) for gradient,
-    lam^-n else, times sum_k c_k y^k mu_k over the first K moments of the
-    base (_NormPlan.moment_table of the d = 0 plan); its error is sum_k
-    |c_k| y^k err_k, which also covers cancellation between terms of both
-    signs, plus the series bound.
 
-    Near t = 0 the weight is R^d M(0) = R^d, so the integral diverges
-    there exactly when the unweighted radial one does: its plan is the
-    radial plan of d = 0."""
-    view = _view(u.profile, _read_derivative if gradient else _read_value)
-    plan, lam, offset = _plan(plans, view, 0, s, n), view[2], u.offset
-    hi = plan.support[1] / lam
-    if hi >= offset:
+def _mean_series(terms: _Terms, x: float, least: float):
+    """(sum, relative error) of the series of terms at z = x^2, a weighted
+    mean of M over [0, x], or None past MEAN_TERMS terms.
+
+    It is cut where the tail bound (_Terms.tail) is at most MEAN_TOL of a
+    floor of the sum: the partial sum while no term is negative, else
+    least, the least value of M on [0, x].  The error is the tail over the
+    floor plus 64 eps times the sum of the absolute terms over the sum."""
+    z, total, absolute, power, positive = x * x, 1.0, 1.0, 1.0, True
+    for k in range(1, MEAN_TERMS + 1):
+        coef = terms[k]
+        positive = positive and coef > 0.0
+        tail = 0.0 if coef == 0.0 else terms.tail(k, z)  # 0: an up is a non-positive integer, a polynomial
+        floor = total if positive else least
+        if tail <= MEAN_TOL * floor:
+            return total, tail / floor + 64 * np.finfo(float).eps * absolute / total
+        power *= z
+        total += coef * power
+        absolute += abs(coef) * power
+    return None
+
+
+def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool) -> NormValue:
+    """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient,
+    for u the ball bump f(t) = (1 - t^2)^2 dilated by lam, at distance R:
+    R^d |S^(n-1)| times the integral of t^(n-1) |f(lam t)|^s M(t/R), lam^s
+    |f'(lam t)|^s for gradient, with M(x) = 2F1(a, b; n/2; x^2), a = -d/2
+    and b = 1 - n/2 - d/2, the mean of |e + x w|^d over w in S^(n-1)
+    (Funk-Hecke; A&S 15.1.1 for the series).
+
+    The moments of the bump are Beta integrals, so with y = (1/(lam R))^2
+    the integral is lam^-n 1/2 B(n/2, 2s + 1) 2F1(a, b; n/2 + 2s + 1; y),
+    and for gradient (4 lam)^s lam^-n 1/2 B(e, s + 1) 3F2(a, b, e; n/2, e +
+    s + 1; y), e = (n + s)/2.  Each series is a weighted mean of M over [0,
+    1/(lam R)], so it is at least 1 where |x|^d is subharmonic, d (d + n -
+    2) >= 0, else the least of (1 +- x)^d (_mean_series).  Huge offsets
+    and dilations stay in range through logs."""
+    profile, offset = u.profile, u.offset
+    lam = profile.lam if isinstance(profile, ScaledProfile) else 1.0
+    if 1.0 / lam >= offset:
         raise ValueError("translated support must stay away from the origin")
-    if plan.diverges_at_zero:
-        return NormValue.divergent("non-integrable at zero")
-    mean = _mean_coefficients(plans, n, d).cut(hi / offset)
-    if mean is None:
-        return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {hi / offset:.6g}")
-    moments = yield from plan.moment_table(mean.coefs.size)
-    if isinstance(moments, QuadratureError):
-        return NormValue.failed(str(moments))
-    y = (plan.support[1] / (lam * offset)) ** 2
-    total = err = 0.0
-    power = 1.0  # y^k
-    for coef, (moment, moment_err) in zip(mean.coefs.tolist(), moments):
-        total += coef * power * moment
-        err += abs(coef) * power * moment_err
-        power *= y
-    if total <= 0:
-        return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    log_prefactor = (float(d) * math.log(offset) + plan.log_area
-                     + ((plan.sf if gradient else 0.0) - n) * math.log(lam))
-    return NormValue.from_log((log_prefactor + math.log(total)) / plan.sf,
-                              err / max(total, ABS_TOL) + mean.error)
+    x, df, sf = 1.0 / (lam * offset), float(d), float(s)
+    a, b = -df / 2.0, 1.0 - n / 2.0 - df / 2.0
+    if gradient:
+        e = (n + sf) / 2.0
+        terms = _Terms((a, e, b), (n / 2.0, e + sf + 1.0))
+        log_beta = math.lgamma(e) + math.lgamma(sf + 1.0) - math.lgamma(e + sf + 1.0) + sf * math.log(4.0 * lam)
+    else:
+        terms = _Terms((a, b), (n / 2.0 + 2.0 * sf + 1.0,))
+        log_beta = math.lgamma(n / 2.0) + math.lgamma(2.0 * sf + 1.0) - math.lgamma(n / 2.0 + 2.0 * sf + 1.0)
+    least = 1.0 if df * (df + n - 2) >= 0 else min((1.0 + x) ** df, (1.0 - x) ** df)
+    series = _mean_series(terms, x, least)
+    if series is None:
+        return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {x:.6g}")
+    total, error = series
+    log_integral = (df * math.log(offset) + math.log(surface_area(n)) - n * math.log(lam) - math.log(2.0)
+                    + log_beta + math.log(total))
+    return NormValue.from_log(log_integral / sf, error)
 
 
 def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict):
     """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
     for _session, with the norm plans of its weighted_norms call."""
     if u.angular is Angular.TRANSLATED:
-        return (yield from _translated_norm(u, d, s, n, gradient, plans))
+        return _translated_norm(u, d, s, n, gradient)
     harmonic = u.angular is Angular.FIRST_HARMONIC
     if harmonic and n < 2:
         raise ValueError("first harmonics need dimension >= 2")
@@ -778,18 +708,13 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, pla
     return NormValue.from_log(norm.log_value + correction, norm.error)
 
 
-def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG, plans: Optional[dict] = None) -> list:
+def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """The norm of each (u, d, s, n, gradient) of norms: || grad u ||_{d,s}
-    when gradient, else || u ||_{d,s}.  Every panel integral among them,
-    moments included, shares one session, and the norms of one base
-    profile, reading and (d, s, n) one norm plan, whatever their dilations.
-
-    plans, if given, holds the norm plans across calls, all with this cfg:
-    a caller that asks for the norms of many members of one base, such as
-    the translated witness members of a falsify walk, then decides its
-    exact facts once and integrates each moment in the session of the
-    first member that needs it (see _plan)."""
-    plans = {} if plans is None else plans
+    when gradient, else || u ||_{d,s}.  Every panel integral among them
+    shares one session, and the radial norms of one base profile, reading
+    and (d, s, n) one norm plan, whatever their dilations; a translated
+    norm is a closed-form series and asks for no panel integral."""
+    plans = {}
     return _session([_norm(u, d, s, n, gradient, plans) for u, d, s, n, gradient in norms], cfg)
 
 

@@ -5,7 +5,8 @@ Three angular modes:
   * RADIAL:          u(x) = f(|x|)
   * FIRST_HARMONIC:  u(x) = f(|x|) x_1/|x|, whose spherical mean vanishes
                      identically (odd in the first angular coordinate)
-  * TRANSLATED:      u(x) = f(|x - x0|) with |x0| = offset
+  * TRANSLATED:      u(x) = f(|x - x0|) with |x0| = offset, f the ball bump
+                     (1 - t^2)^2 or a dilation of it
 
 Dilation acts exactly: (dilate(u, lam))(x) = u(lam x).  The Kelvin action
 replaces the profile by t -> f(1/t) and reflects the parameters; it is a
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .profiles import InvertedProfile, RadialProfile
+from .profiles import BallBump, InvertedProfile, RadialProfile, ScaledProfile
 
 
 class Angular(str, Enum):
@@ -40,6 +41,9 @@ class TestFunction:
         if self.angular is Angular.TRANSLATED:
             if self.offset is None or self.offset <= 0:
                 raise ValueError("translated test functions need a positive offset")
+            inner = self.profile.inner if isinstance(self.profile, ScaledProfile) else self.profile
+            if not isinstance(inner, BallBump):
+                raise ValueError("a translated profile is a BallBump or a dilation of one")
             if self.profile.support[1] >= self.offset:
                 raise ValueError(
                     "translated profile support must stay away from the origin"

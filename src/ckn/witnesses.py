@@ -39,6 +39,10 @@ divergent while the source norms are finite:
                              multiplicative ratio grows like R to the
                              (positive) theta-condition defect.
 
+The translated bump is the ball bump (1 - t^2)^2 on [0, 1): as Caffarelli,
+Kohn and Nirenberg note, any C^1 bump with compact support away from the
+origin does, and this one's translated norms are closed-form series.
+
 Family indices are geometric reparameterizations of the constructions'
 limits, with the base chosen from the exact growth exponent so that the
 divergence threshold is reached within a practical index budget.
@@ -54,13 +58,13 @@ from .classify import Reason, Verdict
 from .derived import DerivedQuantities, theta_slack
 from .params import Params
 from .profiles import (
+    BallBump,
     InvertedProfile,
     LogModulated,
     PiecewisePower,
     PowerCutoffInner,
     PowerModulated,
     RadialProfile,
-    SmoothBump,
     TruncatedPrimitive,
 )
 from .testfunctions import TestFunction, radial, translated
@@ -158,9 +162,10 @@ class _LogModulatedFamily(WitnessFamily):
         return radial(LogModulated(self.eta, lam))
 
 
-# the bump every translated member reads: a member of width w is its
-# dilation by 1/w, so the members of a walk share its norm plans
-_UNIT_BUMP = SmoothBump(0.0, 1.0)
+# the bump every translated member reads, (1 - t^2)^2 on [0, 1): a member
+# of width w is its dilation by 1/w, and each of its norms is one
+# hypergeometric series (quadrature._translated_norm)
+_UNIT_BUMP = BallBump()
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 
 import oracle_cutoff
 from ckn.profiles import (
+    BallBump,
     InvertedProfile,
     PowerCutoffInner,
     PowerTail,
@@ -144,21 +145,21 @@ def test_dilate_moves_cutoff_support():
 
 
 def test_translated_requires_separated_support():
-    with pytest.raises(ValueError):
-        translated(SmoothBump(0.0, 2.0), 1.0)
+    with pytest.raises(ValueError, match="away from the origin"):
+        translated(BallBump().scaled(0.5), 1.0)
     with pytest.raises(ValueError):
         TestFunction(SmoothBump(0.0, 1.0), Angular.RADIAL, offset=3.0)
 
 
 def test_translated_dilation_shrinks_offset():
-    u = translated(SmoothBump(0.0, 1.0), 64.0)
+    u = translated(BallBump(), 64.0)
     v = dilate(u, 4.0)
     assert v.offset == pytest.approx(16.0)
     assert v.profile.support[1] == pytest.approx(0.25)
 
 
 def test_kelvin_rejects_translated():
-    u = translated(SmoothBump(0.0, 1.0), 10.0)
+    u = translated(BallBump(), 10.0)
     with pytest.raises(ValueError):
         kelvin_function(u)
 
@@ -172,7 +173,7 @@ def test_kelvin_preserves_angular_mode():
 
 
 def test_descriptor_includes_offset():
-    u = translated(SmoothBump(0.0, 1.0), 12.0)
+    u = translated(BallBump(), 12.0)
     desc = u.descriptor()
     assert desc["angular"] == "translated"
     assert desc["offset"] == 12.0

@@ -22,7 +22,7 @@ from ckn.quadrature import (
     weighted_norm_gradient,
     weighted_norms,
 )
-from ckn.testfunctions import first_harmonic, radial, translated
+from ckn.testfunctions import first_harmonic, radial
 from ckn.witnesses import witness_for_verdict
 from conftest import random_params, rational
 
@@ -101,19 +101,6 @@ def test_first_harmonic_gradient_norms_match_oracle(monkeypatch):
         assert_same(batched, oracle)
 
 
-def test_translated_norms_match_oracle(monkeypatch):
-    rng = random.Random(517)
-    for _ in range(60):
-        n, s = rng.randint(1, 5), 1 + rational(rng, 0, 3)
-        d = rational(rng, -2 * n, n + 2)
-        profile = bump(rng)
-        u = translated(profile, profile.support[1] * (1.0 + 10.0 ** rng.uniform(-2, 3)))
-        norm = weighted_norm_gradient if rng.random() < 0.5 else weighted_norm
-        batched, oracle = both(monkeypatch, norm, u, d, s, n)
-        assert batched.finite
-        assert_same(batched, oracle)
-
-
 def test_walks_to_the_float_edges_match_oracle(monkeypatch):
     # exponent 1/1000 from critical at each end: the walks never turn quiet
     # and stop at t = 1e-280 and 1e280
@@ -177,8 +164,7 @@ def test_walk_budgets_match_oracle(monkeypatch):
 def prefetch_corpus():
     """Norm sessions of a seeded corpus: cutoffs at random alpha, d and s,
     bumps and PowerTails, each norm in a session of its own (small
-    frontiers) and all of them in one session, plus the norms of one
-    translated member, which sum a moment table, and two first-harmonic
+    frontiers) and all of them in one session, plus two first-harmonic
     gradient norms."""
     rng = random.Random(1414)
     jobs = []
@@ -197,9 +183,6 @@ def prefetch_corpus():
             profile = power_tail(rng, n, d, s)
         jobs.append((radial(profile), d, s, n, rng.random() < 0.5))
     sessions = [weighted_norms([job]) for job in jobs] + [weighted_norms(jobs)]
-    member = translated(SmoothBump(0.0, 1.0), 64.0)
-    sessions.append(weighted_norms([(member, d, F(3, 2), 3, gradient)
-                                    for d in (F(-4), F(0), F(5, 2)) for gradient in (False, True)]))
     # the 2-D gradient of first harmonics, whose integrand takes a dot product per point
     sessions += [[weighted_norm_gradient(first_harmonic(profile), F(1), F(3, 2), 3)]
                  for profile in (PowerCutoffInner(F(1, 2)), InvertedProfile(PowerCutoffInner(F(-5, 2))))]

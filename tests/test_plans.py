@@ -3,7 +3,7 @@
 A `weighted_norms` call shares one plan among the norms of each (base
 profile, value or derivative, d, s, N); each dilated norm is still
 integrated, with the plan's support, seams and exact edge terms scaled.
-A falsify walk keeps its plans for all its members.
+Translated norms are closed-form series and build no plan.
 """
 
 import math
@@ -26,7 +26,7 @@ from ckn.profiles import (
     TruncatedPrimitive,
 )
 from ckn.quadrature import NormStatus, weighted_norm, weighted_norm_gradient, weighted_norms
-from ckn.testfunctions import dilate, radial
+from ckn.testfunctions import dilate, radial, translated
 
 F = Fraction
 
@@ -237,12 +237,10 @@ D5 = [
 
 
 @pytest.mark.parametrize("params", D5)
-def test_a_translated_walk_decides_and_integrates_each_norm_kind_once(monkeypatch, params):
-    # every member reads the one unit bump: 3 plans, 3 edges() calls and
-    # one session, the first member's, that integrates all three moment
-    # tables; each table used to run a session of its own
-    calls = {"plans": 0, "edges": 0, "sessions": 0}
-    plans = []
+def test_a_translated_walk_builds_no_plan_and_integrates_nothing(monkeypatch, params):
+    # every member is the ball bump, dilated, and each of its norms one
+    # hypergeometric series: no norm plan and no panel session
+    calls = {"plans": 0, "sessions": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -250,47 +248,13 @@ def test_a_translated_walk_decides_and_integrates_each_norm_kind_once(monkeypatc
             return fn(*args)
         return wrapper
 
-    init = quadrature._NormPlan.__init__
-
-    def recorded(plan, *args):
-        plans.append(plan)
-        init(plan, *args)
-
-    monkeypatch.setattr(quadrature._NormPlan, "__init__", counted("plans", recorded))
-    monkeypatch.setattr(SmoothBump, "edges", counted("edges", SmoothBump.edges))
+    monkeypatch.setattr(quadrature._NormPlan, "__init__", counted("plans", quadrature._NormPlan.__init__))
     monkeypatch.setattr(quadrature, "integrate", counted("sessions", quadrature.integrate))
     report = falsify_instance(params)
     assert not report.ok and len(report.trace) == 41
-    assert calls == {"plans": 3, "edges": 3, "sessions": 1}
-    assert all(plan.base is witnesses._UNIT_BUMP and plan.moments for plan in plans)
-
-
-@pytest.mark.parametrize("params", D5)
-def test_a_translated_walk_runs_each_series_recurrence_once(monkeypatch, params):
-    # only x_max changes along the walk: one coefficient list per (n, d),
-    # each coefficient computed once, and the reports of a walk that starts
-    # each norm's series afresh
-    made, extended = [], []
-    init, extend = quadrature._MeanCoefficients.__init__, quadrature._MeanCoefficients._extend
-
-    def recorded(coefficients, n, d):
-        made.append((coefficients, n, d))
-        init(coefficients, n, d)
-
-    def counted(coefficients):
-        extended.append(coefficients)
-        extend(coefficients)
-
-    with monkeypatch.context() as m:
-        m.setattr(quadrature._MeanCoefficients, "__init__", recorded)
-        m.setattr(quadrature._MeanCoefficients, "_extend", counted)
-        report = falsify_instance(params)
-    assert not report.ok and len(report.trace) == 41
-    assert sorted((n, d) for _, n, d in made) == sorted((params.n, d) for d in (params.c, params.a, params.b))
-    for coefficients, _, _ in made:
-        assert extended.count(coefficients) == len(coefficients.coefs) - 1 > 0
-    monkeypatch.setattr(quadrature, "_mean_coefficients", lambda plans, n, d: quadrature._MeanCoefficients(n, d))
-    assert falsify_instance(params).as_dict() == report.as_dict()
+    assert calls == {"plans": 0, "sessions": 0}
+    with pytest.raises(ValueError, match="BallBump"):
+        translated(SmoothBump(0.0, 1.0), 4.0)
 
 
 def test_a_translated_offset_past_the_double_range_raises_overflow():

@@ -20,6 +20,7 @@ from ckn.derived import derive
 from ckn.params import Params
 from ckn.probes import verify_instance
 from ckn.profiles import (
+    BallBump,
     InvertedProfile,
     LogModulated,
     PiecewisePower,
@@ -58,6 +59,7 @@ def _catalog(rng: random.Random) -> list:
         PowerTail(alpha, alpha),
         SmoothBump(float(rational(rng, -1, 1)) * width * 0.9, width),
         SmoothBump(0.0, width),
+        BallBump(),
         PiecewisePower(
             [
                 (float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), -math.inf, math.log(x1)),

@@ -10,6 +10,7 @@ import pytest
 import ckn.quadrature as quadrature
 from ckn.params import Params, kelvin_params
 from ckn.profiles import (
+    BallBump,
     Edge,
     InvertedProfile,
     LogModulated,
@@ -365,7 +366,7 @@ def test_log_window_past_the_reach_of_the_panels_fails():
 
 def test_translated_norm_matches_unweighted_translation_invariance():
     # with d = 0 the weight is trivial and translation cannot change the norm
-    profile = SmoothBump(0.0, 1.0)
+    profile = BallBump()
     u0 = radial(profile)
     ut = translated(profile, 37.5)
     for n in (1, 2, 3):
@@ -376,7 +377,7 @@ def test_translated_norm_matches_unweighted_translation_invariance():
 
 def test_translated_norm_far_field_power():
     # far translate: ||u_R||_{d,s} ~ R^{d/s} ||u||_{0,s}
-    profile = SmoothBump(0.0, 1.0)
+    profile = BallBump()
     d, s, n = F(-3), F(2), 3
     base = weighted_norm(radial(profile), F(0), s, n).value
     for R in (2.0**10, 2.0**14):
@@ -385,7 +386,7 @@ def test_translated_norm_far_field_power():
 
 
 def test_translated_gradient_norm():
-    profile = SmoothBump(0.0, 1.0)
+    profile = BallBump()
     n = 3
     got = weighted_norm_gradient(translated(profile, 1000.0), F(0), F(2), n)
     want = weighted_norm_gradient(radial(profile), F(0), F(2), n)
