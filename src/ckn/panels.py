@@ -1,9 +1,9 @@
 """Batched adaptive Gauss-Legendre panel integration.
 
 A session integrates many integrals of one integrand g(t, i), the i-th
-over its own panels: the geometric 2^k grid of [lo, hi] cut at seam
-points, and if asked walks of geometric panels from lo toward 0 and from
-hi toward infinity.
+over its own panels: the geometric 2^k grid of its finite [lo, hi] cut at
+seam points.  Every infinite end of a norm is a closed piece (see
+`quadrature`), so no integral reaches 0 or infinity here.
 
 The adaptive bisection runs breadth first: all pending panels of one
 depth, of every integral of the session, share one call of g, and each
@@ -14,12 +14,9 @@ there read their halves from it, so a small session makes one call per
 few depths, not one per depth.  The sub-panel ends come from the same
 midpoint recursion and each panel's Gauss sum does not depend on the
 other rows of its call (`_row_dot`), so the sums are those of one depth
-per call.  A call evaluates g in chunks of at most 4096 points.  The
-walks integrate blocks of 16 panels per step and apply their stopping
-rules panel by panel, so each integral sums the panels a one-at-a-time
-walk would.  Each integral keeps its own acceptance tests, walks and
-panel budget, so its result does not depend on the other integrals of its
-session.
+per call.  A call evaluates g in chunks of at most 4096 points.  Each
+integral keeps its own acceptance tests, so its result does not depend on
+the other integrals of its session.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ import numpy as np
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-9
-    max_panels: int = 6000
     divergence_threshold: float = 1e3
 
 
@@ -53,10 +49,6 @@ class QuadratureError(RuntimeError):
 ABS_TOL = 1e-280
 MAX_SUBDIVISIONS = 12
 GAUSS_NODES = 16
-# panels per block of each walk toward 0 and infinity, and the factors
-# 2^-k and 2^k of the panel ends of a block
-_BLOCK = 16
-_HALVES, _DOUBLES = 0.5 ** np.arange(_BLOCK + 1), 2.0 ** np.arange(_BLOCK + 1)
 # points per integrand call: a bisection step evaluates its panels in
 # chunks of at most this many points, which bounds every array of points
 _CHUNK = 4096
@@ -210,7 +202,7 @@ def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, owner: np.ndarray,
 
 
 def _in_order(values: np.ndarray) -> float:
-    """Sum left to right (not pairwise), as the panels are walked."""
+    """Sum left to right (not pairwise)."""
     return reduce(operator.add, values.tolist(), 0.0)
 
 
@@ -229,120 +221,24 @@ def panel_edges(lo: float, hi: float, breakpoints) -> list:
 
 
 class Integral(NamedTuple):
-    """One integral of a session: g over [lo, hi], cut at the 2^k grid and
-    the seams, and if asked over (0, lo) and (hi, infinity) by walks."""
+    """One integral of a session: g over the finite [lo, hi], cut at the
+    2^k grid and the seams."""
 
     lo: float
     hi: float
     breakpoints: Tuple[float, ...]
-    down: bool = False
-    up: bool = False
-
-
-class _Walk:
-    """Panels of one integral from edge toward 0 or infinity, _BLOCK at a
-    time, taken one at a time until 8 quiet panels in a row or the 1e-280 /
-    1e280 edge: panels whose geometric rest is below rel_tol of the running
-    total of the integral, v^2 / (u - v) for a panel v that keeps more than
-    half of the panel u before it (a slow tail t^-(1+e), e < 1), else v."""
-
-    def __init__(self, owner: int, edge: float, down: bool, cfg: QuadratureConfig):
-        self.owner, self.edge, self.down, self.cfg = owner, edge, down, cfg
-        self.total = self.err = 0.0
-        self.quiet = self.done = 0
-        self.last_value = math.inf
-
-    def block(self) -> tuple:
-        """(owner, x0, x1) of the next block of panels."""
-        factors = _HALVES if self.down else _DOUBLES
-        outer = self.edge * factors[:min(_BLOCK, self.cfg.max_panels - self.done) + 1]
-        past = outer[1:] < 1e-280 if self.down else outer[1:] > 1e280
-        # the block ends with its first panel past the float edge, if any
-        self.last = past.any()
-        if self.last:
-            outer = outer[:np.argmax(past) + 2]
-        self.edge = outer[-1]
-        return (self.owner, outer[1:], outer[:-1]) if self.down else (self.owner, outer[:-1], outer[1:])
-
-    def take(self, values: np.ndarray, errors: np.ndarray, outside: float):
-        """(total, error) once the walk stops within the block, a
-        QuadratureError once its budget is spent, else None; outside is
-        what the integral has summed outside the walk."""
-        cfg = self.cfg
-        tol, floor = cfg.rel_tol, ABS_TOL
-        total, err, quiet, before = self.total, self.err, self.quiet, self.last_value
-        for val, e in zip(values.tolist(), errors.tolist()):
-            total += val
-            err += e
-            # rel_tol * max(total + outside, floor), max as Python's
-            scale = total + outside
-            rest = val * val / (before - val) if 0.5 * before < val < before else val
-            if rest <= tol * (floor if floor > scale else scale):
-                quiet += 1
-                if quiet >= 8:
-                    return total, err
-            else:
-                quiet = 0
-            before = val
-        if self.last:
-            return total, err
-        self.total, self.err, self.quiet, self.done = total, err, quiet, self.done + _BLOCK
-        self.last_value = before
-        if self.done < cfg.max_panels:
-            return None
-        return QuadratureError(f"panel budget exhausted extending toward {'zero' if self.down else 'infinity'}")
 
 
 def integrate(g, integrals, cfg: QuadratureConfig) -> list:
-    """(integral, summed error estimates) of g over each integrals[i], or
-    the QuadratureError that ended it: one session.  g(t, owner) takes the
-    points t in owner.size rows of equal length; row j belongs to integral
-    owner[j], and rows come in order of owner.
-
-    The panels of every [lo, hi] share one bisection pass with the first
-    block of every walk.  Then the walks toward 0 take their next blocks in
-    lockstep, one pass per step, judged quiet against their middle total;
-    then the walks toward infinity, against the middle total and the walk
-    toward 0.  Each integral keeps its own panels, tests, walks and budget,
-    so it gets the sums a session of its own would.
-    """
-    def run(segments):
-        """(values, errors) of the panels of each (owner, x0, x1), from one pass."""
-        owners, x0s, x1s = zip(*segments)
-        sizes = [x0.size for x0 in x0s]
-        values, errors = _panel_sums(g, np.concatenate(x0s), np.concatenate(x1s),
-                                     np.array(owners).repeat(sizes), cfg)
-        stops = list(accumulate(sizes))
-        return [(values[a:b], errors[a:b]) for a, b in zip([0, *stops], stops)]
-
-    # each integral's middle panels, then the first blocks of its walks
-    walks, segments = [], []
-    for i, it in enumerate(integrals):
-        edges = np.array(panel_edges(it.lo, it.hi, it.breakpoints))
-        segments.append((i, edges[:-1], edges[1:]))
-        for down, edge in ((True, it.lo), (False, it.hi)):
-            if it.down if down else it.up:
-                walks.append(_Walk(i, edge, down, cfg))
-                segments.append(walks[-1].block())
-    results, firsts = [], []
-    for segment, sums in zip(segments, run(segments)):
-        if segment[0] == len(results):  # the middle panels of the next integral
-            results.append((_in_order(sums[0]), _in_order(sums[1])))
-        else:
-            firsts.append(sums)
-    for down in (True, False):
-        going = [(walk, first) for walk, first in zip(walks, firsts)
-                 if walk.down == down and not isinstance(results[walk.owner], QuadratureError)]
-        while going:
-            pending = []
-            for walk, block in going:
-                total, err = results[walk.owner]
-                part = walk.take(*block, total)
-                if isinstance(part, tuple):
-                    results[walk.owner] = total + part[0], err + part[1]
-                elif part is None:
-                    pending.append(walk)
-                else:
-                    results[walk.owner] = part
-            going = list(zip(pending, run([walk.block() for walk in pending]))) if pending else []
-    return results
+    """(integral, summed error estimates) of g over each integrals[i]: one
+    session.  g(t, owner) takes the points t in owner.size rows of equal
+    length; row j belongs to integral owner[j], and rows come in order of
+    owner.  The panels of every integral share one bisection pass, and each
+    integral keeps its own panels and tests, so it gets the sums a session
+    of its own would."""
+    edges = [np.array(panel_edges(it.lo, it.hi, it.breakpoints)) for it in integrals]
+    sizes = [len(ends) - 1 for ends in edges]
+    values, errors = _panel_sums(g, np.concatenate([ends[:-1] for ends in edges]),
+                                 np.concatenate([ends[1:] for ends in edges]), np.arange(len(sizes)).repeat(sizes), cfg)
+    stops = list(accumulate(sizes))
+    return [(_in_order(values[a:b]), _in_order(errors[a:b])) for a, b in zip([0, *stops], stops)]

@@ -4,37 +4,36 @@ asymptotic metadata.
 Every profile knows, besides pointwise values, its support and seam
 points (quadrature panels are split there), and states its behaviour at
 each end, 0 and infinity, once, as an edge record (`Edge`), or None when
-f vanishes identically near that end.  A record holds:
+f vanishes near that end identically or faster than any power.  A record
+holds:
 
   * the leading term f(t) ~ coef t^power, coef != 0.  The exact power
     drives the exact divergence test of the weighted norms;
-  * optionally, the region where f is exactly coef t^power (t < exact at
-    0, t > exact at infinity), so the norm contribution there is a
-    closed-form integral rather than a panel sum (essential for
-    near-critical tails whose panel sums converge geometrically slowly);
-  * when the leading power is 0 and f is not exactly constant there, the
-    next-order term (coef, power): f' follows that term, not the constant.
+  * either the region where f is exactly coef t^power (t < exact at 0,
+    t > exact at infinity), whose norm contribution is a closed-form
+    integral;
+  * or a stated bound on the next-order term (`Bound`), and the record of
+    f' stated alike (`slope`).  The profile that knows the formula states
+    both, so no bound is made by differentiating an expansion; the norms
+    integrate the leading power in closed form near the end and add the
+    bound's integral to their error.
 
-Catalog classes declare only `edges()`.  Four generic rules derive every
+Catalog classes declare only `edges()`.  Three generic rules derive every
 other record:
 
-  * derivative: C t^k gives k C t^(k-1) on the same exact region; a
-    leading power 0 moves to the next-order term; an exact constant gives
-    None;
-  * dilation t -> f(lam t): powers stay, coefficients scale by lam^k and
-    regions by 1/lam;
-  * inversion t -> f(1/t): the ends swap, powers change sign and regions
-    invert;
-  * modulation t^-eps f(t): powers shift by -eps.
+  * derivative: on an exact region C t^k gives k C t^(k-1) on the same
+    region, and an exact constant gives None, an exact zero; elsewhere it
+    is the stated slope;
+  * inversion t -> f(1/t): the ends swap, powers change sign, regions and
+    reaches invert, bounds stay, and the slope is -f'(1/t) / t^2;
+  * modulation t^-eps f(t): powers shift by -eps, bounds stay, and the
+    slope t^-eps (f' - eps f / t) is bounded by the two records it adds.
 
-Every dilation is the ScaledProfile that `RadialProfile.scaled` returns;
-no profile dilates itself.  The quadrature reads every profile through a
-view (base, reading, lam): a ScaledProfile is its inner profile read at
-lam t, and the reading is the value, the derivative lam f'(lam t) or a
-first-harmonic gradient.  Its norm plans read the base's edge records,
-derived by `Edge.derivative` for a derivative, once at lam = 1, and move
-their closed pieces to each lam by the scaling law.  `derivative_profile`
-is f' as a profile, built once per profile object, only where f' has a
+Every dilation is the ScaledProfile that `RadialProfile.scaled` returns,
+which states no edge records: the quadrature reads it through a view
+(base, reading, lam), its inner profile read at lam t, and its norm plans
+read the base's records once at lam = 1 and move their closed pieces to
+each lam by the scaling law.  `derivative_profile` is f' as a profile, built once per profile object, only where f' has a
 closed form (PiecewisePower, TruncatedPrimitive, LogModulated), and None
 for every other profile; the default `derivative()` reads it as values.
 
@@ -65,7 +64,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,6 +132,23 @@ def _safe_exp(x: float) -> float:
 # edge records
 # ---------------------------------------------------------------------------
 
+class Bound(NamedTuple):
+    """|f / (coef t^power) - 1| <= k t^delta for t <= reach at 0, and <= k
+    t^-delta for t >= reach at infinity."""
+
+    k: float
+    delta: float
+    reach: float
+
+
+def merge_bounds(bounds, at_zero: bool, total=sum) -> Bound:
+    """One bound on the region common to bounds, at least the total (sum or
+    max) of theirs: k t^d <= k reach^(d - delta) t^delta for t <= reach."""
+    reach, delta = (min if at_zero else max)(b.reach for b in bounds), min(b.delta for b in bounds)
+    sign = 1.0 if at_zero else -1.0
+    return Bound(total(b.k * reach ** (sign * (b.delta - delta)) for b in bounds), delta, reach)
+
+
 @dataclass(frozen=True)
 class Edge:
     """f(t) ~ coef t^power at one end; see the module docstring."""
@@ -140,38 +156,46 @@ class Edge:
     coef: float
     power: Fraction
     exact: Optional[float] = None  # f == coef t^power from here to the end
-    next: Optional[Tuple[float, Fraction]] = None  # only when power == 0
-
-    def _map(self, term: Callable, region: Callable) -> "Edge":
-        coef, power = term(self.coef, self.power)
-        nxt = term(*self.next) if self.next is not None and power == 0 else None
-        return Edge(coef, power, None if self.exact is None else region(self.exact), nxt)
+    bound: Optional[Bound] = None  # on the next-order term, where not exact
+    slope: Optional["Edge"] = None  # the bounded record of f', where not exact
 
     def derivative(self) -> Optional["Edge"]:
-        if self.power != 0:
-            return Edge(self.coef * float(self.power), self.power - 1, self.exact)
-        if self.exact is not None:
+        if self.exact is None:
+            return self.slope
+        if self.power == 0:
             return None
-        if self.next is None:
-            raise ValueError("a non-constant edge of power 0 needs its next-order term")
-        coef, power = self.next
-        return Edge(coef * float(power), power - 1)
-
-    def dilated(self, lam: float) -> "Edge":
-        return self._map(lambda c, k: (c * lam ** float(k), k), lambda x: x / lam)
+        return Edge(self.coef * float(self.power), self.power - 1, self.exact)
 
     def inverted(self) -> "Edge":
-        return self._map(lambda c, k: (c, -k), _reciprocal)
+        exact = None if self.exact is None else _reciprocal(self.exact)
+        bound = None if self.bound is None else self.bound._replace(reach=1.0 / self.bound.reach)
+        slope = self.slope and Edge(-self.slope.coef, -self.slope.power - 2, bound=self.slope.inverted().bound)
+        return Edge(self.coef, -self.power, exact, bound, slope)
 
-    def modulated(self, eps: Fraction) -> "Edge":
-        return self._map(lambda c, k: (c, k - eps), lambda x: x)
+    def modulated(self, eps: Fraction, at_zero: bool) -> "Edge":
+        slope = self.slope and Edge(self.slope.coef, self.slope.power - eps, bound=self.slope.bound).plus(
+            Edge(-float(eps) * self.coef, self.power - eps - 1, bound=self.bound), at_zero)
+        return Edge(self.coef, self.power - eps, self.exact, self.bound, slope)
+
+    def plus(self, other: "Edge", at_zero: bool) -> Optional["Edge"]:
+        """The bounded record of the sum of two functions with bounded records
+        at one end, or None where their leading terms cancel.  A term of
+        lower order adds its ratio to the leading term, at most |c'/c| t^gap
+        (1 + its bound at its reach), to the bound."""
+        if self.power == other.power:
+            coef = self.coef + other.coef
+            if coef == 0.0:
+                return None
+            parts = [e.bound._replace(k=e.bound.k * abs(e.coef / coef)) for e in (self, other)]
+            return Edge(coef, self.power, bound=merge_bounds(parts, at_zero))
+        major, minor = (self, other) if (self.power < other.power) == at_zero else (other, self)
+        k, delta, reach = minor.bound
+        ratio = abs(minor.coef / major.coef) * (1.0 + k * reach ** (delta if at_zero else -delta))
+        lower = Bound(ratio, float(abs(minor.power - major.power)), reach)
+        return Edge(major.coef, major.power, bound=merge_bounds([major.bound, lower], at_zero))
 
 
 Edges = Tuple[Optional[Edge], Optional[Edge]]  # (at 0, at infinity)
-
-
-def _each(edges: Edges, rule: Callable) -> Edges:
-    return tuple(None if e is None else rule(e) for e in edges)
 
 
 def _reciprocal(x: float) -> float:
@@ -289,17 +313,22 @@ class SmoothBump(RadialProfile):
         return (max(0.0, self.center - self.width), self.center + self.width)
 
     def edges(self):
-        # f(0) != 0 only when the bump straddles the origin; f'(0) = 0 for
-        # a centred bump, whose next term is -f(0) (t/width)^2
+        # f(0) != 0 only when the bump straddles the origin.  For t <= reach,
+        # half way from 0 to the nearer end of the bump, v = v0 + t/width
+        # keeps 1 - v^2 >= low, and bump^(k)(v) is e^(-1/high) times at most
+        # (2, 14, 140)[k - 1] / low^(2k), for high the largest 1 - v^2
+        # there; Taylor's bounds follow.  f' of a centred bump is -2 f(0)
+        # t/width^2 at 0, within t^2 sup|f^(3)| / 2
         if abs(self.center) >= self.width:
             return (None, None)
-        # bump and bump_prime at v0, in scalars, read once per norm plan
-        v0 = -self.center / self.width
-        gap = 1.0 - v0 * v0
-        f0 = math.exp(-1.0 / gap)
-        slope = f0 * (-2.0 * v0) / gap**2 / self.width
-        nxt = (slope, Fraction(1)) if self.center != 0 else (-f0 / self.width**2, Fraction(2))
-        return (Edge(f0, Fraction(0), next=nxt), None)
+        w, v0 = self.width, -self.center / self.width
+        reach, v1 = w * (1.0 - abs(v0)) / 2.0, v0 + (1.0 - abs(v0)) / 2.0
+        low, high = 1.0 - max(v0 * v0, v1 * v1), 1.0 if v0 <= 0.0 <= v1 else 1.0 - min(v0 * v0, v1 * v1)
+        top, f0 = math.exp(-1.0 / high), math.exp(-1.0 / (1.0 - v0 * v0))
+        d0 = f0 * (-2.0 * v0) / (1.0 - v0 * v0) ** 2 / w
+        slope = (Edge(d0, Fraction(0), bound=Bound(top * 14.0 / low**4 / (w * w * abs(d0)), 1.0, reach)) if d0
+                 else Edge(-2.0 * f0 / w**2, Fraction(1), bound=Bound(top * 35.0 / low**6 / (w * f0), 1.0, reach)))
+        return (Edge(f0, Fraction(0), bound=Bound(top * 2.0 / low**2 / (w * f0), 1.0, reach), slope=slope), None)
 
     def descriptor(self):
         return {"kind": self.kind, "center": self.center, "width": self.width}
@@ -325,8 +354,9 @@ class BallBump(RadialProfile):
         return (0.0, 1.0)
 
     def edges(self):
-        # 1 - 2 t^2 + t^4 at 0
-        return (Edge(1.0, Fraction(0), next=(-2.0, Fraction(2))), None)
+        # 1 - 2 t^2 + t^4 at 0, within 2 t^2 of 1, and f' = -4 t (1 - t^2)
+        slope = Edge(-4.0, Fraction(1), bound=Bound(1.0, 2.0, 0.5))
+        return (Edge(1.0, Fraction(0), bound=Bound(2.0, 2.0, 0.5), slope=slope), None)
 
 
 class PowerTail(RadialProfile):
@@ -356,19 +386,35 @@ class PowerTail(RadialProfile):
         )
 
     def edges(self):
-        # t^-alpha (1 + (alpha-beta) t + ...) at 0, t^-beta (1 + (alpha-beta)/t + ...)
-        # at infinity; a pure power t^-alpha when alpha == beta
+        # a pure power t^-alpha when alpha == beta
         a, b = self.alpha, self.beta
         if a == b:
             return (Edge(1.0, -a, exact=math.inf), Edge(1.0, -b, exact=0.0))
-        second = float(a - b)
-        return (
-            Edge(1.0, -a, next=(second, Fraction(1)) if a == 0 else None),
-            Edge(1.0, -b, next=(second, Fraction(-1)) if b == 0 else None),
-        )
+        return (_power_tail_edge(a, b, True), _power_tail_edge(b, a, False))
 
     def descriptor(self):
         return {"kind": self.kind, "alpha": str(self.alpha), "beta": str(self.beta)}
+
+
+def _binomial(g: float, q: float) -> float:
+    """k with |(1 + x)^g (1 + q x) - 1| <= k x for 0 <= x <= 1/2: the mean
+    value bound |(1 + x)^g - 1| <= |g| x max(1, 1.5^(g - 1)), times 1 + |q|/2,
+    plus |q|."""
+    return abs(g) * max(1.0, 1.5 ** (g - 1.0)) * (1.0 + abs(q) / 2.0) + abs(q)
+
+
+def _power_tail_edge(own: Fraction, other: Fraction, at_zero: bool) -> Edge:
+    """The record of t^-alpha (1+t)^(alpha-beta) at one end, with x = t and
+    own = alpha at 0, x = 1/t and own = beta at infinity: f = t^-own (1 +
+    x)^g and f' = t^(-own-1) (1 + x)^(g-1) (-own - other x), g = alpha -
+    beta, each bounded where x <= 1/2.  With own = 0, f' is -other x t^-1 (1
+    + x)^(g-1)."""
+    g, reach = float(own - other if at_zero else other - own), 0.5 if at_zero else 2.0
+    if own != 0:
+        slope = Edge(-float(own), -own - 1, bound=Bound(_binomial(g - 1.0, float(other / own)), 1.0, reach))
+    else:
+        slope = Edge(-float(other), Fraction(0 if at_zero else -2), bound=Bound(_binomial(g - 1.0, 0.0), 1.0, reach))
+    return Edge(1.0, -own, bound=Bound(_binomial(g, 0.0), 1.0, reach), slope=slope)
 
 
 class LogModulated(RadialProfile):
@@ -587,7 +633,7 @@ class PowerModulated(RadialProfile):
 
     def edges(self):
         eps = Fraction(self.eps)  # the float's exact value
-        return _each(self.inner.edges(), lambda e: e.modulated(eps))
+        return tuple(None if e is None else e.modulated(eps, end == 0) for end, e in enumerate(self.inner.edges()))
 
     def descriptor(self):
         return {"kind": self.kind, "eps": self.eps, "inner": self.inner.descriptor()}
@@ -621,9 +667,6 @@ class ScaledProfile(RadialProfile):
     def breakpoints(self):
         return tuple(x / self.lam for x in self.inner.breakpoints)
 
-    def edges(self):
-        return _each(self.inner.edges(), lambda e: e.dilated(self.lam))
-
     def descriptor(self):
         return {"kind": self.kind, "lam": self.lam, "inner": self.inner.descriptor()}
 
@@ -636,6 +679,8 @@ class InvertedProfile(RadialProfile):
     def __init__(self, inner: RadialProfile):
         if isinstance(inner, InvertedProfile):
             raise ValueError("flatten double inversion at the call site")
+        if isinstance(inner, ScaledProfile):
+            raise ValueError("invert the inner profile and dilate the inversion")
         self.inner = inner
 
     def value(self, t):
@@ -661,7 +706,7 @@ class InvertedProfile(RadialProfile):
         return tuple(sorted(1.0 / x for x in self.inner.breakpoints if x > 0))
 
     def edges(self):
-        return _each(self.inner.edges()[::-1], Edge.inverted)
+        return tuple(None if e is None else e.inverted() for e in self.inner.edges()[::-1])
 
     def descriptor(self):
         return {"kind": self.kind, "inner": self.inner.descriptor()}

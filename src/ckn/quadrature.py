@@ -16,14 +16,14 @@ points.  Singular ends are handled in three tiers:
   2. Where the read edge record declares F exactly a power C t^m (cutoff
      plateaus, indicator pieces, truncated-primitive tails), that end is a
      closed piece, an integral evaluated in log space, and the range stops
-     at its bound; this is what keeps near-critical tails (exponent
-     -1-epsilon) accurate without millions of panels.  Where F is the
-     derivative of an exact constant it is an exact zero, and the range
-     stops there with no piece.
-  3. Otherwise the range reaches the singular end, and panels walk toward
-     it until their contribution falls below the relative tolerance;
-     failure to converge within the panel budget is an explicit error,
-     never a silent value.
+     at its bound.  Where F is the derivative of an exact constant it is
+     an exact zero, and the range stops there with no piece.
+  3. Otherwise the record states a bound on its next-order term: the
+     leading power is a closed piece from a cut to the end, placed from the
+     bound and rel_tol alone, and the bound's integral there is added to
+     the norm's error.  A cut past 2^-+830 (about 1e-+250), or an end with
+     no bound, fails the norm with its reason.  So every panel range is
+     finite, and far from the float edges.
 
 One integrator serves every radial norm: a session of `panels.integrate`
 shared by every panel integral of a `weighted_norms` call, so the norms
@@ -45,7 +45,7 @@ N) that all dilations of a member share: the plan reads the norm at lam =
 1 as its closed pieces plus its one range, or none.  Every dilation moves
 the pieces by the exact scaling law, the integral at lam being
 lam^-degree times the one at lam = 1, degree = d + N, less s for a
-derivative reading, and integrates the range at its own scale (a log
+gradient reading, and integrates the range at its own scale (a log
 window's at 1, moved alike).  A log window's integral in t is one over
 (1/e, e) in x = e^v, v = loglam ln t, at every loglam; its norm fails
 where the weight's peak is too narrow for the panels.
@@ -68,7 +68,8 @@ First-harmonic functions u = f(t) x1/|x| reduce to a radial norm times a
 closed-form angular moment, and their gradients, with |grad u|^2 =
 f'(t)^2 cos^2 + (f/t)^2 sin^2 of the polar angle, to a radial norm whose
 reading carries the angular integral in closed form, a 2F1 of the ratio
-of the two squares (`_FirstHarmonicGradient`).
+of the two squares (`_FirstHarmonicGradient`).  At each end that reading
+is a power too, bounded by the records of f' and f/t (`edge` there).
 
 Norm values are carried with their logarithm so that ratio probes remain
 meaningful when a norm overflows or underflows the double range.
@@ -88,7 +89,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .panels import ABS_TOL, DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
-from .profiles import LogModulated, PiecewisePower, RadialProfile, ScaledProfile
+from .profiles import Edge, LogModulated, PiecewisePower, RadialProfile, ScaledProfile, merge_bounds
 from .testfunctions import Angular, TestFunction
 
 
@@ -345,18 +346,48 @@ class _FirstHarmonicGradient:
     rho(lam t).  error bounds the relative error of H (_Hypergeometric)."""
 
     def __init__(self, n: int, p: float):
-        self.root = 1.0 / p
+        self.p, self.root = p, 1.0 / p
         self.branches = (_Hypergeometric(-p / 2.0, (n - 1) / 2.0, n / 2.0), _Hypergeometric(-p / 2.0, 0.5, n / 2.0))
         self.error = max(branch.error for branch in self.branches)
 
     def __call__(self, base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
-        fp, ft = np.abs(base.derivative(x)), np.abs(base.value(x) / x)
+        return self.combine(base.derivative(x), base.value(x) / x, lam)
+
+    def combine(self, fp: np.ndarray, ft: np.ndarray, lam=1.0) -> np.ndarray:
+        """lam m H^(1/p) of f' = fp and f/t = ft, elementwise."""
+        fp, ft = np.abs(fp), np.abs(ft)
         m = np.maximum(fp, ft)
         rho = (np.minimum(fp, ft) / np.where(m > 0, m, 1.0)) ** 2
         first, h = fp >= ft, np.empty_like(rho)
         h[first] = self.branches[0](rho[first])
         h[~first] = self.branches[1](rho[~first])
         return lam * m * h**self.root
+
+    def _lead(self, fp: float, ft: float) -> float:
+        return float(self.combine(np.array([fp]), np.array([ft]))[0])
+
+    def edge(self, edge: Edge, at_zero: bool) -> Optional[Edge]:
+        """The record of this reading at one end, from the record of f there,
+        or None where it has no bound.  On an exact region f' and f/t are
+        exact powers, and so is the reading.  Elsewhere, where f' and f/t are
+        of one order and each within a factor 1 +- r of its leading term,
+        |grad u|^2 is within (1 +- r)^2 of its leading term at every angle,
+        and the reading within 1 +- r of its own.  Otherwise the reading lies
+        between that of the leading one of them alone and that plus the
+        reading of the other alone (Minkowski's inequality over the sphere,
+        for p >= 1), a sum of two records."""
+        slope, over_t = edge.derivative(), Edge(edge.coef, edge.power - 1, bound=edge.bound)
+        if edge.exact is not None:
+            return Edge(self._lead(0.0 if slope is None else slope.coef, edge.coef), over_t.power, exact=edge.exact)
+        if slope is None or edge.bound is None:
+            return None
+        if slope.power == over_t.power:
+            return Edge(self._lead(slope.coef, edge.coef), over_t.power,
+                        bound=merge_bounds([slope.bound, edge.bound], at_zero, max))
+        if self.p < 1.0:
+            return None
+        alone = Edge(abs(edge.coef) * self._lead(0.0, 1.0), over_t.power, bound=edge.bound)
+        return alone.plus(Edge(abs(slope.coef) * self._lead(1.0, 0.0), slope.power, bound=slope.bound), at_zero)
 
 
 @lru_cache(maxsize=16)
@@ -390,16 +421,18 @@ class _NormPlan:
     record.
 
     So the plan holds the exact divergence verdicts and, for a norm that
-    converges, its reading at lam = 1: the log integrals of its closed
-    pieces and the one range left to the panels, or None.  A PiecewisePower
-    read as values is all pieces.  Otherwise an end of the support at 0 or
-    infinity whose read edge record has an exact region is a piece, and the
-    range stops at its bound; it stops there too, with no piece, where a
-    derivative reads an exact constant, an exact zero.  The dilation by lam
-    moves each piece by -degree ln lam, degree = d + n, less s for a
-    derivative reading, and integrates the range at lam (_radial_norm).
-    The base's edge records are read only where its support reaches 0 or
-    infinity.
+    converges, its reading at lam = 1: its closed pieces, each a log
+    integral and its relative error, and the one finite range left to the
+    panels, or None.  A PiecewisePower read as values is all pieces.
+    Otherwise each end of the support at 0 or infinity is a piece of the
+    read edge record there (_close), and the range stops at its cut; it
+    stops there with no piece where a derivative reads an exact constant.
+    With no record at 0, f vanishes there faster than any power, and the
+    range starts at 0.
+    The dilation by lam moves each piece by -degree ln lam, degree = d + n,
+    less s for a gradient reading, and integrates the range at lam
+    (_radial_norm).  The base's edge records are read only where its
+    support reaches 0 or infinity.
 
     A log window t^-m W(loglam ln t) is read by its window in x = e^v, v =
     loglam ln t: with K = d + n - m s its integral is 1 / loglam times
@@ -409,7 +442,7 @@ class _NormPlan:
     log_area takes it back.
     """
 
-    def __init__(self, base: RadialProfile, reading, d, s, n: int):
+    def __init__(self, base: RadialProfile, reading, d, s, n: int, rel_tol: float):
         if s <= 0:
             raise ValueError("norm exponent must be positive")
         self.base, self.reading = base, reading
@@ -418,19 +451,18 @@ class _NormPlan:
         self.breakpoints = () if window else base.breakpoints
         edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
         edges = (edges[0] if lo == 0.0 else None, edges[1] if hi == math.inf else None)
-        ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
-        powers = [[] if end is None else [end.power] for end in ends]
         if isinstance(reading, _FirstHarmonicGradient):
-            # as singular as the worse of f' and f/t, with no exact edge terms
-            powers = [own + [edge.power - 1] if edge is not None else own for own, edge in zip(powers, edges)]
-            ends = (None, None)
+            ends = tuple(None if e is None else reading.edge(e, end == 0) for end, e in enumerate(edges))
+        else:
+            ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
+        powers = [[] if end is None else [end.power] for end in ends]
         # the relative error of |F|^s that the reading reports
         self.reading_error = getattr(reading, "error", 0.0)
         self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
         self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
         self.wexp, self.sf, self.log_factor = float(d + n - 1), float(s), 0.0
         self.log_area = math.log(surface_area(n))
-        self.degree = float(d + n - s if reading is _read_derivative else d + n)
+        self.degree = float(d + n if reading in (_read_value, _read_window) else d + n - s)
         if window:
             k, rate = float(d + n - base.m * s), base.loglam
             self.wexp, self.log_factor = k / rate - 1.0, -abs(k) / rate
@@ -439,30 +471,66 @@ class _NormPlan:
         self.pieces, self.range, self.failure = [], None, None
         if not (self.diverges_at_zero or self.diverges_at_inf):
             try:
-                self._read_at_one(edges, ends)
-            except QuadratureError as exc:  # a float exponent past the exact verdict
+                self._read_at_one(edges, ends, rel_tol)
+            except QuadratureError as exc:  # a float exponent past the exact verdict, or an end left open
                 self.failure = str(exc)
 
-    def _read_at_one(self, edges, ends) -> None:
+    def _read_at_one(self, edges, ends, rel_tol: float) -> None:
         """The pieces and the range of a convergent plan, from the base's
         edge records and the read ones (see the class docstring)."""
         base, reading, wexp, sf = self.base, self.reading, self.wexp, self.sf
         if reading is _read_value and isinstance(base, PiecewisePower):
-            self.pieces = [_log_power_piece(coef, float(expo), None if lo == -math.inf else lo,
-                                            None if hi == math.inf else hi, wexp, sf)
+            self.pieces = [(_log_power_piece(coef, float(expo), None if lo == -math.inf else lo,
+                                             None if hi == math.inf else hi, wexp, sf), 0.0)
                            for coef, expo, lo, hi in base.pieces]
             return
         bounds = list(self.support)
         for end, (edge, read) in enumerate(zip(edges, ends)):
-            if read is not None and read.exact is not None:
-                log_exact = math.log(read.exact)
-                log_bounds = (None, log_exact) if end == 0 else (log_exact, None)
-                self.pieces.append(_log_power_piece(read.coef, float(read.power), *log_bounds, wexp, sf))
-                bounds[end] = read.exact
-            elif reading is _read_derivative and edge is not None and edge.exact is not None:
+            if edge is None:
+                if bounds[end] == math.inf:
+                    raise QuadratureError("no edge record at infinity")
+            elif reading is _read_derivative and read is None and edge.exact is not None:
                 bounds[end] = edge.exact  # the derivative of an exact constant
+            elif read is None or read.exact is None and read.bound is None:
+                raise QuadratureError(f"no bound on the edge record at {('0', 'infinity')[end]}")
+            else:
+                bounds[end] = self._close(read, end == 0, rel_tol)
         if bounds[0] < bounds[1]:
             self.range = tuple(bounds)
+
+    def _close(self, read: Edge, at_zero: bool, rel_tol: float) -> float:
+        """Append the piece of the read record c t^power from its cut to the
+        end, and return the cut: an exact region's bound, with no error, or
+        the cut of its bound, with the bound's integral.  With |F / (c
+        t^power) - 1| <= k x^delta, x = t at 0 and 1/t at infinity, the
+        piece is |c|^s X^sigma / sigma up to the cut X, sigma = +-(wexp + s
+        power + 1) > 0.  Where k x^delta <= u0, |F|^s is within a factor 2 of
+        its leading term and within 2 s k x^delta of it, relatively, so the
+        piece is within 2 s k X^delta sigma / (sigma + delta) of its part of
+        the norm.  The cut is the largest power of 2 at which that is at most
+        rel_tol of the leading integral over that whole region."""
+        sf, sign, error = self.sf, 1.0 if at_zero else -1.0, 0.0
+        cut = read.exact
+        if cut is None:
+            k, delta, reach = read.bound
+            sigma = sign * (self.wexp + sf * float(read.power) + 1.0)
+            if sigma <= 0.0:  # a float exponent past the exact verdict
+                raise QuadratureError("divergent power head" if at_zero else "divergent power tail")
+            u0 = min(0.5, 2.0 ** (1.0 / sf) - 1.0, 1.0 - 2.0 ** (-1.0 / sf))
+            log_k = math.log(2.0 * sf * k) if k > 0.0 else -math.inf
+            log_region = min(sign * math.log(reach), (math.log(2.0 * sf * u0) - log_k) / delta)
+            log_cut = (math.log(rel_tol) + sigma * log_region - math.log(sigma / (sigma + delta))
+                       - log_k) / (sigma + delta)
+            power = math.floor(min(log_cut, log_region) / math.log(2.0))
+            if power < -830:  # 2^830 is about 1e250
+                raise QuadratureError("the bound at 0 puts its cut below 2^-830" if at_zero
+                                      else "the bound at infinity puts its cut past 2^830")
+            cut = math.ldexp(1.0, int(sign) * power)
+            error = math.exp(log_k + delta * power * math.log(2.0)) * sigma / (sigma + delta)
+        log_cut = math.log(cut)
+        log_bounds = (None, log_cut) if at_zero else (log_cut, None)
+        self.pieces.append((_log_power_piece(read.coef, float(read.power), *log_bounds, self.wexp, sf), error))
+        return cut
 
 
 def _view(profile: RadialProfile, reading) -> Tuple[RadialProfile, object, float]:
@@ -473,16 +541,17 @@ def _view(profile: RadialProfile, reading) -> Tuple[RadialProfile, object, float
     return profile, reading, 1.0
 
 
-def _plan(plans: dict, view, d, s, n: int) -> _NormPlan:
+def _plan(plans: dict, view, d, s, n: int, rel_tol: float) -> _NormPlan:
     """The plan of the norms || f ||_{d,s} on R^n of the view (base,
     reading, lam) of f, shared through plans by every norm of the same base
-    object, reading and (d, s, n) values.  Each plan holds its base, so the
-    base's id stays unique while the plans dict lives."""
+    object, reading and (d, s, n) values, which share rel_tol.  Each plan
+    holds its base, so the base's id stays unique while the plans dict
+    lives."""
     base, reading, _ = view
     key = (id(base), reading, d, s, n)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _NormPlan(base, reading, d, s, n)
+        plan = plans[key] = _NormPlan(base, reading, d, s, n, rel_tol)
     return plan
 
 
@@ -560,7 +629,7 @@ def _session(norms, cfg: QuadratureConfig) -> list:
     g = _radial_integrand(views, [group[k] for k in order], wexp, s, log_factor)
     results = [None] * len(unique)
     for k, result in zip(order, integrate(g, integrals, cfg)):
-        if not isinstance(result, QuadratureError) and not math.isfinite(result[0]):
+        if not math.isfinite(result[0]):
             result = QuadratureError("panel sum overflowed")
         results[k] = result
     results = [results[k] for k in slot]
@@ -576,13 +645,14 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 # public norms
 # ---------------------------------------------------------------------------
 
-def _radial_norm(view, d, s, n: int, plans: dict):
+def _radial_norm(view, d, s, n: int, plans: dict, rel_tol: float):
     """The radial norm || F ||_{d,s} on R^n of the view (base, reading, lam)
     of F, as a generator for _session that asks for the panel integral of
     its plan's range, if any, and returns the norm: the plan's pieces, each
     moved by -degree ln lam, plus the range at lam, a window's at 1 and
-    moved alike (_NormPlan).  A walk starts past every seam of the range."""
-    plan, lam = _plan(plans, view, d, s, n), view[2]
+    moved alike (_NormPlan).  Its error is the panels' summed estimates
+    plus each piece's relative error, over the integral."""
+    plan, lam = _plan(plans, view, d, s, n, rel_tol), view[2]
     if plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
     if plan.diverges_at_inf:
@@ -590,17 +660,14 @@ def _radial_norm(view, d, s, n: int, plans: dict):
     if plan.failure is not None:
         return NormValue.failed(plan.failure)
     shift = plan.degree * math.log(lam)
-    log_parts, rel_err = [piece - shift for piece in plan.pieces], 0.0
+    log_parts, rel_err = [piece - shift for piece, _ in plan.pieces], 0.0
     if plan.range is not None:
         window = plan.reading is _read_window
         scale = 1.0 if window else lam
         lo, hi = (x / scale for x in plan.range)
         breakpoints = tuple(x / scale for x in plan.breakpoints)
-        seams = [x for x in breakpoints if lo < x < hi]
-        anchor_lo = min([0.5 if hi == math.inf else min(hi / 4.0, 1.0), *seams]) if lo == 0.0 else lo
-        anchor_hi = max([2.0 if lo == 0.0 else max(lo * 4.0, 1.0), *seams]) if hi == math.inf else hi
-        (result,) = yield [((plan.base, plan.reading, scale), plan.wexp, plan.sf, plan.log_factor, Integral(
-            anchor_lo, anchor_hi, breakpoints, down=lo == 0.0, up=hi == math.inf))]
+        (result,) = yield [((plan.base, plan.reading, scale), plan.wexp, plan.sf, plan.log_factor,
+                            Integral(lo, hi, breakpoints))]
         if isinstance(result, QuadratureError):
             return NormValue.failed(str(result))
         middle, err = result
@@ -612,6 +679,7 @@ def _radial_norm(view, d, s, n: int, plans: dict):
         if plan.reading is _read_window:  # a window's integral is positive: its peak fell between the nodes
             return NormValue.failed("log-window integral underflowed")
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
+    rel_err += sum(error * math.exp(part - log_integral) for part, (_, error) in zip(log_parts, plan.pieces) if error)
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 
@@ -681,7 +749,7 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     return NormValue.from_log(log_integral / sf, error)
 
 
-def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict):
+def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict, rel_tol: float):
     """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
     for _session, with the norm plans of its weighted_norms call."""
     if u.angular is Angular.TRANSLATED:
@@ -702,7 +770,7 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, pla
         base, reading, correction = closed, _read_value, math.log(lam)
     if reading is _read_value and isinstance(base, LogModulated):
         reading = _read_window
-    norm = yield from _radial_norm((base, reading, lam), d, s, n, plans)
+    norm = yield from _radial_norm((base, reading, lam), d, s, n, plans, rel_tol)
     if correction == 0.0 or not norm.finite:
         return norm
     return NormValue.from_log(norm.log_value + correction, norm.error)
@@ -715,7 +783,7 @@ def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     and (d, s, n) one norm plan, whatever their dilations; a translated
     norm is a closed-form series and asks for no panel integral."""
     plans = {}
-    return _session([_norm(u, d, s, n, gradient, plans) for u, d, s, n, gradient in norms], cfg)
+    return _session([_norm(u, d, s, n, gradient, plans, cfg.rel_tol) for u, d, s, n, gradient in norms], cfg)
 
 
 def weighted_norm(

@@ -80,9 +80,10 @@ def dilate(u: TestFunction, lam: float) -> TestFunction:
 
 
 def kelvin_function(u: TestFunction) -> TestFunction:
-    """u composed with the inversion x -> x/|x|^2 (profile t -> f(1/t))."""
+    """u composed with the inversion x -> x/|x|^2 (profile t -> f(1/t)),
+    and f(lam / t) is the inversion of f dilated by 1/lam."""
     if u.angular is Angular.TRANSLATED:
         raise ValueError("Kelvin transform of a translated profile is not supported")
-    if isinstance(u.profile, InvertedProfile):
-        return TestFunction(u.profile.inner, u.angular)
-    return TestFunction(InvertedProfile(u.profile), u.angular)
+    profile, lam = (u.profile.inner, u.profile.lam) if isinstance(u.profile, ScaledProfile) else (u.profile, 1.0)
+    profile = profile.inner if isinstance(profile, InvertedProfile) else InvertedProfile(profile)
+    return TestFunction(profile if lam == 1.0 else ScaledProfile(profile, 1.0 / lam), u.angular)

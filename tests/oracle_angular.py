@@ -5,6 +5,10 @@ first-harmonic gradient norms became radial integrals with a closed-form
 angular factor: an integral over the distance t and the polar angle psi,
 the angle integrated by a fixed Gauss-Legendre rule of `nodes` nodes at
 every t, and the t integral by one session of `ckn.panels.integrate`.
+An end at 0 or infinity is cut 2^40 from the other end of the range (or
+from 1), and the rest past the cut is read as the power C t^e that the
+integrand g is there, e measured from g at the cut and at half or twice
+it: its integral is g(t) t / |e + 1|.
 
   * `translated_norm`: the norm of f(|x - x0|), |x0| = R, about x0, with
     the weight factored as R^d (1 + x^2 + 2 x cos psi)^(d/2), x = t/R.
@@ -26,7 +30,7 @@ import math
 
 import numpy as np
 
-from ckn.panels import ABS_TOL, DEFAULT_CONFIG, Integral, QuadratureError, gauss_legendre, integrate
+from ckn.panels import ABS_TOL, DEFAULT_CONFIG, Integral, gauss_legendre, integrate
 from ckn.quadrature import NormStatus, NormValue, surface_area
 
 # points per evaluation: the points x angles matrices stay small
@@ -40,16 +44,30 @@ def _polar_rule(n: int, nodes: int):
     return psi, 0.5 * math.pi * weight * np.sin(psi) ** (n - 2)
 
 
-def _norm(g, lo, hi, breakpoints, log_prefactor, s, cfg, down, up=False) -> NormValue:
-    """(prefactor * integral of g over the panels of (lo, hi))^(1/s), g
-    evaluated _SLICE points at a time."""
+# how far from the other end of the range an end at 0 or infinity is cut
+_OPEN = 2.0 ** 40
+
+
+def _rest(g, t: float, step: float) -> float:
+    """The integral of g past t, toward 0 for step 1/2 and toward infinity
+    for step 2, as the power through g(t) and g(step t)."""
+    near, far = g(np.array([t, step * t]))
+    if near == 0.0:
+        return 0.0
+    return near * t / abs(math.log(far / near) / math.log(step) + 1.0)
+
+
+def _norm(g, lo, hi, breakpoints, log_prefactor, s, cfg) -> NormValue:
+    """(prefactor * integral of g over (lo, hi))^(1/s), on panels between
+    the cuts of its open ends and as powers past them, g evaluated _SLICE
+    points at a time."""
     def sliced(t, _owner):
         return np.concatenate([g(t[i:i + _SLICE]) for i in range(0, t.size, _SLICE)])
 
-    result = integrate(sliced, [Integral(lo, hi, breakpoints, down=down, up=up)], cfg)[0]
-    if isinstance(result, QuadratureError):
-        return NormValue.failed(str(result))
-    total, err = result
+    cut_lo = lo if lo > 0 else (hi if hi < math.inf else 1.0) / _OPEN
+    cut_hi = hi if hi < math.inf else max(lo, 1.0) * _OPEN
+    total, err = integrate(sliced, [Integral(cut_lo, cut_hi, breakpoints)], cfg)[0]
+    total += (_rest(g, cut_lo, 0.5) if lo == 0 else 0.0) + (_rest(g, cut_hi, 2.0) if hi == math.inf else 0.0)
     if total <= 0:
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
     return NormValue.from_log((log_prefactor + math.log(total)) / s, err / max(total, ABS_TOL))
@@ -84,8 +102,7 @@ def translated_norm(profile, d, s, n: int, offset: float, cfg=DEFAULT_CONFIG, us
             out[mask] = np.exp((n - 1) * np.log(t[mask]) + sf * np.log(fv[mask]) + np.log(ang[mask]))
         return out
 
-    return _norm(g, lo if lo > 0 else hi / 512.0, hi, profile.breakpoints, df * math.log(offset) + prefactor_log,
-                 sf, cfg, down=lo == 0.0)
+    return _norm(g, lo, hi, profile.breakpoints, df * math.log(offset) + prefactor_log, sf, cfg)
 
 
 def angular_integral(fp: np.ndarray, ft: np.ndarray, p: float, n: int, nodes: int) -> np.ndarray:
@@ -122,7 +139,4 @@ def first_harmonic_gradient_norm(profile, b, p, n: int, cfg=DEFAULT_CONFIG, node
                 out[live] = np.exp(wexp * np.log(t[live]) + pf * np.log(m[live]) + np.log(ang))
         return out
 
-    anchor_lo = lo if lo > 0 else min(1.0, *(x for x in (*profile.breakpoints, hi, 1.0) if 0 < x < math.inf))
-    anchor_hi = hi if hi < math.inf else max(1.0, anchor_lo * 4.0, *(x for x in profile.breakpoints if x < math.inf))
-    return _norm(g, anchor_lo, anchor_hi, profile.breakpoints, math.log(surface_area(n - 1)), pf, cfg,
-                 down=lo == 0.0, up=hi == math.inf)
+    return _norm(g, lo, hi, profile.breakpoints, math.log(surface_area(n - 1)), pf, cfg)

@@ -88,7 +88,7 @@ def test_a_first_harmonic_verify_instance_runs_one_session(monkeypatch):
 def test_shared_plans_give_the_norms_of_fresh_plans(monkeypatch, family):
     report = verify_instance(PARAMS, THETA, family=family(PARAMS))
     plan = quadrature._plan
-    monkeypatch.setattr(quadrature, "_plan", lambda plans, view, d, s, n: plan({}, view, d, s, n))
+    monkeypatch.setattr(quadrature, "_plan", lambda plans, view, *rest: plan({}, view, *rest))
     fresh = verify_instance(PARAMS, THETA, family=family(PARAMS))
     assert report.ok and len(report.members) == len(fresh.members)
     for member, other in zip(report.members, fresh.members):

@@ -1,11 +1,12 @@
 """Edge records against the functions they describe.
 
-Every catalog profile, bare and under each wrapper, is drawn with random
+Every catalog profile, bare, inverted and modulated, is drawn with random
 rational parameters.  The declared record at each end must match the
 measured behaviour of f and f' there: the log-log slope between t and 2t
 is the declared power, the ratio to coef t^power tends to 1, None means
-the function vanishes identically, and a declared exact region reproduces
-the function to rounding.
+the function vanishes identically, a declared exact region reproduces
+the function to rounding, and elsewhere the stated bound on the
+next-order term holds at every sampled point of its region.
 """
 
 import math
@@ -27,7 +28,6 @@ from ckn.profiles import (
     PowerCutoffInner,
     PowerModulated,
     PowerTail,
-    ScaledProfile,
     SmoothBump,
     TruncatedPrimitive,
 )
@@ -80,14 +80,8 @@ def _profiles(seed: int) -> list:
     rng = random.Random(seed)
     out = []
     for base in _catalog(rng):
-        lam = float(rational(rng, 1, 4)) / 2.0
         eps = 1.0 / (3.0 + rng.random())  # equals no catalog power
-        out += [
-            base,
-            ScaledProfile(base, lam),
-            InvertedProfile(base),
-            PowerModulated(base, eps),
-        ]
+        out += [base, InvertedProfile(base), PowerModulated(base, eps)]
     return out
 
 
@@ -123,6 +117,20 @@ def _check_exact(values, edge, at_zero: bool, what: str) -> None:
     )
 
 
+def _check_bound(values, edge, at_zero: bool, what: str) -> None:
+    """|f / (coef t^power) - 1| <= k t^delta from the reach toward the end,
+    in steps of 2^(1/4) over 40 octaves, to rounding."""
+    if edge is None or edge.exact is not None:
+        return
+    assert edge.bound is not None, f"{what}: no bound on a record without an exact region"
+    k, delta, reach = edge.bound
+    steps = 2.0 ** (np.arange(161) / 4.0)
+    pts = reach / steps if at_zero else reach * steps
+    off = np.abs(values(pts) / (edge.coef * pts ** float(edge.power)) - 1.0)
+    allowed = k * pts ** (delta if at_zero else -delta)
+    assert np.all(off <= allowed * (1.0 + 1e-12) + EXACT_TOL), f"{what}: the bound {edge.bound} fails"
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_edge_records_match_measured_behaviour(seed):
     for profile in _profiles(seed):
@@ -133,6 +141,7 @@ def test_edge_records_match_measured_behaviour(seed):
                 what = f"{name} of {profile!r}"
                 _check_end(values, edge, t, what)
                 _check_exact(values, edge, at_zero, what)
+                _check_bound(values, edge, at_zero, what)
 
 
 def test_verify_case_one_with_constant_power_tail_member():

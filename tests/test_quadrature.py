@@ -11,6 +11,7 @@ import ckn.quadrature as quadrature
 from ckn.params import Params, kelvin_params
 from ckn.profiles import (
     BallBump,
+    Bound,
     Edge,
     InvertedProfile,
     LogModulated,
@@ -43,7 +44,8 @@ F = Fraction
 
 
 class ExpProfile(RadialProfile):
-    """t^k e^{-t}; decays faster than any power at infinity."""
+    """t^k e^{-t}; decays faster than any power at infinity, and is 0 in
+    floats past t = 1024."""
 
     kind = "exp_test"
 
@@ -58,9 +60,13 @@ class ExpProfile(RadialProfile):
         t = np.asarray(t, dtype=float)
         return (self.k * t ** (self.k - 1) - t**self.k) * np.exp(-t)
 
+    @property
+    def support(self):
+        return (0.0, 1024.0)
+
     def edges(self):
-        # t^k (1 - t + ...) at 0; decays faster than any power at infinity
-        return (Edge(1.0, F(self.k), next=(-1.0, F(1)) if self.k == 0 else None), None)
+        # t^k e^-t at 0, where |e^-t - 1| <= t
+        return (Edge(1.0, F(self.k), bound=Bound(1.0, 1.0, 1.0)), None)
 
 
 def close(a, b, rel=1e-8):
@@ -266,6 +272,20 @@ def test_kelvin_isometry(u):
     assert close(grad.value, grad_k.value, rel=1e-7)
 
 
+def test_the_kelvin_function_of_a_dilation_is_the_dilated_inversion():
+    # f(lam / t) is the inversion of f dilated by 1/lam: a ScaledProfile
+    # states no edge records, so no inversion wraps one
+    u = radial(PowerTail(F(-1, 2), F(5, 2)))
+    ku = kelvin_function(dilate(u, 4.0))
+    assert isinstance(ku.profile, ScaledProfile) and ku.profile.lam == 0.25
+    assert kelvin_function(ku).profile.lam == 4.0
+    with pytest.raises(ValueError, match="dilate the inversion"):
+        InvertedProfile(u.profile.scaled(4.0))
+    for norm in (weighted_norm, weighted_norm_gradient):
+        got, want = norm(ku, F(-5), F(2), 3), norm(dilate(kelvin_function(u), 0.25), F(-5), F(2), 3)
+        assert got.finite and got.log_value == want.log_value
+
+
 def test_kelvin_function_is_involution():
     u = radial(PowerTail(F(1, 2), F(2)))
     t = np.array([0.2, 1.0, 3.3, 10.0])
@@ -449,17 +469,17 @@ def test_truncated_primitive_shape():
 # closed pieces and the one range left to the panels
 # ---------------------------------------------------------------------------
 
-def walks_of(monkeypatch, norm, u, d, s, n):
-    """The norm and the (down, up) flags of each panel integral it asked for."""
-    walks, integrate = [], quadrature.integrate
+def ranges_of(monkeypatch, norm, u, d, s, n):
+    """The norm and the (lo, hi) of each panel integral it asked for."""
+    ranges, integrate = [], quadrature.integrate
 
     def counted(g, integrals, cfg):
-        walks.extend((it.down, it.up) for it in integrals)
+        ranges.extend((it.lo, it.hi) for it in integrals)
         return integrate(g, integrals, cfg)
 
     with monkeypatch.context() as m:
         m.setattr(quadrature, "integrate", counted)
-        return norm(u, d, s, n), walks
+        return norm(u, d, s, n), ranges
 
 
 @pytest.mark.parametrize("d,s,n", [(F(0), F(2), 3), (F(-1), F(3, 2), 2), (F(-4), F(2), 2)])
@@ -474,19 +494,25 @@ def test_an_inverted_truncated_primitive_gradient_stops_at_its_plateau(d, s, n):
     assert got.finite and abs(got.log_value - want) <= 1e-13
 
 
-@pytest.mark.parametrize("profile", [PowerCutoffInner(0), InvertedProfile(PowerCutoffInner(0))],
+@pytest.mark.parametrize("profile, steps", [(PowerCutoffInner(0), (0.5, 1.0)),
+                                            (InvertedProfile(PowerCutoffInner(0)), (1.0, 2.0))],
                          ids=["at_zero", "at_infinity"])
-def test_the_gradient_of_a_plateau_cutoff_walks_no_zeros(monkeypatch, profile):
-    # f' is exactly 0 on the plateau: the range ends there, with no walk
-    norm, walks = walks_of(monkeypatch, weighted_norm_gradient, radial(profile), F(0), F(2), 3)
-    assert norm.finite and walks == [(False, False)]
+def test_the_gradient_of_a_plateau_cutoff_integrates_no_zeros(monkeypatch, profile, steps):
+    # f' is exactly 0 on the plateau: the range ends there, with no piece
+    norm, ranges = ranges_of(monkeypatch, weighted_norm_gradient, radial(profile), F(0), F(2), 3)
+    assert norm.finite and ranges == [steps]
 
 
-def test_a_first_harmonic_gradient_of_a_plateau_still_walks(monkeypatch):
-    # |grad u| reads f/t too, which is not 0 on the plateau
-    norm, walks = walks_of(monkeypatch, weighted_norm_gradient, first_harmonic(PowerCutoffInner(0)), F(0), F(2), 3)
-    assert walks == [(True, False)]
-    assert norm.finite and abs(norm.log_value - 1.3077419782544233) <= 1e-12
+def test_a_first_harmonic_gradient_of_a_plateau_closes_it_in_closed_form(monkeypatch):
+    # |grad u| reads f/t too, which is not 0 on the plateau: f/t = 1/t and
+    # f' = 0 there, so the reading is 1/t times H at rho = 0, a closed
+    # piece, and the panels cover the step alone.  The reference is
+    # (ln 4 pi I) / 2, I = 1/3 + the integral over (1/2, 1) of t^2 f'^2 / 3 +
+    # 2 f^2 / 3, in 30-digit mpmath; the walk toward 0 that this closed
+    # piece replaced read 1.3077419782544233, dropping 2.2e-12 of it
+    norm, ranges = ranges_of(monkeypatch, weighted_norm_gradient, first_harmonic(PowerCutoffInner(0)), F(0), F(2), 3)
+    assert ranges == [(0.5, 1.0)]
+    assert norm.finite and abs(norm.log_value - 1.3077419782566528) <= 1e-13
 
 
 @pytest.mark.parametrize("norm", [weighted_norm, weighted_norm_gradient], ids=["value", "gradient"])

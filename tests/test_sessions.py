@@ -22,7 +22,7 @@ from ckn.probes import (
     verify_instance,
 )
 from ckn.profiles import PowerTail, SmoothBump
-from ckn.quadrature import NormStatus, QuadratureConfig, weighted_norm, weighted_norms
+from ckn.quadrature import NormStatus, weighted_norms
 from ckn.testfunctions import dilate, radial
 from conftest import random_params
 
@@ -86,9 +86,10 @@ def test_first_harmonic_fixture_matches_one_triple_at_a_time():
     assert assert_same_report(params, F(1), default_w0_family(params)).ok
 
 
-def test_walks_to_the_float_edges_match_one_triple_at_a_time():
-    # exponents 1/1000 from critical: the target and source walks never
-    # turn quiet and stop at t = 1e-280 (first instance) and 1e280 (second)
+def test_near_critical_members_match_one_triple_at_a_time():
+    # exponents 1/1000 from critical, at 0 (first instance) and at infinity
+    # (second), where the target and source walks once ran to the float
+    # edges: each end is closed at its cut
     for b, member in ((2, PowerTail(F(2, 3) - F(1, 1000), 3)), (0, PowerTail(F(0), F(2, 3) + F(1, 1000)))):
         params = Params(2, F(2), F(3), F(3), F(0), F(b), F(0))
         family = [radial(SmoothBump(2.0, 1.0)), radial(member)]
@@ -105,26 +106,25 @@ def test_a_failing_member_is_reported_as_before():
     assert report.failure == "member 1: divergent norm inside a yes-instance"
 
 
-def test_one_norm_out_of_budget_fails_alone():
-    # the walk toward 0 of the PowerTail(1/3, 2) head needs 51 panels; the
-    # others stop within their first blocks
-    cfg = QuadratureConfig(max_panels=32)
+def test_one_norm_whose_cut_leaves_the_floats_fails_alone():
+    # f' of PowerTail(10^-300, 2) is -alpha t^(-alpha-1) (1 + (2/alpha) t +
+    # ...) at 0: its bound puts the cut of the gradient's head near 1e-307,
+    # past 2^-830; the other norms close their ends within the floats
     jobs = [
         (radial(SmoothBump(2.0, 1.0)), F(0), F(2), 3, False),
-        (radial(PowerTail(F(1, 3), F(2))), F(0), F(1), 1, False),
+        (radial(PowerTail(F(1, 10**300), F(2))), F(-9, 10), F(2), 3, True),
         (radial(PowerTail(F(-1), F(3))), F(0), F(2), 3, False),
         (radial(PowerTail(F(-1), F(3))), F(1), F(2), 3, True),
     ]
-    session = weighted_norms(jobs, cfg)
+    session = weighted_norms(jobs)
     assert [norm.status for norm in session] == [
         NormStatus.FINITE, NormStatus.FAILED, NormStatus.FINITE, NormStatus.FINITE]
-    assert session[1].detail == "panel budget exhausted extending toward zero"
+    assert session[1].detail == "the bound at 0 puts its cut below 2^-830"
     for norm, (u, d, s, n, gradient) in zip(session, jobs):
-        alone = weighted_norms([(u, d, s, n, gradient)], cfg)[0]
+        alone = weighted_norms([(u, d, s, n, gradient)])[0]
         assert norm.status is alone.status and norm.detail == alone.detail
         if norm.finite:
             assert abs(norm.log_value - alone.log_value) <= 1e-12
-    assert weighted_norm(*jobs[1][:4], cfg).detail == session[1].detail
 
 
 def test_batches_stay_within_the_chunk_and_the_call_budget(monkeypatch):

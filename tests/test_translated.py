@@ -305,9 +305,8 @@ def test_near_the_sphere_the_true_error_stays_within_the_reported_one(s, gradien
 # translated norms against the 2-D integrand
 # ---------------------------------------------------------------------------
 
-# the oracle to 1e-12: in one dimension |f|^s is about f(0)^s = 1 near 0,
-# and at the default 1e-9 its walk toward 0 drops up to 1.7e-12 in log
-# past its last panel
+# the oracle to 1e-12: its panels at the default 1e-9 were off by up to
+# 1.7e-12 in log
 TIGHT = QuadratureConfig(rel_tol=1e-12)
 
 
@@ -408,14 +407,19 @@ def test_only_the_ball_bump_and_its_dilations_translate(profile):
         translated(profile, 4.0)
 
 
-def test_a_translated_norm_needs_no_panel_budget():
+def test_a_translated_norm_asks_for_no_panel_integral(monkeypatch):
     # in one dimension with s = 1 the walks toward 0 of the moment sums
-    # needed more than 8 panels; the series asks for none at any budget
-    u, cfg = translated(BallBump(), 64.0), QuadratureConfig(max_panels=1)
-    for norm in (weighted_norm, weighted_norm_gradient):
-        got = norm(u, F(-1), F(1), 1, cfg)
-        assert got.finite and repr(got) == repr(norm(u, F(-1), F(1), 1))
-    triple = compute_norms(Params(1, F(1), F(1), F(1), F(-1), F(-1), F(-1)), u, cfg)
+    # needed more than 8 panels; the series asks for none
+    def refuse(g, integrals, cfg):
+        raise AssertionError("a translated norm asked for a panel integral")
+
+    u = translated(BallBump(), 64.0)
+    want = [repr(norm(u, F(-1), F(1), 1)) for norm in (weighted_norm, weighted_norm_gradient)]
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    for norm, before in zip((weighted_norm, weighted_norm_gradient), want):
+        got = norm(u, F(-1), F(1), 1)
+        assert got.finite and repr(got) == before
+    triple = compute_norms(Params(1, F(1), F(1), F(1), F(-1), F(-1), F(-1)), u)
     assert {v.status for v in (triple.target, triple.source, triple.grad)} == {NormStatus.FINITE}
 
 
