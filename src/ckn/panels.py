@@ -22,9 +22,8 @@ the other integrals of its session.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Tuple
 
@@ -201,11 +200,6 @@ def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, owner: np.ndarray,
     return value, error
 
 
-def _in_order(values: np.ndarray) -> float:
-    """Sum left to right (not pairwise)."""
-    return reduce(operator.add, values.tolist(), 0.0)
-
-
 def panel_edges(lo: float, hi: float, breakpoints) -> list:
     """Geometric 2^k grid intersected with [lo, hi], plus seam points."""
     edges = {lo, hi}
@@ -241,4 +235,4 @@ def integrate(g, integrals, cfg: QuadratureConfig) -> list:
     values, errors = _panel_sums(g, np.concatenate([ends[:-1] for ends in edges]),
                                  np.concatenate([ends[1:] for ends in edges]), np.arange(len(sizes)).repeat(sizes), cfg)
     stops = list(accumulate(sizes))
-    return [(_in_order(values[a:b]), _in_order(errors[a:b])) for a, b in zip([0, *stops], stops)]
+    return [(float(values[a:b].sum()), float(errors[a:b].sum())) for a, b in zip([0, *stops], stops)]

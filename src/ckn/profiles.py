@@ -160,10 +160,8 @@ class Edge:
     slope: Optional["Edge"] = None  # the bounded record of f', where not exact
 
     def derivative(self) -> Optional["Edge"]:
-        if self.exact is None:
+        if self.exact is None or self.power == 0:  # the stated slope, or None for an exact constant
             return self.slope
-        if self.power == 0:
-            return None
         return Edge(self.coef * float(self.power), self.power - 1, self.exact)
 
     def inverted(self) -> "Edge":

@@ -88,7 +88,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .panels import ABS_TOL, DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
+from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
 from .profiles import Edge, LogModulated, PiecewisePower, RadialProfile, ScaledProfile, merge_bounds
 from .testfunctions import Angular, TestFunction
 
@@ -650,8 +650,8 @@ def _radial_norm(view, d, s, n: int, plans: dict, rel_tol: float):
     of F, as a generator for _session that asks for the panel integral of
     its plan's range, if any, and returns the norm: the plan's pieces, each
     moved by -degree ln lam, plus the range at lam, a window's at 1 and
-    moved alike (_NormPlan).  Its error is the panels' summed estimates
-    plus each piece's relative error, over the integral."""
+    moved alike (_NormPlan).  Its error is the sum over the pieces and the
+    range of each one's relative error times its share of the integral."""
     plan, lam = _plan(plans, view, d, s, n, rel_tol), view[2]
     if plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
@@ -660,7 +660,7 @@ def _radial_norm(view, d, s, n: int, plans: dict, rel_tol: float):
     if plan.failure is not None:
         return NormValue.failed(plan.failure)
     shift = plan.degree * math.log(lam)
-    log_parts, rel_err = [piece - shift for piece, _ in plan.pieces], 0.0
+    parts = [(piece - shift, error) for piece, error in plan.pieces]
     if plan.range is not None:
         window = plan.reading is _read_window
         scale = 1.0 if window else lam
@@ -671,15 +671,14 @@ def _radial_norm(view, d, s, n: int, plans: dict, rel_tol: float):
         if isinstance(result, QuadratureError):
             return NormValue.failed(str(result))
         middle, err = result
-        rel_err = err / max(middle + sum(math.exp(x) for x in log_parts if x < 700), ABS_TOL)
         if middle > 0:
-            log_parts.append(math.log(middle) - (shift if window else 0.0))
-    log_integral = _logsumexp(log_parts)
+            parts.append((math.log(middle) - (shift if window else 0.0), err / middle))
+    log_integral = _logsumexp(part for part, _ in parts)
     if log_integral == -math.inf:
         if plan.reading is _read_window:  # a window's integral is positive: its peak fell between the nodes
             return NormValue.failed("log-window integral underflowed")
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
-    rel_err += sum(error * math.exp(part - log_integral) for part, (_, error) in zip(log_parts, plan.pieces) if error)
+    rel_err = sum(error * math.exp(part - log_integral) for part, error in parts)
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 

@@ -58,6 +58,14 @@ def test_a_tail_that_underflows_lies_within_its_reported_error():
     assert_within_error(F(-27, 5), F(19, 4), F(-1, 3), F(1), 5)
 
 
+@pytest.mark.parametrize("n, s, d, alpha, beta", [(2, F(5, 4), F(-4, 3), F(-29), F(5, 4)),
+                                                  (2, F(1), F(-17, 3), F(-6), F(-18, 5))])
+def test_powers_that_overflowed_far_out_lie_within_their_reported_error(n, s, d, alpha, beta):
+    # t^-alpha and (1+t)^(alpha-beta), each alone, overflowed toward the
+    # float edges, raising a RuntimeWarning: the cuts keep both in range
+    assert_within_error(alpha, beta, d, s, n)
+
+
 def test_a_slowly_falling_tail_lies_within_its_reported_error():
     # the walk bisected float noise to depth 12 for 0.7 s and was 5.3e-2 off
     assert_within_error(F(-1, 2), F(2, 3) + F(1, 1000), F(0), F(3), 2)
