@@ -3,7 +3,8 @@
 A session integrates many integrals of one integrand g(t, i), the i-th
 over its own panels: the geometric 2^k grid of its finite [lo, hi] cut at
 seam points.  Every infinite end of a norm is a closed piece (see
-`quadrature`), so no integral reaches 0 or infinity here.
+`quadrature`); an integral that starts at 0, where its integrand vanishes
+faster than any power, has no grid below its first seam.
 
 The adaptive bisection runs breadth first: all pending panels of one
 depth, of every integral of the session, share one call of g, and each
