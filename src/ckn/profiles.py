@@ -33,9 +33,10 @@ Every dilation is the ScaledProfile that `RadialProfile.scaled` returns,
 which states no edge records: the quadrature reads it through a view
 (base, reading, lam), its inner profile read at lam t, and its norm plans
 read the base's records once at lam = 1 and move their closed pieces to
-each lam by the scaling law.  `derivative_profile` is f' as a profile, built once per profile object, only where f' has a
-closed form (PiecewisePower, TruncatedPrimitive, LogModulated), and None
-for every other profile; the default `derivative()` reads it as values.
+each lam by the scaling law.  `derivative_profile` is f' as a profile,
+built once per profile object, only where f' has a closed form
+(PiecewisePower, TruncatedPrimitive, LogModulated), and None for every
+other profile; the default `derivative()` reads it as values.
 
 Exact powers on bands (the indicator band and the vanishing-exponent
 power of the r-endpoint constructions, the derivative of a truncated

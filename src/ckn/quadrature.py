@@ -20,10 +20,12 @@ points.  Singular ends are handled in three tiers:
      an exact zero, and the range stops there with no piece.
   3. Otherwise the record states a bound on its next-order term: the
      leading power is a closed piece from a cut to the end, placed from the
-     bound and rel_tol alone, and the bound's integral there is added to
-     the norm's error.  A cut past 2^-+830 (about 1e-+250), or an end with
-     no bound, fails the norm with its reason.  So every panel range is
-     finite, and far from the float edges.
+     bound and rel_tol alone, and the bound's integral there, at most
+     rel_tol / 100 of the norm, is added to the norm's error.  A cut past
+     2^-+830 (about 1e-+250), or a record with no bound, fails the norm
+     with its reason.  An end with no record vanishes faster than any
+     power: the range starts at 0, or stops where F is 0 in floats.  So
+     every panel range is finite.
 
 One integrator serves every radial norm: a session of `panels.integrate`
 shared by every panel integral of a `weighted_norms` call, so the norms
@@ -39,16 +41,11 @@ closed form exists, adding ln lam to the log norm (|| grad (f o lam) || =
 lam || f' o lam ||), else the base's derivative, and a log window read as
 values is read by its window.
 
-Divergence certificates and closed pieces are settled before the
-session, in a norm plan (`_NormPlan`) per (base profile, reading, d, s,
-N) that all dilations of a member share: the plan reads the norm at lam =
-1 as its closed pieces plus its one range, or none.  Every dilation moves
-the pieces by the exact scaling law, the integral at lam being
-lam^-degree times the one at lam = 1, degree = d + N, less s for a
-gradient reading, and integrates the range at its own scale (a log
-window's at 1, moved alike).  A log window's integral in t is one over
-(1/e, e) in x = e^v, v = loglam ln t, at every loglam; its norm fails
-where the weight's peak is too narrow for the panels.
+Divergence certificates, closed pieces and the range are settled before
+the session, in a norm plan (`_NormPlan`) per (base profile, reading, d,
+s, N) that all dilations of a member share, and moved to each dilation
+by the exact scaling law.  A log window's norm fails where the weight's
+peak is too narrow for the panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -428,7 +425,8 @@ class _NormPlan:
     read edge record there (_close), and the range stops at its cut; it
     stops there with no piece where a derivative reads an exact constant.
     With no record at 0, f vanishes there faster than any power, and the
-    range starts at 0.
+    range starts at 0; with none at infinity, it stops at the power of 2
+    past the last one of the grid 2^k, k <= 830, at which F is not 0.
     The dilation by lam moves each piece by -degree ln lam, degree = d + n,
     less s for a gradient reading, and integrates the range at lam
     (_radial_norm).  The base's edge records are read only where its
@@ -451,11 +449,12 @@ class _NormPlan:
         self.breakpoints = () if window else base.breakpoints
         edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
         edges = (edges[0] if lo == 0.0 else None, edges[1] if hi == math.inf else None)
-        if isinstance(reading, _FirstHarmonicGradient):
-            ends = tuple(None if e is None else reading.edge(e, end == 0) for end, e in enumerate(edges))
-        else:
-            ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
+        ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
         powers = [[] if end is None else [end.power] for end in ends]
+        if isinstance(reading, _FirstHarmonicGradient):
+            # as singular as the worse of f' and f/t, whether or not the reading's record is bounded
+            powers = [own + [edge.power - 1] if edge is not None else own for own, edge in zip(powers, edges)]
+            ends = tuple(None if e is None else reading.edge(e, end == 0) for end, e in enumerate(edges))
         # the relative error of |F|^s that the reading reports
         self.reading_error = getattr(reading, "error", 0.0)
         self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
@@ -487,8 +486,14 @@ class _NormPlan:
         bounds = list(self.support)
         for end, (edge, read) in enumerate(zip(edges, ends)):
             if edge is None:
-                if bounds[end] == math.inf:
-                    raise QuadratureError("no edge record at infinity")
+                if bounds[end] == math.inf:  # F vanishes faster than any power: stop where it is 0 in floats
+                    grid = np.ldexp(1.0, np.arange(-830, 831))
+                    grid = grid[grid > bounds[0]]
+                    with np.errstate(all="ignore"):
+                        alive = np.flatnonzero(np.abs(reading(base, grid, 1.0)) > 0.0)
+                    if alive.size and alive[-1] == grid.size - 1:
+                        raise QuadratureError("no edge record at infinity, and F is not 0 at 2^830")
+                    bounds[end] = float(grid[alive[-1] + 1 if alive.size else 0])
             elif reading is _read_derivative and read is None and edge.exact is not None:
                 bounds[end] = edge.exact  # the derivative of an exact constant
             elif read is None or read.exact is None and read.bound is None:
@@ -508,7 +513,9 @@ class _NormPlan:
         its leading term and within 2 s k x^delta of it, relatively, so the
         piece is within 2 s k X^delta sigma / (sigma + delta) of its part of
         the norm.  The cut is the largest power of 2 at which that is at most
-        rel_tol of the leading integral over that whole region."""
+        rel_tol / 100 of the leading integral over that whole region: the
+        panels' test of rel_tol per panel leaves them far more accurate
+        than rel_tol, and so the closed ends cost the norm no digits."""
         sf, sign, error = self.sf, 1.0 if at_zero else -1.0, 0.0
         cut = read.exact
         if cut is None:
@@ -519,7 +526,7 @@ class _NormPlan:
             u0 = min(0.5, 2.0 ** (1.0 / sf) - 1.0, 1.0 - 2.0 ** (-1.0 / sf))
             log_k = math.log(2.0 * sf * k) if k > 0.0 else -math.inf
             log_region = min(sign * math.log(reach), (math.log(2.0 * sf * u0) - log_k) / delta)
-            log_cut = (math.log(rel_tol) + sigma * log_region - math.log(sigma / (sigma + delta))
+            log_cut = (math.log(rel_tol / 100.0) + sigma * log_region - math.log(sigma / (sigma + delta))
                        - log_k) / (sigma + delta)
             power = math.floor(min(log_cut, log_region) / math.log(2.0))
             if power < -830:  # 2^830 is about 1e250
@@ -785,23 +792,13 @@ def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     return _session([_norm(u, d, s, n, gradient, plans, cfg.rel_tol) for u, d, s, n, gradient in norms], cfg)
 
 
-def weighted_norm(
-    u: TestFunction,
-    d: Fraction,
-    s: Fraction,
-    n: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> NormValue:
+def weighted_norm(u: TestFunction, d: Fraction, s: Fraction, n: int,
+                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormValue:
     """|| u ||_{d,s} for any catalog test function."""
     return weighted_norms([(u, d, s, n, False)], cfg)[0]
 
 
-def weighted_norm_gradient(
-    u: TestFunction,
-    b: Fraction,
-    p: Fraction,
-    n: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> NormValue:
+def weighted_norm_gradient(u: TestFunction, b: Fraction, p: Fraction, n: int,
+                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormValue:
     """|| grad u ||_{b,p} (for radial u this is the radial-derivative norm)."""
     return weighted_norms([(u, b, p, n, True)], cfg)[0]

@@ -98,14 +98,18 @@ class Unbounded(RadialProfile):
 
 
 class Unrecorded(Unbounded):
-    """The same, with no record at infinity."""
+    """1 / (1 + ln(1 + t)), with no record at infinity: it claims to vanish
+    faster than any power there, yet is not 0 in floats at 2^830."""
+
+    def value(self, t):
+        return 1.0 / (1.0 + np.log1p(np.asarray(t, dtype=float)))
 
     def edges(self):
         return (Edge(1.0, F(0), exact=1e-300), None)
 
 
 @pytest.mark.parametrize("profile, detail", [(Unbounded(), "no bound on the edge record at infinity"),
-                                             (Unrecorded(), "no edge record at infinity")],
+                                             (Unrecorded(), "no edge record at infinity, and F is not 0 at 2^830")],
                          ids=["no_bound", "no_record"])
 def test_an_end_without_a_bound_fails_with_its_reason(profile, detail):
     norm = weighted_norm(radial(profile), F(0), F(1), 1)

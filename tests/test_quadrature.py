@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ckn.quadrature as quadrature
+from ckn.panels import QuadratureConfig
 from ckn.params import Params, kelvin_params
 from ckn.profiles import (
     BallBump,
@@ -39,13 +40,13 @@ from ckn.testfunctions import (
     radial,
     translated,
 )
+from oracle_panels import panel_integral
 
 F = Fraction
 
 
 class ExpProfile(RadialProfile):
-    """t^k e^{-t}; decays faster than any power at infinity, and is 0 in
-    floats past t = 1024."""
+    """t^k e^{-t}; decays faster than any power at infinity."""
 
     kind = "exp_test"
 
@@ -60,12 +61,8 @@ class ExpProfile(RadialProfile):
         t = np.asarray(t, dtype=float)
         return (self.k * t ** (self.k - 1) - t**self.k) * np.exp(-t)
 
-    @property
-    def support(self):
-        return (0.0, 1024.0)
-
     def edges(self):
-        # t^k e^-t at 0, where |e^-t - 1| <= t
+        # t^k e^-t at 0, where |e^-t - 1| <= t; no record at infinity
         return (Edge(1.0, F(self.k), bound=Bound(1.0, 1.0, 1.0)), None)
 
 
@@ -506,13 +503,43 @@ def test_the_gradient_of_a_plateau_cutoff_integrates_no_zeros(monkeypatch, profi
 def test_a_first_harmonic_gradient_of_a_plateau_closes_it_in_closed_form(monkeypatch):
     # |grad u| reads f/t too, which is not 0 on the plateau: f/t = 1/t and
     # f' = 0 there, so the reading is 1/t times H at rho = 0, a closed
-    # piece, and the panels cover the step alone.  The reference is
-    # (ln 4 pi I) / 2, I = 1/3 + the integral over (1/2, 1) of t^2 f'^2 / 3 +
-    # 2 f^2 / 3, in 30-digit mpmath; the walk toward 0 that this closed
-    # piece replaced read 1.3077419782544233, dropping 2.2e-12 of it
-    norm, ranges = ranges_of(monkeypatch, weighted_norm_gradient, first_harmonic(PowerCutoffInner(0)), F(0), F(2), 3)
+    # piece, and the panels cover the step alone.  At p = 2 the norm is
+    # (ln 4 pi I) / 2, I = 1/3 (the plateau, exactly) + the integral over
+    # (1/2, 1) of t^2 f'^2 / 3 + 2 f^2 / 3, taken here depth first at
+    # rel_tol 1e-13; the walk toward 0 that the closed piece replaced read
+    # 1.3077419782544233, 2.2e-12 below it
+    zeta = PowerCutoffInner(0)
+    norm, ranges = ranges_of(monkeypatch, weighted_norm_gradient, first_harmonic(zeta), F(0), F(2), 3)
     assert ranges == [(0.5, 1.0)]
-    assert norm.finite and abs(norm.log_value - 1.3077419782566528) <= 1e-13
+    step, _ = panel_integral(lambda t: (t * t * zeta.derivative(t) ** 2 + 2.0 * zeta.value(t) ** 2) / 3.0,
+                             0.5, 1.0, (), QuadratureConfig(rel_tol=1e-13))
+    want = math.log(4.0 * math.pi * (1.0 / 3.0 + step)) / 2.0
+    assert norm.finite and abs(norm.log_value - want) <= 1e-13
+
+
+def test_a_first_harmonic_gradient_divergent_at_zero_below_p_one():
+    # f = (1 + t)^-3 tends to 1 at 0, so f/t ~ 1/t and d + N - p = -1/2
+    # <= 0: divergent, although the reading states no bounded record there
+    # for p < 1
+    norm = weighted_norm_gradient(first_harmonic(PowerTail(0, 3)), F(-3), F(1, 2), 3)
+    assert norm.status is NormStatus.DIVERGENT and norm.detail == "non-integrable at zero"
+
+
+def test_an_end_with_no_record_at_infinity_stops_where_f_is_zero(monkeypatch):
+    # the inversion of a bump that touches 0 vanishes at infinity faster
+    # than any power and states no record there: the range stops at the
+    # power of 2 past the last one where F is not 0 in floats, f(2^10) =
+    # 3e-223 and f(2^11) = 0.  The reference integrates t^2 |F|^2 t^-4 over
+    # (1/2, 2^12) depth first at rel_tol 1e-13
+    profile = InvertedProfile(SmoothBump(1.0, 1.0))
+    for norm, read in ((weighted_norm, profile.value), (weighted_norm_gradient, profile.derivative)):
+        got, ranges = ranges_of(monkeypatch, norm, radial(profile), F(-4), F(2), 3)
+        assert ranges == [(0.5, 2.0 ** 11)]
+        with np.errstate(under="ignore"):
+            part, _ = panel_integral(lambda t: read(t) ** 2 / (t * t), 0.5, 2.0 ** 12, profile.breakpoints,
+                                     QuadratureConfig(rel_tol=1e-13))
+        want = (math.log(4.0 * math.pi) + math.log(part)) / 2.0
+        assert got.finite and abs(got.log_value - want) <= 1e-12
 
 
 @pytest.mark.parametrize("norm", [weighted_norm, weighted_norm_gradient], ids=["value", "gradient"])

@@ -22,7 +22,7 @@ from ckn.probes import (
     verify_instance,
 )
 from ckn.profiles import PowerTail, SmoothBump
-from ckn.quadrature import NormStatus, weighted_norms
+from ckn.quadrature import NormStatus, weighted_norm_gradient, weighted_norms
 from ckn.testfunctions import dilate, radial
 from conftest import random_params
 
@@ -125,6 +125,7 @@ def test_one_norm_whose_cut_leaves_the_floats_fails_alone():
         assert norm.status is alone.status and norm.detail == alone.detail
         if norm.finite:
             assert abs(norm.log_value - alone.log_value) <= 1e-12
+    assert weighted_norm_gradient(*jobs[1][:4]).detail == session[1].detail
 
 
 def test_batches_stay_within_the_chunk_and_the_call_budget(monkeypatch):
