@@ -99,14 +99,6 @@ def _gauss_sums(g, nodes: int, owner: np.ndarray, x0: np.ndarray, x1: np.ndarray
     return half * sums
 
 
-def _columns(*columns: np.ndarray) -> np.ndarray:
-    """The arrays as the columns of one row-major array."""
-    out = np.empty((columns[0].size, len(columns)))
-    for j, column in enumerate(columns):
-        out[:, j] = column
-    return out
-
-
 def _depths_ahead(panels: int, depth: int, nodes: int, coarse: bool) -> int:
     """How many depths of halves one integrand call evaluates for `panels`
     pending panels at depth `depth`: at least 1, at most _AHEAD and depth +
@@ -170,7 +162,7 @@ def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, owner: np.ndarray,
         return x0, x0
     nodes, depth = GAUSS_NODES, MAX_SUBDIVISIONS
     # a row per panel: its left end, midpoint and right end
-    ends = _columns(x0, 0.5 * (x0 + x1), x1)
+    ends = np.column_stack((x0, 0.5 * (x0 + x1), x1))
     coarse, *ahead = _halves_ahead(g, nodes, owner, ends, depth, True)
     coarse, levels = coarse[:, 0], []
     while True:
@@ -186,7 +178,7 @@ def _panel_sums(g, x0: np.ndarray, x1: np.ndarray, owner: np.ndarray,
         # the halves of each split panel, left then right, in its place
         ends, coarse, owner = ends[split], halves[split].ravel(), owner[split].repeat(2)
         x0, x1 = ends[:, :2].ravel(), ends[:, 1:].ravel()
-        ends = _columns(x0, 0.5 * (x0 + x1), x1)
+        ends = np.column_stack((x0, 0.5 * (x0 + x1), x1))
         depth -= 1
         # a panel's 2^j sub-panels of depth j are its halves' 2^(j-1) each
         ahead = [sums.reshape(-1, 2, sums.shape[1] // 2)[split].reshape(owner.size, -1) for sums in ahead[1:]]
