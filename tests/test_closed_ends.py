@@ -2,7 +2,7 @@
 
 Every infinite end of a norm is a closed piece: the leading power of the
 edge record from a cut to the end, whose next-order bound is added to the
-reported error (`quadrature._NormPlan._closed_end`).  Each norm below was
+reported error (`quadrature._NormPlan._close`).  Each norm below was
 once walked by panels toward 0 or infinity, and each was off by far more
 than the error it reported.  Now each must be Finite and lie within its
 reported log error, NormValue.error / s, plus SLACK for rounding, of a
