@@ -436,10 +436,7 @@ def _write_rows(row_chunks: Iterable[List[tuple]], out_format: str) -> None:
     write("[]\n" if opening == "[\n  " else "\n]\n")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; main looks each command's
-    cmd_<command> function up when it runs."""
     parser = argparse.ArgumentParser(
         prog="ckn",
         description=(
@@ -462,27 +459,33 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--radial", action="store_true", help="radial-subspace verdict")
     mode.add_argument("--w0", action="store_true", help="zero-spherical-mean sufficient test")
     mode.add_argument("--multiweight", type=str, help="JSON file with a multi-singularity spec")
+    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("interval", help="exact admissible set of c")
     add_params(sp, need_c=False)
+    sp.set_defaults(func=cmd_interval)
 
     sp = sub.add_parser("theta", help="known multiplicative exponents")
     add_params(sp)
+    sp.set_defaults(func=cmd_theta)
 
     sp = sub.add_parser("verify", help="multiplicative-ratio probe on an embedding instance")
     add_params(sp)
     sp.add_argument("--theta", type=str, help="exponent override (canonical rational)")
     sp.add_argument("--w0-family", action="store_true", help="use first-harmonic members")
     sp.add_argument("--defect-tol", type=float, default=1e-6)
+    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("falsify", help="witness-family probe on a non-embedding instance")
     add_params(sp)
     sp.add_argument("--max-index", type=int, default=None)
+    sp.set_defaults(func=cmd_falsify)
 
     sp = sub.add_parser("sweep", help="classify a rational parameter grid from a spec file")
     sp.add_argument("spec", type=str)
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes, at most one per core and per 512 points (output order is unchanged)")
+    sp.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -491,7 +494,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT_ERROR
