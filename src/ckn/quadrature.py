@@ -47,6 +47,25 @@ s, N) that all dilations of a member share, and moved to each dilation
 by the exact scaling law.  A log window's norm fails where the weight's
 peak is too narrow for the panels.
 
+A `PowerTail` f = t^-alpha (1+t)^(alpha-beta) read as values or as its
+derivative is all closed pieces, with no range (`_power_tail_pieces`):
+
+  * its value integral is the Beta integral B(x, y), x = d + N - alpha s,
+    y = (beta - alpha) s - x (DLMF 5.12.3);
+  * u = t/(1+t) turns its derivative's into the integral of u^(x-1)
+    (1-u)^(y-1) |alpha + (beta - alpha) u|^s over (0, 1), x = d + N -
+    (alpha + 1) s, y = (beta - alpha) s - x: a Beta value where alpha or
+    beta is 0, else Euler's integral of 2F1 (DLMF 15.6.1), split at the
+    zero of alpha + (beta - alpha) u where alpha beta < 0.
+
+Each 2F1(a, b; c; 1 - rho) there is read from rho with its relative error
+(`hypergeometric.hyp2f1`): where a is a non-positive integer, a polynomial in rho with
+positive coefficients (Chu-Vandermonde, DLMF 15.4.24); else, for rho >=
+1/10, rho^g times a series of positive terms in 1 - rho (Euler's
+transformation, DLMF 15.8.1), g = c - a - b; below that, A&S 15.3.6, or
+15.3.11 for an integer g.  The first-harmonic gradient of a `PowerTail`
+stays on the panels.
+
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
 
@@ -85,8 +104,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .hypergeometric import ROUND, Hypergeometric, Terms, hyp2f1
 from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
-from .profiles import Edge, LogModulated, PiecewisePower, RadialProfile, ScaledProfile, merge_bounds
+from .profiles import Edge, LogModulated, PiecewisePower, PowerTail, RadialProfile, ScaledProfile, merge_bounds
 from .testfunctions import Angular, TestFunction
 
 
@@ -202,44 +222,6 @@ def _log1mexp(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# hypergeometric series
-# ---------------------------------------------------------------------------
-
-class _Terms:
-    """The coefficients scale prod_i (ups_i)_k / (prod_j (downs_j)_k k!) of
-    scale pFq(ups; downs; z), p = q + 1, each computed once by the term
-    recurrence, and a bound on the tail of the series at any z."""
-
-    def __init__(self, ups, downs, scale: float = 1.0):
-        # each up is paired with a down, the last with the 1 of k!
-        self.ups, self.downs, self.coefs = tuple(ups), (*downs, 1.0), [scale]
-
-    def __getitem__(self, k: int) -> float:
-        while len(self.coefs) <= k:
-            self._extend()
-        return self.coefs[k]
-
-    def _extend(self) -> None:
-        """Append the next coefficient by the recurrence."""
-        k, coef = len(self.coefs), self.coefs[-1]
-        for u in self.ups:
-            coef *= u + k - 1
-        self.coefs.append(coef / math.prod(v + k - 1 for v in self.downs))
-
-    def tail(self, k: int, z: float) -> float:
-        """A bound on the absolute terms from term k on at z, or inf: past k
-        >= -up and k > -down each factor (up+j)/(down+j) of the term ratio
-        is monotone in j, so r = z prod max(1, (up+k)/(down+k)) bounds it,
-        and the tail is at most |term k| / (1 - r)."""
-        if any(k < -u for u in self.ups) or any(k <= -v for v in self.downs):
-            return math.inf
-        r = z
-        for u, v in zip(self.ups, self.downs):
-            r *= max(1.0, (k + u) / (k + v))
-        return abs(self[k]) * z**k / (1.0 - r) if r < 1.0 else math.inf
-
-
-# ---------------------------------------------------------------------------
 # readings of a base profile: values, derivatives, first-harmonic gradients
 # ---------------------------------------------------------------------------
 
@@ -259,80 +241,6 @@ def _read_window(base: LogModulated, x: np.ndarray, lam) -> np.ndarray:
     return base.window_values(np.log(x))
 
 
-def _digamma(x: float) -> float:
-    """psi(x) for x > 0: the recurrence up to x >= 16, then the asymptotic
-    series, whose first dropped term is below 1e-16 there."""
-    shift = 0.0
-    while x < 16.0:
-        shift -= 1.0 / x
-        x += 1.0
-    y = 1.0 / (x * x)
-    return shift + math.log(x) - 0.5 / x - y * (1 / 12 - y * (1 / 120 - y * (1 / 252 - y * (1 / 240 - y / 132))))
-
-
-def _gamma_ratio(up, down) -> float:
-    """The product of Gamma over up divided by that over down, none of them
-    a pole, through lgamma and the signs of Gamma at negative points."""
-    sign = math.prod(-1.0 if x < 0 and math.floor(x) % 2 else 1.0 for x in (*up, *down))
-    return sign * math.exp(sum(map(math.lgamma, up)) - sum(map(math.lgamma, down)))
-
-
-def _series(a, b, c, scale: float = 1.0) -> list:
-    """The coefficients of scale 2F1(a, b; c; x): all of a polynomial, else
-    up to a term from which the tail at x = 1/2 is at most 1e-17 of the
-    sum of the absolute terms before it."""
-    terms, total, k = _Terms((a, b), (c,), scale), abs(scale), 1
-    while terms[k] != 0.0 and terms.tail(k, 0.5) > 1e-17 * total:
-        total += abs(terms[k]) * 0.5**k
-        k += 1
-    return terms.coefs[:k]
-
-
-class _Hypergeometric:
-    """2F1(a, b; c; 1 - rho) for 0 <= rho <= 1, g = c - a - b > 0 and c > b
-    > 0 > a: its series in 1 - rho where rho >= 1/2 or a is a non-positive
-    integer (a polynomial), else head(rho) + rho^g (rest(rho) + log(rho)
-    log_part(rho)), the connection formula of A&S 15.3.6, or of 15.3.11 for
-    an integer g (the finite head and the digamma weights of rest).  rho =
-    0 reads rho^g log(rho) as 0.
-
-    Near an integer g the two terms of 15.3.6 grow as 1/|g - m| and cancel:
-    error, 64 eps times their absolute sums at rho = 1/2 over head(0), the
-    least value, bounds the relative error (33 eps times it at most against
-    30-digit values, for n up to 24 and p near 1, 3, 5 and 7)."""
-
-    def __init__(self, a: float, b: float, c: float):
-        self.near, self.head, self.error = _series(a, b, c), None, 0.0
-        if a <= 0 and a == int(a):
-            return
-        self.g = g = c - a - b
-        if g != int(g):
-            self.head = _series(a, b, 1 - g, _gamma_ratio([c, g], [c - a, c - b]))
-            self.rest = _series(c - a, c - b, 1 + g, _gamma_ratio([c, -g], [a, b]))
-            self.log_part = [0.0]
-            terms = sum(abs(x) * 0.5**k for k, x in enumerate(self.head)) + 0.5**g * sum(
-                abs(x) * 0.5**k for k, x in enumerate(self.rest))
-            self.error = 64 * np.finfo(float).eps * terms / self.head[0]
-            return
-        m = int(g)
-        head = _Terms((a, b), (1 - m,), _gamma_ratio([m, c], [c - a, c - b]))
-        self.head = [head[n] for n in range(m)]
-        self.log_part = _series(a + m, b + m, m + 1, -(-1) ** m * _gamma_ratio([c], [a, b, m + 1]))
-        self.rest = [coef * (_digamma(a + n + m) + _digamma(b + n + m) - _digamma(n + 1) - _digamma(n + m + 1))
-                     for n, coef in enumerate(self.log_part)]
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        polyval = np.polynomial.polynomial.polyval  # loaded on first use
-        if self.head is None:
-            return polyval(1.0 - rho, self.near)
-        out, near = np.empty_like(rho), rho >= 0.5
-        out[near] = polyval(1.0 - rho[near], self.near)
-        rho = rho[~near]
-        tail = polyval(rho, self.rest) + np.log(np.where(rho > 0.0, rho, 1.0)) * polyval(rho, self.log_part)
-        out[~near] = polyval(rho, self.head) + rho**self.g * tail
-        return out
-
-
 class _FirstHarmonicGradient:
     """The reading m H^(1/p) of a base profile whose radial L^p norm on R^n
     is that of the gradient of u = f(|x|) x1/|x|: over the sphere of radius
@@ -340,11 +248,11 @@ class _FirstHarmonicGradient:
     of 2F1), for m = max(|f'|, |f/t|), rho the smaller square over the
     larger and H = 2F1(-p/2, beta; n/2; 1 - rho), beta = (n-1)/2 where
     |f'| >= |f/t|, else 1/2.  A dilation by lam reads lam m(lam t) and
-    rho(lam t).  error bounds the relative error of H (_Hypergeometric)."""
+    rho(lam t).  error bounds the relative error of H (Hypergeometric)."""
 
     def __init__(self, n: int, p: float):
         self.p, self.root = p, 1.0 / p
-        self.branches = (_Hypergeometric(-p / 2.0, (n - 1) / 2.0, n / 2.0), _Hypergeometric(-p / 2.0, 0.5, n / 2.0))
+        self.branches = (Hypergeometric(-p / 2.0, (n - 1) / 2.0, n / 2.0), Hypergeometric(-p / 2.0, 0.5, n / 2.0))
         self.error = max(branch.error for branch in self.branches)
 
     def __call__(self, base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
@@ -406,6 +314,67 @@ def _diverges_at_inf(d, s, n, powers) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# PowerTail norms in closed form
+# ---------------------------------------------------------------------------
+
+def _closed_piece(logs, hyp=(1.0, 0.0)) -> Tuple[float, float]:
+    """(log, relative error) of the product of e^logs and a 2F1 value given
+    with its relative error (hyp2f1): the logs round by 64 eps times the
+    sum of their sizes."""
+    value, error = hyp
+    return sum(logs) + math.log(value), error + ROUND * sum(map(abs, logs))
+
+
+def _log_beta(x: float, y: float, xy: float) -> list:
+    """The logs whose sum is ln B(x, y), x, y > 0 and xy = x + y."""
+    return [math.lgamma(x), math.lgamma(y), -math.lgamma(xy)]
+
+
+def _power_tail_pieces(base: PowerTail, d, s, n: int, gradient: bool) -> list:
+    """The closed pieces of the integral of t^(d+n-1) |F|^s over (0, inf),
+    F = f or, for gradient, f', f = t^-alpha (1+t)^(alpha-beta), alpha !=
+    beta, where that converges, each (log, relative error).
+
+    For f it is B(x, y), x = d + n - alpha s, y = (beta - alpha) s - x
+    (DLMF 5.12.3).  For f', u = t/(1+t) turns it into the integral of
+    u^(x-1) (1-u)^(y-1) |alpha + (beta - alpha) u|^s over (0, 1), x = d +
+    n - (alpha + 1) s, y = (beta - alpha) s - x: a Beta integral where
+    alpha or beta is 0, else Euler's integral of 2F1 (hyp2f1), |beta|^s
+    B(x, y) 2F1(-s, y; x + y; 1 - alpha/beta) where 0 < alpha/beta <= 1
+    (the roles swap where beta/alpha is), and where alpha beta < 0 the sum
+    of its parts on either side of the zero u0 = alpha / (alpha - beta),
+    |beta - alpha|^s u0^(x+s) B(x, s+1) 2F1(1 - y, x; x + s + 1; u0) and
+    its mirror with x, y and u0, 1 - u0 swapped.  The convergent verdicts
+    make every argument positive.  x and y are exact, and so is every
+    parameter that can be small, such as 1 - y."""
+    alpha, beta, p = base.alpha, base.beta, float(s)
+    gap = beta - alpha
+    x = d + n - (alpha + 1 if gradient else alpha) * s
+    xy = gap * s
+    y = xy - x
+    xf, yf = float(x), float(y)
+    if not gradient:
+        return [_closed_piece(_log_beta(xf, yf, float(xy)))]
+    af, bf, gf = float(alpha), float(beta), float(gap)
+    if alpha == 0:
+        return [_closed_piece([p * math.log(abs(bf)), *_log_beta(float(x + s), yf, float(xy + s))])]
+    if beta == 0:
+        return [_closed_piece([p * math.log(abs(af)), *_log_beta(xf, float(y + s), float(xy + s))])]
+    if (af > 0.0) == (bf > 0.0):
+        if abs(af) <= abs(bf):
+            lead, hyp = bf, hyp2f1(-s, y, x, af / bf, gf / bf)
+        else:
+            lead, hyp = af, hyp2f1(-s, x, y, bf / af, -gf / af)
+        return [_closed_piece([p * math.log(abs(lead)), *_log_beta(xf, yf, float(xy))], hyp)]
+    u0, one = -af / gf, s + 1  # 1 - u0 = beta / (beta - alpha)
+    lead = p * math.log(abs(gf))
+    return [_closed_piece([lead, (xf + p) * math.log(u0), *_log_beta(xf, p + 1.0, xf + p + 1.0)],
+                          hyp2f1(1 - y, x, one, bf / gf, u0)),
+            _closed_piece([lead, (yf + p) * math.log(bf / gf), *_log_beta(yf, p + 1.0, yf + p + 1.0)],
+                          hyp2f1(1 - x, y, one, u0, bf / gf))]
+
+
+# ---------------------------------------------------------------------------
 # norm plans: what the dilations of one member share
 # ---------------------------------------------------------------------------
 
@@ -420,7 +389,8 @@ class _NormPlan:
     So the plan holds the exact divergence verdicts and, for a norm that
     converges, its reading at lam = 1: its closed pieces, each a log
     integral and its relative error, and the one finite range left to the
-    panels, or None.  A PiecewisePower read as values is all pieces.
+    panels, or None.  A PiecewisePower read as values is all pieces, and
+    so is a PowerTail read as values or derivatives (_power_tail_pieces).
     Otherwise each end of the support at 0 or infinity is a piece of the
     read edge record there (_close), and the range stops at its cut; it
     stops there with no piece where a derivative reads an exact constant.
@@ -470,11 +440,11 @@ class _NormPlan:
         self.pieces, self.range, self.failure = [], None, None
         if not (self.diverges_at_zero or self.diverges_at_inf):
             try:
-                self._read_at_one(edges, ends, rel_tol)
+                self._read_at_one(edges, ends, d, s, n, rel_tol)
             except QuadratureError as exc:  # a float exponent past the exact verdict, or an end left open
                 self.failure = str(exc)
 
-    def _read_at_one(self, edges, ends, rel_tol: float) -> None:
+    def _read_at_one(self, edges, ends, d, s, n: int, rel_tol: float) -> None:
         """The pieces and the range of a convergent plan, from the base's
         edge records and the read ones (see the class docstring)."""
         base, reading, wexp, sf = self.base, self.reading, self.wexp, self.sf
@@ -482,6 +452,9 @@ class _NormPlan:
             self.pieces = [(_log_power_piece(coef, float(expo), None if lo == -math.inf else lo,
                                              None if hi == math.inf else hi, wexp, sf), 0.0)
                            for coef, expo, lo, hi in base.pieces]
+            return
+        if reading in (_read_value, _read_derivative) and isinstance(base, PowerTail) and base.alpha != base.beta:
+            self.pieces = _power_tail_pieces(base, d, s, n, reading is _read_derivative)
             return
         bounds = list(self.support)
         for end, (edge, read) in enumerate(zip(edges, ends)):
@@ -548,14 +521,14 @@ def _view(profile: RadialProfile, reading) -> Tuple[RadialProfile, object, float
     return profile, reading, 1.0
 
 
-def _plan(plans: dict, view, d, s, n: int, rel_tol: float) -> _NormPlan:
+def _plan(plans: dict, view, exponents: int, d, s, n: int, rel_tol: float) -> _NormPlan:
     """The plan of the norms || f ||_{d,s} on R^n of the view (base,
     reading, lam) of f, shared through plans by every norm of the same base
-    object, reading and (d, s, n) values, which share rel_tol.  Each plan
-    holds its base, so the base's id stays unique while the plans dict
-    lives."""
+    object, reading and (d, s, n) values, which share rel_tol; exponents is
+    the token of those values (weighted_norms).  Each plan holds its base,
+    so the base's id stays unique while the plans dict lives."""
     base, reading, _ = view
-    key = (id(base), reading, d, s, n)
+    key = (id(base), reading, exponents)
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = _NormPlan(base, reading, d, s, n, rel_tol)
@@ -652,14 +625,14 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 # public norms
 # ---------------------------------------------------------------------------
 
-def _radial_norm(view, d, s, n: int, plans: dict, rel_tol: float):
+def _radial_norm(view, d, s, n: int, plans: dict, exponents: int, rel_tol: float):
     """The radial norm || F ||_{d,s} on R^n of the view (base, reading, lam)
     of F, as a generator for _session that asks for the panel integral of
     its plan's range, if any, and returns the norm: the plan's pieces, each
     moved by -degree ln lam, plus the range at lam, a window's at 1 and
     moved alike (_NormPlan).  Its error is the sum over the pieces and the
     range of each one's relative error times its share of the integral."""
-    plan, lam = _plan(plans, view, d, s, n, rel_tol), view[2]
+    plan, lam = _plan(plans, view, exponents, d, s, n, rel_tol), view[2]
     if plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
     if plan.diverges_at_inf:
@@ -695,11 +668,11 @@ MEAN_TOL = 1e-17
 MEAN_TERMS = 10_000
 
 
-def _mean_series(terms: _Terms, x: float, least: float):
+def _mean_series(terms: Terms, x: float, least: float):
     """(sum, relative error) of the series of terms at z = x^2, a weighted
     mean of M over [0, x], or None past MEAN_TERMS terms.
 
-    It is cut where the tail bound (_Terms.tail) is at most MEAN_TOL of a
+    It is cut where the tail bound (Terms.tail) is at most MEAN_TOL of a
     floor of the sum: the partial sum while no term is negative, else
     least, the least value of M on [0, x].  The error is the tail over the
     floor plus 64 eps times the sum of the absolute terms over the sum."""
@@ -710,7 +683,7 @@ def _mean_series(terms: _Terms, x: float, least: float):
         tail = 0.0 if coef == 0.0 else terms.tail(k, z)  # 0: an up is a non-positive integer, a polynomial
         floor = total if positive else least
         if tail <= MEAN_TOL * floor:
-            return total, tail / floor + 64 * np.finfo(float).eps * absolute / total
+            return total, tail / floor + ROUND * absolute / total
         power *= z
         total += coef * power
         absolute += abs(coef) * power
@@ -740,10 +713,10 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     a, b = -df / 2.0, 1.0 - n / 2.0 - df / 2.0
     if gradient:
         e = (n + sf) / 2.0
-        terms = _Terms((a, e, b), (n / 2.0, e + sf + 1.0))
+        terms = Terms((a, e, b), (n / 2.0, e + sf + 1.0))
         log_beta = math.lgamma(e) + math.lgamma(sf + 1.0) - math.lgamma(e + sf + 1.0) + sf * math.log(4.0 * lam)
     else:
-        terms = _Terms((a, b), (n / 2.0 + 2.0 * sf + 1.0,))
+        terms = Terms((a, b), (n / 2.0 + 2.0 * sf + 1.0,))
         log_beta = math.lgamma(n / 2.0) + math.lgamma(2.0 * sf + 1.0) - math.lgamma(n / 2.0 + 2.0 * sf + 1.0)
     least = 1.0 if df * (df + n - 2) >= 0 else min((1.0 + x) ** df, (1.0 - x) ** df)
     series = _mean_series(terms, x, least)
@@ -755,9 +728,11 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     return NormValue.from_log(log_integral / sf, error)
 
 
-def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict, rel_tol: float):
+def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict, exponents: int,
+          rel_tol: float):
     """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
-    for _session, with the norm plans of its weighted_norms call."""
+    for _session, with the norm plans of its weighted_norms call and the
+    token of (d, s, n) there."""
     if u.angular is Angular.TRANSLATED:
         return _translated_norm(u, d, s, n, gradient)
     harmonic = u.angular is Angular.FIRST_HARMONIC
@@ -776,7 +751,7 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, pla
         base, reading, correction = closed, _read_value, math.log(lam)
     if reading is _read_value and isinstance(base, LogModulated):
         reading = _read_window
-    norm = yield from _radial_norm((base, reading, lam), d, s, n, plans, rel_tol)
+    norm = yield from _radial_norm((base, reading, lam), d, s, n, plans, exponents, rel_tol)
     if correction == 0.0 or not norm.finite:
         return norm
     return NormValue.from_log(norm.log_value + correction, norm.error)
@@ -787,9 +762,18 @@ def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     when gradient, else || u ||_{d,s}.  Every panel integral among them
     shares one session, and the radial norms of one base profile, reading
     and (d, s, n) one norm plan, whatever their dilations; a translated
-    norm is a closed-form series and asks for no panel integral."""
-    plans = {}
-    return _session([_norm(u, d, s, n, gradient, plans, cfg.rel_tol) for u, d, s, n, gradient in norms], cfg)
+    norm is a closed-form series and asks for no panel integral.
+
+    Each (d, s, n) value gets a token, found by the ids of d and s, so that
+    a plan lookup hashes no Fraction; by_id holds d and s, so their ids stay
+    unique."""
+    plans, by_value, by_id, jobs = {}, {}, {}, []
+    for u, d, s, n, gradient in norms:
+        key = id(d), id(s), n
+        if key not in by_id:
+            by_id[key] = by_value.setdefault((d, s, n), len(by_value)), d, s
+        jobs.append(_norm(u, d, s, n, gradient, plans, by_id[key][0], cfg.rel_tol))
+    return _session(jobs, cfg)
 
 
 def weighted_norm(u: TestFunction, d: Fraction, s: Fraction, n: int,

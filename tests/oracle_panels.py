@@ -7,6 +7,11 @@ estimate, once as the child's coarse one).  `panel_integral` integrates
 one finite range on its panels, and `integrate` runs every integral of a
 session through it alone, with the signature of `ckn.panels.integrate`,
 so a test can swap it in and compare the norms the two give.
+
+`PanelTail` is the profile t^-alpha (1+t)^(alpha-beta) of `PowerTail`,
+with its values, derivatives and edge records but not its closed form, so
+its norms are integrated on panels and closed ends, where a `PowerTail`'s
+are Beta and 2F1 values.
 """
 
 from __future__ import annotations
@@ -16,6 +21,29 @@ from typing import Tuple
 import numpy as np
 
 from ckn.panels import ABS_TOL, GAUSS_NODES, MAX_SUBDIVISIONS, QuadratureConfig, gauss_legendre, panel_edges
+from ckn.profiles import PowerTail, RadialProfile
+
+
+class PanelTail(RadialProfile):
+    """PowerTail(alpha, beta) as a profile with no closed form."""
+
+    kind = "panel_tail"
+
+    def __init__(self, alpha, beta):
+        self.tail = PowerTail(alpha, beta)
+        self.alpha, self.beta = self.tail.alpha, self.tail.beta
+
+    def value(self, t):
+        return self.tail.value(t)
+
+    def derivative(self, t):
+        return self.tail.derivative(t)
+
+    def edges(self):
+        return self.tail.edges()
+
+    def descriptor(self):
+        return {**self.tail.descriptor(), "kind": self.kind}
 
 
 def _gl_quad(g, x0: float, x1: float, nodes: int) -> float:

@@ -6,7 +6,9 @@ reported error (`quadrature._NormPlan._close`).  Each norm below was
 once walked by panels toward 0 or infinity, and each was off by far more
 than the error it reported.  Now each must be Finite and lie within its
 reported log error, NormValue.error / s, plus SLACK for rounding, of a
-closed form built with math.lgamma (`oracle_sharp`).
+closed form built with math.lgamma (`oracle_sharp`).  The profiles are
+`PanelTail`s, PowerTails with no closed form, so that the norms are
+integrated on panels and closed ends.
 """
 
 import math
@@ -15,9 +17,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ckn.profiles import Edge, PowerTail, RadialProfile
+from ckn.profiles import Edge, RadialProfile
 from ckn.quadrature import NormStatus, weighted_norm, weighted_norm_gradient
 from ckn.testfunctions import radial
+from oracle_panels import PanelTail
 from oracle_sharp import hardy_log_constant, power_tail_log_norm
 
 F = Fraction
@@ -27,7 +30,7 @@ SLACK = 1e-13
 
 
 def assert_within_error(alpha, beta, d, s, n):
-    norm = weighted_norm(radial(PowerTail(alpha, beta)), d, s, n)
+    norm = weighted_norm(radial(PanelTail(alpha, beta)), d, s, n)
     assert norm.finite, norm.detail
     off = abs(norm.log_value - power_tail_log_norm(alpha, beta, d, s, n))
     assert off <= norm.error / float(s) + SLACK, (off, norm.error)
@@ -80,7 +83,7 @@ def test_near_extremal_hardy_ratios_stay_below_the_sharp_constant(n, p, b, eps):
     # 1.5e-2; at (3, 2, 0) and (5, 3/2, -1) f' overflowed near 0 and the
     # norms were Failed
     k = n + b - p
-    u = radial(PowerTail(k / p - eps, k / p + eps))
+    u = radial(PanelTail(k / p - eps, k / p + eps))
     value, grad = weighted_norm(u, b - p, p, n), weighted_norm_gradient(u, b, p, n)
     assert value.finite and grad.finite, (value.detail, grad.detail)
     errors = (value.error + grad.error) / float(p)

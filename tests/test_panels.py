@@ -8,10 +8,10 @@ import numpy as np
 import ckn.panels as panels
 import ckn.quadrature as quadrature
 import oracle_panels
-from oracle_panels import panel_integral
+from oracle_panels import PanelTail, panel_integral
 from ckn.classify import Reason, classify
 from ckn.probes import compute_norms
-from ckn.profiles import (Bound, Edge, InvertedProfile, PowerCutoffInner, PowerTail, RadialProfile, SmoothBump,
+from ckn.profiles import (Bound, Edge, InvertedProfile, PowerCutoffInner, RadialProfile, SmoothBump,
                           TruncatedPrimitive)
 from ckn.quadrature import (
     DEFAULT_CONFIG,
@@ -70,10 +70,10 @@ def assert_same(batched, oracle):
 
 
 def power_tail(rng, n, d, s):
-    """A PowerTail whose weighted s-norm converges at both ends, its
+    """A PanelTail whose weighted s-norm converges at both ends, its
     integrand's exponents at least 1/2 from critical."""
     crit = (d + n) / s
-    return PowerTail(crit - F(1, 2) - rational(rng, 0, 2), crit + F(1, 2) + rational(rng, 0, 2))
+    return PanelTail(crit - F(1, 2) - rational(rng, 0, 2), crit + F(1, 2) + rational(rng, 0, 2))
 
 
 def bump(rng):
@@ -107,7 +107,7 @@ def test_near_critical_ends_match_oracle(monkeypatch):
     # exponent 1/1000 from critical at each end, where the walks once ran to
     # t = 1e-280 and 1e280: the panels stop at the cuts of the closed ends
     for alpha, beta in ((F(2, 3) - F(1, 1000), F(3)), (F(0), F(2, 3) + F(1, 1000))):
-        batched, oracle = both(monkeypatch, weighted_norm, radial(PowerTail(alpha, beta)), F(0), F(3), 2)
+        batched, oracle = both(monkeypatch, weighted_norm, radial(PanelTail(alpha, beta)), F(0), F(3), 2)
         assert batched.finite
         assert_same(batched, oracle)
 
@@ -147,7 +147,7 @@ def test_a_first_harmonic_plateau_tail_is_closed_past_every_seam():
 
 def prefetch_corpus():
     """Norm sessions of a seeded corpus: cutoffs at random alpha, d and s,
-    bumps and PowerTails, each norm in a session of its own (small
+    bumps and PanelTails, each norm in a session of its own (small
     frontiers) and all of them in one session, plus two first-harmonic
     gradient norms."""
     rng = random.Random(1414)

@@ -25,6 +25,7 @@ from ckn.profiles import PowerTail, SmoothBump
 from ckn.quadrature import NormStatus, weighted_norm_gradient, weighted_norms
 from ckn.testfunctions import dilate, radial
 from conftest import random_params
+from oracle_panels import PanelTail
 
 F = Fraction
 
@@ -89,8 +90,8 @@ def test_first_harmonic_fixture_matches_one_triple_at_a_time():
 def test_near_critical_members_match_one_triple_at_a_time():
     # exponents 1/1000 from critical, at 0 (first instance) and at infinity
     # (second), where the target and source walks once ran to the float
-    # edges: each end is closed at its cut
-    for b, member in ((2, PowerTail(F(2, 3) - F(1, 1000), 3)), (0, PowerTail(F(0), F(2, 3) + F(1, 1000)))):
+    # edges: each end is closed at its cut.  PanelTails keep them on panels
+    for b, member in ((2, PanelTail(F(2, 3) - F(1, 1000), 3)), (0, PanelTail(F(0), F(2, 3) + F(1, 1000)))):
         params = Params(2, F(2), F(3), F(3), F(0), F(b), F(0))
         family = [radial(SmoothBump(2.0, 1.0)), radial(member)]
         assert assert_same_report(params, F(0), family).ok
@@ -107,14 +108,14 @@ def test_a_failing_member_is_reported_as_before():
 
 
 def test_one_norm_whose_cut_leaves_the_floats_fails_alone():
-    # f' of PowerTail(10^-300, 2) is -alpha t^(-alpha-1) (1 + (2/alpha) t +
+    # f' of PanelTail(10^-300, 2) is -alpha t^(-alpha-1) (1 + (2/alpha) t +
     # ...) at 0: its bound puts the cut of the gradient's head near 1e-307,
     # past 2^-830; the other norms close their ends within the floats
     jobs = [
         (radial(SmoothBump(2.0, 1.0)), F(0), F(2), 3, False),
-        (radial(PowerTail(F(1, 10**300), F(2))), F(-9, 10), F(2), 3, True),
-        (radial(PowerTail(F(-1), F(3))), F(0), F(2), 3, False),
-        (radial(PowerTail(F(-1), F(3))), F(1), F(2), 3, True),
+        (radial(PanelTail(F(1, 10**300), F(2))), F(-9, 10), F(2), 3, True),
+        (radial(PanelTail(F(-1), F(3))), F(0), F(2), 3, False),
+        (radial(PanelTail(F(-1), F(3))), F(1), F(2), 3, True),
     ]
     session = weighted_norms(jobs)
     assert [norm.status for norm in session] == [
@@ -132,7 +133,7 @@ def test_batches_stay_within_the_chunk_and_the_call_budget(monkeypatch):
     # the chunk bounds every array of points, and with it peak memory; the
     # batches themselves must be large, else nothing is shared
     sizes, calls = [], []
-    value, gauss_sums = PowerTail.value, panels._gauss_sums
+    value, gauss_sums = SmoothBump.value, panels._gauss_sums
 
     def recorded(self, t):
         sizes.append(np.size(t))
@@ -142,7 +143,7 @@ def test_batches_stay_within_the_chunk_and_the_call_budget(monkeypatch):
         calls.append(args[3].size)
         return gauss_sums(*args)
 
-    monkeypatch.setattr(PowerTail, "value", recorded)
+    monkeypatch.setattr(SmoothBump, "value", recorded)
     monkeypatch.setattr(panels, "_gauss_sums", counted)
     for params, theta in embedding_instances(7, 1):
         calls.clear()
