@@ -131,8 +131,8 @@ class Hypergeometric:
             self.polynomial = _rho_polynomial(int(-a), b, c - b)
             self.error = _rounding(len(self.polynomial))
             return
-        self.near, self.g = _series(a, b, c), c - a - b
-        g = self.g
+        self.near = _series(a, b, c)
+        self.g = g = c - a - b
         if g != int(g):
             self.head = _series(a, b, 1 - g, _gamma_ratio([c, g], [c - a, c - b]))
             self.rest = _series(c - a, c - b, 1 + g, _gamma_ratio([c, -g], [a, b]))

@@ -366,12 +366,12 @@ def _power_tail_pieces(base: PowerTail, d, s, n: int, gradient: bool) -> list:
         else:
             lead, hyp = af, hyp2f1(-s, x, y, bf / af, -gf / af)
         return [_closed_piece([p * math.log(abs(lead)), *_log_beta(xf, yf, float(xy))], hyp)]
-    u0, one = -af / gf, s + 1  # 1 - u0 = beta / (beta - alpha)
-    lead = p * math.log(abs(gf))
-    return [_closed_piece([lead, (xf + p) * math.log(u0), *_log_beta(xf, p + 1.0, xf + p + 1.0)],
-                          hyp2f1(1 - y, x, one, bf / gf, u0)),
-            _closed_piece([lead, (yf + p) * math.log(bf / gf), *_log_beta(yf, p + 1.0, yf + p + 1.0)],
-                          hyp2f1(1 - x, y, one, u0, bf / gf))]
+    u0, v0 = -af / gf, bf / gf  # v0 = 1 - u0
+    log_gap = p * math.log(abs(gf))
+    return [_closed_piece([log_gap, (xf + p) * math.log(u0), *_log_beta(xf, p + 1.0, xf + p + 1.0)],
+                          hyp2f1(1 - y, x, s + 1, v0, u0)),
+            _closed_piece([log_gap, (yf + p) * math.log(v0), *_log_beta(yf, p + 1.0, yf + p + 1.0)],
+                          hyp2f1(1 - x, y, s + 1, u0, v0))]
 
 
 # ---------------------------------------------------------------------------
