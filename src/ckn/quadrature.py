@@ -347,6 +347,7 @@ def _power_tail_pieces(base: PowerTail, d, s, n: int, gradient: bool) -> list:
     its mirror with x, y and u0, 1 - u0 swapped.  The convergent verdicts
     make every argument positive.  x and y are exact, and so is every
     parameter that can be small, such as 1 - y."""
+    d, s = Fraction(d), Fraction(s)  # exact whatever numbers the caller passed
     alpha, beta, p = base.alpha, base.beta, float(s)
     gap = beta - alpha
     x = d + n - (alpha + 1 if gradient else alpha) * s

@@ -130,6 +130,12 @@ def test_values_are_beta_values_at_every_dilation():
         assert abs(norm.log_value - (log_norm - float((d + n) / s) * math.log(lam))) <= 1e-13
 
 
+def test_float_exponents_give_the_norms_of_their_fractions():
+    u = radial(PowerTail(F(-1), F(3)))
+    for norm in (weighted_norm, weighted_norm_gradient):
+        assert norm(u, 0.5, 1.5, 3).log_value == norm(u, F(1, 2), F(3, 2), 3).log_value
+
+
 @pytest.mark.parametrize("n, p, b, eps", [
     (2, F(4), F(1), F(1, 512)),
     (2, F(4), F(1), F(1, 1024)),
