@@ -237,9 +237,11 @@ def hyp2f1(a: Fraction, b: Fraction, e: Fraction, rho: float, z: float) -> Tuple
         2F1(a, b; 1 - g; rho) + rho^g G2 2F1(c - a, e; 1 + g; rho) with
         Gamma ratios G1 and G2, or 15.3.11 where g is an integer.
 
-    a, b and e are exact, so g and the arguments of the Gamma functions
-    lose no digits to cancellation, and whether a and g are integers is
-    decided exactly.  The error is the tails of the series plus their
+    Whether a and g are integers is decided exactly.  Every part reads the
+    one float g = float(e) - float(a), the Gamma ratios and the series of
+    15.3.6 alike: near an integer m the two terms of 15.3.6 grow as 1/|g -
+    m| and cancel, to rounding only where their poles sit at the same g.
+    The error is the tails of the series plus their
     rounding (_sum_2f1), and 64 eps times the size of each log (a power of
     rho, a Gamma ratio's log Gammas), over the value."""
     af, bf, ef = float(a), float(b), float(e)
@@ -255,9 +257,9 @@ def hyp2f1(a: Fraction, b: Fraction, e: Fraction, rho: float, z: float) -> Tuple
         return math.exp(log_power) * total, (tail + rounding) / total + ROUND * (1.0 + abs(log_power))
     g = e - a
     if g.denominator != 1:
-        parts = [(1.0, [cf, gf], [bf + gf, ef], 0.0, _sum_2f1(af, bf, float(1 - g), rho))]
+        parts = [(1.0, [cf, gf], [bf + gf, ef], 0.0, _sum_2f1(af, bf, 1.0 - gf, rho))]
         if rho > 0.0:  # rho^g is 0 at rho = 0
-            parts.append((1.0, [cf, -gf], [af, bf], gf * math.log(rho), _sum_2f1(bf + gf, ef, float(1 + g), rho)))
+            parts.append((1.0, [cf, -gf], [af, bf], gf * math.log(rho), _sum_2f1(bf + gf, ef, 1.0 + gf, rho)))
     else:
         m = int(g)
         head, rounding, term = 1.0, 8.0, 1.0

@@ -88,6 +88,39 @@ def test_each_branch_matches_the_depth_first_panels(monkeypatch, alpha, beta, b,
     assert abs(closed.log_value - panels.log_value) <= (closed.error + panels.error) / float(p) + SLACK
 
 
+@pytest.mark.parametrize("shift", [-F(1, 10**6), F(1, 10**6)], ids=["below", "above"])
+def test_near_an_integer_g_15_3_6_matches_the_depth_first_panels(monkeypatch, shift):
+    # g = b + 21/8 = 3 + shift: the two terms of A&S 15.3.6 grow as 1/|g - 3|
+    # and cancel, which they do only where the Gamma ratios and the series
+    # read one float g; at b = 3/8 - 10^-6 they read two and were 1.44e-7
+    # off in log, reporting 5.75e-10
+    p = F(3, 2)
+    closed, panels, taken = closed_and_panels(monkeypatch, F(1, 4), F(4), F(3, 8) + shift, p, 3)
+    assert taken == ["15.3.6"]
+    assert closed.finite and panels.finite, (closed.detail, panels.detail)
+    assert abs(closed.log_value - panels.log_value) <= (closed.error + panels.error) / float(p) + SLACK
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_near_an_integer_g_the_two_sides_of_the_seam_agree(side, k):
+    # |g - m| = 10^-k: just below RHO_CONNECT the value is read by A&S 15.3.6,
+    # whose terms cancel, and at it by Euler's transformation, whose terms
+    # are positive; one ulp of rho apart, each lies within its error of the
+    # other.  With 1 -+ g rounded from the exact g and the Gamma ratios
+    # reading float(e) - float(a), a = -Fraction(0.999999) / 2 was 5.2e-6
+    # off while reporting 1.4e-8
+    shift = side * F(1, 10**k)
+    below = math.nextafter(hypergeometric.RHO_CONNECT, 0.0)
+    for a, b, e in [(-F(1 + 2 * float(shift)) / 2, F(1, 2), F(1, 2)),
+                    (F(-3, 2), F(17, 4), F(3, 2) + shift),
+                    (F(-7, 3), F(5, 2), F(2, 3) + shift)]:
+        assert branch(a, b, e, below, 1.0 - below) == "15.3.6"
+        near, near_error = hypergeometric.hyp2f1(a, b, e, below, 1.0 - below)
+        far, far_error = hypergeometric.hyp2f1(a, b, e, hypergeometric.RHO_CONNECT, 1.0 - hypergeometric.RHO_CONNECT)
+        assert abs(near / far - 1.0) <= near_error + far_error, (a, b, e)
+
+
 def p2_log_norm(alpha, beta, b, n):
     """log || grad PowerTail(alpha, beta) ||_{b,2} on R^n from the p = 2
     identity: the integral of u^(x-1) (1-u)^(y-1) (alpha + gamma u)^2 over
