@@ -2,10 +2,10 @@
 
   * `Terms`: the term recurrence of pFq, p = q + 1, and a bound on the tail
     of the series at any z.
-  * `Hypergeometric`: 2F1(a, b; c; 1 - rho) on arrays of rho, the angular
-    factor of first-harmonic gradients.
-  * `hyp2f1`: one 2F1 value of Euler's integral, read from rho, with its
-    relative error, for the gradients of `PowerTail`s.
+  * `Hyp2F1`: 2F1(a, b; b + e; 1 - rho) from exact a, b and e, one value
+    with its relative error for the gradients of `PowerTail`s, or arrays of
+    rho under one error over [0, 1] for the angular factor of
+    first-harmonic gradients.
 
 Each error is a series tail plus the rounding of its sums, 64 eps times
 the sum of the absolute terms (`ROUND`), more for long recurrences.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -73,22 +74,13 @@ def _digamma(x: float) -> float:
     return shift + math.log(x) - 0.5 / x - y * (1 / 12 - y * (1 / 120 - y * (1 / 252 - y * (1 / 240 - y / 132))))
 
 
-def _gamma_ratio(up, down) -> float:
+def _gamma_ratio(up, down) -> Tuple[float, float]:
     """The product of Gamma over up divided by that over down, none of them
-    a pole, through lgamma and the signs of Gamma at negative points."""
+    a pole, through lgamma and the signs of Gamma at negative points, and
+    the sum of the sizes of its log Gammas."""
+    logs = [math.lgamma(x) for x in up] + [-math.lgamma(x) for x in down]
     sign = math.prod(-1.0 if x < 0 and math.floor(x) % 2 else 1.0 for x in (*up, *down))
-    return sign * math.exp(sum(map(math.lgamma, up)) - sum(map(math.lgamma, down)))
-
-
-def _series(a, b, c, scale: float = 1.0) -> list:
-    """The coefficients of scale 2F1(a, b; c; x): all of a polynomial, else
-    up to a term from which the tail at x = 1/2 is at most 1e-17 of the
-    sum of the absolute terms before it."""
-    terms, total, k = Terms((a, b), (c,), scale), abs(scale), 1
-    while terms[k] != 0.0 and terms.tail(k, 0.5) > 1e-17 * total:
-        total += abs(terms[k]) * 0.5**k
-        k += 1
-    return terms.coefs[:k]
+    return sign * math.exp(sum(logs)), sum(map(abs, logs))
 
 
 def _rho_polynomial(m: int, b: float, e: float) -> list:
@@ -104,177 +96,180 @@ def _rho_polynomial(m: int, b: float, e: float) -> list:
     return coefs
 
 
-def _rounding(count: int) -> float:
-    """A bound on the relative rounding of a term of a series made by count
-    steps of a recurrence, each of at most 8 roundings and one rounded
-    argument, and summed: 64 eps, plus 8 eps a step."""
-    return ROUND * (1.0 + count / 8.0)
+def _horner(coefs: list, x):
+    """The sum of coefs[k] x^k by Horner's rule, at a float or an array x."""
+    value = 0.0
+    for coef in reversed(coefs):
+        value = value * x + coef
+    return value
 
 
-class Hypergeometric:
-    """2F1(a, b; c; 1 - rho) for 0 <= rho <= 1, g = c - a - b > 0 and c > b
-    > 0 > a: a polynomial in rho where a is a non-positive integer
-    (_rho_polynomial), else its series in 1 - rho where rho >= 1/2, else
-    head(rho) + rho^g (rest(rho) + log(rho) log_part(rho)), the connection
-    formula of A&S 15.3.6, or of 15.3.11 for an integer g (the finite head
-    and the digamma weights of rest).  rho = 0 reads rho^g log(rho) as 0.
+class _Series:
+    """2F1(u, w; v; x) as the sum of coefs[k] x^k, its coefficients built
+    by the term recurrence as far as the largest argument summed so far
+    needs, or the first `length` of them (a finite head)."""
 
-    Near an integer g the two terms of 15.3.6 grow as 1/|g - m| and cancel:
-    error, 64 eps times their absolute sums at rho = 1/2 over head(0), the
-    least value, bounds the relative error (33 eps times it at most against
-    30-digit values, for n up to 24 and p near 1, 3, 5 and 7).  The
-    polynomial's terms are positive: its error is their rounding."""
+    def __init__(self, u: float, w: float, v: float, length: int = _MAX_TERMS):
+        self.u, self.w, self.v, self.length, self.coefs = u, w, v, length, [1.0]
+        # past it each factor (u + k) / (v + k) and (w + k) / (k + 1) of the term ratio is monotone
+        self.first = max(1.0, -u, -w, math.floor(-v) + 1.0)
 
-    def __init__(self, a: float, b: float, c: float):
-        self.head = None
-        if a <= 0 and a == int(a):
-            self.polynomial = _rho_polynomial(int(-a), b, c - b)
-            self.error = _rounding(len(self.polynomial))
-            return
-        self.near = _series(a, b, c)
-        self.g = g = c - a - b
-        if g != int(g):
-            self.head = _series(a, b, 1 - g, _gamma_ratio([c, g], [c - a, c - b]))
-            self.rest = _series(c - a, c - b, 1 + g, _gamma_ratio([c, -g], [a, b]))
-            self.log_part = [0.0]
-            terms = sum(abs(x) * 0.5**k for k, x in enumerate(self.head)) + 0.5**g * sum(
-                abs(x) * 0.5**k for k, x in enumerate(self.rest))
-            self.error = ROUND * terms / self.head[0]
-            return
-        m, self.error = int(g), 0.0
-        head = Terms((a, b), (1 - m,), _gamma_ratio([m, c], [c - a, c - b]))
-        self.head = [head[n] for n in range(m)]
-        self.log_part = _series(a + m, b + m, m + 1, -(-1) ** m * _gamma_ratio([c], [a, b, m + 1]))
-        self.rest = [coef * (_digamma(a + n + m) + _digamma(b + n + m) - _digamma(n + 1) - _digamma(n + m + 1))
-                     for n, coef in enumerate(self.log_part)]
+    def sum(self, x: float) -> Tuple[float, float, float, float]:
+        """(sum, absolute sum, rounding, tail) at 0 <= x < 1, cut after a
+        term k >= first, one of every 16, whose tail bound |term k| r / (1 -
+        r) is at most 1e-17 of the absolute sum, r = x max(1, (u + k) / (v +
+        k)) max(1, (w + k) / (k + 1)) (Terms.tail).  The rounding of term k
+        is its size times 64 eps plus 8 eps a step of the recurrence, each
+        of at most 8 roundings and one rounded argument."""
+        u, w, v, length = self.u, self.w, self.v, self.length
+        u1, w1, v1 = u - 1.0, w - 1.0, v - 1.0
+        coefs = [1.0]
+        coef = total = absolute = power = 1.0
+        rounding = size = 0.0
+        for start in range(1, length, 16):
+            for k in range(start, min(start + 16, length)):
+                coef *= (u1 + k) * (w1 + k) / ((v1 + k) * k)
+                coefs.append(coef)
+                power *= x
+                term = coef * power
+                size = abs(term)
+                total += term
+                absolute += size
+                rounding += size * k
+            if k >= self.first:
+                r = x * max(1.0, (u + k) / (v + k)) * max(1.0, (w + k) / (k + 1.0))
+                if r < 1.0 and size * r <= 1e-17 * absolute * (1.0 - r):
+                    break
+        else:
+            if length == _MAX_TERMS:
+                raise QuadratureError(f"2F1({u:.6g}, {w:.6g}; {v:.6g}; {x:.6g}) needs more than {_MAX_TERMS} terms")
+            r = 0.0
+        if len(coefs) > len(self.coefs):
+            self.coefs = coefs
+        return total, absolute, ROUND / 8.0 * (8.0 * absolute + rounding), size * r / (1.0 - r)
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        polyval = np.polynomial.polynomial.polyval  # loaded on first use
-        if self.head is None:
-            return polyval(rho, self.polynomial)
-        out, near = np.empty_like(rho), rho >= 0.5
-        out[near] = polyval(1.0 - rho[near], self.near)
-        rho = rho[~near]
-        tail = polyval(rho, self.rest) + np.log(np.where(rho > 0.0, rho, 1.0)) * polyval(rho, self.log_part)
-        out[~near] = polyval(rho, self.head) + rho**self.g * tail
-        return out
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return _horner(self.coefs, x)
 
 
-# below it 2F1(a, b; c; 1 - rho) is read from the connection formulas in
-# rho, whose two terms cancel ever more as rho grows, and at or above it
-# from a series of positive terms in 1 - rho, which grows ever longer as
-# rho falls
+class _LogSeries(_Series):
+    """The log series of A&S 15.3.11, the sum of t_n x^n (ln x + A_n +
+    B_n), t_n the coefficients of 2F1(u, w; v; x), u, w > 0, v = m + 1, A_n
+    = psi(u + n) - psi(n + 1) and B_n = psi(w + n) - psi(v + n): ln x times
+    that 2F1 plus the series of t_n (A_n + B_n).  Each digamma difference
+    shrinks in size as n grows, so |ln x| + |A_0| + |B_0| bounds every
+    weight, and the tail and rounding of the 2F1 times it theirs."""
+
+    def rest(self) -> Tuple[list, float]:
+        """The coefficients t_n (A_n + B_n), and |A_0| + |B_0|."""
+        da, db, rest = _digamma(self.u) - _digamma(1.0), _digamma(self.w) - _digamma(self.v), []
+        weight = abs(da) + abs(db)
+        for n, coef in enumerate(self.coefs):
+            rest.append(coef * (da + db))
+            da += 1.0 / (self.u + n) - 1.0 / (n + 1.0)
+            db += 1.0 / (self.w + n) - 1.0 / (self.v + n)
+        return rest, weight
+
+    def sum(self, x: float) -> Tuple[float, float, float, float]:
+        total, absolute, rounding, tail = super().sum(x)
+        (rest, weight), log_x = self.rest(), math.log(x)
+        weight += abs(log_x)
+        return log_x * total + _horner(rest, x), weight * absolute, weight * rounding, weight * tail
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.log(np.where(x > 0.0, x, 1.0)) * _horner(self.coefs, x) + _horner(self.rest()[0], x)
+
+
+# below it 2F1(a, b; c; 1 - rho) is read from connection formulas in rho,
+# which cancel more as rho grows, and at or above it from positive terms in
+# 1 - rho, which take longer as rho falls
 RHO_CONNECT = 0.1
 
 
-def _sum_2f1(a: float, b: float, c: float, z: float) -> Tuple[float, float, float]:
-    """(sum, rounding, tail) of 2F1(a, b; c; z) for 0 <= z < 1 and c not a
-    non-positive integer, its terms by the recurrence in numpy runs of about
-    as many as the sum needs, cut at the first term k from which the tail
-    bound of Terms.tail, |term k| r / (1 - r), is at most 1e-17 of the
-    absolute sum: r is z times the factors (a + k) / (c + k) and (b + k) /
-    (k + 1) of the next term ratio, each at least 1, once each is monotone.
-    The rounding is that of each term (_rounding) times its size, summed."""
-    if z == 0.0:
-        return 1.0, ROUND, 0.0
-    first = max(1.0, -a, -b, math.floor(-c) + 1.0)  # each factor of the term ratio is monotone past it
-    run = 16 + int((40.0 + 2.0 * abs(a + b - c)) / -math.log(z))
-    total, absolute, rounding, last = 1.0, 1.0, 8.0, 1.0
-    for start in range(1, _MAX_TERMS, run):
-        k = np.arange(start - 1.0, start + run)
-        up, down = (a + k) / (c + k), (b + k) / (k + 1.0)
-        terms = last * np.cumprod(up[:-1] * down[:-1] * z)
-        sizes = np.abs(terms)
-        running = absolute + np.cumsum(sizes)
-        r = z * np.maximum(up[1:], 1.0) * np.maximum(down[1:], 1.0)
-        done = np.flatnonzero((sizes * r <= 1e-17 * running * (1.0 - r)) & (r < 1.0) & (k[1:] >= first))
-        stop = int(done[0]) + 1 if done.size else run
-        total += float(terms[:stop].sum())
-        rounding += float(sizes[:stop] @ (8.0 + k[1:stop + 1]))
-        if done.size:
-            return total, ROUND / 8.0 * rounding, float(sizes[stop - 1] * r[stop - 1] / (1.0 - r[stop - 1]))
-        absolute, last = float(running[-1]), float(terms[-1])
-    raise QuadratureError(f"2F1({a:.6g}, {b:.6g}; {c:.6g}; {z:.6g}) needs more than {_MAX_TERMS} terms")
+def _sum(parts: list, x: float, rho: float) -> Tuple[float, float]:
+    """(value, absolute error) of the sum of the parts (scale, logs, g,
+    series), each scale rho^g series(x), rho^g 0 at rho = 0: the tail and
+    rounding of each series, and 64 eps times the sizes of the logs, of its
+    Gamma ratio (logs) and its power of rho, plus one for its exp."""
+    value = error = 0.0
+    for scale, logs, g, series in parts:
+        if g and rho == 0.0:
+            continue
+        log_power = g * math.log(rho) if g else 0.0
+        scale *= math.exp(log_power)
+        total, absolute, rounding, tail = series.sum(x)
+        value += scale * total
+        error += abs(scale) * (tail + rounding + ROUND * absolute * (1.0 + abs(log_power) + logs))
+    return value, error
 
 
-def _sum_log_2f1(up: Tuple[float, float], m: int, rho: float) -> Tuple[float, float, float]:
-    """(sum, rounding, tail) of the log series of A&S 15.3.11, the sum over
-    n of t_n (ln rho + A_n + B_n), t_n the terms of 2F1(a + m, b + m; m +
-    1; rho) and A_n = psi(a + m + n) - psi(n + 1) and B_n = psi(b + m + n)
-    - psi(m + n + 1), for 0 < rho < 1/2 and up = (a + m, b + m) > 0.  Each
-    digamma difference shrinks in size as n grows, so |ln rho| + |A_n| +
-    |B_n| bounds the weights past n, and the sum is cut as in _sum_2f1."""
-    down, log_rho = m + 1.0, math.log(rho)
-    da, db = _digamma(up[0]) - _digamma(1.0), _digamma(up[1]) - _digamma(down)
-    term, total = 1.0, log_rho + da + db
-    absolute = abs(log_rho) + abs(da) + abs(db)
-    rounding = 8.0 * absolute
-    for k in range(1, _MAX_TERMS):
-        term *= (up[0] + k - 1.0) * (up[1] + k - 1.0) / ((down + k - 1.0) * k) * rho
-        da += 1.0 / (up[0] + k - 1.0) - 1.0 / k
-        db += 1.0 / (up[1] + k - 1.0) - 1.0 / (down + k - 1.0)
-        weight = abs(log_rho) + abs(da) + abs(db)
-        total += term * (log_rho + da + db)
-        absolute += term * weight
-        rounding += term * weight * (8.0 + k)
-        r = rho * max(1.0, (up[0] + k) / (down + k)) * max(1.0, (up[1] + k) / (k + 1.0))
-        if r < 1.0 and term * weight * r <= 1e-17 * absolute * (1.0 - r):
-            return total, ROUND / 8.0 * rounding, term * weight * r / (1.0 - r)
-    raise QuadratureError(f"the log series of 2F1 at {rho:.6g} needs more than {_MAX_TERMS} terms")
-
-
-def hyp2f1(a: Fraction, b: Fraction, e: Fraction, rho: float, z: float) -> Tuple[float, float]:
-    """(2F1(a, b; c; z), its relative error) for c = b + e, b, e > 0, g = e
-    - a > 0, 0 <= rho <= 1 and z = 1 - rho, each rounded once: Euler's
-    integral of (1 - z v)^-a over the Beta(b, e) weight (DLMF 15.6.1), so
-    a positive value.  It is
+class Hyp2F1:
+    """2F1(a, b; c; z) for c = b + e, b, e > 0, g = e - a > 0 and z = 1 -
+    rho, 0 <= rho <= 1: Euler's integral of (1 - z v)^-a over the Beta(b,
+    e) weight (DLMF 15.6.1), so a positive value.  It is
 
       * a polynomial in rho where a is a non-positive integer
         (_rho_polynomial);
       * else rho^g 2F1(c - a, e; c; z), a series of positive terms (Euler's
-        transformation, DLMF 15.8.1), where rho >= RHO_CONNECT;
+        transformation, DLMF 15.8.1), where rho >= RHO_CONNECT (far);
       * else, in rho so that a tiny rho keeps its digits, A&S 15.3.6, G1
         2F1(a, b; 1 - g; rho) + rho^g G2 2F1(c - a, e; 1 + g; rho) with
-        Gamma ratios G1 and G2, or 15.3.11 where g is an integer.
+        Gamma ratios G1 and G2, or 15.3.11 where g is an integer (near).
 
-    Whether a and g are integers is decided exactly.  Every part reads the
-    one float g = float(e) - float(a), the Gamma ratios and the series of
-    15.3.6 alike: near an integer m the two terms of 15.3.6 grow as 1/|g -
-    m| and cancel, to rounding only where their poles sit at the same g.
-    The error is the tails of the series plus their
-    rounding (_sum_2f1), and 64 eps times the size of each log (a power of
-    rho, a Gamma ratio's log Gammas), over the value."""
-    af, bf, ef = float(a), float(b), float(e)
-    cf, gf = bf + ef, ef - af
-    if a.denominator == 1 and af <= 0.0:
-        coefs, value = _rho_polynomial(int(-a), bf, ef), 0.0
-        for coef in reversed(coefs):
-            value = value * rho + coef
-        return value, _rounding(len(coefs))
-    if rho >= RHO_CONNECT:
-        total, rounding, tail = _sum_2f1(bf + gf, ef, cf, z)
-        log_power = gf * math.log(rho)
-        return math.exp(log_power) * total, (tail + rounding) / total + ROUND * (1.0 + abs(log_power))
-    g = e - a
-    if g.denominator != 1:
-        parts = [(1.0, [cf, gf], [bf + gf, ef], 0.0, _sum_2f1(af, bf, 1.0 - gf, rho))]
-        if rho > 0.0:  # rho^g is 0 at rho = 0
-            parts.append((1.0, [cf, -gf], [af, bf], gf * math.log(rho), _sum_2f1(bf + gf, ef, 1.0 + gf, rho)))
-    else:
-        m = int(g)
-        head, rounding, term = 1.0, 8.0, 1.0
-        for k in range(1, m):  # the finite head, (1 - m)_k != 0
-            term *= (af + k - 1.0) * (bf + k - 1.0) / ((k - m) * k) * rho
-            head += term
-            rounding += abs(term) * (8.0 + k)
-        parts = [(1.0, [float(m), cf], [ef, bf + gf], 0.0, (head, ROUND / 8.0 * rounding, 0.0))]
-        if rho > 0.0:  # rho^m ln(rho) is 0 at rho = 0
-            parts.append((-(-1.0) ** m, [cf], [af, bf, m + 1.0], m * math.log(rho),
-                          _sum_log_2f1((ef, bf + gf), m, rho)))
-    value, error = 0.0, 0.0
-    for sign, up, down, log_power, (total, rounding, tail) in parts:
-        scale = sign * math.exp(log_power) * _gamma_ratio(up, down)
-        logs = abs(log_power) + sum(abs(math.lgamma(v)) for v in (*up, *down))
-        value += scale * total
-        error += abs(scale) * (tail + rounding + ROUND * abs(total) * logs)
-    return value, error / value
+    Every part reads a and g = e - a each rounded once from its exact
+    value, the Gamma ratios and the series of 15.3.6 alike: near an integer
+    m the two terms of 15.3.6 grow as 1/|g - m| and cancel, to rounding
+    only where their poles sit at the same g.  So whether a and g are
+    integers is decided on these floats, exactly for every integer, and a
+    value within half an ulp of one, at which the other branch has a pole,
+    is read as that integer.  The near branch is built on first use."""
+
+    def __init__(self, a: Fraction, b: Fraction, e: Fraction):
+        self.a, self.b, self.e, self.error, self.polynomial = a, b, e, None, None
+        self.af, self.bf, self.ef, self.gf = float(a), float(b), float(e), float(e - a)
+        self.far = [(1.0, 0.0, self.gf, _Series(self.bf + self.gf, self.ef, self.bf + self.ef))]
+        if self.af <= 0.0 and self.af.is_integer():  # positive terms: 64 eps, plus 8 eps a step
+            self.polynomial = _rho_polynomial(int(-self.af), self.bf, self.ef)
+            self.error = ROUND * (1.0 + len(self.polynomial) / 8.0)
+
+    @cached_property
+    def near(self) -> list:
+        af, bf, ef, gf, cf = self.af, self.bf, self.ef, self.gf, self.bf + self.ef
+        if not gf.is_integer():
+            return [(*_gamma_ratio([cf, gf], [bf + gf, ef]), 0.0, _Series(af, bf, 1.0 - gf)),
+                    (*_gamma_ratio([cf, -gf], [af, bf]), gf, _Series(bf + gf, ef, 1.0 + gf))]
+        m = int(gf)
+        scale, logs = _gamma_ratio([cf], [af, bf, m + 1.0])
+        return [(*_gamma_ratio([float(m), cf], [ef, bf + gf]), 0.0, _Series(af, bf, 1.0 - m, m)),
+                (-(-1.0) ** m * scale, logs, float(m), _LogSeries(ef, bf + gf, m + 1.0))]
+
+    def at(self, rho: float, z: float) -> Tuple[float, float]:
+        """(the value, its relative error) at one rho and z = 1 - rho, each
+        rounded once."""
+        if self.polynomial is not None:
+            return _horner(self.polynomial, rho), self.error
+        value, error = _sum(self.far, z, rho) if rho >= RHO_CONNECT else _sum(self.near, rho, rho)
+        return value, error / value
+
+    def bound(self) -> float:
+        """One relative error over 0 <= rho <= 1 for a < 0, building each
+        series for its whole branch.  Every part of the error grows with rho
+        on each branch (on the far one relative to the value, whose series
+        has positive terms in z), so its value at RHO_CONNECT bounds it; and
+        the value grows with rho, so the near branch's error is taken over
+        its value at 0, its least."""
+        if self.error is None:
+            near = _sum(self.near, RHO_CONNECT, RHO_CONNECT)[1] / _sum(self.near, 0.0, 0.0)[0]
+            self.error = max(self.at(RHO_CONNECT, 1.0 - RHO_CONNECT)[1], near)
+        return self.error
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        """The values at an array of rho, by Horner's rule on the
+        coefficients that bound() builds."""
+        self.bound()
+        if self.polynomial is not None:
+            return _horner(self.polynomial, rho)
+        out, far = np.empty_like(rho), rho >= RHO_CONNECT
+        for parts, pick, x in ((self.far, far, 1.0 - rho[far]), (self.near, ~far, rho[~far])):
+            out[pick] = sum(scale * rho[pick]**g * series.values(x) for scale, _, g, series in parts)
+        return out

@@ -58,13 +58,9 @@ derivative is all closed pieces, with no range (`_power_tail_pieces`):
     beta is 0, else Euler's integral of 2F1 (DLMF 15.6.1), split at the
     zero of alpha + (beta - alpha) u where alpha beta < 0.
 
-Each 2F1(a, b; c; 1 - rho) there is read from rho with its relative error
-(`hypergeometric.hyp2f1`): where a is a non-positive integer, a polynomial in rho with
-positive coefficients (Chu-Vandermonde, DLMF 15.4.24); else, for rho >=
-1/10, rho^g times a series of positive terms in 1 - rho (Euler's
-transformation, DLMF 15.8.1), g = c - a - b; below that, A&S 15.3.6, or
-15.3.11 for an integer g.  The first-harmonic gradient of a `PowerTail`
-stays on the panels.
+Each 2F1 there is read with its relative error by `hypergeometric.Hyp2F1`,
+as is the angular factor of first-harmonic gradients.  The first-harmonic
+gradient of a `PowerTail` stays on the panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -104,7 +100,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hypergeometric import ROUND, Hypergeometric, Terms, hyp2f1
+from .hypergeometric import ROUND, Hyp2F1, Terms
 from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
 from .profiles import Edge, LogModulated, PiecewisePower, PowerTail, RadialProfile, ScaledProfile, merge_bounds
 from .testfunctions import Angular, TestFunction
@@ -248,12 +244,12 @@ class _FirstHarmonicGradient:
     of 2F1), for m = max(|f'|, |f/t|), rho the smaller square over the
     larger and H = 2F1(-p/2, beta; n/2; 1 - rho), beta = (n-1)/2 where
     |f'| >= |f/t|, else 1/2.  A dilation by lam reads lam m(lam t) and
-    rho(lam t).  error bounds the relative error of H (Hypergeometric)."""
+    rho(lam t).  error bounds the relative error of H (Hyp2F1.bound)."""
 
     def __init__(self, n: int, p: float):
-        self.p, self.root = p, 1.0 / p
-        self.branches = (Hypergeometric(-p / 2.0, (n - 1) / 2.0, n / 2.0), Hypergeometric(-p / 2.0, 0.5, n / 2.0))
-        self.error = max(branch.error for branch in self.branches)
+        self.p, self.root, a = p, 1.0 / p, -Fraction(p) / 2
+        self.branches = (Hyp2F1(a, Fraction(n - 1, 2), Fraction(1, 2)), Hyp2F1(a, Fraction(1, 2), Fraction(n - 1, 2)))
+        self.error = max(branch.bound() for branch in self.branches)
 
     def __call__(self, base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
         return self.combine(base.derivative(x), base.value(x) / x, lam)
@@ -319,7 +315,7 @@ def _diverges_at_inf(d, s, n, powers) -> bool:
 
 def _closed_piece(logs, hyp=(1.0, 0.0)) -> Tuple[float, float]:
     """(log, relative error) of the product of e^logs and a 2F1 value given
-    with its relative error (hyp2f1): the logs round by 64 eps times the
+    with its relative error (Hyp2F1.at): the logs round by 64 eps times the
     sum of their sizes."""
     value, error = hyp
     return sum(logs) + math.log(value), error + ROUND * sum(map(abs, logs))
@@ -339,7 +335,7 @@ def _power_tail_pieces(base: PowerTail, d, s, n: int, gradient: bool) -> list:
     (DLMF 5.12.3).  For f', u = t/(1+t) turns it into the integral of
     u^(x-1) (1-u)^(y-1) |alpha + (beta - alpha) u|^s over (0, 1), x = d +
     n - (alpha + 1) s, y = (beta - alpha) s - x: a Beta integral where
-    alpha or beta is 0, else Euler's integral of 2F1 (hyp2f1), |beta|^s
+    alpha or beta is 0, else Euler's integral of 2F1 (Hyp2F1), |beta|^s
     B(x, y) 2F1(-s, y; x + y; 1 - alpha/beta) where 0 < alpha/beta <= 1
     (the roles swap where beta/alpha is), and where alpha beta < 0 the sum
     of its parts on either side of the zero u0 = alpha / (alpha - beta),
@@ -363,16 +359,16 @@ def _power_tail_pieces(base: PowerTail, d, s, n: int, gradient: bool) -> list:
         return [_closed_piece([p * math.log(abs(af)), *_log_beta(xf, float(y + s), float(xy + s))])]
     if (af > 0.0) == (bf > 0.0):
         if abs(af) <= abs(bf):
-            lead, hyp = bf, hyp2f1(-s, y, x, af / bf, gf / bf)
+            lead, hyp = bf, Hyp2F1(-s, y, x).at(af / bf, gf / bf)
         else:
-            lead, hyp = af, hyp2f1(-s, x, y, bf / af, -gf / af)
+            lead, hyp = af, Hyp2F1(-s, x, y).at(bf / af, -gf / af)
         return [_closed_piece([p * math.log(abs(lead)), *_log_beta(xf, yf, float(xy))], hyp)]
     u0, v0 = -af / gf, bf / gf  # v0 = 1 - u0
     log_gap = p * math.log(abs(gf))
     return [_closed_piece([log_gap, (xf + p) * math.log(u0), *_log_beta(xf, p + 1.0, xf + p + 1.0)],
-                          hyp2f1(1 - y, x, s + 1, v0, u0)),
+                          Hyp2F1(1 - y, x, s + 1).at(v0, u0)),
             _closed_piece([log_gap, (yf + p) * math.log(v0), *_log_beta(yf, p + 1.0, yf + p + 1.0)],
-                          hyp2f1(1 - x, y, s + 1, u0, v0))]
+                          Hyp2F1(1 - x, y, s + 1).at(u0, v0))]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ckn.hypergeometric as hypergeometric
 import ckn.quadrature as quadrature
 from ckn.profiles import PowerTail, RadialProfile, ScaledProfile
 from ckn.quadrature import QuadratureConfig, weighted_norm_gradient
@@ -136,10 +137,13 @@ def test_odd_powers_match_their_closed_forms_down_to_rho_zero():
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_near_an_odd_power_the_reported_error_covers_the_cancellation(n):
     # within 1e-6 of an odd p the two terms of A&S 15.3.6 cancel to about
-    # 1e-9 relative, worst just below rho = 1/2; the 2-D rule at 512 nodes
-    # is exact to 1.1e-14 for rho >= 1e-2
+    # 1e-9 relative, worst just below rho = RHO_CONNECT, where the factor
+    # leaves them for Euler's series; the 2-D rule at 512 nodes is exact to
+    # 1.1e-14 for rho >= 1e-2
     rng = np.random.default_rng(200 + n)
-    rho = np.concatenate([10.0 ** rng.uniform(-2, math.log10(0.5), size=200), [0.49, 0.4999, 0.5 - 1e-12]])
+    seam = hypergeometric.RHO_CONNECT
+    rho = np.concatenate([10.0 ** rng.uniform(-2, math.log10(0.5), size=200),
+                          [0.49, 0.4999, 0.5 - 1e-12, seam - 1e-4, seam - 1e-12]])
     first = rng.random(rho.size) < 0.5
     fp, ft = np.where(first, 1.0, np.sqrt(rho)), np.where(first, np.sqrt(rho), 1.0)
     worst = 0.0

@@ -528,7 +528,7 @@ def test_radial_verify_norms_are_bit_identical_and_never_read_the_angular_code(m
                                        group, wexp, s)
 
     monkeypatch.setattr(quadrature._FirstHarmonicGradient, "__call__", refuse)
-    monkeypatch.setattr(hypergeometric.Hypergeometric, "__call__", refuse)
+    monkeypatch.setattr(hypergeometric.Hyp2F1, "__call__", refuse)
     monkeypatch.setattr(quadrature, "_radial_integrand", before)
     again = verify_instance(params, F(1, 2))
     assert report.members and len(report.members) == len(again.members)
