@@ -4,9 +4,12 @@ verify_instance: on an embedding instance, evaluates the multiplicative
 ratio ||u||_{c,r} / (||grad u||_{b,p}^theta ||u||_{a,q}^{1-theta}) over a
 family of test functions and a dilation grid.  When theta is the
 interpolation exponent theta_c the ratio is exactly dilation invariant,
-so the measured scale defect is a sharp self-test of both the exponent
-and the quadrature.  A divergent norm inside a yes-instance is a hard
-verification failure.
+so the measured scale defect is a sharp self-test of the exponent.  At
+the dyadic DEFAULT_SCALES it tests theta_c and the scaling exponents, not
+the quadrature: a norm integrates its range at the mantissa of its scale
+in [1, 2) and moves it by the scaling law, so every dyadic dilation reads
+the panels of lam = 1 (ROADMAP D9).  A divergent norm inside a
+yes-instance is a hard verification failure.
 
 falsify_instance: on a non-embedding instance, walks the matching witness
 family and reports the additive-ratio trace, which must cross the

@@ -30,7 +30,7 @@ points.  Singular ends are handled in three tiers:
 One integrator serves every radial norm: a session of `panels.integrate`
 shared by every panel integral of a `weighted_norms` call, so the norms
 of a whole `verify` instance (8 members x 5 scales x 3 norms) take about
-15 integrand calls.  Its one integrand is t^w |F(t)|^s e^l, where F is a
+7 integrand calls.  Its one integrand is t^w |F(t)|^s e^l, where F is a
 view (base, reading, lam) of a profile (`_view`): a base profile read at
 lam t as its value base(lam t), its derivative lam base'(lam t), a
 first-harmonic gradient, or the window W(ln x) of a log window, one
@@ -44,23 +44,19 @@ values is read by its window.
 Divergence certificates, closed pieces and the range are settled before
 the session, in a norm plan (`_NormPlan`) per (base profile, reading, d,
 s, N) that all dilations of a member share, and moved to each dilation
-by the exact scaling law.  A log window's norm fails where the weight's
-peak is too narrow for the panels.
+by the exact scaling law.  The range of a dilation by lam = m 2^k, m in
+[1, 2), is integrated at m and moved alike, so the dyadic dilations of a
+member share one panel integral.  A log window's norm fails where the
+weight's peak is too narrow for the panels.
 
 A `PowerTail` f = t^-alpha (1+t)^(alpha-beta) read as values or as its
-derivative is all closed pieces, with no range (`_power_tail_pieces`):
-
-  * its value integral is the Beta integral B(x, y), x = d + N - alpha s,
-    y = (beta - alpha) s - x (DLMF 5.12.3);
-  * u = t/(1+t) turns its derivative's into the integral of u^(x-1)
-    (1-u)^(y-1) |alpha + (beta - alpha) u|^s over (0, 1), x = d + N -
-    (alpha + 1) s, y = (beta - alpha) s - x: a Beta value where alpha or
-    beta is 0, else Euler's integral of 2F1 (DLMF 15.6.1), split at the
-    zero of alpha + (beta - alpha) u where alpha beta < 0.
-
-Each 2F1 there is read with its relative error by `hypergeometric.Hyp2F1`,
-as is the angular factor of first-harmonic gradients.  The first-harmonic
-gradient of a `PowerTail` stays on the panels.
+derivative is all closed pieces, with no range: a Beta value, or for a
+derivative with alpha beta != 0 Euler's integral of 2F1 (DLMF 5.12.3 and
+15.6.1, `_power_tail_pieces`), whose exact Beta arguments also decide
+its divergence (`_beta_arguments`).  Each 2F1 there is read with its
+relative error by `hypergeometric.Hyp2F1`, as is the angular factor of
+first-harmonic gradients.  The first-harmonic gradient of a `PowerTail`
+stays on the panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -298,18 +294,6 @@ def _first_harmonic_gradient(n: int, p: float) -> _FirstHarmonicGradient:
 
 
 # ---------------------------------------------------------------------------
-# exact divergence tests
-# ---------------------------------------------------------------------------
-
-def _diverges_at_zero(d, s, n, powers) -> bool:
-    return any(d + n + s * power <= 0 for power in powers)
-
-
-def _diverges_at_inf(d, s, n, powers) -> bool:
-    return any(d + n + s * power >= 0 for power in powers)
-
-
-# ---------------------------------------------------------------------------
 # PowerTail norms in closed form
 # ---------------------------------------------------------------------------
 
@@ -326,43 +310,40 @@ def _log_beta(x: float, y: float, xy: float) -> list:
     return [math.lgamma(x), math.lgamma(y), -math.lgamma(xy)]
 
 
-def _power_tail_pieces(base: PowerTail, d, s, n: int, gradient: bool) -> list:
-    """The closed pieces of the integral of t^(d+n-1) |F|^s over (0, inf),
-    F = f or, for gradient, f', f = t^-alpha (1+t)^(alpha-beta), alpha !=
-    beta, where that converges, each (log, relative error).
+def _beta_arguments(base: PowerTail, d: Fraction, s: Fraction, n: int, gradient: bool) -> Tuple[Fraction, Fraction]:
+    """The exact Beta arguments (x, y) of the integral of t^(d+n-1) |F|^s
+    over (0, inf), F = f or, for gradient, f', f = t^-alpha
+    (1+t)^(alpha-beta), alpha != beta: x = d + n - alpha s, less s for f',
+    and y = (beta - alpha) s - x, each plus s for f' where alpha, resp.
+    beta, is 0.  It converges iff x, y > 0: the edge records' verdicts."""
+    x = d + n - (base.alpha + 1 if gradient else base.alpha) * s
+    y = (base.beta - base.alpha) * s - x
+    return x + s * (gradient and base.alpha == 0), y + s * (gradient and base.beta == 0)
 
-    For f it is B(x, y), x = d + n - alpha s, y = (beta - alpha) s - x
-    (DLMF 5.12.3).  For f', u = t/(1+t) turns it into the integral of
-    u^(x-1) (1-u)^(y-1) |alpha + (beta - alpha) u|^s over (0, 1), x = d +
-    n - (alpha + 1) s, y = (beta - alpha) s - x: a Beta integral where
-    alpha or beta is 0, else Euler's integral of 2F1 (Hyp2F1), |beta|^s
-    B(x, y) 2F1(-s, y; x + y; 1 - alpha/beta) where 0 < alpha/beta <= 1
-    (the roles swap where beta/alpha is), and where alpha beta < 0 the sum
-    of its parts on either side of the zero u0 = alpha / (alpha - beta),
-    |beta - alpha|^s u0^(x+s) B(x, s+1) 2F1(1 - y, x; x + s + 1; u0) and
-    its mirror with x, y and u0, 1 - u0 swapped.  The convergent verdicts
-    make every argument positive.  x and y are exact, and so is every
-    parameter that can be small, such as 1 - y."""
-    d, s = Fraction(d), Fraction(s)  # exact whatever numbers the caller passed
+
+def _power_tail_pieces(base: PowerTail, x: Fraction, y: Fraction, s: Fraction, gradient: bool) -> list:
+    """The closed pieces of that integral, each (log, relative error), from
+    its Beta arguments x, y > 0 (_beta_arguments): B(x, y) for f (DLMF
+    5.12.3).  For f', u = t/(1+t) turns it into the integral of u^(x-1)
+    (1-u)^(y-1) |alpha + (beta - alpha) u|^s over (0, 1), for x and y as
+    they were before the s added where alpha or beta is 0: |alpha - beta|^s
+    B(x, y) there, else Euler's integral of 2F1 (Hyp2F1), |beta|^s B(x, y)
+    2F1(-s, y; x + y; 1 - alpha/beta) where 0 < alpha/beta <= 1 (the roles
+    swap where beta/alpha is), and where alpha beta < 0 the sum of its parts
+    on either side of the zero u0 = alpha / (alpha - beta), |beta - alpha|^s
+    u0^(x+s) B(x, s+1) 2F1(1 - y, x; x + s + 1; u0) and its mirror with x,
+    y and u0, 1 - u0 swapped.  Each parameter that can be small is exact."""
     alpha, beta, p = base.alpha, base.beta, float(s)
-    gap = beta - alpha
-    x = d + n - (alpha + 1 if gradient else alpha) * s
-    xy = gap * s
-    y = xy - x
-    xf, yf = float(x), float(y)
-    if not gradient:
-        return [_closed_piece(_log_beta(xf, yf, float(xy)))]
-    af, bf, gf = float(alpha), float(beta), float(gap)
-    if alpha == 0:
-        return [_closed_piece([p * math.log(abs(bf)), *_log_beta(float(x + s), yf, float(xy + s))])]
-    if beta == 0:
-        return [_closed_piece([p * math.log(abs(af)), *_log_beta(xf, float(y + s), float(xy + s))])]
+    xf, yf, log_beta = float(x), float(y), _log_beta(float(x), float(y), float(x + y))
+    if not gradient or alpha == 0 or beta == 0:
+        return [_closed_piece([p * math.log(abs(float(alpha - beta))), *log_beta] if gradient else log_beta)]
+    af, bf, gf = float(alpha), float(beta), float(beta - alpha)
     if (af > 0.0) == (bf > 0.0):
         if abs(af) <= abs(bf):
             lead, hyp = bf, Hyp2F1(-s, y, x).at(af / bf, gf / bf)
         else:
             lead, hyp = af, Hyp2F1(-s, x, y).at(bf / af, -gf / af)
-        return [_closed_piece([p * math.log(abs(lead)), *_log_beta(xf, yf, float(xy))], hyp)]
+        return [_closed_piece([p * math.log(abs(lead)), *log_beta], hyp)]
     u0, v0 = -af / gf, bf / gf  # v0 = 1 - u0
     log_gap = p * math.log(abs(gf))
     return [_closed_piece([log_gap, (xf + p) * math.log(u0), *_log_beta(xf, p + 1.0, xf + p + 1.0)],
@@ -375,6 +356,14 @@ def _power_tail_pieces(base: PowerTail, d, s, n: int, gradient: bool) -> list:
 # norm plans: what the dilations of one member share
 # ---------------------------------------------------------------------------
 
+def _diverges_at_zero(d, s, n, powers) -> bool:
+    return any(d + n + s * power <= 0 for power in powers)
+
+
+def _diverges_at_inf(d, s, n, powers) -> bool:
+    return any(d + n + s * power >= 0 for power in powers)
+
+
 class _NormPlan:
     """What the norms || f ||_{d,s} on R^n of every dilation of one base
     profile share, for one reading of it (values f(t) = base(lam t),
@@ -385,19 +374,20 @@ class _NormPlan:
 
     So the plan holds the exact divergence verdicts and, for a norm that
     converges, its reading at lam = 1: its closed pieces, each a log
-    integral and its relative error, and the one finite range left to the
-    panels, or None.  A PiecewisePower read as values is all pieces, and
-    so is a PowerTail read as values or derivatives (_power_tail_pieces).
-    Otherwise each end of the support at 0 or infinity is a piece of the
-    read edge record there (_close), and the range stops at its cut; it
-    stops there with no piece where a derivative reads an exact constant.
-    With no record at 0, f vanishes there faster than any power, and the
+    integral and its relative error, summed once (closed), and the one
+    finite range left to the panels, or None.  A PiecewisePower read as
+    values is all pieces, and so is a PowerTail read as values or
+    derivatives, whose Beta arguments decide its verdicts with no edge
+    record (_beta_arguments, _power_tail_pieces).  Otherwise each end of
+    the support at 0 or infinity is a piece of the read edge record there
+    (_close), and the range stops at its cut; it stops there with no piece
+    where a derivative reads an exact constant.  With no record at 0, f vanishes there faster than any power, and the
     range starts at 0; with none at infinity, it stops at the power of 2
     past the last one of the grid 2^k, k <= 830, at which F is not 0.
-    The dilation by lam moves each piece by -degree ln lam, degree = d + n,
-    less s for a gradient reading, and integrates the range at lam
-    (_radial_norm).  The base's edge records are read only where its
-    support reaches 0 or infinity.
+    The dilation by lam moves the pieces by -degree ln lam, degree = d + n,
+    less s for a gradient reading, and the range too, integrated at the
+    mantissa of lam (_radial_norm).  The base's edge records are read only
+    where its support reaches 0 or infinity.
 
     A log window t^-m W(loglam ln t) is read by its window in x = e^v, v =
     loglam ln t: with K = d + n - m s its integral is 1 / loglam times
@@ -414,18 +404,8 @@ class _NormPlan:
         window = reading is _read_window
         lo, hi = self.support = (1.0 / math.e, math.e) if window else base.support
         self.breakpoints = () if window else base.breakpoints
-        edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
-        edges = (edges[0] if lo == 0.0 else None, edges[1] if hi == math.inf else None)
-        ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
-        powers = [[] if end is None else [end.power] for end in ends]
-        if isinstance(reading, _FirstHarmonicGradient):
-            # as singular as the worse of f' and f/t, whether or not the reading's record is bounded
-            powers = [own + [edge.power - 1] if edge is not None else own for own, edge in zip(powers, edges)]
-            ends = tuple(None if e is None else reading.edge(e, end == 0) for end, e in enumerate(edges))
         # the relative error of |F|^s that the reading reports
         self.reading_error = getattr(reading, "error", 0.0)
-        self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
-        self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
         self.wexp, self.sf, self.log_factor = float(d + n - 1), float(s), 0.0
         self.log_area = math.log(surface_area(n))
         self.degree = float(d + n if reading in (_read_value, _read_window) else d + n - s)
@@ -435,13 +415,33 @@ class _NormPlan:
             self.log_area += abs(k) / rate - math.log(rate)
         # the reading at lam = 1, or why a closed piece failed
         self.pieces, self.range, self.failure = [], None, None
-        if not (self.diverges_at_zero or self.diverges_at_inf):
-            try:
-                self._read_at_one(edges, ends, d, s, n, rel_tol)
-            except QuadratureError as exc:  # a float exponent past the exact verdict, or an end left open
-                self.failure = str(exc)
+        if reading in (_read_value, _read_derivative) and isinstance(base, PowerTail) and base.alpha != base.beta:
+            gradient, s = reading is _read_derivative, Fraction(s)  # exact whatever numbers the caller passed
+            x, y = _beta_arguments(base, Fraction(d), s, n, gradient)
+            self.diverges_at_zero, self.diverges_at_inf = x <= 0, y <= 0
+            if x > 0 < y:
+                self.pieces = _power_tail_pieces(base, x, y, s, gradient)
+        else:
+            edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
+            edges = (edges[0] if lo == 0.0 else None, edges[1] if hi == math.inf else None)
+            ends = edges if reading is _read_value else tuple(None if e is None else e.derivative() for e in edges)
+            powers = [[] if end is None else [end.power] for end in ends]
+            if isinstance(reading, _FirstHarmonicGradient):
+                # as singular as the worse of f' and f/t, whether or not the reading's record is bounded
+                powers = [own + [edge.power - 1] if edge is not None else own for own, edge in zip(powers, edges)]
+                ends = tuple(None if e is None else reading.edge(e, end == 0) for end, e in enumerate(edges))
+            self.diverges_at_zero = lo == 0.0 and _diverges_at_zero(d, s, n, powers[0])
+            self.diverges_at_inf = hi == math.inf and _diverges_at_inf(d, s, n, powers[1])
+            if not (self.diverges_at_zero or self.diverges_at_inf):
+                try:
+                    self._read_at_one(edges, ends, rel_tol)
+                except QuadratureError as exc:  # a float exponent past the exact verdict, or an end left open
+                    self.failure = str(exc)
+        # every dilation moves all pieces by one shift: their sum, (log, relative error), if not 0
+        log = _logsumexp(piece for piece, _ in self.pieces)
+        self.closed = [] if log == -math.inf else [(log, sum(e * math.exp(p - log) for p, e in self.pieces))]
 
-    def _read_at_one(self, edges, ends, d, s, n: int, rel_tol: float) -> None:
+    def _read_at_one(self, edges, ends, rel_tol: float) -> None:
         """The pieces and the range of a convergent plan, from the base's
         edge records and the read ones (see the class docstring)."""
         base, reading, wexp, sf = self.base, self.reading, self.wexp, self.sf
@@ -449,9 +449,6 @@ class _NormPlan:
             self.pieces = [(_log_power_piece(coef, float(expo), None if lo == -math.inf else lo,
                                              None if hi == math.inf else hi, wexp, sf), 0.0)
                            for coef, expo, lo, hi in base.pieces]
-            return
-        if reading in (_read_value, _read_derivative) and isinstance(base, PowerTail) and base.alpha != base.beta:
-            self.pieces = _power_tail_pieces(base, d, s, n, reading is _read_derivative)
             return
         bounds = list(self.support)
         for end, (edge, read) in enumerate(zip(edges, ends)):
@@ -581,8 +578,8 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 
     Every panel integral they ask for shares one session, the package's
     only one, ordered so that the rows of each (base, reading) are
-    consecutive; equal requests, such as the lam = 1 integrals of the
-    dilations of one log window, are integrated once.
+    consecutive; equal requests, such as those of the dilations of one
+    member by one class m 2^k of scales (_radial_norm), are integrated once.
     """
     out, waiting, asks = [], [], []
     for norm in norms:
@@ -625,10 +622,13 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 def _radial_norm(view, d, s, n: int, plans: dict, exponents: int, rel_tol: float):
     """The radial norm || F ||_{d,s} on R^n of the view (base, reading, lam)
     of F, as a generator for _session that asks for the panel integral of
-    its plan's range, if any, and returns the norm: the plan's pieces, each
-    moved by -degree ln lam, plus the range at lam, a window's at 1 and
-    moved alike (_NormPlan).  Its error is the sum over the pieces and the
-    range of each one's relative error times its share of the integral."""
+    its plan's range, if any, and returns the norm: the plan's closed sum
+    moved by -degree ln lam, plus its range integrated at m and moved by
+    -degree ln(lam / m), m = 1 for a window, else the mantissa lam 2^-k in
+    [1, 2).  Dividing by 2^k maps the grid, seams and Gauss nodes at lam
+    exactly onto those at m, so every lam of one class asks the session
+    for the same integral.  Its error is the sum of each part's relative
+    error times its share of the integral."""
     plan, lam = _plan(plans, view, exponents, d, s, n, rel_tol), view[2]
     if plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
@@ -637,19 +637,16 @@ def _radial_norm(view, d, s, n: int, plans: dict, exponents: int, rel_tol: float
     if plan.failure is not None:
         return NormValue.failed(plan.failure)
     shift = plan.degree * math.log(lam)
-    parts = [(piece - shift, error) for piece, error in plan.pieces]
+    parts = [(log - shift, error) for log, error in plan.closed]
     if plan.range is not None:
-        window = plan.reading is _read_window
-        scale = 1.0 if window else lam
-        lo, hi = (x / scale for x in plan.range)
-        breakpoints = tuple(x / scale for x in plan.breakpoints)
-        (result,) = yield [((plan.base, plan.reading, scale), plan.wexp, plan.sf, plan.log_factor,
-                            Integral(lo, hi, breakpoints))]
+        m = 1.0 if plan.reading is _read_window else 2.0 * math.frexp(lam)[0]
+        (result,) = yield [((plan.base, plan.reading, m), plan.wexp, plan.sf, plan.log_factor,
+                            Integral(*(x / m for x in plan.range), tuple(x / m for x in plan.breakpoints)))]
         if isinstance(result, QuadratureError):
             return NormValue.failed(str(result))
         middle, err = result
         if middle > 0:
-            parts.append((math.log(middle) - (shift if window else 0.0), err / middle))
+            parts.append((math.log(middle) - plan.degree * math.log(lam / m), err / middle))
     log_integral = _logsumexp(part for part, _ in parts)
     if log_integral == -math.inf:
         if plan.reading is _read_window:  # a window's integral is positive: its peak fell between the nodes

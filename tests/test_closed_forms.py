@@ -11,6 +11,7 @@ its terminating series.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ import ckn.hypergeometric as hypergeometric
 import ckn.quadrature as quadrature
 import oracle_panels
 from ckn.profiles import PowerTail
-from ckn.quadrature import weighted_norm, weighted_norm_gradient
+from ckn.quadrature import NormStatus, weighted_norm, weighted_norm_gradient
 from ckn.testfunctions import radial
 from oracle_panels import PanelTail
 from oracle_sharp import hardy_log_constant, log_sphere_area
@@ -162,6 +163,64 @@ def test_p_2_gradients_match_the_exact_moment_identity(alpha, beta, b, n):
     norm = weighted_norm_gradient(radial(PowerTail(alpha, beta)), b, F(2), n)
     assert norm.finite, norm.detail
     assert abs(norm.log_value - p2_log_norm(alpha, beta, b, n)) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Direction 6: A&S 15.3.6 outside half an ulp of an integer g "
+                                        "cancels two parts that grow as 1/|g - m|; 15.3.11 with a first-order "
+                                        "term in g - m would read it")
+def test_just_outside_half_an_ulp_of_an_integer_g_the_norm_keeps_its_digits():
+    # p = 3/2 + 10^-15 puts g at 3 - 2.5e-16, whose float is 2.9999999999999996:
+    # the norm reads log 0.41514 with a relative error of 2.04, where p = 3/2
+    # + 10^-20, read by 15.3.11, gives 0.418764
+    u, b = radial(PowerTail(F(1, 4), F(4))), F(3, 8)
+    near = weighted_norm_gradient(u, b, F(3, 2) + F(1, 10**15), 3)
+    at = weighted_norm_gradient(u, b, F(3, 2) + F(1, 10**20), 3)
+    assert near.finite and at.finite
+    assert near.error <= 1e-9
+    assert abs(near.log_value - at.log_value) <= (near.error + at.error) / 1.5 + SLACK
+
+
+def edge_verdict(profile, d, s, n, gradient):
+    """(status, detail) of a PowerTail norm as its edge records decide it:
+    the record of f at each end, or of f' for gradient, diverges at 0 where
+    d + n + s power <= 0 and at infinity where d + n + s power >= 0."""
+    ends = [e.derivative() if gradient else e for e in profile.edges()]
+    if d + n + s * ends[0].power <= 0:
+        return NormStatus.DIVERGENT, "non-integrable at zero"
+    if d + n + s * ends[1].power >= 0:
+        return NormStatus.DIVERGENT, "non-integrable at infinity"
+    return NormStatus.FINITE, ""
+
+
+@pytest.mark.parametrize("gradient", [False, True], ids=["values", "derivatives"])
+def test_power_tail_verdicts_are_those_of_the_edge_records(monkeypatch, gradient):
+    # the plan decides from the exact Beta arguments x, y > 0 and reads no
+    # edge record; a third of the draws put d where the end at 0 turns, x =
+    # 0 exactly, a third where the end at infinity does, y = 0, and the rest
+    # around and between them; about one draw in four has alpha or beta 0
+    rng, verdicts = random.Random(30 + gradient), set()
+    exponents = [F(0)] * 16 + [F(k, q) for q in (1, 2, 3, 4) for k in range(-3 * q, 3 * q + 1) if k]
+    draws = []
+    for _ in range(400):
+        pair = rng.choice(exponents), rng.choice(exponents[16:])
+        pair = sorted({*pair, F(0)} if pair[0] == pair[1] else pair)  # alpha != beta, the closed path
+        alpha, beta = pair if rng.random() < 0.8 else pair[::-1]  # mostly decaying, beta > alpha
+        profile, s, n = PowerTail(alpha, beta), F(rng.randint(2, 16), 4), rng.randint(1, 5)
+        ends = [e.derivative() if gradient else e for e in profile.edges()]
+        zero, inf = (-n - s * end.power for end in ends)  # the d at which each end turns
+        d = zero + (inf - zero) * rng.choice([F(0), F(1), F(rng.randint(-2, 10), 8)])
+        draws.append((profile, d, s, n, edge_verdict(profile, d, s, n, gradient)))
+
+    def refused(self):
+        raise AssertionError("a PowerTail plan read an edge record")
+
+    monkeypatch.setattr(PowerTail, "edges", refused)
+    norm = weighted_norm_gradient if gradient else weighted_norm
+    for profile, d, s, n, (status, detail) in draws:
+        got = norm(radial(profile), d, s, n)
+        assert (got.status, got.detail) == (status, detail), (profile.descriptor(), d, s, n)
+        verdicts.add(detail)
+    assert verdicts == {"", "non-integrable at zero", "non-integrable at infinity"}
 
 
 def test_values_are_beta_values_at_every_dilation():

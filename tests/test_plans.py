@@ -169,8 +169,8 @@ def test_dilated_derivative_terms_match_derived_then_dilated_ones(profile, d, s,
     (TruncatedPrimitive(F(1, 3), 5.0), 1, 0, 1),
     # f' a log window, integrated once, at lam = 1, for all 5
     (LogModulated(F(1, 2), 2.0**-10), 1, 1, 0),
-    # f' read from the base at each scale
-    (SmoothBump(2.0, 1.0), 1, 5, 0),
+    # f' read from the base: the dyadic scales integrate the lam = 1 range once
+    (SmoothBump(2.0, 1.0), 1, 1, 0),
 ], ids=["truncated_primitive", "log_window", "smooth_bump"])
 def test_the_dilations_of_a_closed_derivative_share_its_plan(monkeypatch, profile, plans, integrals, closed):
     # the closed derivative is built once per profile: its dilations took a
@@ -201,6 +201,48 @@ def test_the_dilations_of_a_closed_derivative_share_its_plan(monkeypatch, profil
     # and each norm is the one of its own session, bit for bit
     assert all(got.finite for got in shared)
     assert [got.log_value for got in shared] == [want.log_value for want in alone]
+
+
+# one class of dilations per mantissa m = lam 2^-k in [1, 2): the dyadic
+# scales share m = 1, 3/2, 3 and 6 share m = 3/2, and 1.3 is its own
+DYADIC, THREE_HALVES, OWN = (1.0, 0.125, 0.5, 2.0, 8.0), (1.5, 3.0, 6.0), 1.3
+
+
+@pytest.mark.parametrize("gradient", [False, True], ids=["values", "gradients"])
+def test_the_dilations_of_one_dyadic_class_share_one_panel_integral(monkeypatch, gradient):
+    # each range is integrated at the mantissa of its scale and moved by the
+    # scaling law, so the requests of one class are equal and the session
+    # integrates them once; the other classes keep panels of their own
+    u, d, s, n = radial(SmoothBump(2.0, 1.0)), F(1, 2), F(3, 2), 3
+    norm = weighted_norm_gradient if gradient else weighted_norm
+    scales = (*DYADIC, *THREE_HALVES, OWN)
+    alone = [norm(dilate(u, lam), d, s, n) for lam in scales]
+    counted, integrate = [], quadrature.integrate
+
+    def counted_integrals(g, requests, cfg):
+        counted.append(len(requests))
+        return integrate(g, requests, cfg)
+
+    monkeypatch.setattr(quadrature, "integrate", counted_integrals)
+    for count, classes in enumerate([DYADIC, (*DYADIC, *THREE_HALVES), scales], 1):
+        counted.clear()
+        shared = weighted_norms([(dilate(u, lam), d, s, n, gradient) for lam in classes])
+        assert counted == [count]
+    # each norm is the one of its own session, bit for bit
+    assert all(got.finite for got in shared)
+    assert [got.log_value for got in shared] == [want.log_value for want in alone]
+    # and the scaling law: || f(lam .) || = lam^(-(d+n)/s) || f ||, one power
+    # of lam more for the gradient, exact up to rounding within a class and
+    # within the reported errors across classes
+    slope = float((d + n) / s) - gradient
+    one, three_halves = shared[0], shared[len(DYADIC)]
+    for lam, got in zip(scales, shared):
+        for ref, at in [(one, 1.0), (three_halves, 1.5)]:
+            law = ref.log_value - slope * math.log(lam / at)
+            if math.log2(lam / at).is_integer():
+                assert abs(got.log_value - law) <= 1e-13, lam
+            else:
+                assert abs(got.log_value - law) <= (got.error + ref.error) / float(s), lam
 
 
 def test_equal_exponents_of_distinct_objects_share_one_plan(monkeypatch):

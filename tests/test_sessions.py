@@ -131,23 +131,30 @@ def test_one_norm_whose_cut_leaves_the_floats_fails_alone():
 
 def test_batches_stay_within_the_chunk_and_the_call_budget(monkeypatch):
     # the chunk bounds every array of points, and with it peak memory; the
-    # batches themselves must be large, else nothing is shared
-    sizes, calls = [], []
+    # integrals of an instance must share its integrand calls, else nothing
+    # is shared: some call of each instance holds rows of 2 integrals or more
+    sizes, calls, shared = [], [], []
     value, gauss_sums = SmoothBump.value, panels._gauss_sums
 
     def recorded(self, t):
         sizes.append(np.size(t))
         return value(self, t)
 
-    def counted(*args):
-        calls.append(args[3].size)
-        return gauss_sums(*args)
+    def counted(g, nodes, owner, x0, x1):
+        calls.append(x0.size)
+
+        def owners(t, rows):
+            shared.append(np.unique(rows).size)
+            return g(t, rows)
+
+        return gauss_sums(owners, nodes, owner, x0, x1)
 
     monkeypatch.setattr(SmoothBump, "value", recorded)
     monkeypatch.setattr(panels, "_gauss_sums", counted)
     for params, theta in embedding_instances(7, 1):
         calls.clear()
+        shared.clear()
         verify_instance(params, theta)
         assert 0 < len(calls) <= 40
+        assert max(shared) >= 2
     assert max(sizes) <= panels._CHUNK
-    assert max(sizes) > 1000
