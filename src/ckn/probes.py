@@ -4,12 +4,13 @@ verify_instance: on an embedding instance, evaluates the multiplicative
 ratio ||u||_{c,r} / (||grad u||_{b,p}^theta ||u||_{a,q}^{1-theta}) over a
 family of test functions and a dilation grid.  When theta is the
 interpolation exponent theta_c the ratio is exactly dilation invariant,
-so the measured scale defect is a sharp self-test of the exponent.  At
-the dyadic DEFAULT_SCALES it tests theta_c and the scaling exponents, not
-the quadrature: a norm integrates its range at the mantissa of its scale
-in [1, 2) and moves it by the scaling law, so every dyadic dilation reads
-the panels of lam = 1 (ROADMAP D9).  A divergent norm inside a
-yes-instance is a hard verification failure.
+so the measured scale defect is a sharp self-test of the exponent.  It
+tests theta_c and the scaling exponents, not the quadrature: every radial
+norm of the default family is a closed form moved by the exact scaling
+law, and a first-harmonic gradient integrates its range at the mantissa
+of its scale in [1, 2), so every dyadic dilation reads the panels of lam
+= 1 (ROADMAP D9).  A divergent norm inside a yes-instance is a hard
+verification failure.
 
 falsify_instance: on a non-embedding instance, walks the matching witness
 family and reports the additive-ratio trace, which must cross the
@@ -35,7 +36,7 @@ import numpy as np
 from .classify import Decision, classify
 from .derived import derive
 from .params import Params
-from .profiles import LogModulated, PowerTail, SmoothBump
+from .profiles import LogModulated, PowerBump, PowerTail
 from .quadrature import (
     DEFAULT_CONFIG,
     NormStatus,
@@ -186,24 +187,29 @@ class VerifyReport:
 
 
 def default_verification_family(params: Params, members: int = 8) -> List[TestFunction]:
-    """Bumps at spread centers plus slow power tails fitted to the slopes.
+    """Power bumps peaking at spread centres plus slow power tails fitted to
+    the slopes, each radial norm a closed form (quadrature._euler_pieces).
 
     Power-tail exponents keep a unit margin from every norm's
     integrability bound, so all members lie in the source space and the
-    target space whenever the instance embeds.
+    target space whenever the instance embeds.  A PowerBump(alpha, g, m)
+    with alpha = min(s_lo - 1, -k) keeps that margin at 0 and nears an
+    annulus as k grows; it is dilated so that its peak (-alpha / (mg -
+    alpha))^(1/g) sits at k.
     """
     d = derive(params)
     s_lo = min(d.slope_a, d.slope_b, (params.c + params.n) / params.r)
     s_hi = max(d.slope_a, d.slope_b, (params.c + params.n) / params.r)
+    bumps = []
+    for k, g, m in ((1, 2, 2), (2, 1, 2), (4, 2, 3), (8, 4, 2), (16, 2, 2)):
+        alpha = min(s_lo - 1, Fraction(-k))
+        bumps.append(radial(PowerBump(alpha, g, m).scaled(float(-alpha / (m * g - alpha)) ** (1.0 / g) / k)))
     family: List[TestFunction] = [
-        radial(SmoothBump(1.0, 0.5)),
-        radial(SmoothBump(2.0, 1.0)),
-        radial(SmoothBump(4.0, 2.0)),
-        radial(SmoothBump(8.0, 3.0)),
+        *bumps[:4],
         radial(PowerTail(s_lo - 1, s_hi + 1)),
         radial(PowerTail(s_lo - Fraction(1, 2), s_hi + 2)),
         radial(PowerTail(s_lo - 2, s_hi + Fraction(3, 2))),
-        radial(SmoothBump(16.0, 6.0)),
+        bumps[4],
     ]
     return family[:members]
 

@@ -49,10 +49,12 @@ The smooth cutoff is fixed once and for all: zeta = PowerCutoffInner(0),
 1 for t <= 1/2, 0 for t >= 1, bridged by the standard exp-based mollifier
 step h(1-w) / (h(w) + h(1-w)), h(x) = exp(-1/x), at w = 2t - 1; the
 log-window bump is exp(-1/(1-v^2)) on (-1, 1).  Fixing both makes
-quadrature outputs reproducible across runs.  The translated witnesses
-read the ball bump (1 - t^2)^2 on [0, 1), whose moments are Beta
-integrals.  Every cutoff at infinity is the Kelvin inversion of one at
-0: t^-alpha zeta(1/t) is InvertedProfile(PowerCutoffInner(-alpha)).  The step is evaluated in its
+quadrature outputs reproducible across runs.  The compact bumps are
+power bumps t^-alpha (1 - t^g)^m on [0, 1), whose norms are Beta
+integrals in t^g; the translated witnesses read the ball bump
+PowerBump(0, 2, 2) = (1 - t^2)^2.  Every cutoff at infinity is the Kelvin
+inversion of one at 0: t^-alpha zeta(1/t) is
+InvertedProfile(PowerCutoffInner(-alpha)).  The step is evaluated in its
 logistic form: with z = 1/(1-w) - 1/w it is 1/(1 + e^z), and its slope is
 -(1/w^2 + 1/(1-w)^2) / (4 cosh^2(z/2)), both from the one exponential
 e^(z/2), with no masks.  The cutoff keeps its exponents as floats, so a
@@ -288,74 +290,51 @@ class PowerCutoffInner(RadialProfile):
         return {"kind": self.kind, "alpha": str(self.alpha)}
 
 
-class SmoothBump(RadialProfile):
-    """bump((t - center)/width); center = 0 gives a ball bump at the origin."""
+class PowerBump(RadialProfile):
+    """t^-alpha (1 - t^g)^m on [0, 1), 0 beyond, g > 0 and m >= 2, so that f
+    is C^1: a power -alpha at 0 and a compact support.  With v = t^g its
+    norms are Beta integrals in v (quadrature._beta_arguments).  The ball
+    bump (1 - t^2)^2, which translated members read, is PowerBump(0, 2, 2)."""
 
-    kind = "smooth_bump"
+    kind = "power_bump"
 
-    def __init__(self, center: float, width: float):
-        if width <= 0:
-            raise ValueError("bump width must be positive")
-        self.center = float(center)
-        self.width = float(width)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return bump((t - self.center) / self.width)
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return bump_prime((t - self.center) / self.width) / self.width
-
-    @property
-    def support(self):
-        return (max(0.0, self.center - self.width), self.center + self.width)
-
-    def edges(self):
-        # f(0) != 0 only when the bump straddles the origin.  For t <= reach,
-        # half way from 0 to the nearer end of the bump, v = v0 + t/width
-        # keeps 1 - v^2 >= low, and bump^(k)(v) is e^(-1/high) times at most
-        # (2, 14, 140)[k - 1] / low^(2k), for high the largest 1 - v^2
-        # there; Taylor's bounds follow.  f' of a centred bump is -2 f(0)
-        # t/width^2 at 0, within t^2 sup|f^(3)| / 2
-        if abs(self.center) >= self.width:
-            return (None, None)
-        w, v0 = self.width, -self.center / self.width
-        reach, v1 = w * (1.0 - abs(v0)) / 2.0, v0 + (1.0 - abs(v0)) / 2.0
-        low, high = 1.0 - max(v0 * v0, v1 * v1), 1.0 if v0 <= 0.0 <= v1 else 1.0 - min(v0 * v0, v1 * v1)
-        top, f0 = math.exp(-1.0 / high), math.exp(-1.0 / (1.0 - v0 * v0))
-        d0 = f0 * (-2.0 * v0) / (1.0 - v0 * v0) ** 2 / w
-        slope = (Edge(d0, Fraction(0), bound=Bound(top * 14.0 / low**4 / (w * w * abs(d0)), 1.0, reach)) if d0
-                 else Edge(-2.0 * f0 / w**2, Fraction(1), bound=Bound(top * 35.0 / low**6 / (w * f0), 1.0, reach)))
-        return (Edge(f0, Fraction(0), bound=Bound(top * 2.0 / low**2 / (w * f0), 1.0, reach), slope=slope), None)
-
-    def descriptor(self):
-        return {"kind": self.kind, "center": self.center, "width": self.width}
-
-
-class BallBump(RadialProfile):
-    """(1 - t^2)^2 on [0, 1), 0 beyond: a C^1 ball bump whose moments are
-    Beta integrals, so that its translated norms are hypergeometric series
-    (quadrature._translated_norm)."""
-
-    kind = "ball_bump"
+    def __init__(self, alpha, g, m):
+        self.alpha, self.g, self.m = Fraction(alpha), Fraction(g), Fraction(m)
+        if self.g <= 0 or self.m < 2:
+            raise ValueError("a power bump needs g > 0 and m >= 2")
+        # floats for value() and derivative(), as PowerTail keeps them
+        self._a, self._head, self._g = float(self.alpha), float(-self.alpha), float(self.g)
+        self._m, self._mg = float(self.m), float(self.m * self.g)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 1.0, (1.0 - t * t) ** 2, 0.0)
+        t = np.minimum(np.asarray(t, dtype=float), 1.0)
+        return np.power(t, self._head) * np.power(1.0 - np.power(t, self._g), self._m)
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 1.0, -4.0 * t * (1.0 - t * t), 0.0)
+        # t^(-alpha-1) (1 - v)^(m-1) (-alpha - (mg - alpha) v), v = t^g
+        t = np.minimum(np.asarray(t, dtype=float), 1.0)
+        v = np.power(t, self._g)
+        return np.power(t, self._head - 1.0) * np.power(1.0 - v, self._m - 1.0) * (-self._a - (self._mg - self._a) * v)
 
     @property
     def support(self):
         return (0.0, 1.0)
 
     def edges(self):
-        # 1 - 2 t^2 + t^4 at 0, within 2 t^2 of 1, and f' = -4 t (1 - t^2)
-        slope = Edge(-4.0, Fraction(1), bound=Bound(1.0, 2.0, 0.5))
-        return (Edge(1.0, Fraction(0), bound=Bound(2.0, 2.0, 0.5), slope=slope), None)
+        # for v = t^g <= 1, |(1 - v)^m - 1| <= m v; f' is -alpha t^(-alpha-1)
+        # (1 - v)^(m-1) (1 + q v), q = (mg - alpha) / alpha, within (m - 1) v
+        # (1 + |q|) + |q| v of its first term, and for alpha = 0 it is -mg
+        # t^(g-1) (1 - v)^(m-1), within (m - 1) v
+        a, g, m = self.alpha, self.g, self.m
+        if a != 0:
+            q = abs(float((m * g - a) / a))
+            slope = Edge(-float(a), -a - 1, bound=Bound(float(m - 1) * (1.0 + q) + q, float(g), 0.5))
+        else:
+            slope = Edge(-float(m * g), g - 1, bound=Bound(float(m - 1), float(g), 0.5))
+        return (Edge(1.0, -a, bound=Bound(float(m), float(g), 0.5), slope=slope), None)
+
+    def descriptor(self):
+        return {"kind": self.kind, "alpha": str(self.alpha), "g": str(self.g), "m": str(self.m)}
 
 
 class PowerTail(RadialProfile):

@@ -29,8 +29,9 @@ points.  Singular ends are handled in three tiers:
 
 One integrator serves every radial norm: a session of `panels.integrate`
 shared by every panel integral of a `weighted_norms` call, so the norms
-of a whole `verify` instance (8 members x 5 scales x 3 norms) take about
-7 integrand calls.  Its one integrand is t^w |F(t)|^s e^l, where F is a
+of a first-harmonic `verify` instance (6 members x 5 scales x 3 norms)
+take about 2 integrand calls, and a radial one none.  Its one integrand
+is t^w |F(t)|^s e^l, where F is a
 view (base, reading, lam) of a profile (`_view`): a base profile read at
 lam t as its value base(lam t), its derivative lam base'(lam t), a
 first-harmonic gradient, or the window W(ln x) of a log window, one
@@ -49,14 +50,15 @@ by the exact scaling law.  The range of a dilation by lam = m 2^k, m in
 member share one panel integral.  A log window's norm fails where the
 weight's peak is too narrow for the panels.
 
-A `PowerTail` f = t^-alpha (1+t)^(alpha-beta) read as values or as its
-derivative is all closed pieces, with no range: a Beta value, or for a
-derivative with alpha beta != 0 Euler's integral of 2F1 (DLMF 5.12.3 and
-15.6.1, `_power_tail_pieces`), whose exact Beta arguments also decide
-its divergence (`_beta_arguments`).  Each 2F1 there is read with its
-relative error by `hypergeometric.Hyp2F1`, as is the angular factor of
-first-harmonic gradients.  The first-harmonic gradient of a `PowerTail`
-stays on the panels.
+A `PowerTail` f = t^-alpha (1+t)^(alpha-beta) or a `PowerBump` f =
+t^-alpha (1 - t^g)^m on [0, 1) read as values or as its derivative is
+all closed pieces, with no range: in u = t/(1+t), resp. u = t^g, each is
+the one Euler integral of u^(x-1) (1-u)^(y-1) |a + (b-a) u|^s over (0,
+1), a Beta value or 2F1s (DLMF 5.12.1 and 15.6.1, `_euler_pieces`), whose
+exact Beta arguments also decide its divergence (`_beta_arguments`).
+Each 2F1 there is read with its relative error by `hypergeometric.Hyp2F1`,
+as is the angular factor of first-harmonic gradients, which stay on the
+panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -66,7 +68,7 @@ around the translation point,
 where M(x) = 2F1(-d/2, 1 - N/2 - d/2; N/2; x^2) is the mean of the weight
 |e + x w|^d over w in S^{N-1} (Funk-Hecke; A&S 15.1.1 for the series),
 and the gradient norm has the same form with f'.  The one translated
-profile is the ball bump (1 - t^2)^2, dilated, whose moments are Beta
+profile is the ball bump PowerBump(0, 2, 2), dilated, whose moments are Beta
 integrals, so the integral is one hypergeometric series in (1/(lam R))^2
 (a 2F1 for values, a 3F2 for gradients) with no panels, cut where its
 tail is below 1e-17 of its least value (`_translated_norm`); huge offsets
@@ -98,7 +100,8 @@ import numpy as np
 
 from .hypergeometric import ROUND, Hyp2F1, Terms
 from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
-from .profiles import Edge, LogModulated, PiecewisePower, PowerTail, RadialProfile, ScaledProfile, merge_bounds
+from .profiles import (Edge, LogModulated, PiecewisePower, PowerBump, PowerTail, RadialProfile, ScaledProfile,
+                       merge_bounds)
 from .testfunctions import Angular, TestFunction
 
 
@@ -294,7 +297,7 @@ def _first_harmonic_gradient(n: int, p: float) -> _FirstHarmonicGradient:
 
 
 # ---------------------------------------------------------------------------
-# PowerTail norms in closed form
+# PowerTail and PowerBump norms in closed form
 # ---------------------------------------------------------------------------
 
 def _closed_piece(logs, hyp=(1.0, 0.0)) -> Tuple[float, float]:
@@ -310,45 +313,53 @@ def _log_beta(x: float, y: float, xy: float) -> list:
     return [math.lgamma(x), math.lgamma(y), -math.lgamma(xy)]
 
 
-def _beta_arguments(base: PowerTail, d: Fraction, s: Fraction, n: int, gradient: bool) -> Tuple[Fraction, Fraction]:
-    """The exact Beta arguments (x, y) of the integral of t^(d+n-1) |F|^s
-    over (0, inf), F = f or, for gradient, f', f = t^-alpha
-    (1+t)^(alpha-beta), alpha != beta: x = d + n - alpha s, less s for f',
-    and y = (beta - alpha) s - x, each plus s for f' where alpha, resp.
-    beta, is 0.  It converges iff x, y > 0: the edge records' verdicts."""
-    x = d + n - (base.alpha + 1 if gradient else base.alpha) * s
-    y = (base.beta - base.alpha) * s - x
-    return x + s * (gradient and base.alpha == 0), y + s * (gradient and base.beta == 0)
+def _beta_arguments(base, d: Fraction, s: Fraction, n: int, gradient: bool) -> tuple:
+    """(x, y, a, b): the integral of t^(d+n-1) |F|^s over (0, inf), F = f
+    or, for gradient, f', is that of _euler_pieces, times 1/g for a
+    PowerBump.  For t^-alpha (1+t)^(alpha-beta), alpha != beta, x = d + n -
+    alpha s, less s for f', and y = (beta - alpha) s - x; for t^-alpha (1 -
+    t^g)^m, x = (d + n - alpha s) / g, less s/g for f', and y = m s + 1,
+    less s for f'.  Values read a = b = 1, and f' a = alpha and b = beta,
+    resp. mg, counting the u^s or (1-u)^s of an end coefficient 0 in x or
+    y.  It converges iff x, y > 0: the edge records' verdicts."""
+    if isinstance(base, PowerBump):
+        ends = base.alpha, base.m * base.g
+        x, y = (d + n - (base.alpha + gradient) * s) / base.g, (base.m - gradient) * s + 1
+    else:
+        ends, x = (base.alpha, base.beta), d + n - (base.alpha + gradient) * s
+        y = (base.beta - base.alpha) * s - x
+    if not gradient:
+        return x, y, 1, 1
+    return x + s * (ends[0] == 0), y + s * (ends[1] == 0), *ends
 
 
-def _power_tail_pieces(base: PowerTail, x: Fraction, y: Fraction, s: Fraction, gradient: bool) -> list:
-    """The closed pieces of that integral, each (log, relative error), from
-    its Beta arguments x, y > 0 (_beta_arguments): B(x, y) for f (DLMF
-    5.12.3).  For f', u = t/(1+t) turns it into the integral of u^(x-1)
-    (1-u)^(y-1) |alpha + (beta - alpha) u|^s over (0, 1), for x and y as
-    they were before the s added where alpha or beta is 0: |alpha - beta|^s
-    B(x, y) there, else Euler's integral of 2F1 (Hyp2F1), |beta|^s B(x, y)
-    2F1(-s, y; x + y; 1 - alpha/beta) where 0 < alpha/beta <= 1 (the roles
-    swap where beta/alpha is), and where alpha beta < 0 the sum of its parts
-    on either side of the zero u0 = alpha / (alpha - beta), |beta - alpha|^s
-    u0^(x+s) B(x, s+1) 2F1(1 - y, x; x + s + 1; u0) and its mirror with x,
-    y and u0, 1 - u0 swapped.  Each parameter that can be small is exact."""
-    alpha, beta, p = base.alpha, base.beta, float(s)
+def _euler_pieces(x: Fraction, y: Fraction, a, b, s: Fraction, logs=()) -> list:
+    """The closed pieces, each (log, relative error), of e^logs times the
+    integral of u^(x-1) (1-u)^(y-1) |a + (b - a) u|^s over (0, 1), from its
+    Beta arguments x, y > 0 and end coefficients a, b (_beta_arguments):
+    |b - a|^s B(x, y) where a or b is 0, |a|^s B(x, y) where a = b, else
+    Euler's integral of 2F1 (Hyp2F1), |b|^s B(x, y) 2F1(-s, y; x + y; 1 -
+    a/b) where 0 < a/b <= 1 (the roles swap where b/a is), and where a b <
+    0 the sum of its parts on either side of the zero u0 = a / (a - b), |b
+    - a|^s u0^(x+s) B(x, s+1) 2F1(1 - y, x; x + s + 1; u0) and its mirror
+    with x, y and u0, 1 - u0 swapped.  Each parameter that can be small is
+    exact."""
+    p = float(s)
     xf, yf, log_beta = float(x), float(y), _log_beta(float(x), float(y), float(x + y))
-    if not gradient or alpha == 0 or beta == 0:
-        return [_closed_piece([p * math.log(abs(float(alpha - beta))), *log_beta] if gradient else log_beta)]
-    af, bf, gf = float(alpha), float(beta), float(beta - alpha)
+    if a == b or a == 0 or b == 0:
+        return [_closed_piece([*logs, p * math.log(abs(float(a if a == b else a - b))), *log_beta])]
+    af, bf, gf = float(a), float(b), float(b - a)
     if (af > 0.0) == (bf > 0.0):
         if abs(af) <= abs(bf):
             lead, hyp = bf, Hyp2F1(-s, y, x).at(af / bf, gf / bf)
         else:
             lead, hyp = af, Hyp2F1(-s, x, y).at(bf / af, -gf / af)
-        return [_closed_piece([p * math.log(abs(lead)), *log_beta], hyp)]
+        return [_closed_piece([*logs, p * math.log(abs(lead)), *log_beta], hyp)]
     u0, v0 = -af / gf, bf / gf  # v0 = 1 - u0
     log_gap = p * math.log(abs(gf))
-    return [_closed_piece([log_gap, (xf + p) * math.log(u0), *_log_beta(xf, p + 1.0, xf + p + 1.0)],
+    return [_closed_piece([*logs, log_gap, (xf + p) * math.log(u0), *_log_beta(xf, p + 1.0, xf + p + 1.0)],
                           Hyp2F1(1 - y, x, s + 1).at(v0, u0)),
-            _closed_piece([log_gap, (yf + p) * math.log(v0), *_log_beta(yf, p + 1.0, yf + p + 1.0)],
+            _closed_piece([*logs, log_gap, (yf + p) * math.log(v0), *_log_beta(yf, p + 1.0, yf + p + 1.0)],
                           Hyp2F1(1 - x, y, s + 1).at(u0, v0))]
 
 
@@ -376,9 +387,9 @@ class _NormPlan:
     converges, its reading at lam = 1: its closed pieces, each a log
     integral and its relative error, summed once (closed), and the one
     finite range left to the panels, or None.  A PiecewisePower read as
-    values is all pieces, and so is a PowerTail read as values or
-    derivatives, whose Beta arguments decide its verdicts with no edge
-    record (_beta_arguments, _power_tail_pieces).  Otherwise each end of
+    values is all pieces, and so is a PowerTail or PowerBump read as values
+    or derivatives, whose Beta arguments decide its verdicts with no edge
+    record (_beta_arguments, _euler_pieces).  Otherwise each end of
     the support at 0 or infinity is a piece of the read edge record there
     (_close), and the range stops at its cut; it stops there with no piece
     where a derivative reads an exact constant.  With no record at 0, f vanishes there faster than any power, and the
@@ -415,12 +426,13 @@ class _NormPlan:
             self.log_area += abs(k) / rate - math.log(rate)
         # the reading at lam = 1, or why a closed piece failed
         self.pieces, self.range, self.failure = [], None, None
-        if reading in (_read_value, _read_derivative) and isinstance(base, PowerTail) and base.alpha != base.beta:
+        if reading in (_read_value, _read_derivative) and (
+                isinstance(base, PowerBump) or isinstance(base, PowerTail) and base.alpha != base.beta):
             gradient, s = reading is _read_derivative, Fraction(s)  # exact whatever numbers the caller passed
-            x, y = _beta_arguments(base, Fraction(d), s, n, gradient)
+            x, y, a, b = _beta_arguments(base, Fraction(d), s, n, gradient)
             self.diverges_at_zero, self.diverges_at_inf = x <= 0, y <= 0
-            if x > 0 < y:
-                self.pieces = _power_tail_pieces(base, x, y, s, gradient)
+            if x > 0 < y:  # the 1/g of u = t^g
+                self.pieces = _euler_pieces(x, y, a, b, s, [-math.log(base.g)] if isinstance(base, PowerBump) else [])
         else:
             edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
             edges = (edges[0] if lo == 0.0 else None, edges[1] if hi == math.inf else None)

@@ -58,10 +58,10 @@ from .classify import Reason, Verdict
 from .derived import DerivedQuantities, theta_slack
 from .params import Params
 from .profiles import (
-    BallBump,
     InvertedProfile,
     LogModulated,
     PiecewisePower,
+    PowerBump,
     PowerCutoffInner,
     PowerModulated,
     RadialProfile,
@@ -165,7 +165,7 @@ class _LogModulatedFamily(WitnessFamily):
 # the bump every translated member reads, (1 - t^2)^2 on [0, 1): a member
 # of width w is its dilation by 1/w, and each of its norms is one
 # hypergeometric series (quadrature._translated_norm)
-_UNIT_BUMP = BallBump()
+_UNIT_BUMP = PowerBump(0, 2, 2)
 
 
 @dataclass(frozen=True)

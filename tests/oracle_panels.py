@@ -9,19 +9,27 @@ session through it alone, with the signature of `ckn.panels.integrate`,
 so a test can swap it in and compare the norms the two give.
 
 `PanelTail` is the profile t^-alpha (1+t)^(alpha-beta) of `PowerTail`,
-with its values, derivatives and edge records but not its closed form, so
-its norms are integrated on panels and closed ends, where a `PowerTail`'s
-are Beta and 2F1 values.
+and `PanelBump` the profile t^-alpha (1 - t^g)^m of `PowerBump`, each with
+its values, derivatives and edge records but not its closed form, so
+their norms are integrated on panels and closed ends, where those of the
+package's profiles are Beta and 2F1 values.
+
+`SmoothBump` is the C-infinity bump exp(-1/(1-v^2)) at v = (t - centre) /
+width, with Taylor's bounds on its edge record at 0 where it straddles
+the origin: a profile with no closed form, whose norms only the panels
+read.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
 from ckn.panels import ABS_TOL, GAUSS_NODES, MAX_SUBDIVISIONS, QuadratureConfig, gauss_legendre, panel_edges
-from ckn.profiles import PowerTail, RadialProfile
+from ckn.profiles import Bound, Edge, PowerBump, PowerTail, RadialProfile, bump, bump_prime
 
 
 class PanelTail(RadialProfile):
@@ -44,6 +52,77 @@ class PanelTail(RadialProfile):
 
     def descriptor(self):
         return {**self.tail.descriptor(), "kind": self.kind}
+
+
+class PanelBump(RadialProfile):
+    """PowerBump(alpha, g, m) as a profile with no closed form."""
+
+    kind = "panel_bump"
+
+    def __init__(self, alpha, g, m):
+        self.bump = PowerBump(alpha, g, m)
+        self.alpha, self.g, self.m = self.bump.alpha, self.bump.g, self.bump.m
+
+    def value(self, t):
+        return self.bump.value(t)
+
+    def derivative(self, t):
+        return self.bump.derivative(t)
+
+    @property
+    def support(self):
+        return self.bump.support
+
+    def edges(self):
+        return self.bump.edges()
+
+    def descriptor(self):
+        return {**self.bump.descriptor(), "kind": self.kind}
+
+
+class SmoothBump(RadialProfile):
+    """bump((t - center)/width); center = 0 gives a ball bump at the origin."""
+
+    kind = "smooth_bump"
+
+    def __init__(self, center: float, width: float):
+        if width <= 0:
+            raise ValueError("bump width must be positive")
+        self.center = float(center)
+        self.width = float(width)
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        return bump((t - self.center) / self.width)
+
+    def derivative(self, t):
+        t = np.asarray(t, dtype=float)
+        return bump_prime((t - self.center) / self.width) / self.width
+
+    @property
+    def support(self):
+        return (max(0.0, self.center - self.width), self.center + self.width)
+
+    def edges(self):
+        # f(0) != 0 only when the bump straddles the origin.  For t <= reach,
+        # half way from 0 to the nearer end of the bump, v = v0 + t/width
+        # keeps 1 - v^2 >= low, and bump^(k)(v) is e^(-1/high) times at most
+        # (2, 14, 140)[k - 1] / low^(2k), for high the largest 1 - v^2
+        # there; Taylor's bounds follow.  f' of a centred bump is -2 f(0)
+        # t/width^2 at 0, within t^2 sup|f^(3)| / 2
+        if abs(self.center) >= self.width:
+            return (None, None)
+        w, v0 = self.width, -self.center / self.width
+        reach, v1 = w * (1.0 - abs(v0)) / 2.0, v0 + (1.0 - abs(v0)) / 2.0
+        low, high = 1.0 - max(v0 * v0, v1 * v1), 1.0 if v0 <= 0.0 <= v1 else 1.0 - min(v0 * v0, v1 * v1)
+        top, f0 = math.exp(-1.0 / high), math.exp(-1.0 / (1.0 - v0 * v0))
+        d0 = f0 * (-2.0 * v0) / (1.0 - v0 * v0) ** 2 / w
+        slope = (Edge(d0, Fraction(0), bound=Bound(top * 14.0 / low**4 / (w * w * abs(d0)), 1.0, reach)) if d0
+                 else Edge(-2.0 * f0 / w**2, Fraction(1), bound=Bound(top * 35.0 / low**6 / (w * f0), 1.0, reach)))
+        return (Edge(f0, Fraction(0), bound=Bound(top * 2.0 / low**2 / (w * f0), 1.0, reach), slope=slope), None)
+
+    def descriptor(self):
+        return {"kind": self.kind, "center": self.center, "width": self.width}
 
 
 def _gl_quad(g, x0: float, x1: float, nodes: int) -> float:

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import oracle_cutoff
+from oracle_panels import SmoothBump
 from ckn.profiles import (
-    BallBump,
     InvertedProfile,
+    PowerBump,
     PowerCutoffInner,
     PowerTail,
-    SmoothBump,
     bump,
 )
 from ckn.testfunctions import (
@@ -146,20 +146,20 @@ def test_dilate_moves_cutoff_support():
 
 def test_translated_requires_separated_support():
     with pytest.raises(ValueError, match="away from the origin"):
-        translated(BallBump().scaled(0.5), 1.0)
+        translated(PowerBump(0, 2, 2).scaled(0.5), 1.0)
     with pytest.raises(ValueError):
         TestFunction(SmoothBump(0.0, 1.0), Angular.RADIAL, offset=3.0)
 
 
 def test_translated_dilation_shrinks_offset():
-    u = translated(BallBump(), 64.0)
+    u = translated(PowerBump(0, 2, 2), 64.0)
     v = dilate(u, 4.0)
     assert v.offset == pytest.approx(16.0)
     assert v.profile.support[1] == pytest.approx(0.25)
 
 
 def test_kelvin_rejects_translated():
-    u = translated(BallBump(), 10.0)
+    u = translated(PowerBump(0, 2, 2), 10.0)
     with pytest.raises(ValueError):
         kelvin_function(u)
 
@@ -173,7 +173,7 @@ def test_kelvin_preserves_angular_mode():
 
 
 def test_descriptor_includes_offset():
-    u = translated(BallBump(), 12.0)
+    u = translated(PowerBump(0, 2, 2), 12.0)
     desc = u.descriptor()
     assert desc["angular"] == "translated"
     assert desc["offset"] == 12.0

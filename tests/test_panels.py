@@ -8,10 +8,10 @@ import numpy as np
 import ckn.panels as panels
 import ckn.quadrature as quadrature
 import oracle_panels
-from oracle_panels import PanelTail, panel_integral
+from oracle_panels import PanelTail, SmoothBump, panel_integral
 from ckn.classify import Reason, classify
 from ckn.probes import compute_norms
-from ckn.profiles import (Bound, Edge, InvertedProfile, PowerCutoffInner, RadialProfile, SmoothBump,
+from ckn.profiles import (Bound, Edge, InvertedProfile, PowerBump, PowerCutoffInner, RadialProfile,
                           TruncatedPrimitive)
 from ckn.quadrature import (
     DEFAULT_CONFIG,
@@ -98,6 +98,22 @@ def test_first_harmonic_gradient_norms_match_oracle(monkeypatch):
         # f' and f/t carry one power less than f: b - p plays the role of d
         b = p + rational(rng, -n + 1, 4)
         profile = power_tail(rng, n, b - p, p) if rng.random() < 0.5 else bump(rng)
+        batched, oracle = both(monkeypatch, weighted_norm_gradient, first_harmonic(profile), b, p, n)
+        assert batched.finite
+        assert_same(batched, oracle)
+
+
+def test_first_harmonic_power_bump_gradients_match_oracle(monkeypatch):
+    # a power bump's radial norms are closed forms, but its first-harmonic
+    # gradients take panels, closed at 0 by the records of f' and f/t:
+    # alpha below, or at a third of the draws equal to, 0, and at least 1/2
+    # from critical at 0, where f/t ~ t^(-alpha-1)
+    rng = random.Random(517)
+    for i in range(30):
+        n, p = rng.randint(2, 5), 1 + rational(rng, 0, 3)
+        b = p + rational(rng, -n + 1, 4)
+        alpha = F(0) if i % 3 == 0 else (b + n) / p - 1 - F(1, 2) - rational(rng, 0, 3)
+        profile = PowerBump(alpha, rng.choice([F(1), F(3, 2), F(2), F(4)]), rng.choice([F(2), F(5, 2), F(3)]))
         batched, oracle = both(monkeypatch, weighted_norm_gradient, first_harmonic(profile), b, p, n)
         assert batched.finite
         assert_same(batched, oracle)

@@ -19,18 +19,19 @@ from ckn.probes import DEFAULT_SCALES, default_verification_family, default_w0_f
 from ckn.profiles import (
     InvertedProfile,
     LogModulated,
+    PowerBump,
     PowerCutoffInner,
     PowerTail,
     RadialProfile,
-    SmoothBump,
     TruncatedPrimitive,
 )
 from ckn.quadrature import NormStatus, weighted_norm, weighted_norm_gradient, weighted_norms
 from ckn.testfunctions import dilate, radial, translated
+from oracle_panels import SmoothBump
 
 F = Fraction
 
-# a radial embedding instance at theta_c: 3 PowerTail and 5 SmoothBump members
+# a radial embedding instance at theta_c: 3 PowerTail and 5 PowerBump members
 PARAMS, THETA = Params(4, F(1), F(3), F(7, 3), F(-16, 5), F(5, 2), F(-8, 3)), F(64, 1099)
 
 
@@ -50,7 +51,7 @@ def test_a_verify_instance_decides_each_member_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for cls in (PowerTail, SmoothBump):
+    for cls in (PowerTail, PowerBump):
         monkeypatch.setattr(cls, "edges", counted("edges", cls.edges))
     monkeypatch.setattr(quadrature, "_diverges_at_zero", counted("zero", quadrature._diverges_at_zero))
     monkeypatch.setattr(quadrature, "_diverges_at_inf", counted("inf", quadrature._diverges_at_inf))
@@ -75,7 +76,7 @@ def test_a_first_harmonic_verify_instance_runs_one_session(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for cls in (PowerTail, SmoothBump):
+    for cls in (PowerTail, PowerBump):
         monkeypatch.setattr(cls, "edges", counted("edges", cls.edges))
     monkeypatch.setattr(quadrature, "integrate", counted("sessions", quadrature.integrate))
     report = verify_instance(params, classify(params).derived.theta_c, family=family)
@@ -295,7 +296,7 @@ def test_a_translated_walk_builds_no_plan_and_integrates_nothing(monkeypatch, pa
     report = falsify_instance(params)
     assert not report.ok and len(report.trace) == 41
     assert calls == {"plans": 0, "sessions": 0}
-    with pytest.raises(ValueError, match="BallBump"):
+    with pytest.raises(ValueError, match="ball bump"):
         translated(SmoothBump(0.0, 1.0), 4.0)
 
 

@@ -14,8 +14,8 @@ from ckn.probes import (
     log_window_theta_probe,
     verify_instance,
 )
-from ckn.profiles import SmoothBump
 from ckn.testfunctions import radial
+from oracle_panels import SmoothBump
 
 F = Fraction
 

@@ -21,16 +21,16 @@ from ckn.derived import derive
 from ckn.params import Params
 from ckn.probes import verify_instance
 from ckn.profiles import (
-    BallBump,
     InvertedProfile,
     LogModulated,
     PiecewisePower,
+    PowerBump,
     PowerCutoffInner,
     PowerModulated,
     PowerTail,
-    SmoothBump,
     TruncatedPrimitive,
 )
+from oracle_panels import SmoothBump
 
 F = Fraction
 PROBES = (1e-6, 1e6)  # t near 0 and near infinity
@@ -59,7 +59,10 @@ def _catalog(rng: random.Random) -> list:
         PowerTail(alpha, alpha),
         SmoothBump(float(rational(rng, -1, 1)) * width * 0.9, width),
         SmoothBump(0.0, width),
-        BallBump(),
+        PowerBump(0, 2, 2),
+        PowerBump(rational(rng, -3, 3), rational(rng, 1, 4), rng.choice([F(2), F(5, 2), F(3)])),
+        PowerBump(F(0), rational(rng, 1, 4), F(rng.randint(2, 4))),
+        PowerBump(_nonzero(rng, -3, 3), F(1), F(2)),
         PiecewisePower(
             [
                 (float(_nonzero(rng, -3, 3)), rational(rng, -3, 3), -math.inf, math.log(x1)),

@@ -11,17 +11,16 @@ import ckn.quadrature as quadrature
 from ckn.panels import QuadratureConfig
 from ckn.params import Params, kelvin_params
 from ckn.profiles import (
-    BallBump,
     Bound,
     Edge,
     InvertedProfile,
     LogModulated,
     PiecewisePower,
+    PowerBump,
     PowerCutoffInner,
     PowerTail,
     RadialProfile,
     ScaledProfile,
-    SmoothBump,
     TruncatedPrimitive,
     bump,
 )
@@ -40,7 +39,7 @@ from ckn.testfunctions import (
     radial,
     translated,
 )
-from oracle_panels import panel_integral
+from oracle_panels import SmoothBump, panel_integral
 
 F = Fraction
 
@@ -383,7 +382,7 @@ def test_log_window_past_the_reach_of_the_panels_fails():
 
 def test_translated_norm_matches_unweighted_translation_invariance():
     # with d = 0 the weight is trivial and translation cannot change the norm
-    profile = BallBump()
+    profile = PowerBump(0, 2, 2)
     u0 = radial(profile)
     ut = translated(profile, 37.5)
     for n in (1, 2, 3):
@@ -394,7 +393,7 @@ def test_translated_norm_matches_unweighted_translation_invariance():
 
 def test_translated_norm_far_field_power():
     # far translate: ||u_R||_{d,s} ~ R^{d/s} ||u||_{0,s}
-    profile = BallBump()
+    profile = PowerBump(0, 2, 2)
     d, s, n = F(-3), F(2), 3
     base = weighted_norm(radial(profile), F(0), s, n).value
     for R in (2.0**10, 2.0**14):
@@ -403,7 +402,7 @@ def test_translated_norm_far_field_power():
 
 
 def test_translated_gradient_norm():
-    profile = BallBump()
+    profile = PowerBump(0, 2, 2)
     n = 3
     got = weighted_norm_gradient(translated(profile, 1000.0), F(0), F(2), n)
     want = weighted_norm_gradient(radial(profile), F(0), F(2), n)

@@ -21,8 +21,8 @@ import ckn.panels as panels
 import ckn.quadrature as quadrature
 from ckn.panels import QuadratureConfig
 from ckn.params import Params
-from ckn.probes import compute_norms, default_verification_family, verify_instance
-from ckn.profiles import BallBump, InvertedProfile, PiecewisePower, SmoothBump
+from ckn.probes import compute_norms, verify_instance
+from ckn.profiles import InvertedProfile, PiecewisePower, PowerBump
 from ckn.quadrature import (
     MEAN_TERMS,
     NormStatus,
@@ -34,7 +34,7 @@ from ckn.quadrature import (
 from ckn.testfunctions import TestFunction, radial, translated
 from conftest import rational
 from oracle_angular import _polar_rule, translated_norm
-from oracle_panels import panel_integral
+from oracle_panels import SmoothBump, panel_integral
 
 F = Fraction
 EPS = 2.0 ** -52  # the float spacing at 1
@@ -99,7 +99,7 @@ def test_where_the_mean_is_one_each_norm_is_its_beta_form(gradient):
     # (|x| in one dimension), harmonic off the origin, so its mean on a
     # sphere that leaves the origin outside is its value at the center
     for n, s, lam, offset in CASES:
-        u = translated(BallBump().scaled(lam), offset)
+        u = translated(PowerBump(0, 2, 2).scaled(lam), offset)
         for d in {F(0), F(2 - n)}:
             got = norm_of(gradient)(u, d, s, n)
             want = log_beta_form(n, float(s), lam, offset, float(d), gradient) / float(s)
@@ -112,7 +112,7 @@ def test_at_the_quadratic_weight_the_value_series_is_one_term_long():
     # whose Beta moments make the series 1 + N y / (N + 4s + 2)
     for n, s, lam, offset in CASES:
         y = (1 / (lam * offset)) ** 2
-        got = weighted_norm(translated(BallBump().scaled(lam), offset), F(2), s, n)
+        got = weighted_norm(translated(PowerBump(0, 2, 2).scaled(lam), offset), F(2), s, n)
         want = (log_beta_form(n, float(s), lam, offset, 2.0, False) + math.log1p(n * y / (n + 4 * s + 2))) / float(s)
         assert abs(got.log_value - want) <= 8 * EPS * max(abs(want), 1.0), (n, s, lam, offset)
 
@@ -124,7 +124,7 @@ def test_newton_theorem_the_mean_of_the_newton_kernel_is_one(monkeypatch, n):
     seen = series_terms(monkeypatch)
     for s in (F(1), F(3, 2), F(5, 2)):
         for lam, offset in ((1.0, 4.0), (8.0, 1.5), (0.5, 64.0)):
-            u = translated(BallBump().scaled(lam), offset)
+            u = translated(PowerBump(0, 2, 2).scaled(lam), offset)
             for gradient in (False, True):
                 got = norm_of(gradient)(u, F(2 - n), s, n)
                 want = log_beta_form(n, float(s), lam, offset, 2.0 - n, gradient) / float(s)
@@ -143,7 +143,7 @@ def test_mean_of_the_trivial_and_the_quadratic_weight(monkeypatch, n):
         if m != n:
             continue
         y, sf = (1 / (lam * offset)) ** 2, float(s)
-        u = translated(BallBump().scaled(lam), offset)
+        u = translated(PowerBump(0, 2, 2).scaled(lam), offset)
         for gradient in (False, True):
             seen.clear()
             one = norm_of(gradient)(u, F(0), s, n)
@@ -197,7 +197,7 @@ def exact_log_norm(n, d, s, offset, gradient):
     """The log norm of the unit ball bump at distance offset, its mean M
     exact (MEANS[n], else the polar rule's), integrated on (0, 1) by the
     depth-first oracle at 1e-14."""
-    profile, mean = BallBump(), MEANS.get(n) or polar_mean(n)
+    profile, mean = PowerBump(0, 2, 2), MEANS.get(n) or polar_mean(n)
     values = profile.derivative if gradient else profile.value
 
     def g(t):
@@ -218,7 +218,7 @@ def test_the_reported_error_covers_the_distance_to_an_exact_mean(monkeypatch, n,
     # in every other dimension some case has a negative term
     seen, s = series_terms(monkeypatch), F(2) if gradient else F(3, 2)
     for x, d in ERROR_CASES:
-        got = norm_of(gradient)(translated(BallBump(), 1 / x), d, s, n)
+        got = norm_of(gradient)(translated(PowerBump(0, 2, 2), 1 / x), d, s, n)
         want = exact_log_norm(n, d, s, 1 / x, gradient)
         assert 0 < got.error < 1e-6
         assert abs(got.log_value - want) <= got.error, (x, d)
@@ -233,7 +233,7 @@ WEIGHT_XS = (1 / 16, 1 / 2, 0.99)
 def assert_covered_by_exact_mean(n, d):
     for x in WEIGHT_XS:
         for gradient, s in ((False, F(3, 2)), (True, F(2))):
-            got = norm_of(gradient)(translated(BallBump(), 1 / x), d, s, n)
+            got = norm_of(gradient)(translated(PowerBump(0, 2, 2), 1 / x), d, s, n)
             assert got.finite and 0 < got.error < 1e-6
             assert abs(got.log_value - exact_log_norm(n, d, s, 1 / x, gradient)) <= got.error, (x, gradient)
 
@@ -255,7 +255,7 @@ def test_truncation_bound_covers_the_true_error(monkeypatch, n, d, x_max):
     # no term of these series is negative, so the bound is tight
     monkeypatch.setattr(quadrature, "MEAN_TOL", 1e-8)
     s = F(3, 2)
-    got = weighted_norm(translated(BallBump(), 1 / x_max), d, s, n)
+    got = weighted_norm(translated(PowerBump(0, 2, 2), 1 / x_max), d, s, n)
     assert got.finite and 64 * EPS < got.error <= 1e-8 + 64 * EPS
     true = float(s) * abs(got.log_value - exact_log_norm(n, d, s, 1 / x_max, False))
     assert got.error / 100 <= true <= got.error
@@ -271,7 +271,7 @@ def test_truncation_bound_covers_the_true_error(monkeypatch, n, d, x_max):
 def test_a_series_reports_its_rounding_and_its_tail_bound(monkeypatch, n, d, x, mean_tol):
     monkeypatch.setattr(quadrature, "MEAN_TOL", mean_tol)
     s = F(3, 2)
-    got = weighted_norm(translated(BallBump(), 1 / x), d, s, n)
+    got = weighted_norm(translated(PowerBump(0, 2, 2), 1 / x), d, s, n)
     rounding = 64 * EPS
     if d == -1:
         y = x * x
@@ -283,7 +283,7 @@ def test_a_series_reports_its_rounding_and_its_tail_bound(monkeypatch, n, d, x, 
 
 def test_series_past_the_term_budget_is_refused():
     def norm(x, d):
-        return weighted_norm(translated(BallBump(), 1 / x), d, F(2), 3)
+        return weighted_norm(translated(PowerBump(0, 2, 2), 1 / x), d, F(2), 3)
 
     assert norm(0.99, F(-5)).finite
     assert norm(0.9995, F(-5)).status is NormStatus.FAILED
@@ -297,7 +297,7 @@ def test_near_the_sphere_the_true_error_stays_within_the_reported_one(s, gradien
     # x = 0.99: the 48-node angular rule of the 2-D integrand was off here
     # by up to 2.6e-10 in log, with a reported error of 6e-13
     n, d, offset = 3, F(-5), 1.0 / 0.99
-    got = norm_of(gradient)(translated(BallBump(), offset), d, F(s), n)
+    got = norm_of(gradient)(translated(PowerBump(0, 2, 2), offset), d, F(s), n)
     assert got.finite
     assert abs(got.log_value - exact_log_norm(n, d, F(s), offset, gradient)) <= got.error
 
@@ -324,7 +324,7 @@ def test_translated_norms_match_the_angular_oracle():
         for _ in range(12):
             s, d = 1 + rational(rng, 0, 3), rational(rng, -3 * n, n + 3)
             width = float(rational(rng, 0, 2) + F(1, 4))
-            profile = BallBump().scaled(1.0 / width)
+            profile = PowerBump(0, 2, 2).scaled(1.0 / width)
             # x_max = width / offset in [1/1000, 1/2]
             offset = width * 10.0 ** rng.uniform(math.log10(2.0), 3.0)
             assert_pinned(translated(profile, offset), d, s, n, rng.random() < 0.5)
@@ -338,7 +338,7 @@ def test_witness_members_match_the_angular_oracle(n):
     for offset in (16.0, 64.0, 16.0 * 64.0**3, 64.0 * 1e4**5):
         for width in (1.0, offset ** -1, offset ** -2):
             s, d = 1 + rational(rng, 0, 3), rational(rng, -3 * n, n + 3)
-            profiles = [BallBump().scaled(1.0 / width)] + ([BallBump()] if width == 1.0 else [])
+            profiles = [PowerBump(0, 2, 2).scaled(1.0 / width)] + ([PowerBump(0, 2, 2)] if width == 1.0 else [])
             for gradient in (False, True):
                 for profile in profiles:
                     assert_pinned(translated(profile, offset), d, s, n, gradient)
@@ -349,7 +349,7 @@ def test_long_series_of_witness_members_match_the_angular_oracle(monkeypatch, gr
     # at x = 1/16 and N = 5 these d cut series of more than 16 terms, as
     # falsify walks at weights past 61/2 do
     lengths = series_lengths(monkeypatch)
-    u = translated(BallBump(), 16.0)
+    u = translated(PowerBump(0, 2, 2), 16.0)
     for d in (F(61, 2), F(80), F(-80)):
         assert_pinned(u, d, F(2), 5, gradient)
     assert min(lengths) > 16
@@ -366,7 +366,7 @@ def test_both_paths_match_the_angular_oracle(monkeypatch, n):
     lengths = series_lengths(monkeypatch)
     for x in (1 / 16, 1 / 2, 3 / 4):
         for d in (F(-25), F(-49, 2), F(-3, 2), F(7, 3), F(49, 2), F(25)):
-            u = translated(BallBump(), 1.0 / x)
+            u = translated(PowerBump(0, 2, 2), 1.0 / x)
             for gradient, s in ((False, F(3, 2)), (True, F(5, 2))):
                 got = norm_of(gradient)(u, d, s, n, TIGHT)
                 want = translated_norm(u.profile, d, s, n, u.offset, TIGHT, use_derivative=gradient, nodes=NODES)
@@ -380,7 +380,7 @@ def test_both_paths_match_the_angular_oracle(monkeypatch, n):
 # ---------------------------------------------------------------------------
 
 def test_past_the_term_budget_the_norm_fails():
-    u = translated(BallBump(), 1.0005)
+    u = translated(PowerBump(0, 2, 2), 1.0005)
     for norm in (weighted_norm, weighted_norm_gradient):
         got = norm(u, F(-5), F(2), 3)
         assert got.status is NormStatus.FAILED
@@ -388,7 +388,7 @@ def test_past_the_term_budget_the_norm_fails():
 
 
 def test_support_reaching_the_origin_is_refused():
-    u = translated(BallBump(), 2.0)
+    u = translated(PowerBump(0, 2, 2), 2.0)
     object.__setattr__(u, "offset", 1.0)  # past the check of TestFunction
     assert isinstance(u, TestFunction)
     for norm in (weighted_norm, weighted_norm_gradient):
@@ -401,10 +401,10 @@ def test_support_reaching_the_origin_is_refused():
     SmoothBump(0.0, 1.0).scaled(2.0),
     # t^-2 on (0, 1], whose translated norms once diverged at its center
     PiecewisePower([(1.0, F(-2), -math.inf, 0.0)]),
-    InvertedProfile(BallBump()),
+    InvertedProfile(PowerBump(0, 2, 2)),
 ], ids=["smooth_bump", "scaled_smooth_bump", "power", "inverted_ball_bump"])
 def test_only_the_ball_bump_and_its_dilations_translate(profile):
-    with pytest.raises(ValueError, match="BallBump"):
+    with pytest.raises(ValueError, match="ball bump"):
         translated(profile, 4.0)
 
 
@@ -414,7 +414,7 @@ def test_a_translated_norm_asks_for_no_panel_integral(monkeypatch):
     def refuse(g, integrals, cfg):
         raise AssertionError("a translated norm asked for a panel integral")
 
-    u = translated(BallBump(), 64.0)
+    u = translated(PowerBump(0, 2, 2), 64.0)
     want = [repr(norm(u, F(-1), F(1), 1)) for norm in (weighted_norm, weighted_norm_gradient)]
     monkeypatch.setattr(quadrature, "integrate", refuse)
     for norm, before in zip((weighted_norm, weighted_norm_gradient), want):
@@ -428,7 +428,7 @@ def test_a_translated_norm_asks_for_no_panel_integral(monkeypatch):
 def test_a_norm_past_the_float_range_stays_finite_in_log(lam, offset):
     # lam^-3 is 1e900 or 1e-900: the integral leaves the floats, its log
     # does not
-    u = translated(BallBump().scaled(lam), offset)
+    u = translated(PowerBump(0, 2, 2).scaled(lam), offset)
     for gradient in (False, True):
         got = norm_of(gradient)(u, F(0), F(2), 3)
         want = log_beta_form(3, 2.0, lam, offset, 0.0, gradient) / 2.0
@@ -439,9 +439,9 @@ def test_a_norm_past_the_float_range_stays_finite_in_log(lam, offset):
 def test_members_of_mixed_sessions_match_their_own_sessions(monkeypatch):
     # the translated norms ask for no panel integral, so the session holds
     # the radial members' integrals alone
-    radial_u = default_verification_family(Params(3, F(2), F(2), F(2), F(0), F(0), F(0)), 2)
+    radial_u = [radial(SmoothBump(1.0, 0.5)), radial(SmoothBump(2.0, 1.0))]
     radial_jobs = [(u, F(-1), F(2), 3, gradient) for u in radial_u for gradient in (False, True)]
-    jobs = radial_jobs + [(translated(BallBump(), offset), d, F(3, 2), 3, gradient)
+    jobs = radial_jobs + [(translated(PowerBump(0, 2, 2), offset), d, F(3, 2), 3, gradient)
                           for offset in (16.0, 3.0) for d in (F(-4), F(5, 2)) for gradient in (False, True)]
     asked, integrate = [], quadrature.integrate
 
