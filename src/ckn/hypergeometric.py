@@ -1,7 +1,8 @@
 """Hypergeometric series with stated errors, for the closed forms of the norms.
 
   * `Terms`: the term recurrence of pFq, p = q + 1, and a bound on the tail
-    of the series at any z.
+    of the series at any z; `series_terms` keeps one per parameter set, and
+    `_mean_series` sums one as the translated norms' mean of the weight.
   * `Hyp2F1`: 2F1(a, b; b + e; 1 - rho) from exact a, b and e, one value
     with its relative error for the gradients of `PowerTail`s, or arrays of
     rho under one error over [0, 1] for the angular factor of
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -32,11 +33,15 @@ ROUND = 64 * float(np.finfo(float).eps)
 class Terms:
     """The coefficients scale prod_i (ups_i)_k / (prod_j (downs_j)_k k!) of
     scale pFq(ups; downs; z), p = q + 1, each computed once by the term
-    recurrence, and a bound on the tail of the series at any z."""
+    recurrence, and a bound on the tail of the series at any z, from the
+    factors of its term ratio, each also computed once per k."""
+
+    __slots__ = ("ups", "downs", "coefs", "ratios")
 
     def __init__(self, ups, downs, scale: float = 1.0):
         # each up is paired with a down, the last with the 1 of k!
         self.ups, self.downs, self.coefs = tuple(ups), (*downs, 1.0), [scale]
+        self.ratios = [None]  # per k, the factors of Terms.tail other than 1, or None where it is inf
 
     def __getitem__(self, k: int) -> float:
         while len(self.coefs) <= k:
@@ -44,23 +49,66 @@ class Terms:
         return self.coefs[k]
 
     def _extend(self) -> None:
-        """Append the next coefficient by the recurrence."""
+        """Append the next coefficient by the recurrence, and its ratio."""
         k, coef = len(self.coefs), self.coefs[-1]
         for u in self.ups:
             coef *= u + k - 1
         self.coefs.append(coef / math.prod(v + k - 1 for v in self.downs))
+        if any(k < -u for u in self.ups) or any(k <= -v for v in self.downs):
+            self.ratios.append(None)
+        else:
+            factors = (max(1.0, (k + u) / (k + v)) for u, v in zip(self.ups, self.downs))
+            self.ratios.append(tuple(f for f in factors if f != 1.0))
 
     def tail(self, k: int, z: float) -> float:
         """A bound on the absolute terms from term k on at z, or inf: past k
         >= -up and k > -down each factor (up+j)/(down+j) of the term ratio
         is monotone in j, so r = z prod max(1, (up+k)/(down+k)) bounds it,
         and the tail is at most |term k| / (1 - r)."""
-        if any(k < -u for u in self.ups) or any(k <= -v for v in self.downs):
+        coef, factors = self[k], self.ratios[k]
+        if factors is None:
             return math.inf
         r = z
-        for u, v in zip(self.ups, self.downs):
-            r *= max(1.0, (k + u) / (k + v))
-        return abs(self[k]) * z**k / (1.0 - r) if r < 1.0 else math.inf
+        for factor in factors:
+            r *= factor
+        return abs(coef) * z**k / (1.0 - r) if r < 1.0 else math.inf
+
+
+@lru_cache(maxsize=512)
+def series_terms(ups: tuple, downs: tuple) -> Terms:
+    """The one Terms of (ups, downs), shared by every series of those
+    parameters: the members of a translated family differ only in z, so
+    each extends the coefficients its z needs, and reads those of the
+    members before it.  The cache holds at most 512 of them."""
+    return Terms(ups, downs)
+
+
+# the series tail allowed, relative to the least value of its sum, and the
+# most terms it may take: enough for x up to about 0.998 at moderate d
+MEAN_TOL = 1e-17
+MEAN_TERMS = 10_000
+
+
+def _mean_series(terms: Terms, x: float, least: float):
+    """(sum, relative error) of the series of terms at z = x^2, a weighted
+    mean of M over [0, x], or None past MEAN_TERMS terms.
+
+    It is cut where the tail bound (Terms.tail) is at most MEAN_TOL of a
+    floor of the sum: the partial sum while no term is negative, else
+    least, the least value of M on [0, x].  The error is the tail over the
+    floor plus 64 eps times the sum of the absolute terms over the sum."""
+    z, total, absolute, power, positive = x * x, 1.0, 1.0, 1.0, True
+    for k in range(1, MEAN_TERMS + 1):
+        coef = terms[k]
+        positive = positive and coef > 0.0
+        tail = 0.0 if coef == 0.0 else terms.tail(k, z)  # 0: an up is a non-positive integer, a polynomial
+        floor = total if positive else least
+        if tail <= MEAN_TOL * floor:
+            return total, tail / floor + ROUND * absolute / total
+        power *= z
+        total += coef * power
+        absolute += abs(coef) * power
+    return None
 
 
 def _digamma(x: float) -> float:

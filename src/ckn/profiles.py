@@ -45,20 +45,14 @@ ln t.  A band far out keeps its width where its bounds in t would round
 to one float, or to 0 or infinity; only an infinite log bound reaches an
 end.
 
-The smooth cutoff is fixed once and for all: zeta = PowerCutoffInner(0),
-1 for t <= 1/2, 0 for t >= 1, bridged by the standard exp-based mollifier
-step h(1-w) / (h(w) + h(1-w)), h(x) = exp(-1/x), at w = 2t - 1; the
-log-window bump is exp(-1/(1-v^2)) on (-1, 1).  Fixing both makes
-quadrature outputs reproducible across runs.  The compact bumps are
-power bumps t^-alpha (1 - t^g)^m on [0, 1), whose norms are Beta
-integrals in t^g; the translated witnesses read the ball bump
-PowerBump(0, 2, 2) = (1 - t^2)^2.  Every cutoff at infinity is the Kelvin
-inversion of one at 0: t^-alpha zeta(1/t) is
-InvertedProfile(PowerCutoffInner(-alpha)).  The step is evaluated in its
-logistic form: with z = 1/(1-w) - 1/w it is 1/(1 + e^z), and its slope is
--(1/w^2 + 1/(1-w)^2) / (4 cosh^2(z/2)), both from the one exponential
-e^(z/2), with no masks.  The cutoff keeps its exponents as floats, so a
-call is a handful of ufuncs.
+The compact bumps are power bumps t^-alpha (1 - t^g)^m on [0, 1), whose
+norms are Beta integrals in t^g: a cutoff witness is one, t^-alpha (1 -
+t^g)^2, and so is the ball bump PowerBump(0, 2, 2) = (1 - t^2)^2 that the
+translated witnesses read.  Every cutoff at infinity is the Kelvin
+inversion of one at 0, t^-alpha (1 - t^-g)^2 for t > 1 being
+InvertedProfile(PowerBump(-alpha, g, 2)).  The log-window bump is the
+fixed exp(-1/(1-v^2)) on (-1, 1), so that quadrature outputs are
+reproducible across runs.
 """
 
 from __future__ import annotations
@@ -73,33 +67,8 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# fixed smooth cutoff and bump
+# the fixed bump of the log windows
 # ---------------------------------------------------------------------------
-
-# the step is exactly 1 below w = _STEP_END and exactly 0 above 1 - _STEP_END:
-# there e^(-1/w), the step's distance from 1 or 0 and its slope (at most
-# 2^20 e^-1023) are all below the least subnormal float
-_STEP_END = 2.0 ** -10
-
-
-def _step_halves(w) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, a, twocosh): w clamped to [_STEP_END, 1 - _STEP_END], a =
-    e^(-z/2) and twocosh = 2 cosh(z/2) = a + e^(z/2) for z = 1/(1-w) - 1/w.
-    The step 1/(1 + e^z) is then a / twocosh; the clamp keeps both inside
-    the float range."""
-    w = np.clip(np.asarray(w, dtype=float), _STEP_END, 1.0 - _STEP_END)
-    b = np.exp(0.5 / (1.0 - w) - 0.5 / w)
-    a = 1.0 / b
-    return w, a, a + b
-
-
-def _step_slope(w: np.ndarray, twocosh: np.ndarray) -> np.ndarray:
-    """d/dw of 1/(1 + e^z) = -z'(w) / (4 cosh^2(z/2)), with twocosh of
-    _step_halves divided out twice so that the slope underflows gradually
-    and nothing overflows."""
-    v = 1.0 - w
-    return -((1.0 / (w * w) + 1.0 / (v * v)) / twocosh) / twocosh
-
 
 def bump(v: np.ndarray) -> np.ndarray:
     """exp(-1/(1-v^2)) on (-1, 1), zero outside."""
@@ -251,50 +220,13 @@ class RadialProfile:
         return f"{type(self).__name__}({self.descriptor()})"
 
 
-class PowerCutoffInner(RadialProfile):
-    """t^{-alpha} zeta(t): a pure power near 0, cut off beyond t = 1.  Its
-    inversion t^{alpha} zeta(1/t) is the cutoff at infinity."""
-
-    kind = "power_cutoff_inner"
-
-    def __init__(self, alpha):
-        self.alpha = Fraction(alpha)
-        # floats for value() and derivative(), as PowerTail keeps them
-        self._a, self._head, self._dhead = float(self.alpha), float(-self.alpha), float(-self.alpha - 1)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        _, a, twocosh = _step_halves(2.0 * t - 1.0)
-        return np.power(t, self._head) * (a / twocosh)
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        w, a, twocosh = _step_halves(2.0 * t - 1.0)
-        out = np.power(t, self._head) * (2.0 * _step_slope(w, twocosh))
-        if self._a != 0.0:
-            out = out - self._a * np.power(t, self._dhead) * (a / twocosh)
-        return out
-
-    @property
-    def support(self):
-        return (0.0, 1.0)
-
-    @property
-    def breakpoints(self):
-        return (0.5, 1.0)
-
-    def edges(self):
-        return (Edge(1.0, -self.alpha, exact=0.5), None)
-
-    def descriptor(self):
-        return {"kind": self.kind, "alpha": str(self.alpha)}
-
-
 class PowerBump(RadialProfile):
     """t^-alpha (1 - t^g)^m on [0, 1), 0 beyond, g > 0 and m >= 2, so that f
     is C^1: a power -alpha at 0 and a compact support.  With v = t^g its
-    norms are Beta integrals in v (quadrature._beta_arguments).  The ball
-    bump (1 - t^2)^2, which translated members read, is PowerBump(0, 2, 2)."""
+    norms are Beta integrals in v (quadrature._beta_arguments), and so are
+    those of its inversion.  The ball bump (1 - t^2)^2, which translated
+    members read, is PowerBump(0, 2, 2), and the cutoff witnesses are (alpha,
+    g, 2) and their inversions (witnesses._cutoff_family)."""
 
     kind = "power_bump"
 

@@ -13,8 +13,8 @@ points.  Singular ends are handled in three tiers:
      profile's edge record at the singular end decides d + N + s*pi <= 0
      (at zero) or >= 0 (at infinity) in rational arithmetic.  Quadrature
      growth is only a cross-check.
-  2. Where the read edge record declares F exactly a power C t^m (cutoff
-     plateaus, indicator pieces, truncated-primitive tails), that end is a
+  2. Where the read edge record declares F exactly a power C t^m
+     (indicator pieces, truncated-primitive tails), that end is a
      closed piece, an integral evaluated in log space, and the range stops
      at its bound.  Where F is the derivative of an exact constant it is
      an exact zero, and the range stops there with no piece.
@@ -55,7 +55,10 @@ t^-alpha (1 - t^g)^m on [0, 1) read as values or as its derivative is
 all closed pieces, with no range: in u = t/(1+t), resp. u = t^g, each is
 the one Euler integral of u^(x-1) (1-u)^(y-1) |a + (b-a) u|^s over (0,
 1), a Beta value or 2F1s (DLMF 5.12.1 and 15.6.1, `_euler_pieces`), whose
-exact Beta arguments also decide its divergence (`_beta_arguments`).
+exact Beta arguments also decide its divergence (`_beta_arguments`).  So
+is the inversion f(1/t) of a `PowerBump`, the cutoff witness at
+infinity: t -> 1/t makes its norm that of the bump at -d - 2N, and its
+gradient norm that of the bump's at -d - 2N + 2s, with the ends swapped.
 Each 2F1 there is read with its relative error by `hypergeometric.Hyp2F1`,
 as is the angular factor of first-harmonic gradients, which stay on the
 panels.
@@ -98,10 +101,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hypergeometric import ROUND, Hyp2F1, Terms
+from .hypergeometric import MEAN_TERMS, ROUND, Hyp2F1, _mean_series, series_terms
 from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
-from .profiles import (Edge, LogModulated, PiecewisePower, PowerBump, PowerTail, RadialProfile, ScaledProfile,
-                       merge_bounds)
+from .profiles import (Edge, InvertedProfile, LogModulated, PiecewisePower, PowerBump, PowerTail, RadialProfile,
+                       ScaledProfile, merge_bounds)
 from .testfunctions import Angular, TestFunction
 
 
@@ -387,9 +390,10 @@ class _NormPlan:
     converges, its reading at lam = 1: its closed pieces, each a log
     integral and its relative error, summed once (closed), and the one
     finite range left to the panels, or None.  A PiecewisePower read as
-    values is all pieces, and so is a PowerTail or PowerBump read as values
-    or derivatives, whose Beta arguments decide its verdicts with no edge
-    record (_beta_arguments, _euler_pieces).  Otherwise each end of
+    values is all pieces, and so is a PowerTail, PowerBump or inverted
+    PowerBump read as values or derivatives, whose Beta arguments decide
+    its verdicts with no edge record (_beta_arguments, _euler_pieces).
+    Otherwise each end of
     the support at 0 or infinity is a piece of the read edge record there
     (_close), and the range stops at its cut; it stops there with no piece
     where a derivative reads an exact constant.  With no record at 0, f vanishes there faster than any power, and the
@@ -426,13 +430,17 @@ class _NormPlan:
             self.log_area += abs(k) / rate - math.log(rate)
         # the reading at lam = 1, or why a closed piece failed
         self.pieces, self.range, self.failure = [], None, None
+        inverted = isinstance(base, InvertedProfile) and isinstance(base.inner, PowerBump)
+        inner = base.inner if inverted else base
         if reading in (_read_value, _read_derivative) and (
-                isinstance(base, PowerBump) or isinstance(base, PowerTail) and base.alpha != base.beta):
-            gradient, s = reading is _read_derivative, Fraction(s)  # exact whatever numbers the caller passed
-            x, y, a, b = _beta_arguments(base, Fraction(d), s, n, gradient)
-            self.diverges_at_zero, self.diverges_at_inf = x <= 0, y <= 0
+                isinstance(inner, PowerBump) or isinstance(inner, PowerTail) and inner.alpha != inner.beta):
+            gradient, s, d = reading is _read_derivative, Fraction(s), Fraction(d)  # exact whatever the caller passed
+            if inverted:  # t -> 1/t takes t^(d+n-1) dt to t^(-d-n-1) dt, and f' gains a factor t^-2
+                d = -d - 2 * n + 2 * s * gradient
+            x, y, a, b = _beta_arguments(inner, d, s, n, gradient)
+            self.diverges_at_zero, self.diverges_at_inf = (y <= 0, x <= 0) if inverted else (x <= 0, y <= 0)
             if x > 0 < y:  # the 1/g of u = t^g
-                self.pieces = _euler_pieces(x, y, a, b, s, [-math.log(base.g)] if isinstance(base, PowerBump) else [])
+                self.pieces = _euler_pieces(x, y, a, b, s, [-math.log(inner.g)] if isinstance(inner, PowerBump) else [])
         else:
             edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
             edges = (edges[0] if lo == 0.0 else None, edges[1] if hi == math.inf else None)
@@ -668,34 +676,6 @@ def _radial_norm(view, d, s, n: int, plans: dict, exponents: int, rel_tol: float
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 
-# the series tail allowed, relative to the least value of its sum, and the
-# most terms it may take: enough for x up to about 0.998 at moderate d
-MEAN_TOL = 1e-17
-MEAN_TERMS = 10_000
-
-
-def _mean_series(terms: Terms, x: float, least: float):
-    """(sum, relative error) of the series of terms at z = x^2, a weighted
-    mean of M over [0, x], or None past MEAN_TERMS terms.
-
-    It is cut where the tail bound (Terms.tail) is at most MEAN_TOL of a
-    floor of the sum: the partial sum while no term is negative, else
-    least, the least value of M on [0, x].  The error is the tail over the
-    floor plus 64 eps times the sum of the absolute terms over the sum."""
-    z, total, absolute, power, positive = x * x, 1.0, 1.0, 1.0, True
-    for k in range(1, MEAN_TERMS + 1):
-        coef = terms[k]
-        positive = positive and coef > 0.0
-        tail = 0.0 if coef == 0.0 else terms.tail(k, z)  # 0: an up is a non-positive integer, a polynomial
-        floor = total if positive else least
-        if tail <= MEAN_TOL * floor:
-            return total, tail / floor + ROUND * absolute / total
-        power *= z
-        total += coef * power
-        absolute += abs(coef) * power
-    return None
-
-
 def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool) -> NormValue:
     """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient,
     for u the ball bump f(t) = (1 - t^2)^2 dilated by lam, at distance R:
@@ -719,10 +699,10 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     a, b = -df / 2.0, 1.0 - n / 2.0 - df / 2.0
     if gradient:
         e = (n + sf) / 2.0
-        terms = Terms((a, e, b), (n / 2.0, e + sf + 1.0))
+        terms = series_terms((a, e, b), (n / 2.0, e + sf + 1.0))
         log_beta = math.lgamma(e) + math.lgamma(sf + 1.0) - math.lgamma(e + sf + 1.0) + sf * math.log(4.0 * lam)
     else:
-        terms = Terms((a, b), (n / 2.0 + 2.0 * sf + 1.0,))
+        terms = series_terms((a, b), (n / 2.0 + 2.0 * sf + 1.0,))
         log_beta = math.lgamma(n / 2.0) + math.lgamma(2.0 * sf + 1.0) - math.lgamma(n / 2.0 + 2.0 * sf + 1.0)
     least = 1.0 if df * (df + n - 2) >= 0 else min((1.0 + x) ** df, (1.0 - x) ** df)
     series = _mean_series(terms, x, least)

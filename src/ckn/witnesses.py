@@ -5,13 +5,16 @@ additive norm ratio ||u||_{c,r} / (||u||_{a,q} + ||grad u||_{b,p}) grows
 without bound, or by a single function whose target norm is certified
 divergent while the source norms are finite:
 
-  COutsideHull               the power cutoff |x|^{-(c+N)/r} at 0, or its
-                             Kelvin inversion at infinity, with the
-                             target integrand exactly |x|^{-N}: a
+  COutsideHull               the power bump |x|^{-(c+N)/r} (1 - |x|^g)^2
+                             on the unit ball, or its Kelvin inversion at
+                             infinity, with the target integrand
+                             |x|^{-N} to leading order at that end: a
                              divergence certificate, no limit needed.
-  COutsideOppositeSideWindow the plateau cutoff (1 near 0, resp. near
-                             infinity after inversion): again a
-                             certificate, from the same builder.
+  COutsideOppositeSideWindow the plateau (1 - |x|^g)^2 (resp. its
+                             inversion at infinity), g the least
+                             integer keeping its gradient in the
+                             source space: again a certificate, from
+                             the same builder.
   EndpointC0WrongR           1-d reduction u = |x|^{1/r - (a+N)/q} g(|x|)
                              with g an indicator band marching to
                              infinity (r > q) or a vanishing-exponent
@@ -39,9 +42,11 @@ divergent while the source norms are finite:
                              multiplicative ratio grows like R to the
                              (positive) theta-condition defect.
 
-The translated bump is the ball bump (1 - t^2)^2 on [0, 1): as Caffarelli,
-Kohn and Nirenberg note, any C^1 bump with compact support away from the
-origin does, and this one's translated norms are closed-form series.
+Every cutoff and translated bump is a power bump t^-alpha (1 - t^g)^m on
+[0, 1): as Caffarelli, Kohn and Nirenberg note, any compactly supported
+C^1 bump serves, and the norms of these are Beta integrals and 2F1s with
+no panels.  The translated bump is the ball bump (1 - t^2)^2, whose
+translated norms are closed-form series.
 
 Family indices are geometric reparameterizations of the constructions'
 limits, with the base chosen from the exact growth exponent so that the
@@ -62,7 +67,6 @@ from .profiles import (
     LogModulated,
     PiecewisePower,
     PowerBump,
-    PowerCutoffInner,
     PowerModulated,
     RadialProfile,
     TruncatedPrimitive,
@@ -228,20 +232,25 @@ def _geometric_base(exponent: float, target_index: int = 20, cap: float = 1e4) -
 # ---------------------------------------------------------------------------
 
 def _cutoff_family(params: Params, d: DerivedQuantities, reason: Reason) -> WitnessFamily:
-    """A divergence certificate: the power cutoff t^-alpha zeta(t) at 0, or
-    its Kelvin inversion t^-alpha zeta(1/t) at infinity.  Outside the hull
-    alpha = (c + N)/r makes |x|^c |u|^r exactly |x|^-N at the end that c
-    lies beyond; outside the opposite-side window alpha = 0, a plateau at
-    the origin when b - p <= -N < a (c <= -N makes |x|^c non-integrable
-    over it), else the mirrored plateau at infinity (a < -N < b - p, c >=
-    -N)."""
+    """A divergence certificate: the power bump t^-alpha (1 - t^g)^2 on [0,
+    1) at 0, or its Kelvin inversion t^-alpha (1 - t^-g)^2 on (1, inf) at
+    infinity.  Outside the hull alpha = (c + N)/r makes |x|^c |u|^r |x|^-N
+    to leading order at the end that c lies beyond; outside the opposite-side window
+    alpha = 0, a plateau at the origin when b - p <= -N < a (c <= -N makes
+    |x|^c non-integrable over it), else the mirrored plateau at infinity (a
+    < -N < b - p, c >= -N).  Near a plateau f' is -2g t^(g-1), which is in
+    L^p(t^(k-1)) iff k + (g - 1) p > 0, k = b + N at 0 and 2p - b - N at
+    infinity: g is the least such integer, at least 1.  Where alpha != 0, g
+    moves no verdict."""
     if reason is Reason.C_OUTSIDE_HULL:
         alpha, at_zero = (params.c + params.n) / params.r, params.c < min(d.c0, d.c1)
         kind = "inner_power_cutoff" if at_zero else "outer_power_cutoff"
     else:
         alpha, at_zero = Fraction(0), params.a > -params.n
         kind = "plateau_cutoff" if at_zero else "plateau_cutoff_inverted"
-    profile = PowerCutoffInner(alpha) if at_zero else InvertedProfile(PowerCutoffInner(-alpha))
+    k = params.b + params.n if at_zero else 2 * params.p - params.b - params.n
+    g = max(1, (params.p - k) // params.p + 1)  # the least integer above 1 - k/p
+    profile = PowerBump(alpha, g, 2) if at_zero else InvertedProfile(PowerBump(-alpha, g, 2))
     return _FixedFamily(reason, params, kind, "certificate", 1, profile=profile)
 
 

@@ -1,5 +1,5 @@
 """The fixed smooth step as an h-ratio, kept as an oracle for the logistic
-form in `ckn.profiles`.
+form of `oracle_panels.PowerCutoffInner`.
 
     step(w) = h(1-w) / (h(w) + h(1-w)),   h(x) = exp(-1/x) for x > 0, else 0,
 

@@ -18,6 +18,16 @@ package's profiles are Beta and 2F1 values.
 width, with Taylor's bounds on its edge record at 0 where it straddles
 the origin: a profile with no closed form, whose norms only the panels
 read.
+
+`PowerCutoffInner` is the C-infinity cutoff t^-alpha zeta(t), zeta 1 for t
+<= 1/2 and 0 for t >= 1, bridged by the mollifier step h(1-w) / (h(w) +
+h(1-w)), h(x) = exp(-1/x), at w = 2t - 1: an exact plateau, a seam at
+1/2 and a smooth step, with no closed form, whose norms only the panels
+read.  The step
+is evaluated in its logistic form: with z = 1/(1-w) - 1/w it is 1/(1 +
+e^z), and its slope is -(1/w^2 + 1/(1-w)^2) / (4 cosh^2(z/2)), both from
+the one exponential e^(z/2), with no masks (`oracle_cutoff` keeps the
+h-ratio).  Its inversion t^-alpha zeta(1/t) is the cutoff at infinity.
 """
 
 from __future__ import annotations
@@ -30,6 +40,69 @@ import numpy as np
 
 from ckn.panels import ABS_TOL, GAUSS_NODES, MAX_SUBDIVISIONS, QuadratureConfig, gauss_legendre, panel_edges
 from ckn.profiles import Bound, Edge, PowerBump, PowerTail, RadialProfile, bump, bump_prime
+
+# the step is exactly 1 below w = _STEP_END and exactly 0 above 1 - _STEP_END:
+# there e^(-1/w), the step's distance from 1 or 0 and its slope (at most
+# 2^20 e^-1023) are all below the least subnormal float
+_STEP_END = 2.0 ** -10
+
+
+def _step_halves(w) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, a, twocosh): w clamped to [_STEP_END, 1 - _STEP_END], a =
+    e^(-z/2) and twocosh = 2 cosh(z/2) = a + e^(z/2) for z = 1/(1-w) - 1/w.
+    The step 1/(1 + e^z) is then a / twocosh; the clamp keeps both inside
+    the float range."""
+    w = np.clip(np.asarray(w, dtype=float), _STEP_END, 1.0 - _STEP_END)
+    b = np.exp(0.5 / (1.0 - w) - 0.5 / w)
+    a = 1.0 / b
+    return w, a, a + b
+
+
+def _step_slope(w: np.ndarray, twocosh: np.ndarray) -> np.ndarray:
+    """d/dw of 1/(1 + e^z) = -z'(w) / (4 cosh^2(z/2)), with twocosh of
+    _step_halves divided out twice so that the slope underflows gradually
+    and nothing overflows."""
+    v = 1.0 - w
+    return -((1.0 / (w * w) + 1.0 / (v * v)) / twocosh) / twocosh
+
+
+class PowerCutoffInner(RadialProfile):
+    """t^{-alpha} zeta(t): a pure power near 0, cut off beyond t = 1.  Its
+    inversion t^{alpha} zeta(1/t) is the cutoff at infinity."""
+
+    kind = "power_cutoff_inner"
+
+    def __init__(self, alpha):
+        self.alpha = Fraction(alpha)
+        # floats for value() and derivative(), as PowerTail keeps them
+        self._a, self._head, self._dhead = float(self.alpha), float(-self.alpha), float(-self.alpha - 1)
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        _, a, twocosh = _step_halves(2.0 * t - 1.0)
+        return np.power(t, self._head) * (a / twocosh)
+
+    def derivative(self, t):
+        t = np.asarray(t, dtype=float)
+        w, a, twocosh = _step_halves(2.0 * t - 1.0)
+        out = np.power(t, self._head) * (2.0 * _step_slope(w, twocosh))
+        if self._a != 0.0:
+            out = out - self._a * np.power(t, self._dhead) * (a / twocosh)
+        return out
+
+    @property
+    def support(self):
+        return (0.0, 1.0)
+
+    @property
+    def breakpoints(self):
+        return (0.5, 1.0)
+
+    def edges(self):
+        return (Edge(1.0, -self.alpha, exact=0.5), None)
+
+    def descriptor(self):
+        return {"kind": self.kind, "alpha": str(self.alpha)}
 
 
 class PanelTail(RadialProfile):

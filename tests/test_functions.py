@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 import oracle_cutoff
-from oracle_panels import SmoothBump
+from oracle_panels import PowerCutoffInner, SmoothBump
 from ckn.profiles import (
     InvertedProfile,
     PowerBump,
-    PowerCutoffInner,
     PowerTail,
     bump,
 )

@@ -8,11 +8,11 @@ import numpy as np
 import ckn.panels as panels
 import ckn.quadrature as quadrature
 import oracle_panels
-from oracle_panels import PanelTail, SmoothBump, panel_integral
+from oracle_panels import PanelTail, PowerCutoffInner, SmoothBump, panel_integral
 from ckn.classify import Reason, classify
+from ckn.params import Params, kelvin_params
 from ckn.probes import compute_norms
-from ckn.profiles import (Bound, Edge, InvertedProfile, PowerBump, PowerCutoffInner, RadialProfile,
-                          TruncatedPrimitive)
+from ckn.profiles import Bound, Edge, InvertedProfile, PowerBump, RadialProfile, TruncatedPrimitive
 from ckn.quadrature import (
     DEFAULT_CONFIG,
     NormStatus,
@@ -235,30 +235,63 @@ def hull_witnesses(count):
     return found
 
 
-def test_a_c_outside_hull_member_takes_at_most_4_integrand_calls(monkeypatch):
-    # the two finite norms of the cutoff bisect its [1/2, 1], or [1, 2] for
-    # the inversion at infinity, to depth 8-9; one integrand call per depth
-    # took 8 or 9 calls
-    calls = []
-    integrand = quadrature._radial_integrand
+def refused(*args):
+    raise AssertionError("a cutoff witness asked for a panel integral")
 
-    def counted(*args):
-        g = integrand(*args)
 
-        def call(t, owner):
-            calls.append(t.size)
-            return g(t, owner)
-
-        return call
-
-    monkeypatch.setattr(quadrature, "_radial_integrand", counted)
-    members = hull_witnesses(20)
+def test_a_c_outside_hull_member_takes_no_integrand_call(monkeypatch):
+    # a cutoff witness is a power bump, or its inversion at infinity, whose
+    # norms are Beta values and 2F1s
+    monkeypatch.setattr(quadrature, "_radial_integrand", refused)
+    monkeypatch.setattr(quadrature, "integrate", refused)
     kinds = set()
-    for params, u in members:
-        calls.clear()
+    for params, u in hull_witnesses(20):
         triple = compute_norms(params, u)
         kinds.add(type(u.profile))
         assert triple.target.status is NormStatus.DIVERGENT
         assert triple.source.finite and triple.grad.finite
-        assert 1 <= len(calls) <= 4, (params, len(calls))
-    assert kinds == {PowerCutoffInner, InvertedProfile}
+    assert kinds == {PowerBump, InvertedProfile}
+
+
+def cutoff_instances(count):
+    """count COutsideHull and COutsideOppositeSideWindow instances, in turn
+    a random draw, a draw with b far below -N, so that a plateau at 0
+    takes g >= 5, and a draw at c = -N, where alpha = 0; each is Kelvin
+    mirrored half the time, which puts its cutoff at the other end."""
+    rng, found, draws = random.Random(1416), [], 0
+    while len(found) < count:
+        params, draws = random_params(rng), draws + 1
+        n, p = params.n, params.p
+        if draws % 3 == 1:
+            a, c = -n + rational(rng, 0, 3) + F(1, 7), -n - rational(rng, 0, 4)
+            params = Params(n, p, params.q, params.r, a, -n - rational(rng, 3, 8) * p, c)
+        elif draws % 3 == 2:
+            params = params.with_c(F(-n))
+        if rng.random() < 0.5:
+            params = kelvin_params(params)
+        verdict = classify(params)
+        if verdict.reason in (Reason.C_OUTSIDE_HULL, Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW):
+            found.append((params, witness_for_verdict(params, verdict).member(0).profile))
+    return found
+
+
+def test_every_cutoff_certificate_is_closed_form_with_finite_source_norms(monkeypatch):
+    # near a plateau f' ~ -2g t^(g-1), and g is the least integer that keeps
+    # it in the source space: 5 or more where b + N <= -3p, where g = 1
+    # would leave the gradient norm divergent
+    monkeypatch.setattr(quadrature, "integrate", refused)
+    seen = set()
+    for params, profile in cutoff_instances(330):
+        reason, inverted = classify(params).reason, isinstance(profile, InvertedProfile)
+        bump = profile.inner if inverted else profile
+        assert type(bump) is PowerBump and bump.m == 2
+        triple = compute_norms(params, radial(profile))
+        what = (params, bump.descriptor(), inverted)
+        assert triple.target.status is NormStatus.DIVERGENT, what
+        assert triple.target.detail == ("non-integrable at infinity" if inverted else "non-integrable at zero"), what
+        assert triple.source.finite and triple.grad.finite, what
+        if reason is Reason.C_OUTSIDE_OPPOSITE_SIDE_WINDOW and bump.g >= 5:
+            seen.add(("plateau, g >= 5", inverted))
+        elif reason is Reason.C_OUTSIDE_HULL and bump.alpha == 0:
+            seen.add(("c = -N", inverted))
+    assert seen == {(kind, inverted) for kind in ("plateau, g >= 5", "c = -N") for inverted in (False, True)}

@@ -20,14 +20,13 @@ from ckn.profiles import (
     InvertedProfile,
     LogModulated,
     PowerBump,
-    PowerCutoffInner,
     PowerTail,
     RadialProfile,
     TruncatedPrimitive,
 )
 from ckn.quadrature import NormStatus, weighted_norm, weighted_norm_gradient, weighted_norms
 from ckn.testfunctions import dilate, radial, translated
-from oracle_panels import SmoothBump
+from oracle_panels import PowerCutoffInner, SmoothBump
 
 F = Fraction
 

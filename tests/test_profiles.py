@@ -25,12 +25,11 @@ from ckn.profiles import (
     LogModulated,
     PiecewisePower,
     PowerBump,
-    PowerCutoffInner,
     PowerModulated,
     PowerTail,
     TruncatedPrimitive,
 )
-from oracle_panels import SmoothBump
+from oracle_panels import PowerCutoffInner, SmoothBump
 
 F = Fraction
 PROBES = (1e-6, 1e6)  # t near 0 and near infinity

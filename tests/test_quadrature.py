@@ -17,7 +17,6 @@ from ckn.profiles import (
     LogModulated,
     PiecewisePower,
     PowerBump,
-    PowerCutoffInner,
     PowerTail,
     RadialProfile,
     ScaledProfile,
@@ -39,7 +38,7 @@ from ckn.testfunctions import (
     radial,
     translated,
 )
-from oracle_panels import SmoothBump, panel_integral
+from oracle_panels import PowerCutoffInner, SmoothBump, panel_integral
 
 F = Fraction
 

@@ -45,8 +45,10 @@ def norm_of(gradient):
 
 
 def series_lengths(monkeypatch):
-    """The number of terms that each translated norm's series reads, in a
-    list that grows as norms are computed."""
+    """The number of terms that each translated norm's series holds after
+    it is summed, in a list that grows as norms are computed: at least the
+    number it read, as the Terms of one parameter set serve every series
+    of it (hypergeometric.series_terms)."""
     lengths, mean_series = [], quadrature._mean_series
 
     def recorded(terms, x, least):
@@ -59,9 +61,9 @@ def series_lengths(monkeypatch):
 
 
 def series_terms(monkeypatch):
-    """The nonzero coefficients that each translated norm's series read,
-    the one past its cut included, in a list that grows as norms are
-    computed."""
+    """The nonzero coefficients that each translated norm's series holds
+    after it is summed, the one past its cut included, in a list that
+    grows as norms are computed."""
     seen, mean_series = [], quadrature._mean_series
 
     def recorded(terms, x, least):
@@ -253,7 +255,7 @@ def test_mean_in_three_dimensions_matches_the_closed_form(d):
 def test_truncation_bound_covers_the_true_error(monkeypatch, n, d, x_max):
     # a loose tolerance, so that truncation, not rounding, sets the error;
     # no term of these series is negative, so the bound is tight
-    monkeypatch.setattr(quadrature, "MEAN_TOL", 1e-8)
+    monkeypatch.setattr(hypergeometric, "MEAN_TOL", 1e-8)
     s = F(3, 2)
     got = weighted_norm(translated(PowerBump(0, 2, 2), 1 / x_max), d, s, n)
     assert got.finite and 64 * EPS < got.error <= 1e-8 + 64 * EPS
@@ -269,7 +271,7 @@ def test_truncation_bound_covers_the_true_error(monkeypatch, n, d, x_max):
     (3, F(-5), 1 / 4, 1e-10),
 ])
 def test_a_series_reports_its_rounding_and_its_tail_bound(monkeypatch, n, d, x, mean_tol):
-    monkeypatch.setattr(quadrature, "MEAN_TOL", mean_tol)
+    monkeypatch.setattr(hypergeometric, "MEAN_TOL", mean_tol)
     s = F(3, 2)
     got = weighted_norm(translated(PowerBump(0, 2, 2), 1 / x), d, s, n)
     rounding = 64 * EPS
@@ -479,6 +481,53 @@ def test_an_overflowing_panel_is_not_bisected(monkeypatch):
     got = weighted_norm(radial(Tall(2.0, 1.0)), F(0), F(2), 3)
     assert (got.status, got.detail) == (NormStatus.FAILED, "panel sum overflowed")
     assert sum(rows) <= 200
+
+
+# ---------------------------------------------------------------------------
+# the series cache
+# ---------------------------------------------------------------------------
+
+def series_jobs():
+    """Translated norms of 18 parameter sets, each at many x: like the
+    members of a translated family, they differ in their scale and offset
+    only, at x from 1/2^20 to 3/4, where a series takes hundreds of terms."""
+    xs = [2.0 ** -k for k in range(20, 0, -1)] + [3 / 4]
+    readings = ((F(3, 2), False), (F(5, 2), True))
+    return [(translated(PowerBump(0, 2, 2).scaled(lam), 1 / (x * lam)), d, s, n, gradient)
+            for n in (1, 3, 4) for d in (F(-25), F(-3, 2), F(7, 3)) for s, gradient in readings
+            for lam in (1.0, 64.0) for x in xs]
+
+
+def norm_bits(jobs):
+    return [(norm.status, norm.detail, norm.log_value.hex(), norm.error.hex())
+            for norm in (weighted_norms([job])[0] for job in jobs)]
+
+
+def test_a_warm_series_cache_gives_the_norms_of_fresh_terms(monkeypatch):
+    # a walk in one order warms the cache, and walks in both orders then
+    # read Terms whose coefficients and tail ratios a longer series built;
+    # each norm must be the one that Terms built for its series alone give
+    jobs = series_jobs()
+    hypergeometric.series_terms.cache_clear()
+    warm = norm_bits(jobs[::-1])[::-1]
+    again = norm_bits(jobs)
+    info = hypergeometric.series_terms.cache_info()
+    assert info.currsize == 18 and info.hits == 2 * len(jobs) - 18
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "series_terms", hypergeometric.Terms)
+        fresh = norm_bits(jobs)
+    assert warm == again == fresh
+    assert all(status is NormStatus.FINITE for status, *_ in fresh)
+
+
+def test_the_series_cache_is_bounded():
+    cache = hypergeometric.series_terms
+    size = cache.cache_info().maxsize
+    assert 0 < size <= 4096
+    for k in range(size + 10):
+        cache((-float(k), 1.5), (2.5,))
+    assert cache.cache_info().currsize == size
+    cache.cache_clear()
 
 
 # ---------------------------------------------------------------------------
