@@ -3,10 +3,14 @@
   * `Terms`: the term recurrence of pFq, p = q + 1, and a bound on the tail
     of the series at any z; `series_terms` keeps one per parameter set, and
     `_mean_series` sums one as the translated norms' mean of the weight.
-  * `Hyp2F1`: 2F1(a, b; b + e; 1 - rho) from exact a, b and e, one value
-    with its relative error for the gradients of `PowerTail`s, or arrays of
-    rho under one error over [0, 1] for the angular factor of
-    first-harmonic gradients.
+  * `Hyp2F1`: 2F1(a, b; b + e; 1 - rho) from a, b, e and g = e - a, each
+    rounded once from its exact value by the caller, one value with its
+    relative error for the closed-form gradients of `PowerTail`s and
+    `PowerBump`s, or arrays of rho under one error over [0, 1] for the
+    angular factor of first-harmonic gradients.
+  * `_euler_pieces`: the integral of u^(x-1) (1-u)^(y-1) |a + (b-a) u|^s
+    over (0, 1), the one closed form of `PowerTail` and `PowerBump` norms,
+    as Beta values and 2F1s from integer Beta arguments.
 
 Each error is a series tail plus the rounding of its sums, 64 eps times
 the sum of the absolute terms (`ROUND`), more for long recurrences.
@@ -15,7 +19,6 @@ the sum of the absolute terms (`ROUND`), more for long recurrences.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Tuple
 
@@ -264,25 +267,25 @@ class Hyp2F1:
         2F1(a, b; 1 - g; rho) + rho^g G2 2F1(c - a, e; 1 + g; rho) with
         Gamma ratios G1 and G2, or 15.3.11 where g is an integer (near).
 
-    Every part reads a and g = e - a each rounded once from its exact
-    value, the Gamma ratios and the series of 15.3.6 alike: near an integer
+    It takes the floats a, b, e and g = e - a, each rounded once from its
+    exact value (not g from the rounded e and a), and every part reads
+    them, the Gamma ratios and the series of 15.3.6 alike: near an integer
     m the two terms of 15.3.6 grow as 1/|g - m| and cancel, to rounding
     only where their poles sit at the same g.  So whether a and g are
     integers is decided on these floats, exactly for every integer, and a
     value within half an ulp of one, at which the other branch has a pole,
     is read as that integer.  The near branch is built on first use."""
 
-    def __init__(self, a: Fraction, b: Fraction, e: Fraction):
-        self.a, self.b, self.e, self.error, self.polynomial = a, b, e, None, None
-        self.af, self.bf, self.ef, self.gf = float(a), float(b), float(e), float(e - a)
-        self.far = [(1.0, 0.0, self.gf, _Series(self.bf + self.gf, self.ef, self.bf + self.ef))]
-        if self.af <= 0.0 and self.af.is_integer():  # positive terms: 64 eps, plus 8 eps a step
-            self.polynomial = _rho_polynomial(int(-self.af), self.bf, self.ef)
+    def __init__(self, a: float, b: float, e: float, g: float):
+        self.a, self.b, self.e, self.g, self.error, self.polynomial = a, b, e, g, None, None
+        self.far = [(1.0, 0.0, g, _Series(b + g, e, b + e))]
+        if a <= 0.0 and a.is_integer():  # positive terms: 64 eps, plus 8 eps a step
+            self.polynomial = _rho_polynomial(int(-a), b, e)
             self.error = ROUND * (1.0 + len(self.polynomial) / 8.0)
 
     @cached_property
     def near(self) -> list:
-        af, bf, ef, gf, cf = self.af, self.bf, self.ef, self.gf, self.bf + self.ef
+        af, bf, ef, gf, cf = self.a, self.b, self.e, self.g, self.b + self.e
         if not gf.is_integer():
             return [(*_gamma_ratio([cf, gf], [bf + gf, ef]), 0.0, _Series(af, bf, 1.0 - gf)),
                     (*_gamma_ratio([cf, -gf], [af, bf]), gf, _Series(bf + gf, ef, 1.0 + gf))]
@@ -321,3 +324,53 @@ class Hyp2F1:
         for parts, pick, x in ((self.far, far, 1.0 - rho[far]), (self.near, ~far, rho[~far])):
             out[pick] = sum(scale * rho[pick]**g * series.values(x) for scale, _, g, series in parts)
         return out
+
+
+# ---------------------------------------------------------------------------
+# the Euler integral of the closed-form norms
+# ---------------------------------------------------------------------------
+
+def _closed_piece(logs, hyp=(1.0, 0.0)) -> Tuple[float, float]:
+    """(log, relative error) of the product of e^logs and a 2F1 value given
+    with its relative error (Hyp2F1.at): the logs round by 64 eps times the
+    sum of their sizes."""
+    value, error = hyp
+    return sum(logs) + math.log(value), error + ROUND * sum(map(abs, logs))
+
+
+def _log_beta(x: float, y: float, xy: float) -> list:
+    """The logs whose sum is ln B(x, y), x, y > 0 and xy = x + y."""
+    return [math.lgamma(x), math.lgamma(y), -math.lgamma(xy)]
+
+
+def _euler_pieces(X: int, Y: int, S: int, D: int, a: tuple, b: tuple, logs=()) -> list:
+    """The closed pieces, each (log, relative error), of e^logs times the
+    integral of u^(x-1) (1-u)^(y-1) |a + (b - a) u|^s over (0, 1), from its
+    Beta arguments x = X/D, y = Y/D > 0, s = S/D and end coefficients
+    a and b, integer (numerator, denominator) pairs
+    (quadrature._beta_arguments): |b - a|^s B(x, y) where a or b is 0,
+    |a|^s B(x, y) where a = b, else Euler's integral of 2F1 (Hyp2F1), |b|^s
+    B(x, y) 2F1(-s, y; x + y; 1 - a/b) where 0 < a/b <= 1 (the roles swap
+    where b/a is), and where a b < 0 the sum of its parts on either side of
+    the zero u0 = a / (a - b), |b - a|^s u0^(x+s) B(x, s+1) 2F1(1 - y, x; x
+    + s + 1; u0) and its mirror with x, y and u0, 1 - u0 swapped (DLMF
+    5.12.1 and 15.6.1).  Each of x, y, x + y, s, x + s, y + s, 1 - x, 1 -
+    y, s + 1 and b - a is one int/int division, so it is rounded once."""
+    (an, ad), (bn, bd), sf = a, b, S / D
+    xf, yf, log_beta = X / D, Y / D, _log_beta(X / D, Y / D, (X + Y) / D)
+    gap = bn * ad - an * bd
+    if gap == 0 or an == 0 or bn == 0:
+        return [_closed_piece([*logs, sf * math.log(abs(an / ad if gap == 0 else gap / (ad * bd))), *log_beta])]
+    af, bf, gf = an / ad, bn / bd, gap / (ad * bd)
+    if (af > 0.0) == (bf > 0.0):
+        if abs(af) <= abs(bf):
+            lead, hyp = bf, Hyp2F1(-sf, yf, xf, (X + S) / D).at(af / bf, gf / bf)
+        else:
+            lead, hyp = af, Hyp2F1(-sf, xf, yf, (Y + S) / D).at(bf / af, -gf / af)
+        return [_closed_piece([*logs, sf * math.log(abs(lead)), *log_beta], hyp)]
+    u0, v0, s1 = -af / gf, bf / gf, (S + D) / D  # v0 = 1 - u0
+    log_gap = sf * math.log(abs(gf))
+    return [_closed_piece([*logs, log_gap, (xf + sf) * math.log(u0), *_log_beta(xf, sf + 1.0, xf + sf + 1.0)],
+                          Hyp2F1((D - Y) / D, xf, s1, (S + Y) / D).at(v0, u0)),
+            _closed_piece([*logs, log_gap, (yf + sf) * math.log(v0), *_log_beta(yf, sf + 1.0, yf + sf + 1.0)],
+                          Hyp2F1((D - X) / D, yf, s1, (S + X) / D).at(u0, v0))]

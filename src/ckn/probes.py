@@ -188,7 +188,7 @@ class VerifyReport:
 
 def default_verification_family(params: Params, members: int = 8) -> List[TestFunction]:
     """Power bumps peaking at spread centres plus slow power tails fitted to
-    the slopes, each radial norm a closed form (quadrature._euler_pieces).
+    the slopes, each radial norm a closed form (hypergeometric._euler_pieces).
 
     Power-tail exponents keep a unit margin from every norm's
     integrability bound, so all members lie in the source space and the

@@ -42,26 +42,31 @@ closed form exists, adding ln lam to the log norm (|| grad (f o lam) || =
 lam || f' o lam ||), else the base's derivative, and a log window read as
 values is read by its window.
 
+Each (d, s, N) of a call is read once (`_Exponents`), as integer
+(numerator, denominator) pairs and the floats its norms share.
 Divergence certificates, closed pieces and the range are settled before
 the session, in a norm plan (`_NormPlan`) per (base profile, reading, d,
 s, N) that all dilations of a member share, and moved to each dilation
-by the exact scaling law.  The range of a dilation by lam = m 2^k, m in
-[1, 2), is integrated at m and moved alike, so the dyadic dilations of a
-member share one panel integral.  A log window's norm fails where the
-weight's peak is too narrow for the panels.
+by the exact scaling law, in one step where the plan is closed pieces
+alone.  The range of a dilation by lam = m 2^k, m in [1, 2), is
+integrated at m and moved alike, so the dyadic dilations of a member
+share one panel integral.  A log window's norm fails where the weight's
+peak is too narrow for the panels.
 
 A `PowerTail` f = t^-alpha (1+t)^(alpha-beta) or a `PowerBump` f =
 t^-alpha (1 - t^g)^m on [0, 1) read as values or as its derivative is
 all closed pieces, with no range: in u = t/(1+t), resp. u = t^g, each is
 the one Euler integral of u^(x-1) (1-u)^(y-1) |a + (b-a) u|^s over (0,
-1), a Beta value or 2F1s (DLMF 5.12.1 and 15.6.1, `_euler_pieces`), whose
-exact Beta arguments also decide its divergence (`_beta_arguments`).  So
+1), a Beta value or 2F1s (`hypergeometric._euler_pieces`).  So
 is the inversion f(1/t) of a `PowerBump`, the cutoff witness at
 infinity: t -> 1/t makes its norm that of the bump at -d - 2N, and its
 gradient norm that of the bump's at -d - 2N + 2s, with the ends swapped.
-Each 2F1 there is read with its relative error by `hypergeometric.Hyp2F1`,
-as is the angular factor of first-harmonic gradients, which stay on the
-panels.
+The Beta arguments are read in integers from the pairs of d, s and the
+profile's exponents, and decide divergence by their signs
+(`_beta_arguments`); each float handed to lgamma or a 2F1 is one int/int
+division, rounded once, so a plan makes no Fraction.  Each 2F1 is read
+with its relative error by `hypergeometric.Hyp2F1`, as is the angular
+factor of first-harmonic gradients, which stay on the panels.
 
 Translated profiles f(|x - x0|), |x0| = R, reduce to one radial integral
 around the translation point,
@@ -101,7 +106,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hypergeometric import MEAN_TERMS, ROUND, Hyp2F1, _mean_series, series_terms
+from .hypergeometric import MEAN_TERMS, Hyp2F1, _euler_pieces, _mean_series, series_terms
 from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
 from .profiles import (Edge, InvertedProfile, LogModulated, PiecewisePower, PowerBump, PowerTail, RadialProfile,
                        ScaledProfile, merge_bounds)
@@ -170,12 +175,18 @@ def surface_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+@lru_cache(maxsize=None)
+def _log_area(n: int) -> float:
+    """log |S^{n-1}|, computed once per n."""
+    return math.log(surface_area(n))
+
+
 def log_angular_moment(s: float, n: int) -> float:
     """log of the integral of |sigma_1|^s over the unit sphere S^{n-1}."""
     if n == 1:
         return math.log(2.0)
     # |S^{n-2}| * B((s+1)/2, (n-1)/2)
-    return (math.log(surface_area(n - 1)) + math.lgamma((s + 1.0) / 2.0) + math.lgamma((n - 1.0) / 2.0)
+    return (_log_area(n - 1) + math.lgamma((s + 1.0) / 2.0) + math.lgamma((n - 1.0) / 2.0)
             - math.lgamma((s + n) / 2.0))
 
 
@@ -249,8 +260,9 @@ class _FirstHarmonicGradient:
     rho(lam t).  error bounds the relative error of H (Hyp2F1.bound)."""
 
     def __init__(self, n: int, p: float):
-        self.p, self.root, a = p, 1.0 / p, -Fraction(p) / 2
-        self.branches = (Hyp2F1(a, Fraction(n - 1, 2), Fraction(1, 2)), Hyp2F1(a, Fraction(1, 2), Fraction(n - 1, 2)))
+        # a = -p/2 and b, e = (n-1)/2, 1/2 are exact, and each g = e - a is one rounding of its sum
+        self.p, self.root, a = p, 1.0 / p, -p / 2.0
+        self.branches = (Hyp2F1(a, (n - 1) / 2, 0.5, 0.5 + p / 2.0), Hyp2F1(a, 0.5, (n - 1) / 2, (n - 1 + p) / 2.0))
         self.error = max(branch.bound() for branch in self.branches)
 
     def __call__(self, base: RadialProfile, x: np.ndarray, lam) -> np.ndarray:
@@ -303,67 +315,55 @@ def _first_harmonic_gradient(n: int, p: float) -> _FirstHarmonicGradient:
 # PowerTail and PowerBump norms in closed form
 # ---------------------------------------------------------------------------
 
-def _closed_piece(logs, hyp=(1.0, 0.0)) -> Tuple[float, float]:
-    """(log, relative error) of the product of e^logs and a 2F1 value given
-    with its relative error (Hyp2F1.at): the logs round by 64 eps times the
-    sum of their sizes."""
-    value, error = hyp
-    return sum(logs) + math.log(value), error + ROUND * sum(map(abs, logs))
+class _Exponents:
+    """One (d, s, n) of a weighted_norms call, read once for all its norms:
+    d and s as given, as exact integer (numerator, denominator) pairs and
+    as floats, log |S^(n-1)|, and the floats that every plan of them reads,
+    each one int/int division of its exact value: the weight's exponent d +
+    n - 1 and the degrees d + n and d + n - s of the scaling law."""
+
+    __slots__ = ("d", "s", "n", "d_pair", "s_pair", "df", "sf", "wexp", "degrees", "log_area")
+
+    def __init__(self, d, s, n: int):
+        self.d, self.s, self.n = d, s, n
+        (dn, dd), (sn, sd) = self.d_pair, self.s_pair = d.as_integer_ratio(), s.as_integer_ratio()
+        self.df, self.sf, self.wexp = dn / dd, sn / sd, (dn + (n - 1) * dd) / dd
+        self.degrees = ((dn + n * dd) / dd, ((dn + n * dd) * sd - sn * dd) / (dd * sd))  # values, gradients
+        self.log_area = _log_area(n)
 
 
-def _log_beta(x: float, y: float, xy: float) -> list:
-    """The logs whose sum is ln B(x, y), x, y > 0 and xy = x + y."""
-    return [math.lgamma(x), math.lgamma(y), -math.lgamma(xy)]
-
-
-def _beta_arguments(base, d: Fraction, s: Fraction, n: int, gradient: bool) -> tuple:
-    """(x, y, a, b): the integral of t^(d+n-1) |F|^s over (0, inf), F = f
-    or, for gradient, f', is that of _euler_pieces, times 1/g for a
-    PowerBump.  For t^-alpha (1+t)^(alpha-beta), alpha != beta, x = d + n -
-    alpha s, less s for f', and y = (beta - alpha) s - x; for t^-alpha (1 -
-    t^g)^m, x = (d + n - alpha s) / g, less s/g for f', and y = m s + 1,
+def _beta_arguments(inner, exps: _Exponents, gradient: bool, inverted: bool) -> tuple:
+    """(X, Y, S, D, a, b), in integers from the pairs of d, s and the
+    profile's exponents: the integral of t^(d+n-1) |F|^s over (0, inf), F =
+    f or, for gradient, f', is that of _euler_pieces at x = X/D, y = Y/D
+    and s = S/D, D > 0, with end coefficients a and b, pairs, times 1/g for
+    a PowerBump.  For t^-alpha (1+t)^(alpha-beta), alpha != beta, x = d + n
+    - alpha s, less s for f', and y = (beta - alpha) s - x; for t^-alpha (1
+    - t^g)^m, x = (d + n - alpha s) / g, less s/g for f', and y = m s + 1,
     less s for f'.  Values read a = b = 1, and f' a = alpha and b = beta,
     resp. mg, counting the u^s or (1-u)^s of an end coefficient 0 in x or
-    y.  It converges iff x, y > 0: the edge records' verdicts."""
-    if isinstance(base, PowerBump):
-        ends = base.alpha, base.m * base.g
-        x, y = (d + n - (base.alpha + gradient) * s) / base.g, (base.m - gradient) * s + 1
+    y.  It converges iff x, y > 0.  t -> 1/t takes t^(d+n-1) dt to
+    t^(-d-n-1) dt, and f' gains a factor t^-2, so the inversion f(1/t) of a
+    PowerBump reads -(d + n), plus 2s for f', for d + n."""
+    (dn, dd), (sn, sd), n = exps.d_pair, exps.s_pair, exps.n
+    an, ad = inner.alpha.numerator, inner.alpha.denominator
+    # d + n - (alpha + gradient) s = head / (dd sd ad)
+    head = (dn + n * dd) * sd * ad
+    if inverted:
+        head = 2 * gradient * sn * dd * ad - head
+    head -= (an + gradient * ad) * sn * dd
+    if isinstance(inner, PowerBump):
+        (gn, gd), (mn, md) = (inner.g.numerator, inner.g.denominator), (inner.m.numerator, inner.m.denominator)
+        X, Y = head * gd * md, ((mn - gradient * md) * sn + md * sd) * dd * ad * gn
+        S, D, b = sn * dd * ad * gn * md, dd * sd * ad * gn * md, (mn * gn, md * gd)
     else:
-        ends, x = (base.alpha, base.beta), d + n - (base.alpha + gradient) * s
-        y = (base.beta - base.alpha) * s - x
+        b = bn, bd = inner.beta.numerator, inner.beta.denominator
+        X = head * bd
+        Y = (bn * ad - an * bd) * sn * dd - X
+        S, D = sn * dd * ad * bd, dd * sd * ad * bd
     if not gradient:
-        return x, y, 1, 1
-    return x + s * (ends[0] == 0), y + s * (ends[1] == 0), *ends
-
-
-def _euler_pieces(x: Fraction, y: Fraction, a, b, s: Fraction, logs=()) -> list:
-    """The closed pieces, each (log, relative error), of e^logs times the
-    integral of u^(x-1) (1-u)^(y-1) |a + (b - a) u|^s over (0, 1), from its
-    Beta arguments x, y > 0 and end coefficients a, b (_beta_arguments):
-    |b - a|^s B(x, y) where a or b is 0, |a|^s B(x, y) where a = b, else
-    Euler's integral of 2F1 (Hyp2F1), |b|^s B(x, y) 2F1(-s, y; x + y; 1 -
-    a/b) where 0 < a/b <= 1 (the roles swap where b/a is), and where a b <
-    0 the sum of its parts on either side of the zero u0 = a / (a - b), |b
-    - a|^s u0^(x+s) B(x, s+1) 2F1(1 - y, x; x + s + 1; u0) and its mirror
-    with x, y and u0, 1 - u0 swapped.  Each parameter that can be small is
-    exact."""
-    p = float(s)
-    xf, yf, log_beta = float(x), float(y), _log_beta(float(x), float(y), float(x + y))
-    if a == b or a == 0 or b == 0:
-        return [_closed_piece([*logs, p * math.log(abs(float(a if a == b else a - b))), *log_beta])]
-    af, bf, gf = float(a), float(b), float(b - a)
-    if (af > 0.0) == (bf > 0.0):
-        if abs(af) <= abs(bf):
-            lead, hyp = bf, Hyp2F1(-s, y, x).at(af / bf, gf / bf)
-        else:
-            lead, hyp = af, Hyp2F1(-s, x, y).at(bf / af, -gf / af)
-        return [_closed_piece([*logs, p * math.log(abs(lead)), *log_beta], hyp)]
-    u0, v0 = -af / gf, bf / gf  # v0 = 1 - u0
-    log_gap = p * math.log(abs(gf))
-    return [_closed_piece([*logs, log_gap, (xf + p) * math.log(u0), *_log_beta(xf, p + 1.0, xf + p + 1.0)],
-                          Hyp2F1(1 - y, x, s + 1).at(v0, u0)),
-            _closed_piece([*logs, log_gap, (yf + p) * math.log(v0), *_log_beta(yf, p + 1.0, yf + p + 1.0)],
-                          Hyp2F1(1 - x, y, s + 1).at(u0, v0))]
+        return X, Y, S, D, (1, 1), (1, 1)
+    return X + S * (an == 0), Y + S * (b[0] == 0), S, D, (an, ad), b
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +393,10 @@ class _NormPlan:
     values is all pieces, and so is a PowerTail, PowerBump or inverted
     PowerBump read as values or derivatives, whose Beta arguments decide
     its verdicts with no edge record (_beta_arguments, _euler_pieces).
-    Otherwise each end of
-    the support at 0 or infinity is a piece of the read edge record there
-    (_close), and the range stops at its cut; it stops there with no piece
-    where a derivative reads an exact constant.  With no record at 0, f vanishes there faster than any power, and the
+    Otherwise each end of the support at 0 or infinity is a piece of the
+    read edge record there (_close), and the range stops at its cut; it
+    stops there with no piece where a derivative reads an exact constant.
+    With no record at 0, f vanishes there faster than any power, and the
     range starts at 0; with none at infinity, it stops at the power of 2
     past the last one of the grid 2^k, k <= 830, at which F is not 0.
     The dilation by lam moves the pieces by -degree ln lam, degree = d + n,
@@ -412,18 +412,18 @@ class _NormPlan:
     log_area takes it back.
     """
 
-    def __init__(self, base: RadialProfile, reading, d, s, n: int, rel_tol: float):
-        if s <= 0:
+    def __init__(self, base: RadialProfile, reading, exps: _Exponents, rel_tol: float):
+        if exps.s_pair[0] <= 0:
             raise ValueError("norm exponent must be positive")
+        d, s, n = exps.d, exps.s, exps.n
         self.base, self.reading = base, reading
         window = reading is _read_window
         lo, hi = self.support = (1.0 / math.e, math.e) if window else base.support
         self.breakpoints = () if window else base.breakpoints
         # the relative error of |F|^s that the reading reports
         self.reading_error = getattr(reading, "error", 0.0)
-        self.wexp, self.sf, self.log_factor = float(d + n - 1), float(s), 0.0
-        self.log_area = math.log(surface_area(n))
-        self.degree = float(d + n if reading in (_read_value, _read_window) else d + n - s)
+        self.wexp, self.sf, self.log_factor, self.log_area = exps.wexp, exps.sf, 0.0, exps.log_area
+        self.degree = exps.degrees[reading not in (_read_value, _read_window)]
         if window:
             k, rate = float(d + n - base.m * s), base.loglam
             self.wexp, self.log_factor = k / rate - 1.0, -abs(k) / rate
@@ -432,15 +432,13 @@ class _NormPlan:
         self.pieces, self.range, self.failure = [], None, None
         inverted = isinstance(base, InvertedProfile) and isinstance(base.inner, PowerBump)
         inner = base.inner if inverted else base
+        bump = isinstance(inner, PowerBump)
         if reading in (_read_value, _read_derivative) and (
-                isinstance(inner, PowerBump) or isinstance(inner, PowerTail) and inner.alpha != inner.beta):
-            gradient, s, d = reading is _read_derivative, Fraction(s), Fraction(d)  # exact whatever the caller passed
-            if inverted:  # t -> 1/t takes t^(d+n-1) dt to t^(-d-n-1) dt, and f' gains a factor t^-2
-                d = -d - 2 * n + 2 * s * gradient
-            x, y, a, b = _beta_arguments(inner, d, s, n, gradient)
-            self.diverges_at_zero, self.diverges_at_inf = (y <= 0, x <= 0) if inverted else (x <= 0, y <= 0)
-            if x > 0 < y:  # the 1/g of u = t^g
-                self.pieces = _euler_pieces(x, y, a, b, s, [-math.log(inner.g)] if isinstance(inner, PowerBump) else [])
+                bump or isinstance(inner, PowerTail) and inner.alpha != inner.beta):
+            X, Y, S, D, a, b = _beta_arguments(inner, exps, reading is _read_derivative, inverted)
+            self.diverges_at_zero, self.diverges_at_inf = (Y <= 0, X <= 0) if inverted else (X <= 0, Y <= 0)
+            if X > 0 < Y:  # the 1/g of u = t^g
+                self.pieces = _euler_pieces(X, Y, S, D, a, b, [-math.log(inner.g)] if bump else [])
         else:
             edges = base.edges() if lo == 0.0 or hi == math.inf else (None, None)
             edges = (edges[0] if lo == 0.0 else None, edges[1] if hi == math.inf else None)
@@ -535,17 +533,17 @@ def _view(profile: RadialProfile, reading) -> Tuple[RadialProfile, object, float
     return profile, reading, 1.0
 
 
-def _plan(plans: dict, view, exponents: int, d, s, n: int, rel_tol: float) -> _NormPlan:
+def _plan(plans: dict, view, exps: _Exponents, rel_tol: float) -> _NormPlan:
     """The plan of the norms || f ||_{d,s} on R^n of the view (base,
     reading, lam) of f, shared through plans by every norm of the same base
-    object, reading and (d, s, n) values, which share rel_tol; exponents is
-    the token of those values (weighted_norms).  Each plan holds its base,
-    so the base's id stays unique while the plans dict lives."""
+    object, reading and (d, s, n) values, which share rel_tol; exps is the
+    one _Exponents of those values (weighted_norms).  Each plan holds its
+    base, so the base's id stays unique while the plans dict lives."""
     base, reading, _ = view
-    key = (id(base), reading, exponents)
+    key = (id(base), reading, exps)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _NormPlan(base, reading, d, s, n, rel_tol)
+        plan = plans[key] = _NormPlan(base, reading, exps, rel_tol)
     return plan
 
 
@@ -639,7 +637,7 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 # public norms
 # ---------------------------------------------------------------------------
 
-def _radial_norm(view, d, s, n: int, plans: dict, exponents: int, rel_tol: float):
+def _radial_norm(view, exps: _Exponents, plans: dict, rel_tol: float):
     """The radial norm || F ||_{d,s} on R^n of the view (base, reading, lam)
     of F, as a generator for _session that asks for the panel integral of
     its plan's range, if any, and returns the norm: the plan's closed sum
@@ -648,8 +646,9 @@ def _radial_norm(view, d, s, n: int, plans: dict, exponents: int, rel_tol: float
     [1, 2).  Dividing by 2^k maps the grid, seams and Gauss nodes at lam
     exactly onto those at m, so every lam of one class asks the session
     for the same integral.  Its error is the sum of each part's relative
-    error times its share of the integral."""
-    plan, lam = _plan(plans, view, exponents, d, s, n, rel_tol), view[2]
+    error times its share of the integral.  A closed sum with no range is
+    the norm's one part, read in one step: t + log 1 = t, bit for bit."""
+    plan, lam = _plan(plans, view, exps, rel_tol), view[2]
     if plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
     if plan.diverges_at_inf:
@@ -657,6 +656,9 @@ def _radial_norm(view, d, s, n: int, plans: dict, exponents: int, rel_tol: float
     if plan.failure is not None:
         return NormValue.failed(plan.failure)
     shift = plan.degree * math.log(lam)
+    if plan.range is None and plan.closed:
+        (log, error), = plan.closed
+        return NormValue.from_log((plan.log_area + (log - shift)) / plan.sf, error + plan.reading_error)
     parts = [(log - shift, error) for log, error in plan.closed]
     if plan.range is not None:
         m = 1.0 if plan.reading is _read_window else 2.0 * math.frexp(lam)[0]
@@ -676,7 +678,7 @@ def _radial_norm(view, d, s, n: int, plans: dict, exponents: int, rel_tol: float
     return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
 
 
-def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool) -> NormValue:
+def _translated_norm(u: TestFunction, exps: _Exponents, gradient: bool) -> NormValue:
     """|| u ||_{d,s} of a translated u, or || grad u ||_{d,s} when gradient,
     for u the ball bump f(t) = (1 - t^2)^2 dilated by lam, at distance R:
     R^d |S^(n-1)| times the integral of t^(n-1) |f(lam t)|^s M(t/R), lam^s
@@ -695,7 +697,7 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     lam = profile.lam if isinstance(profile, ScaledProfile) else 1.0
     if 1.0 / lam >= offset:
         raise ValueError("translated support must stay away from the origin")
-    x, df, sf = 1.0 / (lam * offset), float(d), float(s)
+    x, df, sf, n = 1.0 / (lam * offset), exps.df, exps.sf, exps.n
     a, b = -df / 2.0, 1.0 - n / 2.0 - df / 2.0
     if gradient:
         e = (n + sf) / 2.0
@@ -709,27 +711,27 @@ def _translated_norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient
     if series is None:
         return NormValue.failed(f"angular series needs more than {MEAN_TERMS} terms at x = {x:.6g}")
     total, error = series
-    log_integral = (df * math.log(offset) + math.log(surface_area(n)) - n * math.log(lam) - math.log(2.0)
+    log_integral = (df * math.log(offset) + exps.log_area - n * math.log(lam) - math.log(2.0)
                     + log_beta + math.log(total))
     return NormValue.from_log(log_integral / sf, error)
 
 
-def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, plans: dict, exponents: int,
-          rel_tol: float):
+def _norm(u: TestFunction, exps: _Exponents, gradient: bool, plans: dict, rel_tol: float):
     """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
-    for _session, with the norm plans of its weighted_norms call and the
-    token of (d, s, n) there."""
+    for _session, with exps the (d, s, n) of its weighted_norms call and
+    the norm plans there."""
+    n = exps.n
     if u.angular is Angular.TRANSLATED:
-        return _translated_norm(u, d, s, n, gradient)
+        return _translated_norm(u, exps, gradient)
     harmonic = u.angular is Angular.FIRST_HARMONIC
     if harmonic and n < 2:
         raise ValueError("first harmonics need dimension >= 2")
-    reading, correction, sf = _read_value, 0.0, float(s)
+    reading, correction, sf = _read_value, 0.0, exps.sf
     if gradient:
         reading = _first_harmonic_gradient(n, sf) if harmonic else _read_derivative
     elif harmonic:
         # the function's angular moment in place of the sphere's area
-        correction = (log_angular_moment(sf, n) - math.log(surface_area(n))) / sf
+        correction = (log_angular_moment(sf, n) - exps.log_area) / sf
     base, reading, lam = _view(u.profile, reading)
     closed = base.derivative_profile if reading is _read_derivative else None
     if closed is not None:
@@ -737,7 +739,7 @@ def _norm(u: TestFunction, d: Fraction, s: Fraction, n: int, gradient: bool, pla
         base, reading, correction = closed, _read_value, math.log(lam)
     if reading is _read_value and isinstance(base, LogModulated):
         reading = _read_window
-    norm = yield from _radial_norm((base, reading, lam), d, s, n, plans, exponents, rel_tol)
+    norm = yield from _radial_norm((base, reading, lam), exps, plans, rel_tol)
     if correction == 0.0 or not norm.finite:
         return norm
     return NormValue.from_log(norm.log_value + correction, norm.error)
@@ -750,15 +752,15 @@ def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     and (d, s, n) one norm plan, whatever their dilations; a translated
     norm is a closed-form series and asks for no panel integral.
 
-    Each (d, s, n) value gets a token, found by the ids of d and s, so that
-    a plan lookup hashes no Fraction; by_id holds d and s, so their ids stay
-    unique."""
+    Each (d, s, n) value is read once, into one _Exponents found by the ids
+    of d and s, so that a plan lookup hashes no Fraction; by_id holds d and
+    s, so their ids stay unique."""
     plans, by_value, by_id, jobs = {}, {}, {}, []
     for u, d, s, n, gradient in norms:
         key = id(d), id(s), n
         if key not in by_id:
-            by_id[key] = by_value.setdefault((d, s, n), len(by_value)), d, s
-        jobs.append(_norm(u, d, s, n, gradient, plans, by_id[key][0], cfg.rel_tol))
+            by_id[key] = by_value.setdefault((d, s, n), _Exponents(d, s, n)), d, s
+        jobs.append(_norm(u, by_id[key][0], gradient, plans, cfg.rel_tol))
     return _session(jobs, cfg)
 
 

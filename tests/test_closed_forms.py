@@ -2,7 +2,7 @@
 
 A `PowerTail` norm read as values is a Beta value, and one read as
 derivatives a Beta value or Euler's integral of 2F1
-(`quadrature._power_tail_pieces`), with no panel integral.  Each branch of
+(`hypergeometric._euler_pieces`), with no panel integral.  Each branch of
 the 2F1 evaluator (`hypergeometric.Hyp2F1`) is checked against the
 depth-first panel oracle on a `PanelTail`, the same profile with no closed
 form; p = 2 against an exact polynomial identity in Fractions; and the
@@ -23,6 +23,7 @@ import oracle_panels
 from ckn.profiles import PowerTail
 from ckn.quadrature import NormStatus, weighted_norm, weighted_norm_gradient
 from ckn.testfunctions import radial
+from oracle_euler import exact_hyp2f1
 from oracle_panels import PanelTail
 from oracle_sharp import hardy_log_constant, log_sphere_area
 
@@ -32,14 +33,14 @@ F = Fraction
 SLACK = 1e-13
 
 
-def branch(a, b, e, rho, z):
-    """The branch Hyp2F1 takes at these arguments, read from its rules:
-    on a and g = e - a, each rounded once."""
-    if float(a) <= 0 and float(a).is_integer():
+def branch(h, rho):
+    """The branch the Hyp2F1 h takes at rho, read from its rules: on its a
+    and g = e - a, each rounded once."""
+    if h.a <= 0 and h.a.is_integer():
         return "polynomial"
     if rho >= hypergeometric.RHO_CONNECT:
         return "euler"
-    return "15.3.11" if float(e - a).is_integer() else "15.3.6"
+    return "15.3.11" if h.g.is_integer() else "15.3.6"
 
 
 def closed_and_panels(monkeypatch, alpha, beta, b, p, n):
@@ -49,14 +50,14 @@ def closed_and_panels(monkeypatch, alpha, beta, b, p, n):
 
     class Recorded(hypergeometric.Hyp2F1):
         def at(self, rho, z):
-            taken.append(branch(self.a, self.b, self.e, rho, z))
+            taken.append(branch(self, rho))
             return super().at(rho, z)
 
     def refused(*args):
         raise AssertionError("a closed form asked for a panel integral")
 
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "Hyp2F1", Recorded)
+        m.setattr(hypergeometric, "Hyp2F1", Recorded)
         m.setattr(quadrature, "integrate", refused)
         closed = weighted_norm_gradient(radial(PowerTail(alpha, beta)), b, p, n)
     with monkeypatch.context() as m:
@@ -128,8 +129,8 @@ def test_near_an_integer_g_the_two_sides_of_the_seam_agree(side, k):
     for a, b, e in [(-F(1 + 2 * float(shift)) / 2, F(1, 2), F(1, 2)),
                     (F(-3, 2), F(17, 4), F(3, 2) + shift),
                     (F(-7, 3), F(5, 2), F(2, 3) + shift)]:
-        assert branch(a, b, e, below, 1.0 - below) == "15.3.6"
-        h = hypergeometric.Hyp2F1(a, b, e)
+        h = exact_hyp2f1(a, b, e)
+        assert branch(h, below) == "15.3.6"
         near, near_error = h.at(below, 1.0 - below)
         far, far_error = h.at(hypergeometric.RHO_CONNECT, 1.0 - hypergeometric.RHO_CONNECT)
         assert abs(near / far - 1.0) <= near_error + far_error, (a, b, e)
@@ -268,7 +269,7 @@ def test_the_polynomial_angular_factor_is_within_its_error_of_the_exact_sum(b):
     for k in range(4):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * (1 - rho)
         exact += term
-    h = hypergeometric.Hyp2F1(a, b, c - b)
+    h = exact_hyp2f1(a, b, c - b)
     got = float(h(np.array([float(rho)]))[0])
     assert 0.0 < h.bound() <= 1e-13
     assert abs(got - float(exact)) <= h.bound() * float(exact)

@@ -2,7 +2,7 @@
 
 A `PowerBump` t^-alpha (1 - t^g)^m on [0, 1) read as values is (1/g)
 B(x, y), and read as derivatives 1/g times the Euler integral of |a + (b -
-a) u|^p (`quadrature._euler_pieces`), with no panel integral.  Seeded
+a) u|^p (`hypergeometric._euler_pieces`), with no panel integral.  Seeded
 draws with alpha < 0, where a + (b - a) u changes sign and the integral is
 split at its zero, alpha = 0 and alpha > 0 are held to the Beta value and
 the exact p = 2 sum of `oracle_sharp`, and to the depth-first panels on a
