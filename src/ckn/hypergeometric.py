@@ -1,7 +1,8 @@
 """Hypergeometric series with stated errors, for the closed forms of the norms.
 
-  * `Terms`: the term recurrence of pFq, p = q + 1, and a bound on the tail
-    of the series at any z; `series_terms` keeps one per parameter set, and
+  * `Terms`: the term recurrence of pFq, p = q + 1, and the factors of a
+    bound on the tail of the series at any z; `translated_series` keeps one
+    per translated norm's parameter set, with its Beta factor, and
     `_mean_series` sums one as the translated norms' mean of the weight.
   * `Hyp2F1`: 2F1(a, b; b + e; 1 - rho) from a, b, e and g = e - a, each
     rounded once from its exact value by the caller, one value with its
@@ -36,22 +37,17 @@ ROUND = 64 * float(np.finfo(float).eps)
 class Terms:
     """The coefficients scale prod_i (ups_i)_k / (prod_j (downs_j)_k k!) of
     scale pFq(ups; downs; z), p = q + 1, each computed once by the term
-    recurrence, and a bound on the tail of the series at any z, from the
-    factors of its term ratio, each also computed once per k."""
+    recurrence, and per k the factors of a bound on the tail of the series
+    at any z (_mean_series), each also computed once."""
 
     __slots__ = ("ups", "downs", "coefs", "ratios")
 
     def __init__(self, ups, downs, scale: float = 1.0):
         # each up is paired with a down, the last with the 1 of k!
         self.ups, self.downs, self.coefs = tuple(ups), (*downs, 1.0), [scale]
-        self.ratios = [None]  # per k, the factors of Terms.tail other than 1, or None where it is inf
+        self.ratios = [None]  # per k, the factors of the tail bound other than 1, or None where it is inf
 
-    def __getitem__(self, k: int) -> float:
-        while len(self.coefs) <= k:
-            self._extend()
-        return self.coefs[k]
-
-    def _extend(self) -> None:
+    def extend(self) -> None:
         """Append the next coefficient by the recurrence, and its ratio."""
         k, coef = len(self.coefs), self.coefs[-1]
         for u in self.ups:
@@ -63,27 +59,24 @@ class Terms:
             factors = (max(1.0, (k + u) / (k + v)) for u, v in zip(self.ups, self.downs))
             self.ratios.append(tuple(f for f in factors if f != 1.0))
 
-    def tail(self, k: int, z: float) -> float:
-        """A bound on the absolute terms from term k on at z, or inf: past k
-        >= -up and k > -down each factor (up+j)/(down+j) of the term ratio
-        is monotone in j, so r = z prod max(1, (up+k)/(down+k)) bounds it,
-        and the tail is at most |term k| / (1 - r)."""
-        coef, factors = self[k], self.ratios[k]
-        if factors is None:
-            return math.inf
-        r = z
-        for factor in factors:
-            r *= factor
-        return abs(coef) * z**k / (1.0 - r) if r < 1.0 else math.inf
-
 
 @lru_cache(maxsize=512)
-def series_terms(ups: tuple, downs: tuple) -> Terms:
-    """The one Terms of (ups, downs), shared by every series of those
-    parameters: the members of a translated family differ only in z, so
-    each extends the coefficients its z needs, and reads those of the
-    members before it.  The cache holds at most 512 of them."""
-    return Terms(ups, downs)
+def translated_series(n: int, d: float, s: float, gradient: bool) -> Tuple[Terms, float]:
+    """The Terms of the series of a translated norm on R^n at weight d and
+    exponent s (quadrature._translated_norm), 2F1(a, b; n/2 + 2s + 1; y)
+    for values, 3F2(a, e, b; n/2, e + s + 1; y) for gradients, a = -d/2, b
+    = 1 - n/2 - d/2 and e = (n + s)/2, and the lgammas of its Beta factor,
+    ln B(n/2, 2s + 1), resp. ln B(e, s + 1).  The members of a translated
+    family differ only in y, so each extends the coefficients its y needs,
+    and reads those of the members before it.  The cache holds at most 512
+    of them."""
+    a, b = -d / 2.0, 1.0 - n / 2.0 - d / 2.0
+    if gradient:
+        e = (n + s) / 2.0
+        return (Terms((a, e, b), (n / 2.0, e + s + 1.0)),
+                math.lgamma(e) + math.lgamma(s + 1.0) - math.lgamma(e + s + 1.0))
+    return (Terms((a, b), (n / 2.0 + 2.0 * s + 1.0,)),
+            math.lgamma(n / 2.0) + math.lgamma(2.0 * s + 1.0) - math.lgamma(n / 2.0 + 2.0 * s + 1.0))
 
 
 # the series tail allowed, relative to the least value of its sum, and the
@@ -94,17 +87,34 @@ MEAN_TERMS = 10_000
 
 def _mean_series(terms: Terms, x: float, least: float):
     """(sum, relative error) of the series of terms at z = x^2, a weighted
-    mean of M over [0, x], or None past MEAN_TERMS terms.
+    mean of M over [0, x], or None past MEAN_TERMS terms, reading the
+    coefficients and tail factors of terms in place, extending them as
+    far as it goes.
 
-    It is cut where the tail bound (Terms.tail) is at most MEAN_TOL of a
-    floor of the sum: the partial sum while no term is negative, else
-    least, the least value of M on [0, x].  The error is the tail over the
-    floor plus 64 eps times the sum of the absolute terms over the sum."""
+    It is cut where a bound on the tail from term k on is at most MEAN_TOL
+    of a floor of the sum: the partial sum while no term is negative, else
+    least, the least value of M on [0, x].  Past k >= -up and k > -down
+    each factor (up+j)/(down+j) of the term ratio is monotone in j, so r =
+    z prod max(1, (up+k)/(down+k)) bounds it, and the tail is at most
+    |term k| / (1 - r), else inf (Terms.ratios).  The error is the tail
+    over the floor plus 64 eps times the sum of the absolute terms over
+    the sum."""
     z, total, absolute, power, positive = x * x, 1.0, 1.0, 1.0, True
+    coefs, ratios = terms.coefs, terms.ratios
     for k in range(1, MEAN_TERMS + 1):
-        coef = terms[k]
+        if k == len(coefs):
+            terms.extend()
+        coef, factors = coefs[k], ratios[k]
         positive = positive and coef > 0.0
-        tail = 0.0 if coef == 0.0 else terms.tail(k, z)  # 0: an up is a non-positive integer, a polynomial
+        if coef == 0.0:  # an up is a non-positive integer: a polynomial
+            tail = 0.0
+        elif factors is None:
+            tail = math.inf
+        else:
+            r = z
+            for factor in factors:
+                r *= factor
+            tail = abs(coef) * z**k / (1.0 - r) if r < 1.0 else math.inf
         floor = total if positive else least
         if tail <= MEAN_TOL * floor:
             return total, tail / floor + ROUND * absolute / total
@@ -169,7 +179,7 @@ class _Series:
         """(sum, absolute sum, rounding, tail) at 0 <= x < 1, cut after a
         term k >= first, one of every 16, whose tail bound |term k| r / (1 -
         r) is at most 1e-17 of the absolute sum, r = x max(1, (u + k) / (v +
-        k)) max(1, (w + k) / (k + 1)) (Terms.tail).  The rounding of term k
+        k)) max(1, (w + k) / (k + 1)) (_mean_series).  The rounding of term k
         is its size times 64 eps plus 8 eps a step of the recurrence, each
         of at most 8 roundings and one rounded argument."""
         u, w, v, length = self.u, self.w, self.v, self.length

@@ -31,10 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .classify import Decision, classify
-from .derived import derive
+from .derived import DerivedQuantities, derive
 from .params import Params
 from .profiles import LogModulated, PowerBump, PowerTail
 from .quadrature import (
@@ -81,6 +79,22 @@ def _norm_triples(params: Params, functions: Sequence[TestFunction], cfg: Quadra
     return [NormTriple(*norms[i:i + 3]) for i in range(0, len(norms), 3)]
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y), computed as numpy's logaddexp computes it for one
+    pair of floats, bit for bit."""
+    if x == y:  # infinities of one sign
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp  # nan
+
+
 def _log_mult_ratio(triple: NormTriple, theta: float) -> float:
     return (
         triple.target.log_value
@@ -90,8 +104,7 @@ def _log_mult_ratio(triple: NormTriple, theta: float) -> float:
 
 
 def _log_additive_ratio(triple: NormTriple) -> float:
-    denom = np.logaddexp(triple.source.log_value, triple.grad.log_value)
-    return triple.target.log_value - float(denom)
+    return triple.target.log_value - _logaddexp(triple.source.log_value, triple.grad.log_value)
 
 
 def _sup_dilation_log_ratio(slopes: Tuple[float, float, float], triple: NormTriple) -> float:
@@ -117,7 +130,7 @@ def _sup_dilation_log_ratio(slopes: Tuple[float, float, float], triple: NormTrip
         return log_t - log_a
     if s_a == s_b:
         # dilation moves every term identically; nothing to optimize
-        return log_t - float(np.logaddexp(log_a, log_b))
+        return log_t - _logaddexp(log_a, log_b)
 
     (lo, log_lo), (hi, log_hi) = sorted(
         [(s_a, log_a), (s_b, log_b)], key=lambda t: t[0]
@@ -137,9 +150,7 @@ def _sup_dilation_log_ratio(slopes: Tuple[float, float, float], triple: NormTrip
     w_star = (
         math.log((s_c - lo) / (hi - s_c)) + log_lo - log_hi
     ) / (lo - hi)
-    return log_t - s_c * w_star - float(
-        np.logaddexp(log_lo - lo * w_star, log_hi - hi * w_star)
-    )
+    return log_t - s_c * w_star - _logaddexp(log_lo - lo * w_star, log_hi - hi * w_star)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +208,11 @@ def default_verification_family(params: Params, members: int = 8) -> List[TestFu
     annulus as k grows; it is dilated so that its peak (-alpha / (mg -
     alpha))^(1/g) sits at k.
     """
-    d = derive(params)
+    return _verification_family(params, derive(params), members)
+
+
+def _verification_family(params: Params, d: DerivedQuantities, members: int = 8) -> List[TestFunction]:
+    """default_verification_family of params, given d = derive(params)."""
     s_lo = min(d.slope_a, d.slope_b, (params.c + params.n) / params.r)
     s_hi = max(d.slope_a, d.slope_b, (params.c + params.n) / params.r)
     bumps = []
@@ -237,7 +252,7 @@ def _verify_instance(params: Params, verdict, theta: Fraction, family: Optional[
     if verdict.decision is not Decision.EMBEDS:
         raise ValueError("verify_instance requires an embedding instance")
     if family is None:
-        family = default_verification_family(params)
+        family = _verification_family(params, verdict.derived)
     theta_f = float(theta)
 
     members: List[VerifyMember] = []

@@ -31,27 +31,29 @@ One integrator serves every radial norm: a session of `panels.integrate`
 shared by every panel integral of a `weighted_norms` call, so the norms
 of a first-harmonic `verify` instance (6 members x 5 scales x 3 norms)
 take about 2 integrand calls, and a radial one none.  Its one integrand
-is t^w |F(t)|^s e^l, where F is a
-view (base, reading, lam) of a profile (`_view`): a base profile read at
-lam t as its value base(lam t), its derivative lam base'(lam t), a
-first-harmonic gradient, or the window W(ln x) of a log window, one
-profile call per base and run of points, and l is 0 but for log windows.
-`_norm` takes the view first and chooses the reading of its base once: a
-radial gradient reads the base's derivative_profile as values where that
-closed form exists, adding ln lam to the log norm (|| grad (f o lam) || =
-lam || f' o lam ||), else the base's derivative, and a log window read as
-values is read by its window.
+is t^w |F(t)|^s e^l, where F is a view (base, reading, lam) of a profile
+(`_view`): a base profile read at lam t as its value base(lam t), its
+derivative lam base'(lam t), a first-harmonic gradient, or the window
+W(ln x) of a log window, one profile call per base and run of points,
+and l is 0 but for log windows.  `_norm` takes the view first and
+chooses the reading of its base once: a radial gradient reads the base's
+derivative_profile as values where that closed form exists, adding ln
+lam to the log norm (|| grad (f o lam) || = lam || f' o lam ||), else
+the base's derivative, and a log window read as values is read by its
+window.
 
-Each (d, s, N) of a call is read once (`_Exponents`), as integer
-(numerator, denominator) pairs and the floats its norms share.
-Divergence certificates, closed pieces and the range are settled before
-the session, in a norm plan (`_NormPlan`) per (base profile, reading, d,
-s, N) that all dilations of a member share, and moved to each dilation
-by the exact scaling law, in one step where the plan is closed pieces
-alone.  The range of a dilation by lam = m 2^k, m in [1, 2), is
-integrated at m and moved alike, so the dyadic dilations of a member
-share one panel integral.  A log window's norm fails where the weight's
-peak is too narrow for the panels.
+Each (d, s, N) is read once (`_Exponents`, kept across calls by the
+types and integer (numerator, denominator) pairs of d and s), into the
+pairs and the floats its norms share.  Divergence certificates, closed
+pieces and the range are settled before the session, in a norm plan
+(`_NormPlan`) per (base profile, reading, d, s, N) that all dilations of
+a member share, and moved to each dilation by the exact scaling law, in
+one step where the plan is closed pieces alone; only the norms of plans
+with a range reach the session as generators, others as values.  The
+range of a dilation by lam = m 2^k, m in [1, 2), is integrated at m and
+moved alike, so the dyadic dilations of a member share one panel
+integral.  A log window's norm fails where the weight's peak is too
+narrow for the panels.
 
 A `PowerTail` f = t^-alpha (1+t)^(alpha-beta) or a `PowerBump` f =
 t^-alpha (1 - t^g)^m on [0, 1) read as values or as its derivative is
@@ -106,7 +108,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hypergeometric import MEAN_TERMS, Hyp2F1, _euler_pieces, _mean_series, series_terms
+from .hypergeometric import MEAN_TERMS, Hyp2F1, _euler_pieces, _mean_series, translated_series
 from .panels import DEFAULT_CONFIG, Integral, QuadratureConfig, QuadratureError, integrate
 from .profiles import (Edge, InvertedProfile, LogModulated, PiecewisePower, PowerBump, PowerTail, RadialProfile,
                        ScaledProfile, merge_bounds)
@@ -146,6 +148,11 @@ class NormValue:
         except OverflowError:
             value = math.inf
         return cls(value, log_value, NormStatus.FINITE, error)
+
+    def moved(self, correction: float) -> "NormValue":
+        """This norm with correction added to its log, if it is finite."""
+        moved = correction != 0.0 and self.finite
+        return self.from_log(self.log_value + correction, self.error) if moved else self
 
     def as_dict(self) -> dict:
         return {
@@ -317,16 +324,17 @@ def _first_harmonic_gradient(n: int, p: float) -> _FirstHarmonicGradient:
 
 class _Exponents:
     """One (d, s, n) of a weighted_norms call, read once for all its norms:
-    d and s as given, as exact integer (numerator, denominator) pairs and
-    as floats, log |S^(n-1)|, and the floats that every plan of them reads,
-    each one int/int division of its exact value: the weight's exponent d +
-    n - 1 and the degrees d + n and d + n - s of the scaling law."""
+    d and s as given, as exact integer (numerator, denominator) pairs (the
+    caller's pairs, if given) and as floats, log |S^(n-1)|, and the floats
+    that every plan of them reads, each one int/int division of its exact
+    value: the weight's exponent d + n - 1 and the degrees d + n and d + n
+    - s of the scaling law."""
 
     __slots__ = ("d", "s", "n", "d_pair", "s_pair", "df", "sf", "wexp", "degrees", "log_area")
 
-    def __init__(self, d, s, n: int):
+    def __init__(self, d, s, n: int, pairs=None):
         self.d, self.s, self.n = d, s, n
-        (dn, dd), (sn, sd) = self.d_pair, self.s_pair = d.as_integer_ratio(), s.as_integer_ratio()
+        (dn, dd), (sn, sd) = self.d_pair, self.s_pair = pairs or (d.as_integer_ratio(), s.as_integer_ratio())
         self.df, self.sf, self.wexp = dn / dd, sn / sd, (dn + (n - 1) * dd) / dd
         self.degrees = ((dn + n * dd) / dd, ((dn + n * dd) * sd - sn * dd) / (dd * sd))  # values, gradients
         self.log_area = _log_area(n)
@@ -588,11 +596,12 @@ def _radial_integrand(views, group, wexp, s, log_factor):
 
 
 def _session(norms, cfg: QuadratureConfig) -> list:
-    """The values of norm generators such as _norm, each of which yields a
-    list of requests (view, wexp, s, log_factor, Integral) for the panel
-    integrals it needs, if any, with view the (base, reading, lam) of its
-    plan, and is sent their results: (value, error), or a QuadratureError,
-    "panel sum overflowed" for a sum that is not finite.
+    """The values of norms as _norm returns them: a NormValue, taken as it
+    is, or a generator that yields a list of requests (view, wexp, s,
+    log_factor, Integral) for the panel integrals it needs, with view the
+    (base, reading, lam) of its plan, and is sent their results: (value,
+    error), or a QuadratureError, "panel sum overflowed" for a sum that is
+    not finite.
 
     Every panel integral they ask for shares one session, the package's
     only one, ordered so that the rows of each (base, reading) are
@@ -601,11 +610,10 @@ def _session(norms, cfg: QuadratureConfig) -> list:
     """
     out, waiting, asks = [], [], []
     for norm in norms:
-        try:
-            ask = next(norm)
-        except StopIteration as done:
-            out.append(done.value)
+        if isinstance(norm, NormValue):
+            out.append(norm)
             continue
+        ask = next(norm)
         waiting.append((len(out), norm, len(asks), len(asks) + len(ask)))
         out.append(None)
         asks += ask
@@ -637,17 +645,11 @@ def _session(norms, cfg: QuadratureConfig) -> list:
 # public norms
 # ---------------------------------------------------------------------------
 
-def _radial_norm(view, exps: _Exponents, plans: dict, rel_tol: float):
+def _radial_norm(view, exps: _Exponents, plans: dict, rel_tol: float, correction: float = 0.0):
     """The radial norm || F ||_{d,s} on R^n of the view (base, reading, lam)
-    of F, as a generator for _session that asks for the panel integral of
-    its plan's range, if any, and returns the norm: the plan's closed sum
-    moved by -degree ln lam, plus its range integrated at m and moved by
-    -degree ln(lam / m), m = 1 for a window, else the mantissa lam 2^-k in
-    [1, 2).  Dividing by 2^k maps the grid, seams and Gauss nodes at lam
-    exactly onto those at m, so every lam of one class asks the session
-    for the same integral.  Its error is the sum of each part's relative
-    error times its share of the integral.  A closed sum with no range is
-    the norm's one part, read in one step: t + log 1 = t, bit for bit."""
+    of F, its log moved by correction: a generator for _session where the
+    plan has a range (_ranged_norm), else a NormValue, the plan's closed sum
+    moved by -degree ln lam, read in one step: t + log 1 = t, bit for bit."""
     plan, lam = _plan(plans, view, exps, rel_tol), view[2]
     if plan.diverges_at_zero:
         return NormValue.divergent("non-integrable at zero")
@@ -656,26 +658,39 @@ def _radial_norm(view, exps: _Exponents, plans: dict, rel_tol: float):
     if plan.failure is not None:
         return NormValue.failed(plan.failure)
     shift = plan.degree * math.log(lam)
-    if plan.range is None and plan.closed:
-        (log, error), = plan.closed
-        return NormValue.from_log((plan.log_area + (log - shift)) / plan.sf, error + plan.reading_error)
-    parts = [(log - shift, error) for log, error in plan.closed]
     if plan.range is not None:
-        m = 1.0 if plan.reading is _read_window else 2.0 * math.frexp(lam)[0]
-        (result,) = yield [((plan.base, plan.reading, m), plan.wexp, plan.sf, plan.log_factor,
-                            Integral(*(x / m for x in plan.range), tuple(x / m for x in plan.breakpoints)))]
-        if isinstance(result, QuadratureError):
-            return NormValue.failed(str(result))
-        middle, err = result
-        if middle > 0:
-            parts.append((math.log(middle) - plan.degree * math.log(lam / m), err / middle))
+        return _ranged_norm(plan, lam, shift, correction)
+    if not plan.closed:  # every piece is 0
+        return NormValue(0.0, -math.inf, NormStatus.FINITE)
+    (log, error), = plan.closed
+    norm = NormValue.from_log((plan.log_area + (log - shift)) / plan.sf, error + plan.reading_error)
+    return norm.moved(correction)
+
+
+def _ranged_norm(plan: _NormPlan, lam: float, shift: float, correction: float):
+    """_radial_norm where the plan has a range, a generator for _session:
+    the closed sum moved by -degree ln lam, plus the range integrated at m
+    and moved by -degree ln(lam / m), m = 1 for a window, else the mantissa
+    lam 2^-k in [1, 2), which maps the grid, seams and Gauss nodes at lam
+    exactly onto those at m, so every lam of one class asks for one
+    integral.  Its error sums each part's relative error by its share."""
+    parts = [(log - shift, error) for log, error in plan.closed]
+    m = 1.0 if plan.reading is _read_window else 2.0 * math.frexp(lam)[0]
+    (result,) = yield [((plan.base, plan.reading, m), plan.wexp, plan.sf, plan.log_factor,
+                        Integral(*(x / m for x in plan.range), tuple(x / m for x in plan.breakpoints)))]
+    if isinstance(result, QuadratureError):
+        return NormValue.failed(str(result))
+    middle, err = result
+    if middle > 0:
+        parts.append((math.log(middle) - plan.degree * math.log(lam / m), err / middle))
     log_integral = _logsumexp(part for part, _ in parts)
     if log_integral == -math.inf:
         if plan.reading is _read_window:  # a window's integral is positive: its peak fell between the nodes
             return NormValue.failed("log-window integral underflowed")
         return NormValue(0.0, -math.inf, NormStatus.FINITE)
     rel_err = sum(error * math.exp(part - log_integral) for part, error in parts)
-    return NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
+    norm = NormValue.from_log((plan.log_area + log_integral) / plan.sf, rel_err + plan.reading_error)
+    return norm.moved(correction)
 
 
 def _translated_norm(u: TestFunction, exps: _Exponents, gradient: bool) -> NormValue:
@@ -689,23 +704,19 @@ def _translated_norm(u: TestFunction, exps: _Exponents, gradient: bool) -> NormV
     The moments of the bump are Beta integrals, so with y = (1/(lam R))^2
     the integral is lam^-n 1/2 B(n/2, 2s + 1) 2F1(a, b; n/2 + 2s + 1; y),
     and for gradient (4 lam)^s lam^-n 1/2 B(e, s + 1) 3F2(a, b, e; n/2, e +
-    s + 1; y), e = (n + s)/2.  Each series is a weighted mean of M over [0,
-    1/(lam R)], so it is at least 1 where |x|^d is subharmonic, d (d + n -
-    2) >= 0, else the least of (1 +- x)^d (_mean_series).  Huge offsets
-    and dilations stay in range through logs."""
+    s + 1; y), e = (n + s)/2, each read once per (n, d, s, reading) with its
+    Beta lgammas (hypergeometric.translated_series).  Each series is a
+    weighted mean of M over [0, 1/(lam R)], so it is at least 1 where |x|^d
+    is subharmonic, d (d + n - 2) >= 0, else the least of (1 +- x)^d
+    (_mean_series).  Huge offsets and dilations stay in range through logs."""
     profile, offset = u.profile, u.offset
     lam = profile.lam if isinstance(profile, ScaledProfile) else 1.0
     if 1.0 / lam >= offset:
         raise ValueError("translated support must stay away from the origin")
     x, df, sf, n = 1.0 / (lam * offset), exps.df, exps.sf, exps.n
-    a, b = -df / 2.0, 1.0 - n / 2.0 - df / 2.0
+    terms, log_beta = translated_series(n, df, sf, gradient)
     if gradient:
-        e = (n + sf) / 2.0
-        terms = series_terms((a, e, b), (n / 2.0, e + sf + 1.0))
-        log_beta = math.lgamma(e) + math.lgamma(sf + 1.0) - math.lgamma(e + sf + 1.0) + sf * math.log(4.0 * lam)
-    else:
-        terms = series_terms((a, b), (n / 2.0 + 2.0 * sf + 1.0,))
-        log_beta = math.lgamma(n / 2.0) + math.lgamma(2.0 * sf + 1.0) - math.lgamma(n / 2.0 + 2.0 * sf + 1.0)
+        log_beta += sf * math.log(4.0 * lam)
     least = 1.0 if df * (df + n - 2) >= 0 else min((1.0 + x) ** df, (1.0 - x) ** df)
     series = _mean_series(terms, x, least)
     if series is None:
@@ -717,9 +728,10 @@ def _translated_norm(u: TestFunction, exps: _Exponents, gradient: bool) -> NormV
 
 
 def _norm(u: TestFunction, exps: _Exponents, gradient: bool, plans: dict, rel_tol: float):
-    """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, as a generator
-    for _session, with exps the (d, s, n) of its weighted_norms call and
-    the norm plans there."""
+    """|| grad u ||_{d,s} when gradient, else || u ||_{d,s}, with exps the
+    (d, s, n) of its weighted_norms call and the norm plans there: a
+    NormValue, or a generator for _session where the norm needs a panel
+    integral (_radial_norm)."""
     n = exps.n
     if u.angular is Angular.TRANSLATED:
         return _translated_norm(u, exps, gradient)
@@ -739,10 +751,10 @@ def _norm(u: TestFunction, exps: _Exponents, gradient: bool, plans: dict, rel_to
         base, reading, correction = closed, _read_value, math.log(lam)
     if reading is _read_value and isinstance(base, LogModulated):
         reading = _read_window
-    norm = yield from _radial_norm((base, reading, lam), exps, plans, rel_tol)
-    if correction == 0.0 or not norm.finite:
-        return norm
-    return NormValue.from_log(norm.log_value + correction, norm.error)
+    return _radial_norm((base, reading, lam), exps, plans, rel_tol, correction)
+
+
+_EXPONENTS = {}  # the _Exponents of the latest calls, such as the members of one walk
 
 
 def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
@@ -752,14 +764,24 @@ def weighted_norms(norms, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     and (d, s, n) one norm plan, whatever their dilations; a translated
     norm is a closed-form series and asks for no panel integral.
 
-    Each (d, s, n) value is read once, into one _Exponents found by the ids
-    of d and s, so that a plan lookup hashes no Fraction; by_id holds d and
-    s, so their ids stay unique."""
-    plans, by_value, by_id, jobs = {}, {}, {}, []
+    Each (d, s, n) is read once, into an _Exponents found by the ids of d
+    and s, else by their pairs, so that no lookup hashes a Fraction; value-
+    equal ints, Fractions and floats share it, and _EXPONENTS keeps those
+    of the latest calls by the types and pairs on which alone they depend.
+    by_id holds d and s, so their ids stay unique."""
+    if len(_EXPONENTS) > 64:
+        _EXPONENTS.clear()
+    plans, by_pairs, by_id, jobs = {}, {}, {}, []
     for u, d, s, n, gradient in norms:
         key = id(d), id(s), n
         if key not in by_id:
-            by_id[key] = by_value.setdefault((d, s, n), _Exponents(d, s, n)), d, s
+            pairs = d.as_integer_ratio(), s.as_integer_ratio(), n
+            if pairs not in by_pairs:
+                typed = type(d), type(s), pairs
+                if typed not in _EXPONENTS:
+                    _EXPONENTS[typed] = _Exponents(d, s, n, pairs[:2])
+                by_pairs[pairs] = _EXPONENTS[typed]
+            by_id[key] = by_pairs[pairs], d, s
         jobs.append(_norm(u, by_id[key][0], gradient, plans, cfg.rel_tol))
     return _session(jobs, cfg)
 

@@ -22,7 +22,7 @@ import ckn.quadrature as quadrature
 from ckn.panels import QuadratureConfig
 from ckn.params import Params
 from ckn.probes import compute_norms, verify_instance
-from ckn.profiles import InvertedProfile, PiecewisePower, PowerBump
+from ckn.profiles import InvertedProfile, PiecewisePower, PowerBump, ScaledProfile
 from ckn.quadrature import (
     MEAN_TERMS,
     NormStatus,
@@ -48,7 +48,7 @@ def series_lengths(monkeypatch):
     """The number of terms that each translated norm's series holds after
     it is summed, in a list that grows as norms are computed: at least the
     number it read, as the Terms of one parameter set serve every series
-    of it (hypergeometric.series_terms)."""
+    of it (hypergeometric.translated_series)."""
     lengths, mean_series = [], quadrature._mean_series
 
     def recorded(terms, x, least):
@@ -506,26 +506,68 @@ def norm_bits(jobs):
 def test_a_warm_series_cache_gives_the_norms_of_fresh_terms(monkeypatch):
     # a walk in one order warms the cache, and walks in both orders then
     # read Terms whose coefficients and tail ratios a longer series built;
-    # each norm must be the one that Terms built for its series alone give
+    # each norm must be the one that fresh Terms and a fresh lgamma of its
+    # Beta factor, built for its series alone, give
     jobs = series_jobs()
-    hypergeometric.series_terms.cache_clear()
+    cache = hypergeometric.translated_series
+    cache.cache_clear()
     warm = norm_bits(jobs[::-1])[::-1]
     again = norm_bits(jobs)
-    info = hypergeometric.series_terms.cache_info()
+    info = cache.cache_info()
+    # one entry per (n, d, s, reading), read once per norm
     assert info.currsize == 18 and info.hits == 2 * len(jobs) - 18
     with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "series_terms", hypergeometric.Terms)
+        patch.setattr(quadrature, "translated_series", cache.__wrapped__)
         fresh = norm_bits(jobs)
+    # the fresh norms read no cache entry, and build their Terms anew
+    assert cache.cache_info() == info
+    assert cache.__wrapped__(3, -1.0, 1.5, False)[0] is not cache.__wrapped__(3, -1.0, 1.5, False)[0]
     assert warm == again == fresh
     assert all(status is NormStatus.FINITE for status, *_ in fresh)
 
 
+def reference_bits(job):
+    """The log norm and error of the translated norm of job, (u, d, s, n,
+    gradient), from fresh Terms and lgammas summed in one expression, in
+    the order of additions of quadrature._translated_norm."""
+    u, d, s, n, gradient = job
+    lam = u.profile.lam if isinstance(u.profile, ScaledProfile) else 1.0
+    x, df, sf = 1.0 / (lam * u.offset), float(d), float(s)
+    a, b = -df / 2.0, 1.0 - n / 2.0 - df / 2.0
+    if gradient:
+        e = (n + sf) / 2.0
+        terms = hypergeometric.Terms((a, e, b), (n / 2.0, e + sf + 1.0))
+        log_beta = math.lgamma(e) + math.lgamma(sf + 1.0) - math.lgamma(e + sf + 1.0) + sf * math.log(4.0 * lam)
+    else:
+        terms = hypergeometric.Terms((a, b), (n / 2.0 + 2.0 * sf + 1.0,))
+        log_beta = math.lgamma(n / 2.0) + math.lgamma(2.0 * sf + 1.0) - math.lgamma(n / 2.0 + 2.0 * sf + 1.0)
+    least = 1.0 if df * (df + n - 2) >= 0 else min((1.0 + x) ** df, (1.0 - x) ** df)
+    total, error = hypergeometric._mean_series(terms, x, least)
+    log_integral = (df * math.log(u.offset) + math.log(surface_area(n)) - n * math.log(lam) - math.log(2.0)
+                    + log_beta + math.log(total))
+    return (log_integral / sf).hex(), error.hex()
+
+
+def test_each_cached_norm_is_the_one_expression_of_fresh_terms():
+    # the Beta lgammas kept per parameter set and the gradient's s ln(4 lam)
+    # added afterwards give the sum of the one expression, bit for bit, at
+    # scales that are not powers of 2
+    jobs = [(translated(PowerBump(0, 2, 2).scaled(lam), 1 / (x * lam)), d, s, n, gradient)
+            for n in (1, 3, 4) for d in (F(-25), F(-3, 2), F(7, 3)) for s, gradient in ((F(3, 2), False), (F(5, 2), True))
+            for lam in (1.0, 3.0, 1e-3 / 7) for x in (1 / 16, 0.3)]
+    hypergeometric.translated_series.cache_clear()
+    for job in jobs * 2:
+        got = weighted_norms([job])[0]
+        assert (got.log_value.hex(), got.error.hex()) == reference_bits(job), job
+
+
 def test_the_series_cache_is_bounded():
-    cache = hypergeometric.series_terms
+    cache = hypergeometric.translated_series
     size = cache.cache_info().maxsize
     assert 0 < size <= 4096
     for k in range(size + 10):
-        cache((-float(k), 1.5), (2.5,))
+        terms, log_beta = cache(3, -2.0 * k, 1.5, k % 2 == 1)
+        assert isinstance(terms, hypergeometric.Terms) and math.isfinite(log_beta)
     assert cache.cache_info().currsize == size
     cache.cache_clear()
 
